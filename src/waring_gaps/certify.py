@@ -56,6 +56,8 @@ class Verdict(str, Enum):
 
     @staticmethod
     def worst(verdicts: "Sequence[Verdict]") -> "Verdict":
+        if not verdicts:
+            raise ValueError("no verdicts to combine")
         if any(v is Verdict.FAIL for v in verdicts):
             return Verdict.FAIL
         if any(v is Verdict.INCONCLUSIVE for v in verdicts):
@@ -107,7 +109,8 @@ class Report:
 
     @property
     def exit_code(self) -> int:
-        if self.invalid:
+        """0 pass, 1 fail, 2 inconclusive; 3 when invalid or when nothing was checked."""
+        if self.invalid or not self.conditions:
             return 3
         return {Verdict.PASS: 0, Verdict.FAIL: 1, Verdict.INCONCLUSIVE: 2}[self.verdict]
 
@@ -117,7 +120,7 @@ class Report:
             "certificate": self.certificate,
             "per_condition": [c.to_json_dict() for c in self.conditions],
             "summary": self.summary,
-            "verdict": "invalid" if self.invalid else self.verdict.value,
+            "verdict": "invalid" if self.exit_code == 3 else self.verdict.value,
         }
 
 
@@ -315,7 +318,8 @@ def verify_maier_inner(
         raise ValueError(
             f"table covers [0, {table.limit}] but the column reaches {top}"
         )
-    assert column * loose_count_bound(ell, top) < 2**63
+    if column * loose_count_bound(ell, top) >= 2**63:
+        raise OverflowError(f"a column of {column} counts may overflow 64-bit summation")
     lhs = int(table.counts[m + k : top + 1 : M].sum())
     profile = residue_counts(ell, M)
     rhs = L**ell * profile.r(m + k)
@@ -601,20 +605,19 @@ def verify_degree_criterion(
         [_mild_check_json(r, f_full.label) for r in endpoint_checks],
     )
 
-    window = table_lower.counts[n1 : n2 + K2]
-    nonzero = np.flatnonzero(window)
+    # Both tables cover the window, so a next nonzero past its end means none inside.
+    shorter = HalfFunction.from_table(table_lower).tail_majorant_start(n1)
     report.add(
         "window-free-of-shorter-sums",
-        Verdict.PASS if nonzero.size == 0 else Verdict.FAIL,
-        None if nonzero.size == 0 else {"witness": int(n1 + nonzero[0])},
+        Verdict.PASS if shorter >= n2 + K2 else Verdict.FAIL,
+        None if shorter >= n2 + K2 else {"witness": shorter},
     )
 
-    inner = table_full.counts[n1:n2]
-    hits = np.flatnonzero(inner)
+    inside = f_full.tail_majorant_start(n1)
     report.add(
         "representable-point-inside",
-        Verdict.PASS if hits.size else Verdict.FAIL,
-        {"witness": int(n1 + hits[0])} if hits.size else None,
+        Verdict.PASS if inside < n2 else Verdict.FAIL,
+        {"witness": inside} if inside < n2 else None,
     )
 
     first = Fraction(q**K1) > J * E
@@ -964,22 +967,15 @@ def pipeline_dry_run(
         {"count": b_count, "bound": fraction_str(floor_bound)},
     )
 
-    lower_nonzero = np.concatenate(
-        ([0], np.cumsum((table_lower.counts != 0).astype(np.int64)))
-    )
-
-    def lower_hits(lo: int, hi_inclusive: int) -> int:
-        hi_inclusive = min(hi_inclusive, table_lower.limit)
-        if hi_inclusive < lo:
-            return 0
-        return int(lower_nonzero[hi_inclusive + 1] - lower_nonzero[lo])
-
-    pairs = list(zip(members.tolist(), members.tolist()[1:]))
-    good_pairs = [
-        (b1, b2) for b1, b2 in pairs if lower_hits(b1, b2 + K2) == 0
-    ]
-    bad_count = len(pairs) - len(good_pairs)
-    summary["pairs"] = len(pairs)
+    # A window holds a nonzero count exactly when the table's nonzero index
+    # has an entry inside it, so two binary searches decide each window.
+    b1s, b2s = members[:-1], members[1:]
+    lower = table_lower.nonzero
+    good = np.searchsorted(lower, b1s) == np.searchsorted(lower, b2s + K2, side="right")
+    good_b1, good_b2 = b1s[good], b2s[good]
+    good_pairs = list(zip(good_b1.tolist(), good_b2.tolist()))
+    bad_count = len(b1s) - len(good_pairs)
+    summary["pairs"] = len(b1s)
     summary["good_pairs"] = len(good_pairs)
     report.add(
         "bad-points-minority",
@@ -1019,16 +1015,6 @@ def pipeline_dry_run(
         mild_verdict,
         {"checked": sum(mild_counts.values()), **mild_counts, "first_problem": first_problem},
     )
-
-    full_nonzero = np.concatenate(
-        ([0], np.cumsum((table_full.counts != 0).astype(np.int64)))
-    )
-
-    def full_hits(lo: int, hi_exclusive: int) -> int:
-        hi_exclusive = min(hi_exclusive, table_full.limit + 1)
-        if hi_exclusive <= lo:
-            return 0
-        return int(full_nonzero[hi_exclusive] - full_nonzero[lo])
 
     if ell == 3:
         report.add(
@@ -1070,9 +1056,9 @@ def pipeline_dry_run(
             )
             summary["exceptional_density"] = fraction_str(scan.density)
 
-    qualified_pairs = [
-        (b1, b2) for b1, b2 in good_pairs if full_hits(b1 + 1, b2) > 0
-    ]
+    full = table_full.nonzero
+    inside = np.searchsorted(full, good_b1 + 1) < np.searchsorted(full, good_b2)
+    qualified_pairs = list(zip(good_b1[inside].tolist(), good_b2[inside].tolist()))
     report.add(
         "representable-point-in-some-pair",
         Verdict.PASS if qualified_pairs else Verdict.FAIL,

@@ -199,21 +199,34 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
     return out
 
 
-def _resolve(subcommand: str, args: argparse.Namespace, file_config: dict[str, Any]) -> RunConfig:
+# Output destinations are never read from a config file: a report passed
+# back with --config would otherwise overwrite itself.
+OUTPUT_PARAMS = ("json", "out")
+
+
+def _resolve(subcommand: str, flags: dict[str, Any], file_config: dict[str, Any]) -> RunConfig:
+    """Effective parameters: flags over config file over defaults.
+
+    Keys may be spelled as flags (min-len) or attributes (min_len); a key
+    that names no parameter of the subcommand is rejected.
+    """
+    specs = {spec.name.replace("-", "_"): spec for spec in COMMANDS[subcommand]}
+    flags = {k.replace("-", "_"): v for k, v in flags.items() if v is not None}
+    file_config = {k.replace("-", "_"): v for k, v in file_config.items()}
+    unknown = sorted((set(flags) | set(file_config)) - set(specs) - {"threads"})
+    if unknown:
+        raise ValueError(f"{subcommand}: unknown parameter(s) {', '.join(unknown)}")
     params: dict[str, Any] = {}
-    for spec in COMMANDS[subcommand]:
-        attr = spec.name.replace("-", "_")
-        raw = getattr(args, attr, None)
-        if raw is None and spec.name in file_config:
-            raw = file_config[spec.name]
-        if raw is None and attr in file_config:
-            raw = file_config[attr]
+    for attr, spec in specs.items():
+        raw = flags.get(attr)
+        if raw is None and spec.name not in OUTPUT_PARAMS:
+            raw = file_config.get(attr)
         value = _parse_value(spec.kind, raw) if raw is not None else spec.default
         if value is None and spec.required:
             raise ValueError(f"{subcommand}: missing required parameter --{spec.name}")
         params[attr] = value
 
-    threads = getattr(args, "threads", None)
+    threads = flags.get("threads")
     if threads is None:
         threads = file_config.get("threads")
     if threads is None:
@@ -515,22 +528,12 @@ def run(config: RunConfig) -> int:
 
 
 def replay_report(path: str | Path, overrides: dict[str, Any] | None = None) -> int:
-    """Re-run the invocation recorded in an emitted report."""
-    obj = json.loads(Path(path).read_text())
-    subcommand = obj["subcommand"]
-    stored = dict(obj["config"])
-    if overrides:
-        stored.update(overrides)
-    threads = stored.pop("threads", 1)
-    params = {}
-    for spec in COMMANDS[subcommand]:
-        attr = spec.name.replace("-", "_")
-        if attr in stored and stored[attr] is not None:
-            params[attr] = _parse_value(spec.kind, stored[attr])
-        else:
-            params[attr] = spec.default
-    config = RunConfig(subcommand=subcommand, params=params, threads=int(threads))
-    return run(config)
+    """Re-run the invocation recorded in an emitted report.
+
+    overrides act as flags; output paths come only from them.
+    """
+    subcommand = json.loads(Path(path).read_text())["subcommand"]
+    return run(_resolve(subcommand, overrides or {}, load_config_file(path)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -538,7 +541,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         file_config = load_config_file(args.config) if args.config else {}
-        config = _resolve(args.subcommand, args, file_config)
+        flags = {k: v for k, v in vars(args).items() if k not in ("subcommand", "config")}
+        config = _resolve(args.subcommand, flags, file_config)
         return run(config)
     except (ValueError, OSError, LookupError, ArithmeticError) as exc:
         print(f"{TOOL}: error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ import csv
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,13 @@ class RepTable:
             raise IndexError(f"index {n} outside table range [0, {self.limit}]")
         return int(self.counts[n])
 
+    @cached_property
+    def nonzero(self) -> np.ndarray:
+        """Sorted, read-only indices of the nonzero counts, built on first use."""
+        index = np.flatnonzero(self.counts)
+        index.setflags(write=False)
+        return index
+
 
 def floor_root(ell: int, b: int) -> int:
     """Largest x with x^ell <= b, by Newton iteration on exact integers."""
@@ -112,7 +120,8 @@ def floor_root(ell: int, b: int) -> int:
         x -= 1
     while (x + 1) ** ell <= b:
         x += 1
-    assert x**ell <= b < (x + 1) ** ell
+    if not x**ell <= b < (x + 1) ** ell:
+        raise ArithmeticError(f"floor_root({ell}, {b}) ended at {x}, not the floor root")
     return x
 
 
@@ -134,8 +143,8 @@ def greedy_decompose(ell: int, b: int) -> tuple[tuple[int, ...], int]:
         parts.append(x)
         rem -= x**ell
     n = b - rem
-    if ell == 3 and b >= 1:
-        assert (b - n) ** 27 < 25**27 * b**8, f"greedy remainder bound failed at b={b}"
+    if ell == 3 and b >= 1 and not (b - n) ** 27 < 25**27 * b**8:
+        raise ArithmeticError(f"greedy remainder bound failed at b={b}")
     return tuple(parts), n
 
 

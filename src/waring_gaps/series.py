@@ -12,7 +12,7 @@ never conflated.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -23,8 +23,6 @@ import numpy as np
 
 from .exact import fraction_str
 from .repcount import RepTable
-
-DEFAULT_GAP_SCAN_CAP = 4096
 
 
 class GrowthCertificateError(ArithmeticError):
@@ -105,7 +103,12 @@ class HalfFunction:
 
     coverage is the largest index whose coefficient is known (None when
     every index is); nonnegative marks series certified to have no
-    negative coefficient, which sharpens evaluation enclosures.
+    negative coefficient, which sharpens evaluation enclosures.  nonzero
+    is an optional sorted index of every position, up to coverage, that
+    may hold a nonzero coefficient: a table's nonzero counts, a
+    polynomial's support, or the union of a combination's parts.  It may
+    list positions whose coefficient is zero, never omit one that is not.
+    Without it no coefficient is certified to be zero.
     """
 
     def __init__(
@@ -115,8 +118,7 @@ class HalfFunction:
         label: str,
         coverage: int | None = None,
         nonnegative: bool = False,
-        support: tuple[int, ...] | None = None,
-        table: RepTable | None = None,
+        nonzero: Sequence[int] | np.ndarray | None = None,
     ) -> None:
         c = Fraction(c)
         if c < 0:
@@ -126,8 +128,7 @@ class HalfFunction:
         self.label = label
         self.coverage = coverage
         self.nonnegative = nonnegative
-        self._support = support
-        self._table = table
+        self._nonzero = None if nonzero is None else np.asarray(nonzero, dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"HalfFunction({self.label!r}, c={self.c})"
@@ -141,7 +142,7 @@ class HalfFunction:
             label=f"f_{ell}_{s}",
             coverage=table.limit,
             nonnegative=True,
-            table=table,
+            nonzero=table.nonzero,
         )
 
     @classmethod
@@ -153,7 +154,7 @@ class HalfFunction:
             label=f"const_{value}",
             coverage=None,
             nonnegative=value >= 0,
-            support=(0,) if value else (),
+            nonzero=(0,) if value else (),
         )
 
     @classmethod
@@ -172,14 +173,13 @@ class HalfFunction:
             raise ValueError("coefficient indices must be nonnegative")
         if c is None:
             c = max((Fraction(abs(a), n + 1) for n, a in entries.items()), default=Fraction(0))
-        support = tuple(sorted(entries))
         return cls(
             coefficient_fn=lambda n: entries.get(n, 0),
             c=Fraction(c),
             label=label,
             coverage=None,
             nonnegative=all(a >= 0 for a in entries.values()),
-            support=support,
+            nonzero=sorted(entries),
         )
 
     def coefficient(self, n: int) -> int:
@@ -200,33 +200,28 @@ class HalfFunction:
     def coefficients(self, start: int, stop: int) -> list[int]:
         return [self.coefficient(n) for n in range(start, stop)]
 
-    def tail_majorant_start(self, n: int, scan_cap: int = DEFAULT_GAP_SCAN_CAP) -> int | None:
+    def tail_majorant_start(self, n: int) -> int | None:
         """Smallest index >= n not certified to hold a zero coefficient.
 
-        Returns None when the series is certified zero from n on.  The
-        result is always sound for starting a tail majorant: every
-        coefficient between n and it is exactly zero.
+        One binary search in the nonzero index finds the first listed
+        position at or after n; listed positions whose exact coefficient
+        is zero (a combination that cancels) are skipped.  Past coverage
+        nothing is certified, so the answer is at most max(n, coverage + 1);
+        None means the series is certified zero from n on.  Every
+        coefficient between n and the result is exactly zero, so the
+        result is a sound start for a tail majorant.  A series without an
+        index certifies no zero and returns n.
         """
-        if self._support is not None:
-            i = bisect.bisect_left(self._support, n)
-            if i == len(self._support):
-                return None
-            return self._support[i]
-        if self._table is not None:
-            counts = self._table.counts
-            if n > self._table.limit:
-                return n
-            nz = np.flatnonzero(counts[n:])
-            if nz.size:
-                return n + int(nz[0])
-            return self._table.limit + 1
-        end = n + scan_cap
-        if self.coverage is not None:
-            end = min(end, self.coverage + 1)
-        for k in range(n, end):
+        if self._nonzero is None:
+            return n
+        end = None if self.coverage is None else self.coverage + 1
+        i = int(np.searchsorted(self._nonzero, n))
+        while i < self._nonzero.size and (end is None or self._nonzero[i] < end):
+            k = int(self._nonzero[i])
             if self.coefficient(k) != 0:
                 return k
-        return end
+            i += 1
+        return None if end is None else max(n, end)
 
 
 def linear_combination(
@@ -239,15 +234,10 @@ def linear_combination(
     c = sum((abs(a) * f.c for a, f in zip(alphas, parts)), Fraction(0))
     coverages = [f.coverage for f in parts if f.coverage is not None]
     coverage = min(coverages) if coverages else None
-    supports = [f._support for f in parts]
-    support: tuple[int, ...] | None
-    if all(s is not None for s in supports):
-        merged: set[int] = set()
-        for s in supports:
-            merged.update(s)  # type: ignore[arg-type]
-        support = tuple(sorted(merged))
-    else:
-        support = None
+    indices = [f._nonzero for f in parts]
+    nonzero = None
+    if all(index is not None for index in indices):
+        nonzero = functools.reduce(np.union1d, indices, np.empty(0, dtype=np.int64))
     nonnegative = all(
         a >= 0 and f.nonnegative or a == 0 for a, f in zip(alphas, parts)
     )
@@ -262,7 +252,7 @@ def linear_combination(
         label=label,
         coverage=coverage,
         nonnegative=nonnegative,
-        support=support,
+        nonzero=nonzero,
     )
 
 

@@ -94,13 +94,23 @@ def weighted_tail_bruteforce(values: list[int], start: int) -> Fraction:
 def exceptional_members_bruteforce(
     limit: int, exponent: Fraction, counts: list[int]
 ) -> list[int]:
-    """Window-zero scan deciding membership per a by direct power comparison."""
+    """Window-zero scan deciding membership per a by direct power comparison.
+
+    a^p is formed once per a and d^q once per d, shared across all a; the
+    comparisons made are exactly d^q < a^p.
+    """
     p, q = exponent.numerator, exponent.denominator
+    d_powers: list[int] = []
     members = []
     for a in range(1, limit + 1):
+        a_power = a**p
         ok = True
         d = 0
-        while d**q < a**p:
+        while True:
+            if d == len(d_powers):
+                d_powers.append(d**q)
+            if not d_powers[d] < a_power:
+                break
             n = a - d
             if n >= 0 and counts[n] != 0:
                 ok = False
@@ -109,3 +119,27 @@ def exceptional_members_bruteforce(
         if ok:
             members.append(a)
     return members
+
+
+def first_nonzero_bruteforce(
+    values: list[int], coverage: int | None, stop: int
+) -> list[int | None]:
+    """For each n < stop, the first index >= n not known to hold a zero.
+
+    values lists the coefficients from index 0 on.  With coverage None
+    every later coefficient is zero, and None means no nonzero follows n.
+    Otherwise coverage is len(values) - 1 and nothing past it is known, so
+    the answer never exceeds max(n, coverage + 1).  Filled by one
+    backward sweep: the answer at n is n itself when values[n] != 0, else
+    the answer at n + 1.
+    """
+    answers: list[int | None] = [None] * stop
+    following = None if coverage is None else len(values)
+    for n in range(max(stop, len(values)) - 1, -1, -1):
+        if n >= len(values):
+            following = None if coverage is None else n
+        elif values[n] != 0:
+            following = n
+        if n < stop:
+            answers[n] = following
+    return answers

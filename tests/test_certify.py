@@ -7,6 +7,7 @@ from waring_gaps.certify import (
     MaierCertificate,
     NestedGapsCertificate,
     PipelineConfig,
+    Report,
     Verdict,
     check_measure,
     check_theta_linear_forms,
@@ -28,6 +29,15 @@ from waring_gaps.series import Enclosure, HalfFunction, eval_enclosure, linear_c
 @pytest.fixture(scope="module")
 def table_729():
     return sieve_rep(WaringParams(3, 3), 740)
+
+
+class TestReport:
+    def test_report_without_conditions_is_invalid(self):
+        report = Report(kind="empty")
+        assert report.exit_code == 3
+        assert report.to_json_dict()["verdict"] == "invalid"
+        with pytest.raises(ValueError):
+            Verdict.worst([])
 
 
 def worked_maier(**overrides):
@@ -306,6 +316,29 @@ class TestDegreeCriterion:
         )
         assert report.condition("representable-point-inside").verdict is Verdict.FAIL
 
+    def test_window_conditions_match_direct_scan(self, degree_tables):
+        lower, full = degree_tables
+        lower_counts, full_counts = lower.counts.tolist(), full.counts.tolist()
+
+        def first_nonzero(counts, lo, hi):
+            return next((n for n in range(lo, hi) if counts[n]), None)
+
+        for n1 in range(4, 3000, 97):
+            for gap in (3, 9, 40):
+                for K2 in (1, 4):
+                    n2 = n1 + gap
+                    report = verify_degree_criterion(
+                        3, 2, Fraction(1, 3000), Fraction(8), 3200, 2, K2, n1, n2, lower, full
+                    )
+                    shorter = first_nonzero(lower_counts, n1, n2 + K2)
+                    cond = report.condition("window-free-of-shorter-sums")
+                    assert cond.verdict is (Verdict.PASS if shorter is None else Verdict.FAIL)
+                    assert cond.witness == (None if shorter is None else {"witness": shorter})
+                    inside = first_nonzero(full_counts, n1, n2)
+                    cond = report.condition("representable-point-inside")
+                    assert cond.verdict is (Verdict.FAIL if inside is None else Verdict.PASS)
+                    assert cond.witness == (None if inside is None else {"witness": inside})
+
     def test_large_strength_fails_height_gap(self, degree_tables):
         lower, full = degree_tables
         report = verify_degree_criterion(
@@ -407,6 +440,11 @@ class TestPipeline:
         assert report.condition("kappa-at-least-log-limit").verdict is Verdict.PASS
         assert report.condition("qualifying-points-are-mild-gaps").verdict is Verdict.PASS
         assert report.condition("counting-certificate").verdict is Verdict.PASS
+        # pair windows, recorded before the nonzero index replaced prefix counts
+        assert (report.summary["pairs"], report.summary["good_pairs"]) == (11181, 7216)
+        assert report.condition("representable-point-in-some-pair").witness["qualified"] == 7210
+        degree = report.condition("degree-criterion").witness
+        assert (degree["n1"], degree["n2"]) == (1579, 1642)
 
     def test_biquadratic_dry_run(self):
         report = pipeline_dry_run(4, 2, 1)
@@ -416,6 +454,10 @@ class TestPipeline:
         assert "window-set-escapes-exceptional" in names
         assert "exceptional_density" in report.summary
         assert parse_fraction(report.summary["alpha"]) < Fraction(3, 4)
+        assert (report.summary["pairs"], report.summary["good_pairs"]) == (4468, 3853)
+        assert report.condition("representable-point-in-some-pair").witness["qualified"] == 1413
+        degree = report.condition("degree-criterion").witness
+        assert (degree["n1"], degree["n2"]) == (53, 69)
 
     def test_limit_budget_exceeded_is_reported(self):
         config = PipelineConfig(max_limit=500)

@@ -197,6 +197,21 @@ class TestErrorsAndConfig:
                        "--json", str(j2)) == 0
         assert json.loads(j2.read_text())["summary"]["limit"] == 60
 
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ell = 3\nb = 100\ntypo_key = 5\n")
+        assert run_cli("greedy", "--config", str(cfg)) == 3
+        assert "typo_key" in capsys.readouterr().err
+
+    def test_report_as_config_keeps_its_file(self, tmp_path, capsys):
+        report_path = tmp_path / "g.json"
+        assert run_cli("greedy", "--ell", "3", "--b", "100", "--json", str(report_path)) == 0
+        before = report_path.read_text()
+        capsys.readouterr()
+        assert run_cli("greedy", "--config", str(report_path), "--b", "200") == 0
+        assert report_path.read_text() == before
+        assert json.loads(capsys.readouterr().out)["config"]["b"] == 200
+
     def test_threads_env_and_flag(self, tmp_path, monkeypatch):
         j = tmp_path / "t.json"
         monkeypatch.setenv(cli.THREADS_ENV, "5")
@@ -247,6 +262,24 @@ class TestReplay:
         a = self.normalize(json.loads(first.read_text()))
         b = self.normalize(json.loads(second.read_text()))
         assert a == b
+
+    def test_replay_writes_only_where_told(self, tmp_path, capsys):
+        first = tmp_path / "first.json"
+        run_cli("theta", "--ell", "3", "--q", "2", "--terms", "40", "--json", str(first))
+        before = first.read_text()
+        capsys.readouterr()
+        assert cli.replay_report(first) == 0
+        assert first.read_text() == before
+        replayed = json.loads(capsys.readouterr().out)
+        assert self.normalize(replayed) == self.normalize(json.loads(before))
+
+    def test_replay_rejects_unknown_override(self, tmp_path):
+        first = tmp_path / "first.json"
+        run_cli("greedy", "--ell", "3", "--b", "100", "--json", str(first))
+        with pytest.raises(ValueError, match="typo_key"):
+            cli.replay_report(first, overrides={"typo_key": 5})
+        assert cli.replay_report(first, overrides={"b": 200, "json": str(first)}) == 0
+        assert json.loads(first.read_text())["config"]["b"] == 200
 
     def test_report_accepted_as_config_file(self, tmp_path):
         first = tmp_path / "first.json"

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from oracles import weighted_tail_bruteforce
+from oracles import first_nonzero_bruteforce, rep_counts_bruteforce, weighted_tail_bruteforce
 from waring_gaps.repcount import WaringParams, sieve_rep
 from waring_gaps.series import (
     CoverageError,
@@ -113,6 +115,59 @@ class TestLinearCombination:
     def test_length_mismatch(self, table_3_1):
         with pytest.raises(ValueError):
             linear_combination([1, 2], [HalfFunction.from_table(table_3_1)])
+
+
+class TestTailMajorantStart:
+    """The nonzero index against a brute-force next-nonzero sweep, for n in [0, limit + 2]."""
+
+    @staticmethod
+    def check(f, values, coverage):
+        stop = len(values) + 2
+        expected = first_nonzero_bruteforce(values, coverage, stop)
+        assert [f.tail_majorant_start(n) for n in range(stop)] == expected
+
+    @pytest.mark.parametrize("name", ["table_3_1", "table_3_3", "table_4_4"])
+    def test_tables(self, request, name):
+        table = request.getfixturevalue(name)
+        values = rep_counts_bruteforce(table.params.ell, table.params.s, table.limit)
+        self.check(HalfFunction.from_table(table), values, table.limit)
+
+    def test_polynomial_and_constants(self):
+        poly = HalfFunction.from_coefficients({0: 2, 3: -1, 7: 5, 40: 1})
+        values = [0] * 41
+        values[0], values[3], values[7], values[40] = 2, -1, 5, 1
+        self.check(poly, values, None)
+        self.check(HalfFunction.constant(3), [3], None)
+        self.check(HalfFunction.constant(0), [], None)
+
+    def test_combination_cancelling_to_zero(self, table_3_1):
+        f = HalfFunction.from_table(table_3_1)
+        self.check(linear_combination([1, -1], [f, f]), [0] * (table_3_1.limit + 1), table_3_1.limit)
+
+    def test_combination_cancelling_on_cubes(self, table_3_1, table_3_2):
+        # 2*r_{3,1} - r_{3,2} vanishes at every positive cube and lives on sums of two
+        combo = linear_combination(
+            [2, -1], [HalfFunction.from_table(table_3_1), HalfFunction.from_table(table_3_2)]
+        )
+        limit = table_3_1.limit
+        values = [
+            2 * a - b
+            for a, b in zip(rep_counts_bruteforce(3, 1, limit), rep_counts_bruteforce(3, 2, limit))
+        ]
+        self.check(combo, values, limit)
+
+    def test_combination_zero_run_past_4096(self):
+        limit = 60_000
+        assert 38**3 - 37**3 > 4096 and 38**3 <= limit
+        cubes = HalfFunction.from_table(sieve_rep(WaringParams(3, 1), limit))
+        combo = linear_combination([3, -1], [cubes, HalfFunction.constant(3)])
+        values = [3 * r for r in rep_counts_bruteforce(3, 1, limit)]
+        values[0] -= 3
+        self.check(combo, values, limit)
+
+    def test_bare_function_certifies_no_zero(self):
+        f = HalfFunction(lambda n: 0, c=Fraction(1), label="zero_fn")
+        assert [f.tail_majorant_start(n) for n in range(5)] == list(range(5))
 
 
 class TestTailNorm:
@@ -245,6 +300,28 @@ class TestScanMildGaps:
             again = is_mild_gap(f, w.n, w.gap_length, w.tail_bound,
                                 cutoff=w.n + w.gap_length + 150)
             assert again.is_witness
+
+
+class TestRecordedMildScan:
+    """A scan whose output was recorded before the nonzero index replaced the
+    per-call table scans.  The range ends at the table's limit, so the tail
+    cutoff is clamped for its last points: witnesses, definite rejections
+    and inconclusive points all occur."""
+
+    RECORD = Path(__file__).parent / "data" / "mild_scan_r33.json"
+
+    def test_reproduces_recorded_scan(self, table_3_3):
+        record = json.loads(self.RECORD.read_text())
+        assert record["table"] == {"ell": 3, "s": 3, "limit": table_3_3.limit}
+        lo, hi, k = record["lo"], record["hi"], record["K"]
+        f = HalfFunction.from_table(table_3_3)
+        scan = scan_mild_gaps(f, lo, hi, k, Fraction(record["E"]))
+        assert [w.to_json_dict() for w in scan.witnesses] == record["witnesses"]
+        assert list(scan.inconclusive) == record["inconclusive"]
+        counts = table_3_3.counts.tolist()
+        candidates = [n for n in range(lo, hi) if not any(counts[n : n + k])]
+        rejected = len(candidates) - len(scan.witnesses) - len(scan.inconclusive)
+        assert rejected >= 10 and len(scan.inconclusive) >= 5
 
 
 class TestEvalTruncated:
