@@ -166,6 +166,10 @@ COMMANDS: dict[str, list[Param]] = {
 def _parse_value(kind: str, raw: Any) -> Any:
     if raw is None:
         return None
+    # JSON floats and booleans are rejected too: int() would truncate them.
+    scalar = isinstance(raw, (str, int, Fraction, os.PathLike)) and not isinstance(raw, bool)
+    if not (scalar or (kind == "intlist" and isinstance(raw, (list, tuple)))):
+        raise TypeError(f"expected {kind}, got {type(raw).__name__}")
     if kind == "int":
         return int(raw)
     if kind == "fraction":
@@ -221,7 +225,10 @@ def _resolve(subcommand: str, flags: dict[str, Any], file_config: dict[str, Any]
         raw = flags.get(attr)
         if raw is None and spec.name not in OUTPUT_PARAMS:
             raw = file_config.get(attr)
-        value = _parse_value(spec.kind, raw) if raw is not None else spec.default
+        if raw is None:
+            value = spec.default
+        else:
+            value = _parse_param(subcommand, spec.name, spec.kind, raw)
         if value is None and spec.required:
             raise ValueError(f"{subcommand}: missing required parameter --{spec.name}")
         params[attr] = value
@@ -231,10 +238,18 @@ def _resolve(subcommand: str, flags: dict[str, Any], file_config: dict[str, Any]
         threads = file_config.get("threads")
     if threads is None:
         threads = os.environ.get(THREADS_ENV)
-    threads = int(threads) if threads is not None else 1
+    threads = _parse_param(subcommand, "threads", "int", threads) if threads is not None else 1
     if threads < 1:
         raise ValueError("threads must be at least 1")
     return RunConfig(subcommand=subcommand, params=params, threads=threads)
+
+
+def _parse_param(subcommand: str, name: str, kind: str, raw: Any) -> Any:
+    """_parse_value, with a value of the wrong type reported by its key."""
+    try:
+        return _parse_value(kind, raw)
+    except TypeError as exc:
+        raise ValueError(f"{subcommand}: parameter {name}: {exc}") from exc
 
 
 def _load_table(path: Path, ell: int | None, s: int | None) -> repcount.RepTable:
@@ -246,16 +261,32 @@ def _load_table(path: Path, ell: int | None, s: int | None) -> repcount.RepTable
 
 
 def _emit(report: dict, json_path: Path | None) -> None:
-    text = json.dumps(report, indent=2)
     if json_path is not None:
-        Path(json_path).write_text(text + "\n")
+        _write_report(report, Path(json_path))
         verdict = report.get("report", {}).get("verdict")
         line = f"{TOOL}: report written to {json_path}"
         if verdict:
             line += f" (verdict: {verdict})"
         print(line)
     else:
-        print(text)
+        print(json.dumps(report, indent=2))
+
+
+def _write_report(report: dict, path: Path) -> None:
+    """Stream the report into a sibling file, then move it onto path.
+
+    A report that fails to encode leaves neither a truncated file at path
+    nor the sibling behind.
+    """
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _base_report(config: RunConfig) -> dict:

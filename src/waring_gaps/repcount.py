@@ -2,9 +2,11 @@
 
 The central object is the table of r(n) = number of ordered s-tuples of
 nonnegative integers whose ell-th powers sum to n, for all n up to a limit.
-Tables are built by iterated offset convolution with the single-power
-indicator, stored as exact 64-bit counters whose ceiling is checked up
-front, and scanned for zero runs.  All fractional-power comparisons
+Tables are built by enumerating every ordered tuple once and counting its
+sum with an integer ``np.bincount``, one output window at a time: O(limit)
+work, one int64 array of length limit + 1 plus one window of temporaries.
+Counts are exact 64-bit counters whose ceiling is checked up front, and
+tables are scanned for zero runs.  All fractional-power comparisons
 (greedy remainder bound, exceptional-window threshold) are carried out on
 arbitrary-precision integers; no float ever decides anything.
 """
@@ -26,6 +28,9 @@ SUPPORTED_EXPONENTS = (3, 4)
 
 _MAGIC = b"WRT1"
 _INT64_MAX = 2**63 - 1
+# Indices handled at once by the sieve and the table ceiling check; it
+# bounds their temporaries and never changes a result.
+_WINDOW = 1 << 20
 
 
 class CounterWidthError(ValueError):
@@ -80,12 +85,16 @@ class RepTable:
             raise TableFormatError("count at 0 must be 1 (the all-zero tuple)")
         if int(self.counts.min()) < 0:
             raise TableFormatError("counts must be nonnegative")
-        bound = (1 << self.params.ell) * (np.arange(self.limit + 1, dtype=np.int64) + 1)
-        if bool((self.counts > bound).any()):
-            bad = int(np.flatnonzero(self.counts > bound)[0])
-            raise TableFormatError(
-                f"count at {bad} exceeds the loose bound 2^ell*(n+1)"
+        for lo in range(0, self.limit + 1, _WINDOW):
+            block = self.counts[lo : lo + _WINDOW]
+            bound = (1 << self.params.ell) * np.arange(
+                lo + 1, lo + 1 + block.size, dtype=np.int64
             )
+            over = np.flatnonzero(block > bound)
+            if over.size:
+                raise TableFormatError(
+                    f"count at {lo + int(over[0])} exceeds the loose bound 2^ell*(n+1)"
+                )
         self.counts.setflags(write=False)
 
     def count(self, n: int) -> int:
@@ -149,10 +158,17 @@ def greedy_decompose(ell: int, b: int) -> tuple[tuple[int, ...], int]:
 
 
 def sieve_rep(params: WaringParams, limit: int) -> RepTable:
-    """Sieve all counts up to limit by iterated single-power convolution.
+    """Sieve all counts up to limit by enumerating every ordered tuple once.
 
-    Work is a sequence of exact vector adds, one per power offset per
-    fold; the result is independent of any partitioning of those adds.
+    ``head`` holds the sorted sums <= limit of all ordered (s-1)-tuples of
+    ell-th powers.  The counts of one output window [lo, hi) are then the
+    integer ``np.bincount`` of head[j] + p over every power p and every
+    head entry with lo <= head[j] + p < hi, found by binary search.  The
+    ordered s-tuples with sum <= limit number about c * limit^(s/ell) with
+    c <= 1 (c = 0.71 and 0.67 for s = ell = 3, 4), so the work is
+    O(limit).  The memory is the int64 counts, one window of temporaries
+    and head, which has about limit^((s-1)/ell) entries.  Counts are
+    exact: integers only, and no windowing changes a result.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -161,19 +177,22 @@ def sieve_rep(params: WaringParams, limit: int) -> RepTable:
         raise CounterWidthError(
             f"64-bit counters cannot hold worst-case count {ceiling} at limit {limit}"
         )
-    powers = _powers_up_to(params.ell, limit)
-    base = np.zeros(limit + 1, dtype=np.int64)
-    base[powers] = 1
-    cur = base
+    powers = np.asarray(_powers_up_to(params.ell, limit), dtype=np.int64)
+    head = np.zeros(1, dtype=np.int64)
     for _ in range(params.s - 1):
-        nxt = np.zeros(limit + 1, dtype=np.int64)
-        for p in powers:
-            if p == 0:
-                nxt += cur
-            else:
-                nxt[p:] += cur[: limit + 1 - p]
-        cur = nxt
-    return RepTable(params=params, limit=limit, counts=cur)
+        stops = np.searchsorted(head, limit - powers, side="right")
+        head = np.sort(np.concatenate([head[:k] + p for p, k in zip(powers, stops)]))
+    counts = np.empty(limit + 1, dtype=np.int64)
+    for lo in range(0, limit + 1, _WINDOW):
+        hi = min(lo + _WINDOW, limit + 1)
+        shifts = powers[powers < hi]
+        starts = np.searchsorted(head, lo - shifts)
+        stops = np.searchsorted(head, hi - shifts)
+        sums = np.concatenate(
+            [head[a:b] + (p - lo) for p, a, b in zip(shifts, starts, stops)]
+        )
+        counts[lo:hi] = np.bincount(sums, minlength=hi - lo)
+    return RepTable(params=params, limit=limit, counts=counts)
 
 
 def _powers_up_to(ell: int, limit: int) -> list[int]:
@@ -333,7 +352,7 @@ def scan_exceptional_set(
         np.where(nz, np.arange(limit + 1, dtype=np.int64), np.int64(-1))
     )
     member_mask = last_nonzero[1:] < a_arr - widths
-    members = tuple(int(a) for a in a_arr[member_mask])
+    members = tuple(a_arr[member_mask].tolist())
     return ExceptionalScan(
         limit=limit,
         exponent=exponent,
@@ -347,8 +366,7 @@ def write_table_csv(table: RepTable, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "count"])
-        for n, c in enumerate(table.counts.tolist()):
-            writer.writerow([n, c])
+        writer.writerows(enumerate(table.counts.tolist()))
 
 
 def read_table_csv(path: str | Path, params: WaringParams) -> RepTable:

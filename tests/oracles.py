@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 
 def rep_counts_bruteforce(ell: int, s: int, limit: int) -> list[int]:
     """Counts of ordered s-tuples of ell-th powers by nested enumeration."""
@@ -24,6 +26,25 @@ def rep_counts_bruteforce(ell: int, s: int, limit: int) -> list[int]:
 
     descend(0, 0)
     return counts
+
+
+def rep_counts_convolution(ell: int, s: int, limit: int) -> np.ndarray:
+    """Counts by s - 1 folds of the single-power indicator, one shifted
+    vector add per power per fold: O(limit^(1 + 1/ell)) work, exact int64."""
+    powers = []
+    x = 0
+    while x**ell <= limit:
+        powers.append(x**ell)
+        x += 1
+    base = np.zeros(limit + 1, dtype=np.int64)
+    base[powers] = 1
+    cur = base
+    for _ in range(s - 1):
+        nxt = np.zeros(limit + 1, dtype=np.int64)
+        for p in powers:
+            nxt[p:] += cur[: limit + 1 - p]
+        cur = nxt
+    return cur
 
 
 def residue_counts_bruteforce(ell: int, modulus: int) -> list[int]:

@@ -203,6 +203,40 @@ class TestErrorsAndConfig:
         assert run_cli("greedy", "--config", str(cfg)) == 3
         assert "typo_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            ({"ell": [3], "b": 5}, "ell"),
+            ({"ell": 3, "b": {"value": 5}}, "b"),
+            ({"ell": 3.0, "b": 5}, "ell"),
+            ({"ell": 3, "b": 5, "threads": [2]}, "threads"),
+        ],
+    )
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("greedy", "--config", str(cfg)) == 3
+        assert f"parameter {key}:" in capsys.readouterr().err
+
+    def test_failed_report_encode_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        base_report = cli._base_report
+
+        def unencodable_report(config):
+            # enough leading output that the encoder has flushed to disk
+            return {**base_report(config), "padding": list(range(50_000)), "bad": object()}
+
+        monkeypatch.setattr(cli, "_base_report", unencodable_report)
+        fresh = tmp_path / "fresh.json"
+        with pytest.raises(TypeError):
+            run_cli("greedy", "--ell", "3", "--b", "10", "--json", str(fresh))
+        assert list(tmp_path.iterdir()) == []
+        kept = tmp_path / "kept.json"
+        kept.write_text("earlier report\n")
+        with pytest.raises(TypeError):
+            run_cli("greedy", "--ell", "3", "--b", "10", "--json", str(kept))
+        assert list(tmp_path.iterdir()) == [kept]
+        assert kept.read_text() == "earlier report\n"
+
     def test_report_as_config_keeps_its_file(self, tmp_path, capsys):
         report_path = tmp_path / "g.json"
         assert run_cli("greedy", "--ell", "3", "--b", "100", "--json", str(report_path)) == 0

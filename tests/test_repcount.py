@@ -10,9 +10,11 @@ from oracles import (
     floor_root_bruteforce,
     greedy_decompose_bruteforce,
     rep_counts_bruteforce,
+    rep_counts_convolution,
     zero_runs_bruteforce,
 )
 from waring_gaps.repcount import (
+    _WINDOW,
     CounterWidthError,
     GapRun,
     RepTable,
@@ -56,11 +58,24 @@ class TestSieve:
 
     @pytest.mark.parametrize(
         "ell,s,limit",
-        [(3, 1, 50), (3, 2, 400), (3, 3, 400), (4, 1, 50), (4, 2, 400), (4, 3, 400), (4, 4, 400)],
+        [(3, 1, 50), (3, 2, 400), (3, 3, 400), (4, 1, 50), (4, 2, 400), (4, 3, 400), (4, 4, 400)]
+        + [
+            (ell, s, limit)
+            for ell in (3, 4)
+            for s in range(1, ell + 1)
+            for limit in (0, 1, 2, 100)
+        ],
     )
     def test_matches_bruteforce(self, ell, s, limit):
         table = sieve_rep(WaringParams(ell, s), limit)
         assert table.counts.tolist() == rep_counts_bruteforce(ell, s, limit)
+
+    @pytest.mark.parametrize("ell,s", [(3, 3), (3, 2), (4, 4), (4, 1)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_convolution_at_window_edges(self, ell, s, k):
+        for limit in (k * _WINDOW - 1, k * _WINDOW, k * _WINDOW + 1):
+            table = sieve_rep(WaringParams(ell, s), limit)
+            assert np.array_equal(table.counts, rep_counts_convolution(ell, s, limit)), limit
 
     @pytest.mark.parametrize("ell", [3, 4])
     def test_convolution_consistency(self, ell):
@@ -104,6 +119,16 @@ class TestSieve:
         counts = np.zeros(11, dtype=np.int64)
         with pytest.raises(TableFormatError):
             RepTable(params=WaringParams(3, 3), limit=10, counts=counts)
+
+    def test_rep_table_reports_first_count_over_bound_in_later_block(self):
+        limit = _WINDOW + 100
+        counts = np.zeros(limit + 1, dtype=np.int64)
+        counts[0] = 1
+        counts[_WINDOW - 1] = 16 * _WINDOW  # at the bound, so allowed
+        for bad in (_WINDOW + 7, _WINDOW + 50):
+            counts[bad] = 16 * (bad + 1) + 1
+        with pytest.raises(TableFormatError, match=rf"count at {_WINDOW + 7} exceeds"):
+            RepTable(params=WaringParams(4, 4), limit=limit, counts=counts)
 
     def test_counts_immutable(self):
         table = sieve_rep(WaringParams(3, 1), 10)
@@ -323,7 +348,8 @@ class TestSerialization:
         table = sieve_rep(WaringParams(3, 3), 60)
         path = tmp_path / "t.csv"
         write_table_csv(table, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "n,count"
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[0] == b"n,count"
+        assert lines[1:] == [f"{n},{c}".encode() for n, c in enumerate(table.counts)] + [b""]
         back = read_table_csv(path, WaringParams(3, 3))
         assert np.array_equal(back.counts, table.counts)
