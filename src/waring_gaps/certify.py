@@ -18,11 +18,12 @@ ever consulted for a verdict.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -463,13 +464,113 @@ def verify_nested_gaps(cert: NestedGapsCertificate) -> Report:
     return report
 
 
-def check_measure(cert: NestedGapsCertificate, terms: int | None = None) -> Report:
-    """Exhaustively certify |alpha*f(1/q) + beta*g(1/q)| >= q^(-n2).
+class SweepResult(NamedTuple):
+    """Outcome of an exhaustive sweep over integer pairs or forms.
 
-    Runs over every integer pair with alpha != 0 and |alpha| + |beta|
-    bounded by the certificate height, using certified enclosures; pairs
-    whose enclosure straddles the threshold are reported for retry at a
-    larger term count.
+    count is the number of pairs or forms covered; minimum is the least
+    certified lower bound among the passing ones and minimum_at the first
+    pair or form (in enumeration order) attaining it; failing and
+    undecided list the others in enumeration order; certified counts the
+    passing ones.
+    """
+
+    count: int
+    minimum: Fraction | None
+    minimum_at: tuple[int, ...] | None
+    failing: list[tuple[int, ...]]
+    undecided: list[tuple[int, ...]]
+    certified: int
+
+
+def _common_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The least common denominator D of the values, and each value times D."""
+    denominator = math.lcm(*(v.denominator for v in values))
+    return denominator, [v.numerator * (denominator // v.denominator) for v in values]
+
+
+def _sweep_pairs(f: Enclosure, g: Enclosure, threshold: Fraction, height: int) -> SweepResult:
+    """Classify every pair alpha != 0, |alpha| + |beta| <= height by the
+    enclosure of alpha*F + beta*G against a positive threshold.
+
+    A pair passes when the certified lower bound on |alpha*F + beta*G| is
+    at least the threshold, fails when the enclosure lies strictly inside
+    (-threshold, threshold), and is undecided otherwise.  All arithmetic is
+    on integer numerators over one common denominator.
+
+    When g is strictly one-signed, both ends of the enclosure move strictly
+    monotonically with beta, so for each alpha the betas that do not pass
+    form one contiguous run around the real root -alpha*mid(F)/mid(G), and
+    the lower bound rises strictly away from that run on either side.  The
+    sweep walks outward from the floor of the root (clamped into the beta
+    range) while pairs do not pass; the first passing beta on each side is
+    that side's minimum, and the monotone bound certifies every pair beyond
+    it.  When g's enclosure touches or straddles 0, every beta is tested.
+    """
+    denominator, (f_lo, f_hi, g_lo, g_hi, t) = _common_numerators(
+        (f.lo, f.hi, g.lo, g.hi, threshold)
+    )
+    one_signed = g_lo > 0 or g_hi < 0
+
+    def bounds(a_lo: int, a_hi: int, beta: int) -> tuple[int, int]:
+        if beta >= 0:
+            return a_lo + beta * g_lo, a_hi + beta * g_hi
+        return a_lo + beta * g_hi, a_hi + beta * g_lo
+
+    def lower(lo: int, hi: int) -> int:
+        return lo if lo > 0 else -hi if hi < 0 else 0
+
+    best: tuple[int, int, int] | None = None
+    failing = []
+    undecided = []
+    for alpha in range(-height, height + 1):
+        if alpha == 0:
+            continue
+        budget = height - abs(alpha)
+        a_lo, a_hi = (alpha * f_lo, alpha * f_hi) if alpha > 0 else (alpha * f_hi, alpha * f_lo)
+        first, last = -budget, budget
+        if one_signed:
+            root_floor = (-alpha * (f_lo + f_hi)) // (g_lo + g_hi)
+            start = min(max(root_floor, -budget), budget)
+            below = start
+            while below >= -budget and lower(*bounds(a_lo, a_hi, below)) < t:
+                below -= 1
+            above = start + 1
+            while above <= budget and lower(*bounds(a_lo, a_hi, above)) < t:
+                above += 1
+            first, last = max(below, -budget), min(above, budget)
+        for beta in range(first, last + 1):
+            lo, hi = bounds(a_lo, a_hi, beta)
+            bound = lower(lo, hi)
+            if bound >= t:
+                if best is None or bound < best[0]:
+                    best = (bound, alpha, beta)
+            elif lo > -t and hi < t:
+                failing.append((alpha, beta))
+            else:
+                undecided.append((alpha, beta))
+
+    pairs = 2 * height * height
+    return SweepResult(
+        count=pairs,
+        minimum=None if best is None else Fraction(best[0], denominator),
+        minimum_at=None if best is None else best[1:],
+        failing=failing,
+        undecided=undecided,
+        certified=pairs - len(failing) - len(undecided),
+    )
+
+
+def check_measure(cert: NestedGapsCertificate, terms: int | None = None) -> Report:
+    """Certify |alpha*f(1/q) + beta*g(1/q)| >= q^(-n2) for every integer
+    pair with alpha != 0 and |alpha| + |beta| bounded by the certificate
+    height, from certified enclosures of f(1/q) and g(1/q).
+
+    Every pair is accounted for.  When g's enclosure is strictly
+    one-signed, each alpha's betas near the root -alpha*f/g are tested
+    exactly and every other pair is certified by the bound rising
+    monotonically away from them (see _sweep_pairs); when it touches or
+    straddles 0, every pair is tested.  Pairs whose enclosure straddles the
+    threshold are reported for retry at a larger term count.
     """
     report = Report(kind="measure", certificate=cert.to_json_dict())
     base = verify_nested_gaps(cert)
@@ -495,48 +596,27 @@ def check_measure(cert: NestedGapsCertificate, terms: int | None = None) -> Repo
     if height > 100_000:
         raise ValueError(f"height {height} too large for exhaustive pair enumeration")
 
-    minimum: Fraction | None = None
-    minimum_pair = None
-    failing = []
-    undecided = []
-    pairs = 0
-    for alpha in range(-height, height + 1):
-        if alpha == 0:
-            continue
-        beta_budget = height - abs(alpha)
-        for beta in range(-beta_budget, beta_budget + 1):
-            pairs += 1
-            combined = f_enc.scale(alpha) + g_enc.scale(beta)
-            lower = combined.abs_lower()
-            if lower >= threshold:
-                if minimum is None or lower < minimum:
-                    minimum = lower
-                    minimum_pair = (alpha, beta)
-            elif combined.abs_upper() < threshold:
-                failing.append((alpha, beta))
-            else:
-                undecided.append((alpha, beta))
-
+    sweep = _sweep_pairs(f_enc, g_enc, threshold, height)
     verdict = Verdict.PASS
-    if failing:
+    if sweep.failing:
         verdict = Verdict.FAIL
-    elif undecided:
+    elif sweep.undecided:
         verdict = Verdict.INCONCLUSIVE
     report.add(
         "pairs-above-threshold",
         verdict,
         {
-            "pairs": pairs,
+            "pairs": sweep.count,
             "threshold": fraction_str(threshold),
-            "failing": failing[:10],
-            "undecided": undecided[:10],
+            "failing": sweep.failing[:10],
+            "undecided": sweep.undecided[:10],
         },
     )
     report.summary = {
-        "pairs": pairs,
+        "pairs": sweep.count,
         "threshold": fraction_str(threshold),
-        "min_lower_bound": fraction_str(minimum) if minimum is not None else None,
-        "min_pair": list(minimum_pair) if minimum_pair is not None else None,
+        "min_lower_bound": fraction_str(sweep.minimum) if sweep.minimum is not None else None,
+        "min_pair": list(sweep.minimum_at) if sweep.minimum_at is not None else None,
         "terms": terms,
     }
     return report
@@ -670,6 +750,57 @@ class LinearForm:
             raise ValueError("coefficient exceeds the declared height")
 
 
+def _sweep_forms(powers: Sequence[Enclosure], height: int) -> SweepResult:
+    """Classify every integer form c_0 + c_1*t_1 + ... + c_ell*t_ell with
+    coefficients in [-height, height] and c_ell != 0, where t_j lies in
+    powers[j - 1] and the constant term is exactly 1.
+
+    A form is certified when its enclosure excludes 0, and undecided
+    otherwise; the minimum is over the certified lower bounds on |form|.
+    All arithmetic is on integer numerators over one common denominator D.
+
+    For fixed c_1 .. c_ell the enclosure of S = sum_j c_j*t_j is [s_lo, s_hi]
+    (as numerators), and c_0 only shifts it by c_0*D.  So the undecided c_0
+    are exactly the integers in [ceil(-s_hi/D), floor(-s_lo/D)], the lower
+    bound rises strictly away from that interval on either side, and the
+    least one sits at a neighbour of the interval, clamped into
+    [-height, height].  Each choice of c_1 .. c_ell costs one sum.
+    """
+    denominator, nums = _common_numerators([x for e in powers for x in (e.lo, e.hi)])
+    coeffs = range(-height, height + 1)
+    choices = [
+        [(c, c * lo, c * hi) if c >= 0 else (c, c * hi, c * lo) for c in coeffs]
+        for lo, hi in zip(nums[0::2], nums[1::2])
+    ]
+    choices[-1] = [choice for choice in choices[-1] if choice[0] != 0]
+
+    best: tuple[int, tuple[int, ...]] | None = None
+    undecided = []
+    for parts in itertools.product(*choices):
+        rest = tuple(c for c, _lo, _hi in parts)
+        s_lo = sum(lo for _c, lo, _hi in parts)
+        s_hi = sum(hi for _c, _lo, hi in parts)
+        first, last = -(s_hi // denominator), -s_lo // denominator
+        undecided.extend((c0, *rest) for c0 in range(max(first, -height), min(last, height) + 1))
+        below, above = min(first - 1, height), max(last + 1, -height)
+        for c0, bound in ((below, -(below * denominator + s_hi)), (above, above * denominator + s_lo)):
+            if -height <= c0 <= height:
+                candidate = (bound, (c0, *rest))
+                if best is None or candidate < best:
+                    best = candidate
+
+    undecided.sort()
+    forms = (2 * height + 1) ** len(powers) * 2 * height
+    return SweepResult(
+        count=forms,
+        minimum=None if best is None else Fraction(best[0], denominator),
+        minimum_at=None if best is None else best[1],
+        failing=[],
+        undecided=undecided,
+        certified=forms - len(undecided),
+    )
+
+
 def check_theta_linear_forms(
     ell: int,
     q: int,
@@ -679,11 +810,15 @@ def check_theta_linear_forms(
 ) -> Report:
     """Certify non-vanishing of every admissible linear form in the powers.
 
-    Sweeps all integer forms with coefficients bounded by the height and
-    nonzero leading coefficient, encloses each value via the direct
-    power-series tables (not interval powers), and records the minimal
-    certified lower bound.  Interval powers are still computed and
-    cross-checked against the direct enclosures.
+    Covers all integer forms c_0 + c_1*t + ... + c_ell*t^ell with
+    coefficients bounded by the height and c_ell != 0, where t^j is
+    enclosed via the direct power-series table for j summands (not
+    interval powers), and records the minimal certified lower bound.
+    Every form is accounted for: for each choice of c_1 .. c_ell the
+    constant c_0 only shifts the enclosure, so the undecided c_0 are read
+    off as one integer interval and the others are certified by the bound
+    rising monotonically away from it (see _sweep_forms).  Interval powers
+    are still computed and cross-checked against the direct enclosures.
     """
     if height < 1:
         raise ValueError("height must be positive")
@@ -700,21 +835,21 @@ def check_theta_linear_forms(
         certificate={"ell": ell, "q": q, "height": height, "terms": terms},
     )
     functions = [HalfFunction.from_table(t) for t in tables]
-    enclosures = [Enclosure(Fraction(1), Fraction(1))]
+    enclosures = []
     for f in functions:
         used = terms if f.coverage is None else min(terms, f.coverage + 1)
         enclosures.append(eval_enclosure(f, q, used))
 
-    theta = enclosures[1]
+    theta = enclosures[0]
     crosscheck = []
     for j in range(2, ell + 1):
         powered = theta.power(j)
         crosscheck.append(
             {
                 "power": j,
-                "direct": enclosures[j].to_json_dict(),
+                "direct": enclosures[j - 1].to_json_dict(),
                 "interval_power": powered.to_json_dict(),
-                "intersects": enclosures[j].intersects(powered),
+                "intersects": enclosures[j - 1].intersects(powered),
             }
         )
     report.add(
@@ -723,35 +858,16 @@ def check_theta_linear_forms(
         crosscheck,
     )
 
-    minimum: Fraction | None = None
-    minimum_form = None
-    certified = 0
-    undecided = []
-    for coeffs in itertools.product(range(-height, height + 1), repeat=ell + 1):
-        if coeffs[ell] == 0:
-            continue
-        form = LinearForm(coeffs=coeffs, height=height)
-        combined = enclosures[0].scale(form.coeffs[0])
-        for j in range(1, ell + 1):
-            combined = combined + enclosures[j].scale(form.coeffs[j])
-        lower = combined.abs_lower()
-        if lower > 0:
-            certified += 1
-            if minimum is None or lower < minimum:
-                minimum = lower
-                minimum_form = coeffs
-        else:
-            undecided.append(list(coeffs))
-
+    sweep = _sweep_forms(enclosures, height)
     report.add(
         "forms-nonvanishing",
-        Verdict.PASS if not undecided else Verdict.INCONCLUSIVE,
-        {"certified": certified, "undecided": undecided[:10]},
+        Verdict.PASS if not sweep.undecided else Verdict.INCONCLUSIVE,
+        {"certified": sweep.certified, "undecided": [list(c) for c in sweep.undecided[:10]]},
     )
     report.summary = {
-        "forms_checked": certified + len(undecided),
-        "L_min": fraction_str(minimum) if minimum is not None else None,
-        "L_min_form": list(minimum_form) if minimum_form is not None else None,
+        "forms_checked": sweep.count,
+        "L_min": fraction_str(sweep.minimum) if sweep.minimum is not None else None,
+        "L_min_form": list(sweep.minimum_at) if sweep.minimum_at is not None else None,
         "theta_enclosure": theta.to_json_dict(),
         "theta_width": fraction_str(theta.width),
     }
@@ -1038,19 +1154,28 @@ def pipeline_dry_run(
                 {"compare": "(M/2)^d > N^n", "exponent": fraction_str(exponent)},
             )
             scan = scan_exceptional_set(4, N, epsilon, table_full)
-            exceptional = set(scan.members)
+            exceptional = np.zeros(N + 1, dtype=bool)
+            exceptional[np.asarray(scan.members, dtype=np.int64)] = True
+            # Each good pair's window [max(1, b + half), min(N, b + M - 1)]
+            # opens at its start and closes past its end; a point lies in
+            # some window when more windows have opened than closed.
             half = (M + 1) // 2
-            window_points = set()
-            for b, _b2 in good_pairs:
-                window_points.update(range(max(1, b + half), min(N, b + M - 1) + 1))
-            escaped = sorted(window_points - exceptional)
+            starts = np.maximum(1, good_b1 + half)
+            stops = np.minimum(N, good_b1 + M - 1) + 1
+            nonempty = starts < stops
+            depth = np.cumsum(
+                np.bincount(starts[nonempty], minlength=N + 2)
+                - np.bincount(stops[nonempty], minlength=N + 2)
+            )
+            in_window = depth[: N + 1] > 0
+            escaped = int(np.count_nonzero(in_window & ~exceptional))
             report.add(
                 "window-set-escapes-exceptional",
                 Verdict.PASS if escaped else Verdict.FAIL,
                 {
-                    "window_points": len(window_points),
-                    "exceptional": len(exceptional),
-                    "escaped": len(escaped),
+                    "window_points": int(np.count_nonzero(in_window)),
+                    "exceptional": int(np.count_nonzero(exceptional)),
+                    "escaped": escaped,
                     "epsilon": fraction_str(epsilon),
                 },
             )

@@ -190,7 +190,9 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
     if stripped.startswith("{"):
         obj = json.loads(text)
         config = obj.get("config", obj)
-        return {k: v for k, v in config.items()}
+        if not isinstance(config, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
+        return dict(config)
     out: dict[str, Any] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -558,26 +560,46 @@ def run(config: RunConfig) -> int:
     return HANDLERS[config.subcommand](config)
 
 
+def _run_guarded(resolve: Callable[[], RunConfig]) -> int:
+    """Resolve and run one invocation; bad input ends with a message on
+    stderr and exit status 3, never a traceback."""
+    try:
+        return run(resolve())
+    except (ValueError, OSError, LookupError, ArithmeticError) as exc:
+        print(f"{TOOL}: error: {exc}", file=sys.stderr)
+        return 3
+
+
+def _report_subcommand(path: str | Path) -> str:
+    """The subcommand recorded in an emitted report."""
+    obj = json.loads(Path(path).read_text())
+    subcommand = obj.get("subcommand") if isinstance(obj, dict) else None
+    if not isinstance(subcommand, str) or subcommand not in COMMANDS:
+        raise ValueError(f"{path}: not a report naming a known subcommand")
+    return subcommand
+
+
 def replay_report(path: str | Path, overrides: dict[str, Any] | None = None) -> int:
     """Re-run the invocation recorded in an emitted report.
 
-    overrides act as flags; output paths come only from them.
+    overrides act as flags; output paths come only from them.  Errors are
+    handled as in main.
     """
-    subcommand = json.loads(Path(path).read_text())["subcommand"]
-    return run(_resolve(subcommand, overrides or {}, load_config_file(path)))
+    return _run_guarded(
+        lambda: _resolve(_report_subcommand(path), overrides or {}, load_config_file(path))
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
+
+    def resolve() -> RunConfig:
         file_config = load_config_file(args.config) if args.config else {}
         flags = {k: v for k, v in vars(args).items() if k not in ("subcommand", "config")}
-        config = _resolve(args.subcommand, flags, file_config)
-        return run(config)
-    except (ValueError, OSError, LookupError, ArithmeticError) as exc:
-        print(f"{TOOL}: error: {exc}", file=sys.stderr)
-        return 3
+        return _resolve(args.subcommand, flags, file_config)
+
+    return _run_guarded(resolve)
 
 
 if __name__ == "__main__":

@@ -125,6 +125,7 @@ class HalfFunction:
             raise ValueError("growth certificate must be nonnegative")
         self._fn = coefficient_fn
         self.c = c
+        self._c_num, self._c_den = c.numerator, c.denominator
         self.label = label
         self.coverage = coverage
         self.nonnegative = nonnegative
@@ -191,7 +192,7 @@ class HalfFunction:
                 f"{self.label}: coefficient {n} beyond coverage {self.coverage}"
             )
         a = int(self._fn(n))
-        if abs(a) > self.c * (n + 1):
+        if abs(a) * self._c_den > self._c_num * (n + 1):
             raise GrowthCertificateError(
                 f"{self.label}: |a_{n}| = {abs(a)} exceeds c*(n+1) = {self.c * (n + 1)}"
             )

@@ -6,6 +6,7 @@ sharing no code with the library paths it is used to check.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -164,3 +165,82 @@ def first_nonzero_bruteforce(
         if n < stop:
             answers[n] = following
     return answers
+
+
+def _scaled(lo: Fraction, hi: Fraction, k: int) -> tuple[Fraction, Fraction]:
+    """The interval k*[lo, hi]."""
+    return (lo * k, hi * k) if k >= 0 else (hi * k, lo * k)
+
+
+def _abs_lower(lo: Fraction, hi: Fraction) -> Fraction:
+    """Certified lower bound on |x| for x in [lo, hi]."""
+    if lo > 0:
+        return lo
+    if hi < 0:
+        return -hi
+    return Fraction(0)
+
+
+def measure_pairs_bruteforce(F, G, threshold: Fraction, H: int) -> tuple:
+    """Every pair alpha != 0, |alpha| + |beta| <= H, one Fraction enclosure each.
+
+    F and G are enclosures (anything with lo and hi).  Returns (pairs,
+    minimum, minimum pair, failing, undecided, certified): the minimum is
+    the first strict minimum of the certified lower bound among pairs at or
+    above the threshold, in (alpha, beta) order; failing pairs have the
+    whole enclosure strictly inside (-threshold, threshold); the rest are
+    undecided.
+    """
+    pairs = 0
+    minimum = minimum_pair = None
+    failing, undecided = [], []
+    for alpha in range(-H, H + 1):
+        if alpha == 0:
+            continue
+        budget = H - abs(alpha)
+        for beta in range(-budget, budget + 1):
+            pairs += 1
+            f_lo, f_hi = _scaled(F.lo, F.hi, alpha)
+            g_lo, g_hi = _scaled(G.lo, G.hi, beta)
+            lo, hi = f_lo + g_lo, f_hi + g_hi
+            lower = _abs_lower(lo, hi)
+            if lower >= threshold:
+                if minimum is None or lower < minimum:
+                    minimum, minimum_pair = lower, (alpha, beta)
+            elif max(abs(lo), abs(hi)) < threshold:
+                failing.append((alpha, beta))
+            else:
+                undecided.append((alpha, beta))
+    certified = pairs - len(failing) - len(undecided)
+    return pairs, minimum, minimum_pair, failing, undecided, certified
+
+
+def linear_forms_bruteforce(enclosures, h: int) -> tuple:
+    """Every form c_0 + sum c_j*t_j with |c_j| <= h and c_ell != 0.
+
+    enclosures[j - 1] encloses t_j; the constant term is exactly 1.
+    Returns (forms, minimum, minimum form, failing, undecided, certified)
+    in itertools.product order over (c_0, ..., c_ell); a form is certified
+    when its enclosure excludes 0, and failing is always empty.  Each
+    c_j*t_j interval is formed once per (j, c_j) and shared across forms.
+    """
+    ell = len(enclosures)
+    scaled = [{c: _scaled(enc.lo, enc.hi, c) for c in range(-h, h + 1)} for enc in enclosures]
+    forms = 0
+    minimum = minimum_form = None
+    undecided = []
+    for coeffs in itertools.product(range(-h, h + 1), repeat=ell + 1):
+        if coeffs[ell] == 0:
+            continue
+        forms += 1
+        lo = hi = Fraction(coeffs[0])
+        for c, table in zip(coeffs[1:], scaled):
+            c_lo, c_hi = table[c]
+            lo, hi = lo + c_lo, hi + c_hi
+        lower = _abs_lower(lo, hi)
+        if lower > 0:
+            if minimum is None or lower < minimum:
+                minimum, minimum_form = lower, coeffs
+        else:
+            undecided.append(coeffs)
+    return forms, minimum, minimum_form, [], undecided, forms - len(undecided)

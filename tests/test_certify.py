@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import linear_forms_bruteforce, measure_pairs_bruteforce
 from waring_gaps.certify import (
     MaierCertificate,
     NestedGapsCertificate,
@@ -10,6 +13,8 @@ from waring_gaps.certify import (
     Report,
     Verdict,
     check_measure,
+    _sweep_forms,
+    _sweep_pairs,
     check_theta_linear_forms,
     half_function_from_spec,
     maier_qualifying_set,
@@ -280,6 +285,110 @@ class TestCheckMeasure:
         assert verify_nested_gaps(huge).verdict is Verdict.PASS
         with pytest.raises(ValueError):
             check_measure(huge)
+
+
+# Small numerators and denominators make exact cancellations, failing
+# and undecided pairs common.
+fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 16))
+widths = st.builds(Fraction, st.integers(1, 30), st.integers(1, 64))
+
+
+@st.composite
+def enclosures(draw, kinds=("point", "wide", "straddle", "zero")):
+    """A rational enclosure: a point, a wide one of either sign, one
+    straddling 0, or exactly [0, 0]."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return Enclosure(Fraction(0), Fraction(0))
+    if kind == "straddle":
+        return Enclosure(-draw(widths), draw(widths))
+    lo = draw(fractions)
+    return Enclosure(lo, lo if kind == "point" else lo + draw(widths))
+
+
+class TestSweepsAgainstOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        f=enclosures(kinds=("point", "wide")),
+        g=enclosures(),
+        threshold=st.builds(Fraction, st.integers(1, 30), st.integers(1, 30)),
+        height=st.integers(0, 12),
+    )
+    @example(  # exact cancellation at (3, 5): a failing point pair
+        f=Enclosure(Fraction(1, 3), Fraction(1, 3)),
+        g=Enclosure(Fraction(-1, 5), Fraction(-1, 5)),
+        threshold=Fraction(1, 7),
+        height=12,
+    )
+    @example(  # g = [0, 0]: the full-sweep fallback
+        f=Enclosure(Fraction(1, 2), Fraction(3, 2)),
+        g=Enclosure(Fraction(0), Fraction(0)),
+        threshold=Fraction(1),
+        height=6,
+    )
+    @example(  # f much wider than g: long runs of undecided pairs
+        f=Enclosure(Fraction(-2), Fraction(3)),
+        g=Enclosure(Fraction(1, 16), Fraction(1, 8)),
+        threshold=Fraction(1, 4),
+        height=12,
+    )
+    def test_pairs_match_exhaustive_sweep(self, f, g, threshold, height):
+        expected = measure_pairs_bruteforce(f, g, threshold, height)
+        assert tuple(_sweep_pairs(f, g, threshold, height)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        powers=st.integers(1, 4).flatmap(lambda ell: st.lists(enclosures(), min_size=ell, max_size=ell)),
+        height=st.integers(1, 3),
+    )
+    @example(  # point powers with an exact zero form, 1 - 2*t at t = 1/2
+        powers=[Enclosure(Fraction(1, 2), Fraction(1, 2))],
+        height=2,
+    )
+    @example(  # every power enclosure straddles 0
+        powers=[Enclosure(Fraction(-1, 3), Fraction(1, 2))] * 2,
+        height=3,
+    )
+    def test_forms_match_exhaustive_sweep(self, powers, height):
+        expected = linear_forms_bruteforce(powers, height)
+        assert tuple(_sweep_forms(powers, height)) == expected
+
+
+def h200_certificate():
+    return nested_certificate_from_json(
+        {
+            "q": 2, "H": "200", "K1": 9, "K2": 9, "K_prime": 39,
+            "n1": 1, "n2": 11, "n_prime": 1, "E": "5/2", "E_prime": "5/2",
+            "f": {"kind": "coefficients", "entries": [[0, 2], [10, -1], [20, 2], [30, 1]]},
+            "g": {"kind": "coefficients", "entries": [[40, -2], [50, 1]]},
+        }
+    )
+
+
+class TestCheckMeasureHeight200:
+    # Summaries recorded from the exhaustive Fraction sweep.  At terms=12
+    # g's enclosure straddles 0 (full sweep); at 41 it is a narrow negative
+    # interval and by default a point (near-root walk).
+    @pytest.mark.parametrize(
+        "terms,min_lower_bound",
+        [
+            (None, "2250702450182343/1125899906842624"),
+            (12, "11264018345901/5634997092352"),
+            (41, "5767425028589157/2885118511284224"),
+        ],
+    )
+    def test_pinned_summary(self, terms, min_lower_bound):
+        cert = h200_certificate()
+        g = eval_enclosure(cert.g, 2, terms or 64)
+        assert (g.lo <= 0 <= g.hi) == (terms == 12)
+        report = check_measure(cert, terms=terms)
+        assert report.exit_code == 0
+        assert report.summary["pairs"] == 80_000
+        assert report.summary["threshold"] == "1/2048"
+        assert report.summary["min_lower_bound"] == min_lower_bound
+        assert report.summary["min_pair"] == [-1, -199]
+        witness = report.condition("pairs-above-threshold").witness
+        assert witness["failing"] == [] and witness["undecided"] == []
 
 
 @pytest.fixture(scope="module")

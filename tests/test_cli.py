@@ -218,6 +218,15 @@ class TestErrorsAndConfig:
         assert run_cli("greedy", "--config", str(cfg)) == 3
         assert f"parameter {key}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"config": 5}', '{"config": [1, 2]}', '{"config": null}'])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        assert run_cli("greedy", "--config", str(cfg)) == 3
+        err = capsys.readouterr().err
+        assert "config must be a JSON object" in err
+        assert "Traceback" not in err
+
     def test_failed_report_encode_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         base_report = cli._base_report
 
@@ -307,11 +316,12 @@ class TestReplay:
         replayed = json.loads(capsys.readouterr().out)
         assert self.normalize(replayed) == self.normalize(json.loads(before))
 
-    def test_replay_rejects_unknown_override(self, tmp_path):
+    def test_replay_rejects_unknown_override(self, tmp_path, capsys):
         first = tmp_path / "first.json"
         run_cli("greedy", "--ell", "3", "--b", "100", "--json", str(first))
-        with pytest.raises(ValueError, match="typo_key"):
-            cli.replay_report(first, overrides={"typo_key": 5})
+        capsys.readouterr()
+        assert cli.replay_report(first, overrides={"typo_key": 5}) == 3
+        assert "typo_key" in capsys.readouterr().err
         assert cli.replay_report(first, overrides={"b": 200, "json": str(first)}) == 0
         assert json.loads(first.read_text())["config"]["b"] == 200
 
@@ -323,3 +333,24 @@ class TestReplay:
         a = self.normalize(json.loads(first.read_text()))
         b = self.normalize(json.loads(second.read_text()))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (None, "No such file"),
+            ('{"subcommand": ', "Expecting value"),
+            ('{"tool": "waring-gaps", "config": {}}', "known subcommand"),
+            ('{"subcommand": 5, "config": {}}', "known subcommand"),
+            ('{"subcommand": ["greedy"], "config": {}}', "known subcommand"),
+            ('{"subcommand": "nope", "config": {}}', "known subcommand"),
+            ('{"subcommand": "greedy", "config": 5}', "config must be a JSON object"),
+        ],
+    )
+    def test_replay_of_malformed_report_exits_3(self, tmp_path, capsys, text, message):
+        path = tmp_path / "report.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli.replay_report(path) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
