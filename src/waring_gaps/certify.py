@@ -27,7 +27,7 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from .exact import decimal_str, fraction_str, parse_fraction
+from .exact import decimal_str, fraction_str, parse_exact
 from .modular import ResidueProfile, residue_counts, search_gap_modulus
 from .repcount import (
     RepTable,
@@ -185,14 +185,15 @@ class MaierCertificate:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MaierCertificate":
+        obj = _checked(obj, "object", "certificate")
         return cls(
-            ell=int(obj["ell"]),
-            K=int(obj["K"]),
-            M=int(obj["M"]),
-            m=int(obj["m"]),
-            eps=tuple(parse_fraction(e) for e in obj["eps"]),
-            caps=tuple(int(c) for c in obj["caps"]),
-            N=int(obj["N"]),
+            ell=_field(obj, "ell", "int"),
+            K=_field(obj, "K", "int"),
+            M=_field(obj, "M", "int"),
+            m=_field(obj, "m", "int"),
+            eps=tuple(_checked(e, "fraction", "field eps") for e in _field(obj, "eps", "list")),
+            caps=tuple(_checked(c, "int", "field caps") for c in _field(obj, "caps", "list")),
+            N=_field(obj, "N", "int"),
         )
 
 
@@ -736,20 +737,6 @@ def verify_degree_criterion(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """Integer linear form in (1, t, t^2, ..., t^ell) with bounded height."""
-
-    coeffs: tuple[int, ...]
-    height: int
-
-    def __post_init__(self) -> None:
-        if self.height < 1:
-            raise ValueError("height must be positive")
-        if max(abs(c) for c in self.coeffs) > self.height:
-            raise ValueError("coefficient exceeds the declared height")
-
-
 def _sweep_forms(powers: Sequence[Enclosure], height: int) -> SweepResult:
     """Classify every integer form c_0 + c_1*t_1 + ... + c_ell*t_ell with
     coefficients in [-height, height] and c_ell != 0, where t_j lies in
@@ -1107,28 +1094,18 @@ def pipeline_dry_run(
 
     f_full = HalfFunction.from_table(table_full)
     mild_counts = {"witness": 0, "rejected": 0, "inconclusive": 0}
+    # PASS stands for the empty check list, which Verdict.worst rejects.
+    mild_verdicts = [Verdict.PASS]
     first_problem = None
     for b in members.tolist()[: config.mild_check_cap]:
         check = is_mild_gap(f_full, int(b), K1, E)
-        mild_counts[
-            "witness"
-            if check.verdict is GapVerdict.WITNESS
-            else "rejected"
-            if check.verdict is GapVerdict.REJECTED
-            else "inconclusive"
-        ] += 1
+        mild_counts[check.verdict.value] += 1
+        mild_verdicts.append(_GAP_TO_VERDICT[check.verdict])
         if check.verdict is not GapVerdict.WITNESS and first_problem is None:
             first_problem = _mild_check_json(check, f_full.label)
-    mild_verdict = (
-        Verdict.FAIL
-        if mild_counts["rejected"]
-        else Verdict.INCONCLUSIVE
-        if mild_counts["inconclusive"]
-        else Verdict.PASS
-    )
     report.add(
         "qualifying-points-are-mild-gaps",
-        mild_verdict,
+        Verdict.worst(mild_verdicts),
         {"checked": sum(mild_counts.values()), **mild_counts, "first_problem": first_problem},
     )
 
@@ -1223,6 +1200,24 @@ def _display(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
+_JSON_TYPES = {"object": dict, "list": (list, tuple), "string": str}
+
+
+def _checked(raw: Any, kind: str, name: str) -> Any:
+    """A certificate value of the given kind: "int" and "fraction" are parsed
+    strictly, "object", "list" and "string" only checked.  A value of another
+    JSON type is a ValueError naming the field."""
+    if kind in ("int", "fraction"):
+        return parse_exact(raw, kind, name)
+    if not isinstance(raw, _JSON_TYPES[kind]):
+        raise ValueError(f"{name}: expected {kind}, got {type(raw).__name__}")
+    return raw
+
+
+def _field(obj: dict, key: str, kind: str) -> Any:
+    return _checked(obj[key], kind, f"field {key}")
+
+
 def half_function_from_spec(spec: dict, base_dir: Path | None = None) -> HalfFunction:
     """Build a series from its JSON description.
 
@@ -1231,27 +1226,38 @@ def half_function_from_spec(spec: dict, base_dir: Path | None = None) -> HalfFun
     """
     kind = spec.get("kind")
     if kind == "constant":
-        return HalfFunction.constant(int(spec["value"]))
+        return HalfFunction.constant(_field(spec, "value", "int"))
     if kind == "coefficients":
         if "entries" in spec:
-            values = {int(n): int(a) for n, a in spec["entries"]}
+            pairs = (_checked(e, "list", "field entries") for e in _field(spec, "entries", "list"))
+            values = {
+                _checked(n, "int", "field entries"): _checked(a, "int", "field entries")
+                for n, a in pairs
+            }
         else:
-            values = {n: int(a) for n, a in enumerate(spec["values"])}
-        c = parse_fraction(spec["c"]) if "c" in spec else None
+            values = {
+                n: _checked(a, "int", "field values")
+                for n, a in enumerate(_field(spec, "values", "list"))
+            }
+        c = _field(spec, "c", "fraction") if "c" in spec else None
         return HalfFunction.from_coefficients(
             values, c=c, label=spec.get("label", "poly")
         )
     if kind == "rep-table":
         if "path" in spec:
-            path = Path(spec["path"])
+            path = Path(_field(spec, "path", "string"))
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             return HalfFunction.from_table(read_table_binary(path))
-        params = WaringParams(int(spec["ell"]), int(spec["s"]))
-        return HalfFunction.from_table(sieve_rep(params, int(spec["limit"])))
+        params = WaringParams(_field(spec, "ell", "int"), _field(spec, "s", "int"))
+        return HalfFunction.from_table(sieve_rep(params, _field(spec, "limit", "int")))
     if kind == "combination":
-        parts = [half_function_from_spec(p, base_dir) for p in spec["parts"]]
-        return linear_combination([int(a) for a in spec["alphas"]], parts)
+        parts = [
+            half_function_from_spec(_checked(p, "object", "field parts"), base_dir)
+            for p in _field(spec, "parts", "list")
+        ]
+        alphas = [_checked(a, "int", "field alphas") for a in _field(spec, "alphas", "list")]
+        return linear_combination(alphas, parts)
     raise ValueError(f"unknown half-function kind {kind!r}")
 
 
@@ -1259,19 +1265,20 @@ def nested_certificate_from_json(
     obj: dict, base_dir: Path | None = None
 ) -> NestedGapsCertificate:
     """Parse the nested-gaps certificate wire format."""
+    obj = _checked(obj, "object", "certificate")
     return NestedGapsCertificate(
-        q=int(obj["q"]),
-        H=parse_fraction(obj["H"]),
-        K1=int(obj["K1"]),
-        K2=int(obj["K2"]),
-        K_prime=int(obj["K_prime"]),
-        n1=int(obj["n1"]),
-        n2=int(obj["n2"]),
-        n_prime=int(obj["n_prime"]),
-        E=parse_fraction(obj["E"]),
-        E_prime=parse_fraction(obj["E_prime"]),
-        f=half_function_from_spec(obj["f"], base_dir),
-        g=half_function_from_spec(obj["g"], base_dir),
+        q=_field(obj, "q", "int"),
+        H=_field(obj, "H", "fraction"),
+        K1=_field(obj, "K1", "int"),
+        K2=_field(obj, "K2", "int"),
+        K_prime=_field(obj, "K_prime", "int"),
+        n1=_field(obj, "n1", "int"),
+        n2=_field(obj, "n2", "int"),
+        n_prime=_field(obj, "n_prime", "int"),
+        E=_field(obj, "E", "fraction"),
+        E_prime=_field(obj, "E_prime", "fraction"),
+        f=half_function_from_spec(_field(obj, "f", "object"), base_dir),
+        g=half_function_from_spec(_field(obj, "g", "object"), base_dir),
         f_spec=obj["f"],
         g_spec=obj["g"],
     )

@@ -8,6 +8,7 @@ with integer arithmetic, never ``float``.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Any
 
 
 def fraction_str(x: Fraction | int) -> str:
@@ -27,6 +28,21 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
         num, den = text.split("/", 1)
         return Fraction(int(num.strip()), int(den.strip()))
     return Fraction(int(text))
+
+
+def parse_exact(raw: Any, kind: str, name: str) -> int | Fraction:
+    """Parse an integer (kind ``"int"``) or a rational (``"fraction"``) that
+    arrives from outside the program: a certificate, a config, a flag.
+
+    A string, an int or, for a rational, a Fraction is accepted.  bool,
+    float, list, object and null raise a ValueError naming the field:
+    ``int()`` would truncate a float or a bool and fail on the others with a
+    TypeError.
+    """
+    accepted = (str, int) if kind == "int" else (str, int, Fraction)
+    if isinstance(raw, bool) or not isinstance(raw, accepted):
+        raise ValueError(f"{name}: expected {kind}, got {type(raw).__name__}")
+    return int(raw) if kind == "int" else parse_fraction(raw)
 
 
 def decimal_str(x: Fraction | int, digits: int = 12) -> str:

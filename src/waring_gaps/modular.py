@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from typing import Iterable
 
 from .exact import fraction_str
 
@@ -102,6 +103,17 @@ def crt_combine(p1: ResidueProfile, p2: ResidueProfile) -> ResidueProfile:
     return ResidueProfile(ell=p1.ell, modulus=modulus, counts=counts)
 
 
+def crt_fold(profiles: Iterable[ResidueProfile]) -> ResidueProfile:
+    """Profile modulo the product of pairwise coprime moduli, folded left to
+    right with crt_combine."""
+    combined: ResidueProfile | None = None
+    for profile in profiles:
+        combined = profile if combined is None else crt_combine(combined, profile)
+    if combined is None:
+        raise ValueError("need at least one modulus")
+    return combined
+
+
 @dataclass(frozen=True)
 class GapModulusResult:
     """Best residue window found by the modulus search.
@@ -180,20 +192,12 @@ def search_gap_modulus(
         product_bound = max(pool)
 
     profiles: dict[int, ResidueProfile] = {}
-
-    def profile_for(factors: tuple[int, ...]) -> ResidueProfile:
-        combined: ResidueProfile | None = None
+    best: tuple[Fraction, int, int, ResidueProfile, tuple[int, ...]] | None = None
+    for modulus, factors in _coprime_products(pool, product_bound):
         for f in factors:
             if f not in profiles:
                 profiles[f] = residue_counts(ell, f)
-            part = profiles[f]
-            combined = part if combined is None else crt_combine(combined, part)
-        assert combined is not None
-        return combined
-
-    best: tuple[Fraction, int, int, ResidueProfile, tuple[int, ...]] | None = None
-    for modulus, factors in _coprime_products(pool, product_bound):
-        profile = profile_for(factors)
+        profile = crt_fold(profiles[f] for f in factors)
         counts = profile.counts
         best_m, best_worst = 0, None
         for m in range(modulus):

@@ -594,6 +594,14 @@ class TestPipeline:
             pipeline_dry_run(3, 2, 0)
 
 
+NESTED_JSON = {
+    "q": 2, "H": "100", "K1": 9, "K2": 9, "K_prime": 39,
+    "n1": 1, "n2": 11, "n_prime": 1, "E": "2", "E_prime": "1",
+    "f": {"kind": "coefficients", "entries": [[0, 1], [10, 1], [20, 1]]},
+    "g": {"kind": "coefficients", "entries": [[40, 1]]},
+}
+
+
 class TestWireFormats:
     def test_half_function_specs(self, tmp_path):
         const = half_function_from_spec({"kind": "constant", "value": 3})
@@ -619,6 +627,23 @@ class TestWireFormats:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             half_function_from_spec({"kind": "mystery"})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        key=st.sampled_from(sorted(NESTED_JSON)),
+        wrong=st.one_of(
+            st.floats(),
+            st.booleans(),
+            st.lists(st.integers(), max_size=2),
+            st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+            st.none(),
+        ),
+    )
+    def test_field_of_wrong_json_type_rejected(self, key, wrong):
+        if key in ("f", "g") and isinstance(wrong, dict):
+            wrong = [wrong]  # an object is the right type for a series spec
+        with pytest.raises(ValueError, match=f"^field {key}: expected "):
+            nested_certificate_from_json(dict(NESTED_JSON, **{key: wrong}))
 
     def test_nested_certificate_json_round_trip(self):
         cert = synthetic_nested()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from test_cli_golden import MAIER_CERT, write_inputs
 from waring_gaps import cli
 from waring_gaps.repcount import WaringParams, read_table_binary, sieve_rep, write_table_binary
 
@@ -155,6 +156,34 @@ class TestVerdictCommands:
         assert run_cli("nested", "--cert", str(cert)) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subcommand,cert,field",
+        [
+            ("nested", dict(CERT_JSON, q=2.5, K1=9.9), "field q"),
+            ("nested", [CERT_JSON], "certificate"),
+            ("nested", dict(CERT_JSON, f=5), "field f"),
+            ("nested", dict(CERT_JSON, f={"kind": "combination", "alphas": [1], "parts": [5]}),
+             "field parts"),
+            ("nested", dict(CERT_JSON, q=[2]), "field q"),
+            ("nested", dict(CERT_JSON, H=2.5), "field H"),
+            ("nested", dict(CERT_JSON, g={"kind": "coefficients", "entries": [[40, True]]}),
+             "field entries"),
+            ("measure", dict(CERT_JSON, E_prime=None), "field E_prime"),
+            ("maier", [1, 2], "certificate"),
+            ("maier", dict(MAIER_CERT, M=9.0), "field M"),
+            ("maier", dict(MAIER_CERT, eps=5), "field eps"),
+            ("maier", dict(MAIER_CERT, caps=[0, {"cap": 0}]), "field caps"),
+        ],
+    )
+    def test_certificate_field_of_wrong_type_rejected(
+        self, tmp_path, capsys, table_file, subcommand, cert, field
+    ):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        table = ("--table", str(table_file)) if subcommand == "maier" else ()
+        assert run_cli(subcommand, "--cert", str(path), *table) == 3
+        assert f"error: {field}: expected" in capsys.readouterr().err
+
     def test_linforms(self, tmp_path):
         j = tmp_path / "lin.json"
         assert run_cli("linforms", "--ell", "3", "--q", "2", "--height", "1",
@@ -255,14 +284,15 @@ class TestErrorsAndConfig:
         assert report_path.read_text() == before
         assert json.loads(capsys.readouterr().out)["config"]["b"] == 200
 
-    def test_threads_env_and_flag(self, tmp_path, monkeypatch):
+    def test_threads_env_and_flag(self, tmp_path):
         j = tmp_path / "t.json"
-        monkeypatch.setenv(cli.THREADS_ENV, "5")
-        assert run_cli("greedy", "--ell", "3", "--b", "10", "--json", str(j)) == 0
-        assert json.loads(j.read_text())["config"]["threads"] == 5
         assert run_cli("greedy", "--ell", "3", "--b", "10", "--threads", "2",
                        "--json", str(j)) == 0
         assert json.loads(j.read_text())["config"]["threads"] == 2
+
+    def test_threads_below_one_rejected(self, capsys):
+        assert run_cli("greedy", "--ell", "3", "--b", "10", "--threads", "0") == 3
+        assert "threads must be at least 1" in capsys.readouterr().err
 
     def test_no_floats_anywhere(self, tmp_path, table_file):
         j = tmp_path / "r.json"
@@ -294,9 +324,22 @@ class TestReplay:
             ("modsearch", "--ell", "3", "--k1", "2", "--pool", "9,63"),
             ("theta", "--ell", "3", "--q", "2", "--terms", "40"),
             ("exceptional", "--limit", "120", "--epsilon", "1/100"),
+            ("sieve", "--ell", "3", "--s", "2", "--limit", "100"),
+            ("gaps", "--table", "r33.bin", "--min-len", "4"),
+            ("greedy", "--ell", "3", "--b", "100"),
+            ("modcount", "--ell", "3", "--modulus", "9"),
+            ("crt", "--ell", "3", "--moduli", "2,9"),
+            ("mild-scan", "--table", "r33.bin", "--lo", "0", "--hi", "30", "--k", "4", "--e", "8"),
+            ("maier", "--cert", "maier.json", "--table", "r33.bin"),
+            ("nested", "--cert", "nested.json"),
+            ("measure", "--cert", "nested.json"),
+            ("linforms", "--ell", "3", "--q", "2", "--height", "1", "--terms", "48"),
+            ("pipeline", "--ell", "3", "--q", "2"),
         ],
     )
-    def test_report_replays_bit_identically(self, tmp_path, args):
+    def test_report_replays_bit_identically(self, tmp_path, monkeypatch, args):
+        write_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
         first = tmp_path / "first.json"
         run_cli(*args, "--json", str(first))
         second = tmp_path / "second.json"

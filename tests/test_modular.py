@@ -7,6 +7,7 @@ from waring_gaps.modular import (
     PowerHistogram,
     ResidueProfile,
     crt_combine,
+    crt_fold,
     power_histogram,
     residue_counts,
     search_gap_modulus,
@@ -99,6 +100,13 @@ class TestCrtCombine:
     def test_rejects_mismatched_exponent(self):
         with pytest.raises(ValueError):
             crt_combine(residue_counts(3, 2), residue_counts(4, 9))
+
+    def test_fold_over_three_moduli(self):
+        folded = crt_fold(residue_counts(3, m) for m in (2, 5, 9))
+        assert folded.counts == residue_counts(3, 90).counts
+        assert crt_fold([residue_counts(3, 9)]) == residue_counts(3, 9)
+        with pytest.raises(ValueError, match="at least one modulus"):
+            crt_fold([])
 
 
 class TestSievesAgreeWithProfiles:
