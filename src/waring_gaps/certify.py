@@ -10,20 +10,20 @@ tail schedule, counting, bad-pair filtering, separation tests and the
 final criterion, each step reported with an exact verdict.
 
 Every report is a JSON-ready record with one entry per condition;
-verdicts are three-valued (pass, fail, inconclusive) and structural
-defects of a certificate mark the whole report invalid.  No float is
-ever consulted for a verdict.
+verdicts are three-valued (pass, fail, inconclusive), and a certificate
+that breaks one of its invariants makes the whole report invalid.  No
+float is ever consulted for a verdict.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,37 +40,14 @@ from .repcount import (
 )
 from .series import (
     Enclosure,
-    GapVerdict,
     HalfFunction,
     MildGapCheck,
+    Verdict,
     eval_enclosure,
     eval_truncated,
     is_mild_gap,
     linear_combination,
 )
-
-
-class Verdict(str, Enum):
-    PASS = "pass"
-    FAIL = "fail"
-    INCONCLUSIVE = "inconclusive"
-
-    @staticmethod
-    def worst(verdicts: "Sequence[Verdict]") -> "Verdict":
-        if not verdicts:
-            raise ValueError("no verdicts to combine")
-        if any(v is Verdict.FAIL for v in verdicts):
-            return Verdict.FAIL
-        if any(v is Verdict.INCONCLUSIVE for v in verdicts):
-            return Verdict.INCONCLUSIVE
-        return Verdict.PASS
-
-
-_GAP_TO_VERDICT = {
-    GapVerdict.WITNESS: Verdict.PASS,
-    GapVerdict.REJECTED: Verdict.FAIL,
-    GapVerdict.INCONCLUSIVE: Verdict.INCONCLUSIVE,
-}
 
 
 @dataclass(frozen=True)
@@ -97,6 +74,11 @@ class Report:
         cond = ConditionResult(name=name, verdict=verdict, witness=witness)
         self.conditions.append(cond)
         return cond
+
+    def check(self, name: str, ok: bool, witness: Any = None) -> bool:
+        """Record a condition that passes exactly when ok holds; returns ok."""
+        self.add(name, Verdict.FAIL if not ok else Verdict.PASS, witness)
+        return ok
 
     def condition(self, name: str) -> ConditionResult:
         for cond in self.conditions:
@@ -129,7 +111,7 @@ def _mild_check_json(check: MildGapCheck, function: str) -> dict:
     out: dict[str, Any] = {
         "function": function,
         "n": check.n,
-        "verdict": _GAP_TO_VERDICT[check.verdict].value,
+        "verdict": check.verdict.value,
     }
     if check.witness is not None:
         out["witness"] = check.witness.to_json_dict()
@@ -137,6 +119,41 @@ def _mild_check_json(check: MildGapCheck, function: str) -> dict:
         out["failed_clause"] = check.failed_clause
         out["detail"] = check.detail
     return out
+
+
+def _add_mild_gaps(
+    report: Report,
+    name: str,
+    cases: Iterable[tuple[HalfFunction, int, int, Fraction]],
+    tally: bool = False,
+) -> None:
+    """Test each (f, n, K, E) for a mild gap and record the worst verdict as
+    one condition.  Its witness lists every check, or with tally counts the
+    checks by outcome and shows the first one that is not a witness."""
+    checks = [(is_mild_gap(f, n, K, E), f.label) for f, n, K, E in cases]
+    # PASS stands for the empty check list, which Verdict.worst rejects.
+    verdict = Verdict.worst([Verdict.PASS, *(check.verdict for check, _ in checks)])
+    if not tally:
+        report.add(name, verdict, [_mild_check_json(check, label) for check, label in checks])
+        return
+    counts = Counter(check.verdict for check, _ in checks)
+    problem = next(((check, label) for check, label in checks if not check.is_witness), None)
+    report.add(
+        name,
+        verdict,
+        {
+            "checked": len(checks),
+            "witness": counts[Verdict.PASS],
+            "rejected": counts[Verdict.FAIL],
+            "inconclusive": counts[Verdict.INCONCLUSIVE],
+            "first_problem": None if problem is None else _mild_check_json(*problem),
+        },
+    )
+
+
+def _clamped_enclosure(f: HalfFunction, q: int, terms: int) -> Enclosure:
+    """Enclosure of f(1/q) from at most terms terms, and no more than f covers."""
+    return eval_enclosure(f, q, terms if f.coverage is None else min(terms, f.coverage + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -223,26 +240,8 @@ def verify_maier(cert: MaierCertificate, table: RepTable, profile: ResidueProfil
     before counting.
     """
     report = Report(kind="maier", certificate=cert.to_json_dict())
-
-    def structural(name: str, ok: bool, witness: Any = None) -> None:
-        report.add(name, Verdict.PASS if ok else Verdict.FAIL, witness)
-        if not ok:
-            report.invalid = True
-
-    structural(
-        "window-in-modulus",
-        0 <= cert.m and cert.K >= 0 and cert.m + cert.K < cert.M,
-        {"m": cert.m, "K": cert.K, "M": cert.M},
-    )
-    structural(
-        "limit-covers-modulus-power",
-        cert.N >= cert.M**cert.ell,
-        {"N": cert.N, "M^ell": cert.M**cert.ell},
-    )
-    structural("eps-positive", all(e > 0 for e in cert.eps))
     alpha = cert.alpha
     alpha_ok = alpha < 1
-    structural("alpha-below-one", alpha_ok, {"alpha": fraction_str(alpha)})
 
     inputs_ok = (
         profile.ell == cert.ell
@@ -251,18 +250,32 @@ def verify_maier(cert: MaierCertificate, table: RepTable, profile: ResidueProfil
         and table.params.s == cert.ell
         and table.limit >= cert.N - 1
     )
-    structural(
-        "inputs-match",
-        inputs_ok,
-        {
-            "profile": {"ell": profile.ell, "M": profile.modulus},
-            "table": {
-                "ell": table.params.ell,
-                "s": table.params.s,
-                "limit": table.limit,
+    invariants = [
+        report.check(
+            "window-in-modulus",
+            0 <= cert.m and cert.K >= 0 and cert.m + cert.K < cert.M,
+            {"m": cert.m, "K": cert.K, "M": cert.M},
+        ),
+        report.check(
+            "limit-covers-modulus-power",
+            cert.N >= cert.M**cert.ell,
+            {"N": cert.N, "M^ell": cert.M**cert.ell},
+        ),
+        report.check("eps-positive", all(e > 0 for e in cert.eps)),
+        report.check("alpha-below-one", alpha_ok, {"alpha": fraction_str(alpha)}),
+        report.check(
+            "inputs-match",
+            inputs_ok,
+            {
+                "profile": {"ell": profile.ell, "M": profile.modulus},
+                "table": {
+                    "ell": table.params.ell,
+                    "s": table.params.s,
+                    "limit": table.limit,
+                },
             },
-        },
-    )
+        ),
+    ]
 
     denom = cert.M ** (cert.ell - 1)
     violations = []
@@ -270,13 +283,14 @@ def verify_maier(cert: MaierCertificate, table: RepTable, profile: ResidueProfil
         r = profile.r(cert.m + k) if profile.modulus == cert.M else None
         if r is None or r * e.denominator > e.numerator * denom:
             violations.append({"k": k, "count": r, "eps": fraction_str(e)})
-    report.add(
-        "residue-count-bounds",
-        Verdict.PASS if not violations else Verdict.FAIL,
-        {"violations": violations} if violations else None,
+    invariants.append(
+        report.check(
+            "residue-count-bounds",
+            not violations,
+            {"violations": violations} if violations else None,
+        )
     )
-    if violations:
-        report.invalid = True
+    report.invalid = not all(invariants)
 
     bound = (1 - alpha) * Fraction(cert.N, cert.M) / (1 << cert.ell)
     report.summary["alpha"] = fraction_str(alpha)
@@ -294,10 +308,8 @@ def verify_maier(cert: MaierCertificate, table: RepTable, profile: ResidueProfil
     qualifying = maier_qualifying_set(table, cert.M, cert.m, cert.caps, cert.N, cert.K)
     count = int(qualifying.shape[0])
     report.summary["count"] = count
-    report.add(
-        "count-at-least-bound",
-        Verdict.PASS if count >= bound else Verdict.FAIL,
-        {"count": count, "bound": fraction_str(bound)},
+    report.check(
+        "count-at-least-bound", count >= bound, {"count": count, "bound": fraction_str(bound)}
     )
     return report
 
@@ -329,10 +341,8 @@ def verify_maier_inner(
         kind="maier-inner",
         certificate={"ell": ell, "m": m, "k": k, "M": M, "L": L},
     )
-    report.add(
-        "column-sum-bounded",
-        Verdict.PASS if lhs <= rhs else Verdict.FAIL,
-        {"column_sum": lhs, "bound": rhs, "column_length": column},
+    report.check(
+        "column-sum-bounded", lhs <= rhs, {"column_sum": lhs, "bound": rhs, "column_length": column}
     )
     report.summary = {"column_sum": lhs, "bound": rhs}
     return report
@@ -404,14 +414,11 @@ def verify_nested_gaps(cert: NestedGapsCertificate) -> Report:
         report.add("certificate-shape", Verdict.FAIL, shape_problems)
         return report
 
-    ordering_ok = (
+    report.check(
+        "ordering",
         cert.K1 <= cert.K2 < cert.K_prime
         and cert.n1 + cert.K1 < cert.n2
-        and cert.n2 + cert.K2 <= cert.n_prime + cert.K_prime
-    )
-    report.add(
-        "ordering",
-        Verdict.PASS if ordering_ok else Verdict.FAIL,
+        and cert.n2 + cert.K2 <= cert.n_prime + cert.K_prime,
         {
             "K1": cert.K1,
             "K2": cert.K2,
@@ -423,32 +430,25 @@ def verify_nested_gaps(cert: NestedGapsCertificate) -> Report:
         },
     )
 
-    checks = [
-        (cert.f, cert.n1, cert.K1, cert.E),
-        (cert.f, cert.n2, cert.K1, cert.E),
-        (cert.g, cert.n_prime, cert.K_prime, cert.E_prime),
-    ]
-    results = [is_mild_gap(fn, n, K, E) for fn, n, K, E in checks]
-    report.add(
+    _add_mild_gaps(
+        report,
         "mild-gaps",
-        Verdict.worst([_GAP_TO_VERDICT[r.verdict] for r in results]),
-        [_mild_check_json(r, fn.label) for r, (fn, *_rest) in zip(results, checks)],
+        [
+            (cert.f, cert.n1, cert.K1, cert.E),
+            (cert.f, cert.n2, cert.K1, cert.E),
+            (cert.g, cert.n_prime, cert.K_prime, cert.E_prime),
+        ],
     )
 
     window_sum = eval_truncated(cert.f, cert.q, cert.n2) - eval_truncated(
         cert.f, cert.q, cert.n1
     )
-    report.add(
-        "window-sum-nonzero",
-        Verdict.PASS if window_sum != 0 else Verdict.FAIL,
-        {"sum": fraction_str(window_sum)},
-    )
+    report.check("window-sum-nonzero", window_sum != 0, {"sum": fraction_str(window_sum)})
 
-    first = Fraction(cert.q**cert.K1) > cert.H * cert.E
-    second = Fraction(cert.q**cert.K2) > cert.H * cert.E_prime
-    report.add(
+    report.check(
         "gap-dominates-height",
-        Verdict.PASS if (first and second) else Verdict.FAIL,
+        Fraction(cert.q**cert.K1) > cert.H * cert.E
+        and Fraction(cert.q**cert.K2) > cert.H * cert.E_prime,
         {
             "q^K1": str(cert.q**cert.K1),
             "H*E": fraction_str(cert.H * cert.E),
@@ -575,23 +575,17 @@ def check_measure(cert: NestedGapsCertificate, terms: int | None = None) -> Repo
     """
     report = Report(kind="measure", certificate=cert.to_json_dict())
     base = verify_nested_gaps(cert)
-    if base.invalid or base.verdict is Verdict.FAIL:
-        report.invalid = True
-        report.add("nested-gaps-precondition", Verdict.FAIL, base.to_json_dict())
-        return report
-    if base.verdict is Verdict.INCONCLUSIVE:
-        report.add("nested-gaps-precondition", Verdict.INCONCLUSIVE, base.to_json_dict())
+    precondition = Verdict.FAIL if base.invalid else base.verdict
+    if precondition is not Verdict.PASS:
+        report.invalid = precondition is Verdict.FAIL
+        report.add("nested-gaps-precondition", precondition, base.to_json_dict())
         return report
     report.add("nested-gaps-precondition", Verdict.PASS)
 
     if terms is None:
         terms = max(64, cert.n2 + cert.K2 + 1, cert.n_prime + cert.K_prime + 1)
-
-    def clamp(f: HalfFunction) -> int:
-        return terms if f.coverage is None else min(terms, f.coverage + 1)
-
-    f_enc = eval_enclosure(cert.f, cert.q, clamp(cert.f))
-    g_enc = eval_enclosure(cert.g, cert.q, clamp(cert.g))
+    f_enc = _clamped_enclosure(cert.f, cert.q, terms)
+    g_enc = _clamped_enclosure(cert.g, cert.q, terms)
     threshold = Fraction(1, cert.q**cert.n2)
     height = int(cert.H)
     if height > 100_000:
@@ -672,40 +666,27 @@ def verify_degree_criterion(
         },
     )
 
-    report.add(
+    report.check(
         "ordering",
-        Verdict.PASS if (n1 + K1 < n2 and n2 + K2 <= N) else Verdict.FAIL,
+        n1 + K1 < n2 and n2 + K2 <= N,
         {"n1+K1": n1 + K1, "n2": n2, "n2+K2": n2 + K2, "N": N},
     )
 
     f_full = HalfFunction.from_table(table_full)
-    endpoint_checks = [is_mild_gap(f_full, n, K1, E) for n in (n1, n2)]
-    report.add(
-        "mild-gap-endpoints",
-        Verdict.worst([_GAP_TO_VERDICT[r.verdict] for r in endpoint_checks]),
-        [_mild_check_json(r, f_full.label) for r in endpoint_checks],
-    )
+    _add_mild_gaps(report, "mild-gap-endpoints", [(f_full, n, K1, E) for n in (n1, n2)])
 
     # Both tables cover the window, so a next nonzero past its end means none inside.
     shorter = HalfFunction.from_table(table_lower).tail_majorant_start(n1)
-    report.add(
-        "window-free-of-shorter-sums",
-        Verdict.PASS if shorter >= n2 + K2 else Verdict.FAIL,
-        None if shorter >= n2 + K2 else {"witness": shorter},
-    )
+    free = shorter >= n2 + K2
+    report.check("window-free-of-shorter-sums", free, None if free else {"witness": shorter})
 
     inside = f_full.tail_majorant_start(n1)
-    report.add(
-        "representable-point-inside",
-        Verdict.PASS if inside < n2 else Verdict.FAIL,
-        {"witness": inside} if inside < n2 else None,
-    )
+    found = inside < n2
+    report.check("representable-point-inside", found, {"witness": inside} if found else None)
 
-    first = Fraction(q**K1) > J * E
-    second = Fraction(q**K2) > J * N
-    report.add(
+    report.check(
         "height-gap",
-        Verdict.PASS if (first and second) else Verdict.FAIL,
+        Fraction(q**K1) > J * E and Fraction(q**K2) > J * N,
         {
             "q^K1": str(q**K1),
             "J*E": fraction_str(J * E),
@@ -821,11 +802,7 @@ def check_theta_linear_forms(
         kind="linear-forms",
         certificate={"ell": ell, "q": q, "height": height, "terms": terms},
     )
-    functions = [HalfFunction.from_table(t) for t in tables]
-    enclosures = []
-    for f in functions:
-        used = terms if f.coverage is None else min(terms, f.coverage + 1)
-        enclosures.append(eval_enclosure(f, q, used))
+    enclosures = [_clamped_enclosure(HalfFunction.from_table(t), q, terms) for t in tables]
 
     theta = enclosures[0]
     crosscheck = []
@@ -839,16 +816,12 @@ def check_theta_linear_forms(
                 "intersects": enclosures[j - 1].intersects(powered),
             }
         )
-    report.add(
-        "interval-power-crosscheck",
-        Verdict.PASS if all(c["intersects"] for c in crosscheck) else Verdict.FAIL,
-        crosscheck,
-    )
+    report.check("interval-power-crosscheck", all(c["intersects"] for c in crosscheck), crosscheck)
 
     sweep = _sweep_forms(enclosures, height)
     report.add(
         "forms-nonvanishing",
-        Verdict.PASS if not sweep.undecided else Verdict.INCONCLUSIVE,
+        Verdict.INCONCLUSIVE if sweep.undecided else Verdict.PASS,
         {"certified": sweep.certified, "undecided": [list(c) for c in sweep.undecided[:10]]},
     )
     report.summary = {
@@ -936,9 +909,9 @@ def pipeline_dry_run(
 
     sigma = config.sigma if config.sigma is not None else DEFAULT_SIGMAS[ell]
     lo_sigma, hi_sigma = SIGMA_RANGES[ell]
-    report.add(
+    report.check(
         "exponent-in-range",
-        Verdict.PASS if lo_sigma < sigma < hi_sigma else Verdict.FAIL,
+        lo_sigma < sigma < hi_sigma,
         {
             "sigma": fraction_str(sigma),
             "open_interval": [fraction_str(lo_sigma), fraction_str(hi_sigma)],
@@ -958,12 +931,11 @@ def pipeline_dry_run(
     search = search_gap_modulus(
         ell, K1, usable_pool, product_bound=config.product_bound
     ) if usable_pool else None
-    report.add(
+    if not report.check(
         "modulus-search",
-        Verdict.PASS if search is not None else Verdict.FAIL,
+        search is not None,
         search.to_json_dict() if search is not None else "no candidate met the small-count threshold",
-    )
-    if search is None:
+    ):
         summary["halted_at"] = "modulus-search"
         return report
     M, m = search.modulus, search.residue
@@ -974,44 +946,23 @@ def pipeline_dry_run(
     exact_limit = _pow_floor(M, sigma)
     capped = exact_limit > config.max_limit
     N = min(exact_limit, config.max_limit)
-    report.add(
+    report.check(
         "limit-within-budget",
-        Verdict.PASS if not capped else Verdict.FAIL,
+        not capped,
         {"exact": exact_limit, "used": N, "max_limit": config.max_limit},
     )
-    report.add(
-        "limit-covers-modulus-power",
-        Verdict.PASS if N >= M**ell else Verdict.FAIL,
-        {"N": N, "M^ell": M**ell},
-    )
+    report.check("limit-covers-modulus-power", N >= M**ell, {"N": N, "M^ell": M**ell})
     summary["N"] = N
 
     K2 = M // 2
     summary["K2"] = K2
-    report.add(
-        "windows-ordered", Verdict.PASS if K1 <= K2 else Verdict.FAIL, {"K1": K1, "K2": K2}
-    )
-    if K1 > K2:
+    if not report.check("windows-ordered", K1 <= K2, {"K1": K1, "K2": K2}):
         summary["halted_at"] = "windows-ordered"
         return report
-    report.add(
-        "second-window-doubles-first",
-        Verdict.PASS if K2 > 2 * K1 else Verdict.FAIL,
-        {"K1": K1, "K2": K2},
-    )
-    report.add(
-        "residue-window-inside-modulus",
-        Verdict.PASS if m + K2 < M else Verdict.FAIL,
-        {"m+K2": m + K2, "M": M},
-    )
-    report.add(
-        "size-shape",
-        Verdict.PASS if max(2 * m, 4 * K1) < M else Verdict.FAIL,
-        {"2m": 2 * m, "4K1": 4 * K1, "M": M},
-    )
-    report.add(
-        "modulus-even", Verdict.PASS if M % 2 == 0 else Verdict.FAIL, {"M": M}
-    )
+    report.check("second-window-doubles-first", K2 > 2 * K1, {"K1": K1, "K2": K2})
+    report.check("residue-window-inside-modulus", m + K2 < M, {"m+K2": m + K2, "M": M})
+    report.check("size-shape", max(2 * m, 4 * K1) < M, {"2m": 2 * m, "4K1": 4 * K1, "M": M})
+    report.check("modulus-even", M % 2 == 0, {"M": M})
 
     xi = Fraction(config.xi)
     eps = [Fraction(1, 2 * K1)] * K1 + [xi] * (K2 - K1 + 1)
@@ -1024,27 +975,19 @@ def pipeline_dry_run(
     alpha = cert.alpha
     summary["alpha"] = fraction_str(alpha)
     summary["xi"] = fraction_str(xi)
-    report.add(
+    report.check(
         "schedule-alpha-below-three-quarters",
-        Verdict.PASS if alpha < Fraction(3, 4) else Verdict.FAIL,
-        {"alpha": fraction_str(alpha), "alpha_decimal_display_only": _display(alpha)},
+        alpha < Fraction(3, 4),
+        {"alpha": fraction_str(alpha), "alpha_decimal_display_only": decimal_str(alpha, 6)},
     )
-    report.add(
+    report.check(
         "schedule-dominates-loose-bound",
-        Verdict.PASS if 12 * xi >= 8 * (1 << ell) else Verdict.FAIL,
+        12 * xi >= 8 * (1 << ell),
         {"12*xi": fraction_str(12 * xi), "8*2^ell": 8 * (1 << ell)},
     )
     kappa = K2 - K1
-    report.add(
-        "kappa-at-least-first-window",
-        Verdict.PASS if kappa >= K1 else Verdict.FAIL,
-        {"kappa": kappa, "K1": K1},
-    )
-    report.add(
-        "kappa-at-least-log-limit",
-        Verdict.PASS if (1 << kappa) >= N else Verdict.FAIL,
-        {"kappa": kappa, "N": N},
-    )
+    report.check("kappa-at-least-first-window", kappa >= K1, {"kappa": kappa, "K1": K1})
+    report.check("kappa-at-least-log-limit", (1 << kappa) >= N, {"kappa": kappa, "N": N})
     E = 60 * xi
     summary["E"] = fraction_str(E)
 
@@ -1064,9 +1007,9 @@ def pipeline_dry_run(
     b_count = int(members.shape[0])
     summary["qualifying_points"] = b_count
     floor_bound = Fraction(N, (1 << (ell + 2)) * M)
-    report.add(
+    report.check(
         "qualifying-set-large",
-        Verdict.PASS if b_count >= floor_bound else Verdict.FAIL,
+        b_count >= floor_bound,
         {"count": b_count, "bound": fraction_str(floor_bound)},
     )
 
@@ -1080,59 +1023,45 @@ def pipeline_dry_run(
     bad_count = len(b1s) - len(good_pairs)
     summary["pairs"] = len(b1s)
     summary["good_pairs"] = len(good_pairs)
-    report.add(
-        "bad-points-minority",
-        Verdict.PASS if 2 * bad_count < b_count else Verdict.FAIL,
-        {"bad": bad_count, "qualifying": b_count},
+    report.check(
+        "bad-points-minority", 2 * bad_count < b_count, {"bad": bad_count, "qualifying": b_count}
     )
     good_bound = Fraction(N, (1 << (ell + 3)) * M)
-    report.add(
+    report.check(
         "good-set-large",
-        Verdict.PASS if len(good_pairs) >= good_bound else Verdict.FAIL,
+        len(good_pairs) >= good_bound,
         {"count": len(good_pairs), "bound": fraction_str(good_bound)},
     )
 
     f_full = HalfFunction.from_table(table_full)
-    mild_counts = {"witness": 0, "rejected": 0, "inconclusive": 0}
-    # PASS stands for the empty check list, which Verdict.worst rejects.
-    mild_verdicts = [Verdict.PASS]
-    first_problem = None
-    for b in members.tolist()[: config.mild_check_cap]:
-        check = is_mild_gap(f_full, int(b), K1, E)
-        mild_counts[check.verdict.value] += 1
-        mild_verdicts.append(_GAP_TO_VERDICT[check.verdict])
-        if check.verdict is not GapVerdict.WITNESS and first_problem is None:
-            first_problem = _mild_check_json(check, f_full.label)
-    report.add(
+    _add_mild_gaps(
+        report,
         "qualifying-points-are-mild-gaps",
-        Verdict.worst(mild_verdicts),
-        {"checked": sum(mild_counts.values()), **mild_counts, "first_problem": first_problem},
+        [(f_full, b, K1, E) for b in members[: config.mild_check_cap].tolist()],
+        tally=True,
     )
 
     if ell == 3:
-        report.add(
+        report.check(
             "greedy-window-within-modulus",
-            Verdict.PASS if 25**27 * N**8 < M**27 else Verdict.FAIL,
+            25**27 * N**8 < M**27,
             {"compare": "25^27 * N^8 < M^27", "N": N, "M": M},
         )
     else:
         epsilon = (Fraction(1) / sigma - Fraction(4059, 16384)) / 2
-        report.add(
-            "window-exponent-positive",
-            Verdict.PASS if epsilon > 0 else Verdict.FAIL,
-            {"epsilon": fraction_str(epsilon)},
-        )
-        if epsilon > 0:
+        if report.check(
+            "window-exponent-positive", epsilon > 0, {"epsilon": fraction_str(epsilon)}
+        ):
             exponent = Fraction(4059, 16384) + epsilon
             ed, en = exponent.denominator, exponent.numerator
-            report.add(
+            report.check(
                 "half-modulus-exceeds-window",
-                Verdict.PASS if M**ed > 2**ed * N**en else Verdict.FAIL,
+                M**ed > 2**ed * N**en,
                 {"compare": "(M/2)^d > N^n", "exponent": fraction_str(exponent)},
             )
             scan = scan_exceptional_set(4, N, epsilon, table_full)
             exceptional = np.zeros(N + 1, dtype=bool)
-            exceptional[np.asarray(scan.members, dtype=np.int64)] = True
+            exceptional[scan.members] = True
             # Each good pair's window [max(1, b + half), min(N, b + M - 1)]
             # opens at its start and closes past its end; a point lies in
             # some window when more windows have opened than closed.
@@ -1146,9 +1075,9 @@ def pipeline_dry_run(
             )
             in_window = depth[: N + 1] > 0
             escaped = int(np.count_nonzero(in_window & ~exceptional))
-            report.add(
+            report.check(
                 "window-set-escapes-exceptional",
-                Verdict.PASS if escaped else Verdict.FAIL,
+                escaped > 0,
                 {
                     "window_points": int(np.count_nonzero(in_window)),
                     "exceptional": int(np.count_nonzero(exceptional)),
@@ -1161,9 +1090,9 @@ def pipeline_dry_run(
     full = table_full.nonzero
     inside = np.searchsorted(full, good_b1 + 1) < np.searchsorted(full, good_b2)
     qualified_pairs = list(zip(good_b1[inside].tolist(), good_b2[inside].tolist()))
-    report.add(
+    report.check(
         "representable-point-in-some-pair",
-        Verdict.PASS if qualified_pairs else Verdict.FAIL,
+        bool(qualified_pairs),
         {"qualified": len(qualified_pairs), "good_pairs": len(good_pairs)},
     )
 
@@ -1189,10 +1118,6 @@ def pipeline_dry_run(
         report.add("degree-criterion", Verdict.FAIL, "no qualifying pair available")
 
     return report
-
-
-def _display(x: Fraction) -> str:
-    return decimal_str(x, 6)
 
 
 # ---------------------------------------------------------------------------

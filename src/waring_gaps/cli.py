@@ -453,7 +453,7 @@ def _cmd_exceptional(p: dict[str, Any]) -> tuple[dict, int]:
         table = repcount.sieve_rep(repcount.WaringParams(4, 4), p["limit"])
     scan = repcount.scan_exceptional_set(4, p["limit"], p["epsilon"], table)
     if p["out"] is not None:
-        Path(p["out"]).write_text("\n".join(["a", *map(str, scan.members)]) + "\n")
+        Path(p["out"]).write_text("\n".join(["a", *map(str, scan.members.tolist())]) + "\n")
     return {"result": scan.to_json_dict()}, 0
 
 

@@ -37,12 +37,16 @@ def parse_exact(raw: Any, kind: str, name: str) -> int | Fraction:
     A string, an int or, for a rational, a Fraction is accepted.  bool,
     float, list, object and null raise a ValueError naming the field:
     ``int()`` would truncate a float or a bool and fail on the others with a
-    TypeError.
+    TypeError.  A malformed string (``"x"``, ``"2.5"`` for an int,
+    ``"1/0"``) is a ValueError naming the field as well.
     """
     accepted = (str, int) if kind == "int" else (str, int, Fraction)
     if isinstance(raw, bool) or not isinstance(raw, accepted):
         raise ValueError(f"{name}: expected {kind}, got {type(raw).__name__}")
-    return int(raw) if kind == "int" else parse_fraction(raw)
+    try:
+        return int(raw) if kind == "int" else parse_fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name}: expected {kind}, got {raw!r}") from None
 
 
 def decimal_str(x: Fraction | int, digits: int = 12) -> str:

@@ -131,10 +131,6 @@ class GapModulusResult:
     global_quality: Fraction
     meets_small_count: bool
 
-    @property
-    def window_quality(self) -> Fraction:
-        return max(self.per_window_quality)
-
     def to_json_dict(self) -> dict:
         return {
             "ell": self.ell,

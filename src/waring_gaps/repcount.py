@@ -230,13 +230,14 @@ def find_gap_runs(table: RepTable, min_len: int) -> list[GapRun]:
     return runs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExceptionalScan:
-    """Integers a <= limit whose whole lookback window has zero counts."""
+    """Integers a <= limit whose whole lookback window has zero counts;
+    members is a read-only int64 array, ascending."""
 
     limit: int
     exponent: Fraction
-    members: tuple[int, ...]
+    members: np.ndarray
     density: Fraction
 
     def to_json_dict(self) -> dict:
@@ -245,7 +246,7 @@ class ExceptionalScan:
             "exponent": fraction_str(self.exponent),
             "cardinality": len(self.members),
             "density": fraction_str(self.density),
-            "members": list(self.members),
+            "members": self.members.tolist(),
         }
 
 
@@ -352,7 +353,8 @@ def scan_exceptional_set(
         np.where(nz, np.arange(limit + 1, dtype=np.int64), np.int64(-1))
     )
     member_mask = last_nonzero[1:] < a_arr - widths
-    members = tuple(a_arr[member_mask].tolist())
+    members = a_arr[member_mask]
+    members.flags.writeable = False
     return ExceptionalScan(
         limit=limit,
         exponent=exponent,

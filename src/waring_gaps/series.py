@@ -48,25 +48,11 @@ class Enclosure:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
-
     def contains_enclosure(self, other: "Enclosure") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
     def intersects(self, other: "Enclosure") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def abs_lower(self) -> Fraction:
-        """Certified lower bound for the absolute value of the enclosed real."""
-        if self.lo > 0:
-            return self.lo
-        if self.hi < 0:
-            return -self.hi
-        return Fraction(0)
-
-    def abs_upper(self) -> Fraction:
-        return max(abs(self.lo), abs(self.hi))
 
     def __add__(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(self.lo + other.lo, self.hi + other.hi)
@@ -282,10 +268,24 @@ def tail_norm(f: HalfFunction, start: int, cutoff: int) -> Enclosure:
     return Enclosure(lo, hi)
 
 
-class GapVerdict(str, Enum):
-    WITNESS = "witness"
-    REJECTED = "rejected"
+class Verdict(str, Enum):
+    """A three-valued outcome: a mild-gap test, a certificate condition or a
+    whole report.  For a mild gap, pass means n is a witness and fail a
+    definite rejection."""
+
+    PASS = "pass"
+    FAIL = "fail"
     INCONCLUSIVE = "inconclusive"
+
+    @staticmethod
+    def worst(verdicts: Sequence[Verdict]) -> Verdict:
+        if not verdicts:
+            raise ValueError("no verdicts to combine")
+        if any(v is Verdict.FAIL for v in verdicts):
+            return Verdict.FAIL
+        if any(v is Verdict.INCONCLUSIVE for v in verdicts):
+            return Verdict.INCONCLUSIVE
+        return Verdict.PASS
 
 
 @dataclass(frozen=True)
@@ -318,7 +318,7 @@ class MildGapWitness:
 class MildGapCheck:
     """Three-valued outcome of a mild-gap test at one index."""
 
-    verdict: GapVerdict
+    verdict: Verdict
     n: int
     witness: MildGapWitness | None = None
     failed_clause: str | None = None
@@ -326,7 +326,7 @@ class MildGapCheck:
 
     @property
     def is_witness(self) -> bool:
-        return self.verdict is GapVerdict.WITNESS
+        return self.verdict is Verdict.PASS
 
 
 def _default_cutoff(f: HalfFunction, start: int, gap_length: int) -> int:
@@ -360,7 +360,7 @@ def is_mild_gap(
     for k in range(gap_length):
         if f.coefficient(n + k) != 0:
             return MildGapCheck(
-                verdict=GapVerdict.REJECTED,
+                verdict=Verdict.FAIL,
                 n=n,
                 failed_clause="zero-run",
                 detail=f"coefficient at {n + k} is nonzero",
@@ -371,7 +371,7 @@ def is_mild_gap(
     tail = tail_norm(f, start, cutoff)
     if tail.hi <= tail_bound:
         return MildGapCheck(
-            verdict=GapVerdict.WITNESS,
+            verdict=Verdict.PASS,
             n=n,
             witness=MildGapWitness(
                 function=f.label,
@@ -384,13 +384,13 @@ def is_mild_gap(
         )
     if tail.lo > tail_bound:
         return MildGapCheck(
-            verdict=GapVerdict.REJECTED,
+            verdict=Verdict.FAIL,
             n=n,
             failed_clause="tail-norm",
             detail=f"tail is at least {tail.lo}, above the bound {tail_bound}",
         )
     return MildGapCheck(
-        verdict=GapVerdict.INCONCLUSIVE,
+        verdict=Verdict.INCONCLUSIVE,
         n=n,
         failed_clause="tail-norm",
         detail=(
@@ -435,10 +435,10 @@ def scan_mild_gaps(
             continue
         if zeros_run >= gap_length:
             check = is_mild_gap(f, n, gap_length, tail_bound, cutoff=cutoff)
-            if check.verdict is GapVerdict.WITNESS:
+            if check.is_witness:
                 assert check.witness is not None
                 witnesses.append(check.witness)
-            elif check.verdict is GapVerdict.INCONCLUSIVE:
+            elif check.verdict is Verdict.INCONCLUSIVE:
                 inconclusive.append(n)
     return MildGapScan(witnesses=tuple(witnesses), inconclusive=tuple(inconclusive))
 

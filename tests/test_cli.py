@@ -173,6 +173,11 @@ class TestVerdictCommands:
             ("maier", dict(MAIER_CERT, M=9.0), "field M"),
             ("maier", dict(MAIER_CERT, eps=5), "field eps"),
             ("maier", dict(MAIER_CERT, caps=[0, {"cap": 0}]), "field caps"),
+            ("nested", dict(CERT_JSON, q="2.5"), "field q"),
+            ("nested", dict(CERT_JSON, H="1/0"), "field H"),
+            ("measure", dict(CERT_JSON, E="x"), "field E"),
+            ("maier", dict(MAIER_CERT, eps=["1/100", "1/0"]), "field eps"),
+            ("maier", dict(MAIER_CERT, N="7e2"), "field N"),
         ],
     )
     def test_certificate_field_of_wrong_type_rejected(
@@ -210,6 +215,9 @@ class TestErrorsAndConfig:
 
     def test_malformed_parameter(self, capsys):
         assert run_cli("sieve", "--ell", "x", "--s", "2", "--limit", "10") == 3
+        assert "sieve: parameter ell: expected int, got 'x'" in capsys.readouterr().err
+        assert run_cli("pipeline", "--ell", "3", "--q", "2", "--j", "1/0") == 3
+        assert "pipeline: parameter j: expected fraction, got '1/0'" in capsys.readouterr().err
 
     def test_bound_violation_diagnostic(self, capsys):
         assert run_cli("sieve", "--ell", "5", "--s", "2", "--limit", "10") == 3
@@ -239,6 +247,9 @@ class TestErrorsAndConfig:
             ({"ell": 3, "b": {"value": 5}}, "b"),
             ({"ell": 3.0, "b": 5}, "ell"),
             ({"ell": 3, "b": 5, "threads": [2]}, "threads"),
+            ({"ell": "x", "b": 5}, "ell"),
+            ({"ell": 3, "b": "2.5"}, "b"),
+            ({"ell": 3, "b": "1/0"}, "b"),
         ],
     )
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, config, key):

@@ -45,6 +45,7 @@ CASES = {
     "measure": "measure --cert nested.json --json r.json",
     "linforms": "linforms --ell 3 --q 2 --height 1 --terms 48 --json r.json",
     "pipeline": "pipeline --ell 3 --q 2 --json r.json",
+    "pipeline-4": "pipeline --ell 4 --q 3 --pool 32 --json r.json",
     "exceptional": "exceptional --limit 120 --epsilon 1/100 --out m.csv --json r.json",
     "missing-cert": "nested --cert missing.json",
 }

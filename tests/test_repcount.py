@@ -271,12 +271,18 @@ class TestPowerComparison:
 
 
 class TestExceptionalScan:
+    def test_members_are_a_read_only_int64_array(self, table_4_4):
+        members = scan_exceptional_set(4, 2_000, Fraction(0), table_4_4).members
+        assert members.dtype == np.int64 and members.size > 0
+        with pytest.raises(ValueError):
+            members[0] = 0
+
     def test_one_is_never_exceptional(self, table_4_4):
-        assert scan_exceptional_set(4, 1, Fraction(0), table_4_4).members == ()
+        assert scan_exceptional_set(4, 1, Fraction(0), table_4_4).members.size == 0
 
     def test_two_is_not_exceptional(self, table_4_4):
         # threshold above 1 pulls n = 1 into the window and r(1) = 4 > 0
-        assert scan_exceptional_set(4, 2, Fraction(0), table_4_4).members == ()
+        assert scan_exceptional_set(4, 2, Fraction(0), table_4_4).members.size == 0
 
     def test_full_scan_cardinality_sane(self, table_4_4):
         scan = scan_exceptional_set(4, 10_000, Fraction(0), table_4_4)

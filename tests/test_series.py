@@ -10,9 +10,9 @@ from waring_gaps.repcount import WaringParams, sieve_rep
 from waring_gaps.series import (
     CoverageError,
     Enclosure,
-    GapVerdict,
     GrowthCertificateError,
     HalfFunction,
+    Verdict,
     eval_enclosure,
     eval_truncated,
     is_mild_gap,
@@ -35,12 +35,6 @@ class TestEnclosure:
         prod = a * b
         assert prod.lo == -2 and prod.hi == 6
         assert a.power(3).lo == 1 and a.power(3).hi == 8
-
-    def test_abs_bounds(self):
-        assert Enclosure(Fraction(2), Fraction(3)).abs_lower() == 2
-        assert Enclosure(Fraction(-3), Fraction(-2)).abs_lower() == 2
-        assert Enclosure(Fraction(-1), Fraction(2)).abs_lower() == 0
-        assert Enclosure(Fraction(-3), Fraction(2)).abs_upper() == 3
 
     def test_containment_and_json(self):
         outer = Enclosure(Fraction(0), Fraction(1))
@@ -228,14 +222,14 @@ class TestMildGap:
     def test_zero_run_rejection(self, table_3_3):
         f = HalfFunction.from_table(table_3_3)
         check = is_mild_gap(f, 4, 5, Fraction(8))
-        assert check.verdict is GapVerdict.REJECTED
+        assert check.verdict is Verdict.FAIL
         assert check.failed_clause == "zero-run"
         assert "8" in check.detail
 
     def test_definite_tail_rejection(self, table_3_1):
         f = HalfFunction.from_table(table_3_1)
         check = is_mild_gap(f, 2, 6, Fraction(1, 2))
-        assert check.verdict is GapVerdict.REJECTED
+        assert check.verdict is Verdict.FAIL
         assert check.failed_clause == "tail-norm"
 
     def test_inconclusive_band_distinct_from_rejection(self):
@@ -245,7 +239,7 @@ class TestMildGap:
         assert base.lo < base.hi
         bound = (base.lo + base.hi) / 2
         check = is_mild_gap(f, 2, 6, bound)
-        assert check.verdict is GapVerdict.INCONCLUSIVE
+        assert check.verdict is Verdict.INCONCLUSIVE
         assert "inside the tail enclosure" in check.detail
 
     def test_gap_at_index_zero_permitted(self):
