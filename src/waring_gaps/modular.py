@@ -1,12 +1,11 @@
 """Counting solutions of diagonal power congruences.
 
 For a modulus M, the profile r(m) counts the tuples (x_1, ..., x_ell) in
-(Z/M)^ell with x_1^ell + ... + x_ell^ell = m.  Profiles are produced by
-cyclic convolution of the histogram of ell-th power residues, glued
-across coprime moduli by the Chinese remainder theorem, and searched for
-residues whose windowed counts are small relative to M^(ell-1).
-Everything is exact: counts are plain integers, qualities are reduced
-fractions, and no floating point appears anywhere.
+(Z/M)^ell with x_1^ell + ... + x_ell^ell = m.  The count is multiplicative
+over coprime moduli, so a profile is glued by the Chinese remainder theorem
+from one profile per prime-power factor of M.  Searches look for residues
+whose windowed counts are small against M^(ell-1).  Counts are exact
+integers (int64 only while M^ell < 2^63 bounds them) and qualities fractions.
 """
 
 from __future__ import annotations
@@ -16,6 +15,8 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from .exact import fraction_str
 
@@ -57,70 +58,89 @@ class ResidueProfile:
         return self.counts[m % self.modulus]
 
 
-def power_histogram(ell: int, modulus: int) -> PowerHistogram:
-    """Histogram of x^ell mod M over a single pass x = 0 .. M-1."""
+def _dtype(ell: int, modulus: int) -> type:
+    """int64 while every count, at most modulus^ell, fits; exact Python ints beyond."""
+    return np.int64 if modulus**ell < 2**63 else object
+
+
+def _check_sizes(ell: int, modulus: int) -> None:
     if ell < 1:
         raise ValueError("ell must be positive")
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    counts = [0] * modulus
-    for x in range(modulus):
-        counts[pow(x, ell, modulus)] += 1
-    return PowerHistogram(ell=ell, modulus=modulus, counts=tuple(counts))
+
+
+def power_histogram(ell: int, modulus: int) -> PowerHistogram:
+    """Histogram of x^ell mod M over a single pass x = 0 .. M-1."""
+    _check_sizes(ell, modulus)
+    counts = np.bincount([pow(x, ell, modulus) for x in range(modulus)], minlength=modulus)
+    return PowerHistogram(ell=ell, modulus=modulus, counts=tuple(counts.tolist()))
+
+
+def _crt_product(ell: int, parts: list[np.ndarray]) -> np.ndarray:
+    """Counts modulo the product of the pairwise coprime lengths of parts,
+    glued left to right as r(m) = r1(m mod M1) * r2(m mod M2)."""
+    counts = np.ones(1, dtype=np.int64)
+    for part in parts:
+        idx = np.arange(len(counts) * len(part))
+        dtype = _dtype(ell, len(idx))
+        counts = counts.astype(dtype)[idx % len(counts)] * part.astype(dtype)[idx % len(part)]
+    return counts
+
+
+def _counts(ell: int, modulus: int, cache: dict[int, np.ndarray]) -> np.ndarray:
+    """Counts mod M, glued from those of each prime-power factor q of M, which
+    are ell-1 linear convolutions of the power histogram mod q, each folded
+    mod q so that no partial sum exceeds q^ell.  cache keeps them by q."""
+    _check_sizes(ell, modulus)
+    parts, p = [], 1
+    while modulus > 1:
+        p, q = (p + 1 if (p + 1) ** 2 <= modulus else modulus), 1
+        if modulus % p:
+            continue
+        while modulus % p == 0:
+            modulus, q = modulus // p, q * p
+        if q not in cache:
+            cache[q] = hist = np.array(power_histogram(ell, q).counts, dtype=_dtype(ell, q))
+            for _ in range(ell - 1):
+                full = np.convolve(cache[q], hist)
+                full[: q - 1] += full[q:]
+                cache[q] = full[:q]
+        parts.append(cache[q])
+    return _crt_product(ell, parts)
 
 
 def residue_counts(ell: int, modulus: int) -> ResidueProfile:
-    """Full profile via ell-1 cyclic convolutions of the power histogram.
-
-    Convolution is the naive quadratic one over exact integers; moduli
-    stay small enough here that exactness is worth far more than speed.
-    """
-    hist = power_histogram(ell, modulus).counts
-    support = [(v, c) for v, c in enumerate(hist) if c]
-    cur = list(hist)
-    for _ in range(ell - 1):
-        nxt = [0] * modulus
-        for v, c in support:
-            for m, value in enumerate(cur):
-                if value:
-                    nxt[(m + v) % modulus] += value * c
-        cur = nxt
-    return ResidueProfile(ell=ell, modulus=modulus, counts=tuple(cur))
+    """Full profile, glued from the profiles of the prime-power factors of M:
+    O(q^2) work in C per prime power q, and O(M) per factor to glue."""
+    return ResidueProfile(ell=ell, modulus=modulus, counts=tuple(_counts(ell, modulus, {}).tolist()))
 
 
 def crt_combine(p1: ResidueProfile, p2: ResidueProfile) -> ResidueProfile:
     """Profile mod M1*M2 from coprime factors: r(m) = r1(m mod M1) * r2(m mod M2)."""
-    if p1.ell != p2.ell:
-        raise ValueError("profiles must share the exponent")
-    if gcd(p1.modulus, p2.modulus) != 1:
-        raise ValueError(
-            f"moduli {p1.modulus} and {p2.modulus} are not coprime"
-        )
-    modulus = p1.modulus * p2.modulus
-    counts = tuple(
-        p1.counts[m % p1.modulus] * p2.counts[m % p2.modulus] for m in range(modulus)
-    )
-    return ResidueProfile(ell=p1.ell, modulus=modulus, counts=counts)
+    return crt_fold((p1, p2))
 
 
 def crt_fold(profiles: Iterable[ResidueProfile]) -> ResidueProfile:
-    """Profile modulo the product of pairwise coprime moduli, folded left to
-    right with crt_combine."""
-    combined: ResidueProfile | None = None
-    for profile in profiles:
-        combined = profile if combined is None else crt_combine(combined, profile)
-    if combined is None:
+    """Profile modulo the product of pairwise coprime moduli, taken left to right."""
+    profiles = list(profiles)
+    if not profiles:
         raise ValueError("need at least one modulus")
-    return combined
+    ell, modulus = profiles[0].ell, profiles[0].modulus
+    for profile in profiles[1:]:
+        if profile.ell != ell:
+            raise ValueError("profiles must share the exponent")
+        if gcd(modulus, profile.modulus) != 1:
+            raise ValueError(f"moduli {modulus} and {profile.modulus} are not coprime")
+        modulus *= profile.modulus
+    counts = _crt_product(ell, [np.array(p.counts, dtype=object) for p in profiles])
+    return ResidueProfile(ell=ell, modulus=modulus, counts=tuple(counts.tolist()))
 
 
 @dataclass(frozen=True)
 class GapModulusResult:
-    """Best residue window found by the modulus search.
-
-    Qualities are exact ratios r / M^(ell-1); the window quality is the
-    worst ratio over the K1 consecutive residues starting at m.
-    """
+    """Best residue window found by the modulus search; qualities are exact
+    ratios r / M^(ell-1) over the K1 residues from m, and over all residues."""
 
     ell: int
     modulus: int
@@ -164,18 +184,14 @@ def _coprime_products(pool: list[int], bound: int) -> list[tuple[int, tuple[int,
 
 
 def search_gap_modulus(
-    ell: int,
-    window: int,
-    moduli_pool: list[int] | tuple[int, ...],
-    product_bound: int | None = None,
+    ell: int, window: int, moduli_pool: list[int] | tuple[int, ...], product_bound: int | None = None
 ) -> GapModulusResult | None:
     """Search pool elements and their coprime products for a small window.
 
-    Candidates are scanned in nondecreasing product order; for each the
-    residue m minimizing max(r(m+k)) over 0 <= k < window is found, ties
-    broken by smaller modulus then smaller residue.  Returns the overall
-    best candidate if its window quality is at most 1/(2*window), else
-    None.
+    Candidates go in ascending product order; for each, the residue m
+    minimizing max(r(m+k)) over 0 <= k < window is found, ties broken by
+    smaller modulus then smaller residue.  Returns the best candidate if its
+    window quality is at most 1/(2*window), else None.
     """
     if window < 1:
         raise ValueError("window must be positive")
@@ -186,48 +202,32 @@ def search_gap_modulus(
         raise ValueError("pool moduli must be positive")
     if product_bound is None:
         product_bound = max(pool)
-
-    profiles: dict[int, ResidueProfile] = {}
-    best: tuple[Fraction, int, int, ResidueProfile, tuple[int, ...]] | None = None
+    cache: dict[int, np.ndarray] = {}
+    best: tuple[Fraction, int, int, np.ndarray, tuple[int, ...]] | None = None
     for modulus, factors in _coprime_products(pool, product_bound):
-        for f in factors:
-            if f not in profiles:
-                profiles[f] = residue_counts(ell, f)
-        profile = crt_fold(profiles[f] for f in factors)
-        counts = profile.counts
-        best_m, best_worst = 0, None
-        for m in range(modulus):
-            worst = max(counts[(m + k) % modulus] for k in range(window))
-            if best_worst is None or worst < best_worst:
-                best_m, best_worst = m, worst
-        assert best_worst is not None
-        quality = Fraction(best_worst, modulus ** (ell - 1))
+        counts = _counts(ell, modulus, cache)
+        # worst[m] = max r(m + k) over k < window; shifts past M repeat
+        worst = counts.copy()
+        for k in range(1, min(window, modulus)):
+            np.maximum(worst, np.roll(counts, -k), out=worst)
+        residue = int(np.argmin(worst))
+        quality = Fraction(int(worst[residue]), modulus ** (ell - 1))
         if best is None or quality < best[0]:
-            best = (quality, modulus, best_m, profile, factors)
+            best = (quality, modulus, residue, counts, factors)
 
-    if best is None:
+    if best is None or best[0] > Fraction(1, 2 * window):
         return None
-    quality, modulus, residue, profile, factors = best
-    if quality > Fraction(1, 2 * window):
-        return None
+    _, modulus, residue, counts, factors = best
+    profile = ResidueProfile(ell=ell, modulus=modulus, counts=tuple(counts.tolist()))
     denom = modulus ** (ell - 1)
     return GapModulusResult(
-        ell=ell,
-        modulus=modulus,
-        residue=residue,
-        window=window,
-        factors=factors,
-        per_window_quality=tuple(
-            Fraction(profile.counts[(residue + k) % modulus], denom) for k in range(window)
-        ),
-        global_quality=Fraction(max(profile.counts), denom),
-        meets_small_count=True,
+        ell=ell, modulus=modulus, residue=residue, window=window, factors=factors,
+        per_window_quality=tuple(Fraction(profile.r(residue + k), denom) for k in range(window)),
+        global_quality=Fraction(max(profile.counts), denom), meets_small_count=True,
     )
 
 
 def write_profile_csv(profile: ResidueProfile, path: str | Path) -> None:
     """Write the profile as CSV with header m,count."""
-    with open(path, "w", newline="") as fh:
-        fh.write("m,count\n")
-        for m, c in enumerate(profile.counts):
-            fh.write(f"{m},{c}\n")
+    rows = "".join(f"{m},{c}\n" for m, c in enumerate(profile.counts))
+    Path(path).write_text("m,count\n" + rows, newline="")

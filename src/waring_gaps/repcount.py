@@ -371,6 +371,13 @@ def write_table_csv(table: RepTable, path: str | Path) -> None:
         writer.writerows(enumerate(table.counts.tolist()))
 
 
+def _csv_int(raw: str, name: str, line: int) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise TableFormatError(f"line {line}: {name} {raw!r} is not an integer") from None
+
+
 def read_table_csv(path: str | Path, params: WaringParams) -> RepTable:
     """Read a CSV table; the parameters are not stored in the CSV form."""
     with open(path, newline="") as fh:
@@ -379,12 +386,14 @@ def read_table_csv(path: str | Path, params: WaringParams) -> RepTable:
         if header != ["n", "count"]:
             raise TableFormatError(f"expected header n,count, got {header}")
         values = []
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
             if len(row) != 2:
                 raise TableFormatError(f"malformed row {row}")
-            n, c = int(row[0]), int(row[1])
+            n, c = _csv_int(row[0], "n", line), _csv_int(row[1], "count", line)
             if n != len(values):
                 raise TableFormatError(f"rows out of order at n={n}")
+            if not -(2**63) <= c < 2**63:
+                raise TableFormatError(f"line {line}: count {c} at n={n} is outside int64")
             values.append(c)
     if not values:
         raise TableFormatError("empty table")

@@ -324,6 +324,10 @@ class MildGapCheck:
     failed_clause: str | None = None
     detail: str = ""
 
+    def __post_init__(self) -> None:
+        if (self.verdict is Verdict.PASS) != (self.witness is not None):
+            raise ValueError("a mild-gap check carries a witness exactly when it passes")
+
     @property
     def is_witness(self) -> bool:
         return self.verdict is Verdict.PASS
@@ -436,7 +440,6 @@ def scan_mild_gaps(
         if zeros_run >= gap_length:
             check = is_mild_gap(f, n, gap_length, tail_bound, cutoff=cutoff)
             if check.is_witness:
-                assert check.witness is not None
                 witnesses.append(check.witness)
             elif check.verdict is Verdict.INCONCLUSIVE:
                 inconclusive.append(n)

@@ -7,6 +7,7 @@ sharing no code with the library paths it is used to check.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +70,80 @@ def residue_counts_bruteforce(ell: int, modulus: int) -> list[int]:
     else:
         raise ValueError("oracle handles ell in {3, 4}")
     return counts
+
+
+def residue_counts_convolution(ell: int, modulus: int) -> list[int]:
+    """Solution counts by ell - 1 quadratic cyclic convolutions of the power
+    histogram mod the whole modulus, on exact Python integers."""
+    hist = [0] * modulus
+    for x in range(modulus):
+        hist[pow(x, ell, modulus)] += 1
+    support = [(v, c) for v, c in enumerate(hist) if c]
+    cur = list(hist)
+    for _ in range(ell - 1):
+        nxt = [0] * modulus
+        for v, c in support:
+            for m, value in enumerate(cur):
+                if value:
+                    nxt[(m + v) % modulus] += value * c
+        cur = nxt
+    return cur
+
+
+def gap_modulus_search_loop(
+    ell: int, window: int, pool: list[int], product_bound: int
+) -> tuple[int, int, tuple[int, ...], tuple[Fraction, ...], Fraction] | None:
+    """The modulus search, one window maximum per residue.
+
+    Every pairwise-coprime subset of the distinct pool values with product
+    at most product_bound is a candidate; a product reached by several
+    subsets keeps the first in lexicographic order of sorted positions.
+    Each candidate's counts are the products of the convolved counts of
+    its factors.  Candidates go in ascending product order and a later
+    one wins only with a strictly smaller quality; within a candidate the
+    smallest residue wins.  Returns (modulus, residue, factors, per-window
+    qualities, global quality), or None when nothing beats 1/(2*window).
+    """
+    items = sorted(set(pool))
+    subsets: dict[int, tuple[int, ...]] = {}
+    for size in range(1, len(items) + 1):
+        for chosen in itertools.combinations(range(len(items)), size):
+            factors = tuple(items[i] for i in chosen)
+            product = 1
+            for f in factors:
+                product *= f
+            coprime = all(
+                math.gcd(a, b) == 1 for a, b in itertools.combinations(factors, 2)
+            )
+            if coprime and product <= product_bound:
+                if product not in subsets or chosen < subsets[product][0]:
+                    subsets[product] = (chosen, factors)
+    best = None
+    for modulus in sorted(subsets):
+        factors = subsets[modulus][1]
+        parts = [(f, residue_counts_convolution(ell, f)) for f in factors]
+        counts = []
+        for m in range(modulus):
+            count = 1
+            for f, part in parts:
+                count *= part[m % f]
+            counts.append(count)
+        best_m, best_worst = 0, None
+        for m in range(modulus):
+            worst = max(counts[(m + k) % modulus] for k in range(window))
+            if best_worst is None or worst < best_worst:
+                best_m, best_worst = m, worst
+        quality = Fraction(best_worst, modulus ** (ell - 1))
+        if best is None or quality < best[0]:
+            best = (quality, modulus, best_m, counts, factors)
+    if best is None or best[0] > Fraction(1, 2 * window):
+        return None
+    _, modulus, residue, counts, factors = best
+    denom = modulus ** (ell - 1)
+    per_window = tuple(
+        Fraction(counts[(residue + k) % modulus], denom) for k in range(window)
+    )
+    return modulus, residue, factors, per_window, Fraction(max(counts), denom)
 
 
 def floor_root_bruteforce(ell: int, b: int) -> int:

@@ -219,6 +219,20 @@ class TestErrorsAndConfig:
         assert run_cli("pipeline", "--ell", "3", "--q", "2", "--j", "1/0") == 3
         assert "pipeline: parameter j: expected fraction, got '1/0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "count,message",
+        [
+            ("1e3", "line 4: count '1e3' is not an integer"),
+            ("99999999999999999999", "line 4: count 99999999999999999999 at n=2 is outside int64"),
+        ],
+    )
+    def test_csv_table_count_error_names_the_row(self, tmp_path, capsys, count, message):
+        table = tmp_path / "t.csv"
+        table.write_text(f"n,count\n0,1\n1,3\n2,{count}\n3,3\n")
+        assert run_cli("gaps", "--table", str(table), "--ell", "3", "--s", "3",
+                       "--min-len", "2") == 3
+        assert message in capsys.readouterr().err
+
     def test_bound_violation_diagnostic(self, capsys):
         assert run_cli("sieve", "--ell", "5", "--s", "2", "--limit", "10") == 3
         assert "ell" in capsys.readouterr().err

@@ -38,6 +38,11 @@ CASES = {
     "crt": "crt --ell 3 --moduli 2,9 --out c.csv --json r.json",
     "crt-not-coprime": "crt --ell 3 --moduli 6,9 --json r.json",
     "modsearch": "modsearch --ell 3 --k1 2 --pool 9,63 --json r.json",
+    "modcount-2000": "modcount --ell 3 --modulus 2000 --out p.csv",
+    "modsearch-pool": "modsearch --ell 3 --k1 2 --pool 7,9,13,19,31,37,43,61,63,67"
+    " --product-bound 20000",
+    "crt-4": "crt --ell 4 --moduli 16,81,5 --out c.csv",
+    "modsearch-4-wide": "modsearch --ell 4 --k1 2 --pool 16,81,5,7,11 --product-bound 100000",
     "mild-scan": "mild-scan --table r33.bin --lo 0 --hi 30 --k 4 --e 8 --json r.json",
     "theta": "theta --ell 3 --q 2 --terms 40 --json r.json",
     "maier": "maier --cert maier.json --table r33.bin --json r.json",

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import residue_counts_bruteforce
+from oracles import gap_modulus_search_loop, residue_counts_bruteforce, residue_counts_convolution
 from waring_gaps.modular import (
+    GapModulusResult,
     PowerHistogram,
     ResidueProfile,
     crt_combine,
@@ -178,6 +181,56 @@ class TestSearch:
 
     def test_bound_below_every_candidate_finds_nothing(self):
         assert search_gap_modulus(3, 2, [9], product_bound=5) is None
+
+
+class TestAgainstOracles:
+    """The factored profiles and the array search against the quadratic
+    convolution and the per-residue window loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ell=st.integers(1, 6), modulus=st.integers(1, 150))
+    @example(ell=3, modulus=1)
+    @example(ell=4, modulus=1)
+    @example(ell=3, modulus=127)  # prime
+    @example(ell=4, modulus=97)  # prime
+    @example(ell=3, modulus=2000)
+    @example(ell=7, modulus=1260)  # 1260^7 >= 2^63: the glued counts are Python ints
+    @example(ell=7, modulus=512)  # 512^7 = 2^63: the convolutions themselves run on Python ints
+    @example(ell=64, modulus=2)  # both counts are 2^63, one past the int64 range
+    def test_profile_matches_convolution(self, ell, modulus):
+        expected = ResidueProfile(ell, modulus, tuple(residue_counts_convolution(ell, modulus)))
+        profile = residue_counts(ell, modulus)
+        assert profile == expected
+        assert all(type(c) is int for c in profile.counts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ell=st.integers(1, 5),
+        window=st.one_of(st.integers(1, 3), st.integers(1, 12)),
+        pool=st.lists(
+            st.one_of(st.sampled_from([1, 2, 4, 5, 7, 8, 9, 13, 16, 27, 32]), st.integers(1, 40)),
+            min_size=1,
+            max_size=5,
+        ),
+        product_bound=st.one_of(st.none(), st.integers(1, 400)),
+    )
+    @example(ell=3, window=12, pool=[9], product_bound=None)  # window > M: every residue
+    @example(ell=4, window=3, pool=[2, 16], product_bound=32)  # window > M = 2, then M = 16 wins
+    @example(ell=3, window=2, pool=[1, 9, 9, 2], product_bound=200)  # 1 and a duplicate
+    @example(ell=4, window=3, pool=[16, 5, 3], product_bound=240)
+    @example(ell=3, window=1, pool=[7, 13], product_bound=91)  # prime moduli
+    @example(ell=7, window=1, pool=[49, 4, 9, 5], product_bound=20000)  # won at M = 1764 > 2^9
+    def test_search_matches_loop(self, ell, window, pool, product_bound):
+        bound = max(pool) if product_bound is None else product_bound
+        expected = gap_modulus_search_loop(ell, window, pool, bound)
+        result = search_gap_modulus(ell, window, pool, product_bound)
+        if expected is None:
+            assert result is None
+        else:
+            modulus, residue, factors, per_window, global_quality = expected
+            assert result == GapModulusResult(
+                ell, modulus, residue, window, factors, per_window, global_quality, True
+            )
 
 
 class TestCsvExport:

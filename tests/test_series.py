@@ -12,6 +12,7 @@ from waring_gaps.series import (
     Enclosure,
     GrowthCertificateError,
     HalfFunction,
+    MildGapCheck,
     Verdict,
     eval_enclosure,
     eval_truncated,
@@ -253,6 +254,14 @@ class TestMildGap:
         assert set(obj) == {"function", "n", "K", "E", "zero_checked_up_to", "tail_enclosure"}
         assert obj["function"] == "f_3_3"
         assert obj["E"] == "8"
+
+    def test_witness_exactly_when_passing(self, table_3_3):
+        witness = is_mild_gap(HalfFunction.from_table(table_3_3), 4, 4, Fraction(8)).witness
+        with pytest.raises(ValueError, match="witness exactly when it passes"):
+            MildGapCheck(verdict=Verdict.PASS, n=4)
+        for verdict in (Verdict.FAIL, Verdict.INCONCLUSIVE):
+            with pytest.raises(ValueError, match="witness exactly when it passes"):
+                MildGapCheck(verdict=verdict, n=4, witness=witness)
 
 
 class TestScanMildGaps:
