@@ -32,7 +32,7 @@ from .modular import ResidueProfile, residue_counts, search_gap_modulus
 from .repcount import (
     RepTable,
     WaringParams,
-    floor_root,
+    floor_pow,
     loose_count_bound,
     read_table_binary,
     scan_exceptional_set,
@@ -865,18 +865,13 @@ class PipelineConfig:
             "moduli_pool": list(self.moduli_pool) if self.moduli_pool else None,
             "window": self.window,
             "xi": fraction_str(self.xi),
-            "sigma": fraction_str(self.sigma) if self.sigma else None,
+            "sigma": fraction_str(self.sigma) if self.sigma is not None else None,
             "product_bound": self.product_bound,
             "max_modulus": self.max_modulus,
             "max_limit": self.max_limit,
             "mild_check_cap": self.mild_check_cap,
             "threads": self.threads,
         }
-
-
-def _pow_floor(base: int, exponent: Fraction) -> int:
-    """floor(base^exponent) for a positive rational exponent, exactly."""
-    return floor_root(exponent.denominator, base**exponent.numerator)
 
 
 def pipeline_dry_run(
@@ -909,7 +904,7 @@ def pipeline_dry_run(
 
     sigma = config.sigma if config.sigma is not None else DEFAULT_SIGMAS[ell]
     lo_sigma, hi_sigma = SIGMA_RANGES[ell]
-    report.check(
+    in_range = report.check(
         "exponent-in-range",
         lo_sigma < sigma < hi_sigma,
         {
@@ -918,6 +913,9 @@ def pipeline_dry_run(
         },
     )
     summary["sigma"] = fraction_str(sigma)
+    if not in_range:
+        summary["halted_at"] = "exponent-in-range"
+        return report
 
     pool = tuple(config.moduli_pool) if config.moduli_pool else DEFAULT_POOLS[ell]
     usable_pool = tuple(m for m in pool if m <= config.max_modulus)
@@ -943,7 +941,7 @@ def pipeline_dry_run(
     summary["m"] = m
     summary["K1"] = K1
 
-    exact_limit = _pow_floor(M, sigma)
+    exact_limit = floor_pow(M, sigma)
     capped = exact_limit > config.max_limit
     N = min(exact_limit, config.max_limit)
     report.check(
@@ -1019,18 +1017,17 @@ def pipeline_dry_run(
     lower = table_lower.nonzero
     good = np.searchsorted(lower, b1s) == np.searchsorted(lower, b2s + K2, side="right")
     good_b1, good_b2 = b1s[good], b2s[good]
-    good_pairs = list(zip(good_b1.tolist(), good_b2.tolist()))
-    bad_count = len(b1s) - len(good_pairs)
-    summary["pairs"] = len(b1s)
-    summary["good_pairs"] = len(good_pairs)
+    bad_count = b1s.size - good_b1.size
+    summary["pairs"] = b1s.size
+    summary["good_pairs"] = good_b1.size
     report.check(
         "bad-points-minority", 2 * bad_count < b_count, {"bad": bad_count, "qualifying": b_count}
     )
     good_bound = Fraction(N, (1 << (ell + 3)) * M)
     report.check(
         "good-set-large",
-        len(good_pairs) >= good_bound,
-        {"count": len(good_pairs), "bound": fraction_str(good_bound)},
+        good_b1.size >= good_bound,
+        {"count": good_b1.size, "bound": fraction_str(good_bound)},
     )
 
     f_full = HalfFunction.from_table(table_full)
@@ -1089,15 +1086,15 @@ def pipeline_dry_run(
 
     full = table_full.nonzero
     inside = np.searchsorted(full, good_b1 + 1) < np.searchsorted(full, good_b2)
-    qualified_pairs = list(zip(good_b1[inside].tolist(), good_b2[inside].tolist()))
+    qualified_b1, qualified_b2 = good_b1[inside], good_b2[inside]
     report.check(
         "representable-point-in-some-pair",
-        bool(qualified_pairs),
-        {"qualified": len(qualified_pairs), "good_pairs": len(good_pairs)},
+        qualified_b1.size > 0,
+        {"qualified": qualified_b1.size, "good_pairs": good_b1.size},
     )
 
-    if qualified_pairs:
-        n1, n2 = qualified_pairs[0]
+    if qualified_b1.size:
+        n1, n2 = int(qualified_b1[0]), int(qualified_b2[0])
         degree_report = verify_degree_criterion(
             ell, q, J, E, N, K1, K2, n1, n2, table_lower, table_full
         )

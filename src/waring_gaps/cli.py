@@ -11,6 +11,7 @@ compact binary form.  Exit status for verdict-producing subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -266,8 +267,8 @@ def _cmd_sieve(p: dict[str, Any]) -> tuple[dict, int]:
 )
 def _cmd_gaps(p: dict[str, Any]) -> tuple[dict | None, int]:
     runs = repcount.find_gap_runs(_load_table(p["table"], p["ell"], p["s"]), p["min_len"])
-    lines = ["start,length,truncated"]
-    lines += [f"{r.start},{r.length},{int(r.truncated)}" for r in runs]
+    rows = runs.tolist()
+    lines = [",".join(runs.dtype.names), *(f"{s},{l},{int(t)}" for s, l, t in rows)]
     if p["out"] is not None:
         Path(p["out"]).write_text("\n".join(lines) + "\n")
     else:
@@ -275,7 +276,7 @@ def _cmd_gaps(p: dict[str, Any]) -> tuple[dict | None, int]:
     # The runs went to stdout or --out; a report is written only to --json.
     if p["json"] is None:
         return None, 0
-    return {"runs": [{"start": r.start, "length": r.length, "truncated": r.truncated} for r in runs]}, 0
+    return {"runs": [dict(zip(runs.dtype.names, row)) for row in rows]}, 0
 
 
 @command(
@@ -462,7 +463,9 @@ def _cmd_exceptional(p: dict[str, Any]) -> tuple[dict, int]:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every registered subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog=TOOL,
         description="Exact sieves, residue profiles and independence certificates",

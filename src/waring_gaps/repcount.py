@@ -204,29 +204,28 @@ def _powers_up_to(ell: int, limit: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class GapRun:
-    """Maximal run of zero counts; truncated means it touches the table end."""
-
-    start: int
-    length: int
-    truncated: bool = False
+_GAP_RUN = np.dtype([("start", np.int64), ("length", np.int64), ("truncated", np.bool_)])
 
 
-def find_gap_runs(table: RepTable, min_len: int) -> list[GapRun]:
-    """All maximal zero runs of length >= min_len, in increasing start order."""
+def find_gap_runs(table: RepTable, min_len: int) -> np.ndarray:
+    """All maximal zero runs of length >= min_len, in increasing start order.
+
+    One read-only structured array with fields start and length (int64)
+    and truncated (bool, set when the run touches the table end).
+    """
     if min_len < 1:
         raise ValueError("min_len must be positive")
-    mask = table.counts == 0
-    padded = np.concatenate(([False], mask, [False]))
+    padded = np.concatenate(([False], table.counts == 0, [False]))
     delta = np.diff(padded.astype(np.int8))
     starts = np.flatnonzero(delta == 1)
     ends = np.flatnonzero(delta == -1)
-    runs = []
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        length = e - s
-        if length >= min_len:
-            runs.append(GapRun(start=s, length=length, truncated=(e == table.limit + 1)))
+    keep = ends - starts >= min_len
+    starts, ends = starts[keep], ends[keep]
+    runs = np.empty(starts.size, dtype=_GAP_RUN)
+    runs["start"] = starts
+    runs["length"] = ends - starts
+    runs["truncated"] = ends == table.limit + 1
+    runs.flags.writeable = False
     return runs
 
 
@@ -303,6 +302,20 @@ def _pow_greater(a: int, p: int, d: int, q: int) -> bool:
     return a**p > d**q
 
 
+def floor_pow(base: int, exponent: Fraction) -> int:
+    """floor(base^(p/q)) for base >= 1 and exponent p/q > 0: the largest x
+    with x^q <= base^p, by binary search decided by _pow_greater."""
+    p, q = exponent.numerator, exponent.denominator
+    lo, hi = 0, 1 << -(-base.bit_length() * p // q)  # base^(p/q) < hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _pow_greater(mid, q, base, p):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def scan_exceptional_set(
     ell: int, limit: int, epsilon: Fraction, table: RepTable
 ) -> ExceptionalScan:
@@ -328,22 +341,12 @@ def scan_exceptional_set(
     if table.limit < limit:
         raise ValueError(f"table covers [0, {table.limit}] but limit is {limit}")
 
-    p, q = exponent.numerator, exponent.denominator
-    # a_min(d) = least a with a^p > d^q; window width at a is the number of
-    # breakpoints passed.  Widths are nondecreasing in a.
+    # a_min(d) = least a with a^e > d = floor(d^(1/e)) + 1; the window width
+    # at a is the number of breakpoints passed.  Widths are nondecreasing in a.
     breakpoints = []
     d = 1
-    while True:
-        lo, hi = 1, limit + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _pow_greater(mid, p, d, q):
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo > limit:
-            break
-        breakpoints.append(lo)
+    while (a_min := floor_pow(d, 1 / exponent) + 1) <= limit:
+        breakpoints.append(a_min)
         d += 1
 
     a_arr = np.arange(1, limit + 1, dtype=np.int64)

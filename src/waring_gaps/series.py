@@ -184,9 +184,6 @@ class HalfFunction:
             )
         return a
 
-    def coefficients(self, start: int, stop: int) -> list[int]:
-        return [self.coefficient(n) for n in range(start, stop)]
-
     def tail_majorant_start(self, n: int) -> int | None:
         """Smallest index >= n not certified to hold a zero coefficient.
 

@@ -203,6 +203,26 @@ class TestVerdictCommands:
         assert obj["report"]["summary"]["M"] == 9
         assert no_floats(obj)
 
+    @pytest.mark.parametrize("sigma", ["-1", "-1/2", "0", "3", "7/2"])
+    def test_pipeline_sigma_out_of_range_halts(self, tmp_path, capsys, sigma):
+        j = tmp_path / "pipe.json"
+        assert run_cli("pipeline", "--ell", "3", "--q", "2", f"--sigma={sigma}",
+                       "--json", str(j)) == 1
+        assert capsys.readouterr().err == ""
+        report = json.loads(j.read_text())["report"]
+        assert report["summary"] == {"sigma": sigma, "halted_at": "exponent-in-range"}
+        assert report["certificate"]["config"]["sigma"] == sigma
+
+    def test_pipeline_sigma_with_large_denominator(self, tmp_path):
+        j = tmp_path / "pipe.json"
+        assert run_cli("pipeline", "--ell", "3", "--q", "2", "--sigma", "3000001/1000000",
+                       "--json", str(j)) == 1
+        summary = json.loads(j.read_text())["report"]["summary"]
+        assert (summary["M"], summary["N"]) == (9, 729)
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestErrorsAndConfig:
     def test_unknown_subcommand(self, capsys):

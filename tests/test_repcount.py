@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     exceptional_members_bruteforce,
@@ -16,11 +18,11 @@ from oracles import (
 from waring_gaps.repcount import (
     _WINDOW,
     CounterWidthError,
-    GapRun,
     RepTable,
     TableFormatError,
     WaringParams,
     find_gap_runs,
+    floor_pow,
     floor_root,
     greedy_decompose,
     read_table_binary,
@@ -198,35 +200,69 @@ class TestGreedy:
 class TestGapRuns:
     def test_three_cubes_runs(self, table_3_3):
         runs = find_gap_runs(sieve_rep(WaringParams(3, 3), 30), 4)
-        assert runs == [
-            GapRun(4, 4, False),
-            GapRun(11, 5, False),
-            GapRun(18, 6, False),
-        ]
+        assert runs.tolist() == [(4, 4, False), (11, 5, False), (18, 6, False)]
 
     def test_single_cube_run(self):
         runs = find_gap_runs(sieve_rep(WaringParams(3, 1), 10), 6)
-        assert GapRun(2, 6, False) in runs
+        assert (2, 6, False) in runs.tolist()
 
     def test_all_nonzero_table(self):
         counts = np.ones(6, dtype=np.int64)
         table = RepTable(params=WaringParams(3, 3), limit=5, counts=counts)
-        assert find_gap_runs(table, 1) == []
+        assert find_gap_runs(table, 1).tolist() == []
 
     def test_boundary_truncation_flagged(self):
         runs = find_gap_runs(sieve_rep(WaringParams(3, 1), 10), 1)
-        assert runs[-1] == GapRun(9, 2, True)
+        assert runs.tolist()[-1] == (9, 2, True)
 
     def test_matches_bruteforce(self, table_3_3):
-        expected = [
-            GapRun(s, l, t)
-            for s, l, t in zero_runs_bruteforce(table_3_3.counts.tolist(), 3)
-        ]
-        assert find_gap_runs(table_3_3, 3) == expected
+        expected = zero_runs_bruteforce(table_3_3.counts.tolist(), 3)
+        assert find_gap_runs(table_3_3, 3).tolist() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tail=st.lists(st.sampled_from([0, 0, 0, 1, 2, 8]), max_size=80),
+        min_len=st.integers(1, 90),
+    )
+    @example(tail=[1, 0, 0], min_len=1)  # a run touching the end
+    @example(tail=[0, 0, 1, 0], min_len=5)  # min_len longer than every run
+    def test_matches_bruteforce_on_random_tables(self, tail, min_len):
+        counts = [1, *tail]
+        table = RepTable(
+            params=WaringParams(3, 3),
+            limit=len(counts) - 1,
+            counts=np.asarray(counts, dtype=np.int64),
+        )
+        runs = find_gap_runs(table, min_len)
+        assert runs.dtype == np.dtype(
+            [("start", np.int64), ("length", np.int64), ("truncated", np.bool_)]
+        )
+        assert not runs.flags.writeable
+        expected = zero_runs_bruteforce(counts, min_len)
+        assert len(runs) == len(expected)
+        assert runs.tolist() == expected
 
     def test_min_len_positive(self, table_3_1):
         with pytest.raises(ValueError):
             find_gap_runs(table_3_1, 0)
+
+
+class TestFloorPow:
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.integers(1, 5000), p=st.integers(1, 12), q=st.integers(1, 12))
+    def test_matches_floor_root(self, base, p, q):
+        assert floor_pow(base, Fraction(p, q)) == floor_root(q, base**p)
+
+    @pytest.mark.parametrize("exponent", [Fraction(13, 4), Fraction(512, 127)])
+    def test_matches_floor_root_at_pipeline_exponents(self, exponent):
+        p, q = exponent.numerator, exponent.denominator
+        for base in [*range(1, 4097, 31), 4096]:
+            assert floor_pow(base, exponent) == floor_root(q, base**p)
+
+    def test_large_denominator(self):
+        # 9^(3000001/1000000) = 729 * 9^(1/1000000), just above 729
+        assert floor_pow(9, Fraction(3000001, 1000000)) == 729
+        assert floor_pow(8, Fraction(10, 3)) == 1024  # an exact root
 
 
 class TestPowerComparison:
