@@ -862,7 +862,7 @@ class PipelineConfig:
 
     def to_json_dict(self) -> dict:
         return {
-            "moduli_pool": list(self.moduli_pool) if self.moduli_pool else None,
+            "moduli_pool": list(self.moduli_pool) if self.moduli_pool is not None else None,
             "window": self.window,
             "xi": fraction_str(self.xi),
             "sigma": fraction_str(self.sigma) if self.sigma is not None else None,
@@ -894,6 +894,8 @@ def pipeline_dry_run(
     if J <= 0:
         raise ValueError("J must be positive")
     config = config or PipelineConfig()
+    if config.moduli_pool is not None and not config.moduli_pool:
+        raise ValueError("moduli pool must be nonempty")
 
     report = Report(
         kind="pipeline",
@@ -917,7 +919,7 @@ def pipeline_dry_run(
         summary["halted_at"] = "exponent-in-range"
         return report
 
-    pool = tuple(config.moduli_pool) if config.moduli_pool else DEFAULT_POOLS[ell]
+    pool = tuple(config.moduli_pool) if config.moduli_pool is not None else DEFAULT_POOLS[ell]
     usable_pool = tuple(m for m in pool if m <= config.max_modulus)
     if usable_pool != pool:
         report.add(

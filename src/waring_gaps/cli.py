@@ -17,8 +17,11 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
+
+import numpy as np
 
 from . import certify, modular, repcount, series
 from .exact import decimal_str, fraction_str, parse_exact
@@ -176,7 +179,7 @@ def _emit(report: dict, json_path: Path | None) -> None:
             line += f" (verdict: {verdict})"
         print(line)
     else:
-        print(json.dumps(report, indent=2))
+        print("".join(_report_chunks(report)))
 
 
 def _write_report(report: dict, path: Path) -> None:
@@ -188,12 +191,81 @@ def _write_report(report: dict, path: Path) -> None:
     partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
     try:
         with open(partial, "w") as fh:
-            json.dump(report, fh, indent=2)
+            fh.writelines(_report_chunks(report))
             fh.write("\n")
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+# json.dumps(value) with an indent of 2 joins what iterencode(value) yields here.
+_INDENTED = json.JSONEncoder(indent=2)
+
+
+def _holds_array(value: Any) -> bool:
+    """Whether value is a numpy array or a dict with one somewhere below it."""
+    return isinstance(value, np.ndarray) or (
+        isinstance(value, dict) and any(map(_holds_array, value.values()))
+    )
+
+
+def _report_chunks(value: Any, indent: str = "") -> Iterator[str]:
+    """value as json.dumps encodes it with an indent of 2, in pieces, with
+    every line after the first indented further by indent.
+
+    The report itself (indent "") and every dict that holds an array are
+    walked here; their keys are str, as every report's are.  A numpy array,
+    which json cannot encode, comes as one piece (see _array_text).  Every
+    other value streams from one iterencode call, which is cheaper than
+    walking its dicts key by key; a JSON string never holds a raw newline,
+    so re-indenting each piece is exact.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value and (not indent or _holds_array(value)):
+        opening = "{\n" + inner
+        for key, item in value.items():
+            yield f"{opening}{json.dumps(key)}: "
+            yield from _report_chunks(item, inner)
+            opening = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif isinstance(value, np.ndarray):
+        yield _array_text(value, indent)
+    else:
+        # In blocks of up to 1024 pieces: one replace per block, and no more
+        # than a block held at once, as json.dump holds no more than a piece.
+        newline = "\n" + indent
+        chunks = _INDENTED.iterencode(value)
+        for first in chunks:
+            yield (first + "".join(islice(chunks, 1023))).replace("\n", newline)
+
+
+def _column_text(column: np.ndarray) -> list[str]:
+    """Each entry of an int or bool column as JSON encodes it, by one C-encoded pass."""
+    return json.dumps(column.tolist())[1:-1].split(", ") if column.size else []
+
+
+def _array_text(value: np.ndarray, indent: str) -> str:
+    """The JSON list of a 1-D int array, or of one object per record of a
+    structured array of int and bool fields, laid out as _report_chunks
+    lays out a list at indent; each column is C-encoded once.
+    """
+    names = value.dtype.names
+    columns = [value[name] for name in names] if names else [value]
+    if value.ndim != 1 or any(c.ndim != 1 or c.dtype.kind not in "biu" for c in columns):
+        raise TypeError(f"cannot encode an array of shape {value.shape} and dtype {value.dtype}")
+    if not value.size:
+        return "[]"
+    inner = indent + "  "
+    separator = ",\n" + inner
+    if names:
+        fields = inner + "  "
+        record = ",\n".join(f"{fields}{json.dumps(n).replace('%', '%%')}: %s" for n in names)
+        records = map(f"{{\n{record}\n{inner}}}".__mod__, zip(*map(_column_text, columns)))
+        body = separator.join(records)
+    else:
+        body = json.dumps(value.tolist())[1:-1].replace(", ", separator)
+    return "[\n" + inner + body + "\n" + indent + "]"
 
 
 def _base_report(config: RunConfig) -> dict:
@@ -267,8 +339,8 @@ def _cmd_sieve(p: dict[str, Any]) -> tuple[dict, int]:
 )
 def _cmd_gaps(p: dict[str, Any]) -> tuple[dict | None, int]:
     runs = repcount.find_gap_runs(_load_table(p["table"], p["ell"], p["s"]), p["min_len"])
-    rows = runs.tolist()
-    lines = [",".join(runs.dtype.names), *(f"{s},{l},{int(t)}" for s, l, t in rows)]
+    columns = (_column_text(runs[name].astype(np.int64)) for name in runs.dtype.names)
+    lines = [",".join(runs.dtype.names), *map(",".join, zip(*columns))]
     if p["out"] is not None:
         Path(p["out"]).write_text("\n".join(lines) + "\n")
     else:
@@ -276,7 +348,7 @@ def _cmd_gaps(p: dict[str, Any]) -> tuple[dict | None, int]:
     # The runs went to stdout or --out; a report is written only to --json.
     if p["json"] is None:
         return None, 0
-    return {"runs": [dict(zip(runs.dtype.names, row)) for row in rows]}, 0
+    return {"runs": runs}, 0
 
 
 @command(

@@ -240,12 +240,13 @@ class ExceptionalScan:
     density: Fraction
 
     def to_json_dict(self) -> dict:
+        """The report fields; members stays the array, for the CLI's report writer."""
         return {
             "limit": self.limit,
             "exponent": fraction_str(self.exponent),
             "cardinality": len(self.members),
             "density": fraction_str(self.density),
-            "members": self.members.tolist(),
+            "members": self.members,
         }
 
 

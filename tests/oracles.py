@@ -193,20 +193,37 @@ def exceptional_members_bruteforce(
 ) -> list[int]:
     """Window-zero scan deciding membership per a by direct power comparison.
 
-    a^p is formed once per a and d^q once per d, shared across all a; the
-    comparisons made are exactly d^q < a^p.
+    Offset d lies in the window of a exactly when d^q < a^p.  For fixed d
+    that holds from some first a on, so the first such a in [1, limit] is
+    found by bisection over a (limit + 1 when there is none), and the
+    window of a holds the offsets d whose first a is at most a.  Every
+    decision is the exact comparison d^q < a^p.
     """
     p, q = exponent.numerator, exponent.denominator
-    d_powers: list[int] = []
+    a_powers: dict[int, int] = {}
+
+    def first_a(d: int) -> int:
+        d_power = d**q
+        lo, hi = 1, limit + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid not in a_powers:
+                a_powers[mid] = mid**p
+            if d_power < a_powers[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    starts: list[int] = []
     members = []
     for a in range(1, limit + 1):
-        a_power = a**p
         ok = True
         d = 0
         while True:
-            if d == len(d_powers):
-                d_powers.append(d**q)
-            if not d_powers[d] < a_power:
+            if d == len(starts):
+                starts.append(first_a(d))
+            if starts[d] > a:
                 break
             n = a - d
             if n >= 0 and counts[n] != 0:

@@ -1,6 +1,9 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from test_cli_golden import MAIER_CERT, write_inputs
 from waring_gaps import cli
@@ -220,6 +223,12 @@ class TestVerdictCommands:
         summary = json.loads(j.read_text())["report"]["summary"]
         assert (summary["M"], summary["N"]) == (9, 729)
 
+    def test_pipeline_rejects_empty_pool(self, tmp_path, capsys):
+        j = tmp_path / "pipe.json"
+        assert run_cli("pipeline", "--ell", "3", "--q", "2", "--pool", "", "--json", str(j)) == 3
+        assert capsys.readouterr().err == "waring-gaps: error: moduli pool must be nonempty\n"
+        assert not j.exists()
+
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
@@ -346,6 +355,74 @@ class TestErrorsAndConfig:
         run_cli("mild-scan", "--table", str(table_file), "--lo", "0", "--hi", "20",
                 "--k", "4", "--e", "8", "--json", str(j))
         assert no_floats(json.loads(j.read_text()))
+
+
+# Report-shaped values: dicts whose leaves are plain JSON values or the numpy
+# arrays the report writer encodes itself (1-D int64, or records of int64
+# and bool fields).
+INT64 = st.integers(-(2**63), 2**63 - 1)
+STRINGS = st.text(max_size=6) | st.text(st.sampled_from(', "\\\n%s{}\u00e9\u2603'), max_size=6)
+SCALARS = st.none() | st.booleans() | st.integers() | INT64 | STRINGS
+PLAIN = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(STRINGS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def record_arrays(draw) -> np.ndarray:
+    names = draw(st.lists(STRINGS.filter(bool), min_size=1, max_size=3, unique=True))
+    dtype = np.dtype([(name, draw(st.sampled_from(["<i8", "?"]))) for name in names])
+    size = draw(st.sampled_from([0, 1, draw(st.integers(2, 20))]))
+    column = {"i": INT64, "b": st.booleans()}
+    rows = [tuple(draw(column[dtype[n].kind]) for n in names) for _ in range(size)]
+    return np.array(rows, dtype=dtype)
+
+
+ARRAYS = st.lists(INT64, max_size=20).map(lambda v: np.array(v, dtype=np.int64)) | record_arrays()
+REPORTS = st.recursive(
+    PLAIN | ARRAYS, lambda inner: st.dictionaries(STRINGS, inner, max_size=4), max_leaves=10
+)
+
+
+def as_plain_json(value):
+    """value with each array replaced by the list json.dumps would be given."""
+    if isinstance(value, dict):
+        return {key: as_plain_json(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        rows = value.tolist()
+        return [dict(zip(value.dtype.names, row)) for row in rows] if value.dtype.names else rows
+    return value
+
+
+class TestReportWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(value=REPORTS)
+    @example(value={"runs": np.array([(4, 4, False), (11, 5, True)],
+                                     dtype=[("start", "<i8"), ("length", "<i8"),
+                                            ("truncated", "?")])})
+    @example(value={"result": {"members": np.array([], dtype=np.int64), "a, b": [{}, []]}})
+    @example(value={"%s": np.array([(2**63 - 1,)], dtype=[("%s", "<i8")]), "big": 2**70})
+    @example(value={"report": {"witnesses": [{"n": n, "ok": n % 3 == 0} for n in range(500)]}})
+    def test_matches_json_dumps(self, value):
+        text = "".join(cli._report_chunks(value))
+        # Line lists, not strings: a failure then names the first differing
+        # line instead of diffing every line of a long report.
+        assert text.split("\n") == json.dumps(as_plain_json(value), indent=2).split("\n")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.zeros(3), np.zeros((2, 2), dtype=np.int64), np.array(["a"]), object()],
+        ids=["float", "2-d", "str", "object"],
+    )
+    def test_unencodable_value_leaves_earlier_report(self, tmp_path, bad):
+        path = tmp_path / "r.json"
+        path.write_text("earlier report\n")
+        with pytest.raises(TypeError):
+            cli._write_report({"members": np.arange(5), "bad": bad}, path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "earlier report\n"
 
 
 class TestReplay:

@@ -32,6 +32,7 @@ CASES = {
     "sieve-csv-stdout": "sieve --ell 3 --s 3 --limit 60 --out t.csv",
     "gaps": "gaps --table r33.bin --min-len 4 --out runs.csv --json r.json",
     "gaps-stdout": "gaps --table r33.bin --min-len 4",
+    "gaps-empty": "gaps --table r33.bin --min-len 1000 --out runs.csv --json r.json",
     "greedy": "greedy --ell 3 --b 100 --json r.json",
     "greedy-config-threads": "greedy --config run.cfg --threads 2",
     "modcount": "modcount --ell 3 --modulus 9 --out p.csv --json r.json",
@@ -52,6 +53,8 @@ CASES = {
     "pipeline": "pipeline --ell 3 --q 2 --json r.json",
     "pipeline-4": "pipeline --ell 4 --q 3 --pool 32 --json r.json",
     "exceptional": "exceptional --limit 120 --epsilon 1/100 --out m.csv --json r.json",
+    "exceptional-empty": "exceptional --limit 1 --json r.json",
+    "exceptional-stdout": "exceptional --limit 120 --epsilon 1/100",
     "missing-cert": "nested --cert missing.json",
 }
 
