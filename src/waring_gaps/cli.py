@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -183,20 +183,8 @@ def _emit(report: dict, json_path: Path | None) -> None:
 
 
 def _write_report(report: dict, path: Path) -> None:
-    """Stream the report into a sibling file, then move it onto path.
-
-    A report that fails to encode leaves neither a truncated file at path
-    nor the sibling behind.
-    """
-    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
-    try:
-        with open(partial, "w") as fh:
-            fh.writelines(_report_chunks(report))
-            fh.write("\n")
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    """Stream the report and a final newline to path through repcount.write_output."""
+    repcount.write_output(path, chain(_report_chunks(report), ["\n"]))
 
 
 # json.dumps(value) with an indent of 2 joins what iterencode(value) yields here.
@@ -240,11 +228,6 @@ def _report_chunks(value: Any, indent: str = "") -> Iterator[str]:
             yield (first + "".join(islice(chunks, 1023))).replace("\n", newline)
 
 
-def _column_text(column: np.ndarray) -> list[str]:
-    """Each entry of an int or bool column as JSON encodes it, by one C-encoded pass."""
-    return json.dumps(column.tolist())[1:-1].split(", ") if column.size else []
-
-
 def _array_text(value: np.ndarray, indent: str) -> str:
     """The JSON list of a 1-D int array, or of one object per record of a
     structured array of int and bool fields, laid out as _report_chunks
@@ -261,7 +244,7 @@ def _array_text(value: np.ndarray, indent: str) -> str:
     if names:
         fields = inner + "  "
         record = ",\n".join(f"{fields}{json.dumps(n).replace('%', '%%')}: %s" for n in names)
-        records = map(f"{{\n{record}\n{inner}}}".__mod__, zip(*map(_column_text, columns)))
+        records = map(f"{{\n{record}\n{inner}}}".__mod__, zip(*map(repcount.column_text, columns)))
         body = separator.join(records)
     else:
         body = json.dumps(value.tolist())[1:-1].replace(", ", separator)
@@ -339,12 +322,12 @@ def _cmd_sieve(p: dict[str, Any]) -> tuple[dict, int]:
 )
 def _cmd_gaps(p: dict[str, Any]) -> tuple[dict | None, int]:
     runs = repcount.find_gap_runs(_load_table(p["table"], p["ell"], p["s"]), p["min_len"])
-    columns = (_column_text(runs[name].astype(np.int64)) for name in runs.dtype.names)
-    lines = [",".join(runs.dtype.names), *map(",".join, zip(*columns))]
+    columns = [runs[name].astype(np.int64) for name in runs.dtype.names]
+    text = repcount.csv_pieces(",".join(runs.dtype.names), columns)
     if p["out"] is not None:
-        Path(p["out"]).write_text("\n".join(lines) + "\n")
+        repcount.write_output(p["out"], text)
     else:
-        print("\n".join(lines))
+        sys.stdout.writelines(text)
     # The runs went to stdout or --out; a report is written only to --json.
     if p["json"] is None:
         return None, 0
@@ -526,7 +509,7 @@ def _cmd_exceptional(p: dict[str, Any]) -> tuple[dict, int]:
         table = repcount.sieve_rep(repcount.WaringParams(4, 4), p["limit"])
     scan = repcount.scan_exceptional_set(4, p["limit"], p["epsilon"], table)
     if p["out"] is not None:
-        Path(p["out"]).write_text("\n".join(["a", *map(str, scan.members.tolist())]) + "\n")
+        repcount.write_output(p["out"], repcount.csv_pieces("a", [scan.members]))
     return {"result": scan.to_json_dict()}, 0
 
 

@@ -19,6 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .exact import fraction_str
+from .repcount import csv_pieces, write_output
 
 
 @dataclass(frozen=True)
@@ -229,5 +230,6 @@ def search_gap_modulus(
 
 def write_profile_csv(profile: ResidueProfile, path: str | Path) -> None:
     """Write the profile as CSV with header m,count."""
-    rows = "".join(f"{m},{c}\n" for m, c in enumerate(profile.counts))
-    Path(path).write_text("m,count\n" + rows, newline="")
+    # Python ints: counts outgrow int64 once M^ell reaches 2^63
+    columns = [np.arange(profile.modulus), np.array(profile.counts, dtype=object)]
+    write_output(path, csv_pieces("m,count", columns))

@@ -14,11 +14,15 @@ arbitrary-precision integers; no float ever decides anything.
 from __future__ import annotations
 
 import csv
+import json
+import os
+import shutil
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +35,8 @@ _INT64_MAX = 2**63 - 1
 # Indices handled at once by the sieve and the table ceiling check; it
 # bounds their temporaries and never changes a result.
 _WINDOW = 1 << 20
+# Rows of a CSV rendered at once; it bounds the memory of writing one.
+_CSV_ROWS = 1 << 12
 
 
 class CounterWidthError(ValueError):
@@ -367,12 +373,55 @@ def scan_exceptional_set(
     )
 
 
+def write_output(path: str | Path, pieces: Iterable[str | bytes]) -> None:
+    """Write the pieces, str (ASCII) or bytes, to path; every file the tool writes goes here.
+
+    A regular file, or a path that does not exist yet, is written to a
+    sibling file that is then moved onto it, so a failed write leaves
+    neither a truncated file nor the sibling behind, and an earlier file
+    stays whole and keeps its permission bits.  A symlink is followed and
+    its target replaced.  A path that exists and is not a regular file,
+    such as a FIFO or /dev/stdout, is written in place.  An OSError names
+    path, never the sibling.
+    """
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = Path(path if in_place else os.path.realpath(path))
+    dest = target if in_place else target.with_name(f".{target.name}.{os.getpid()}.partial")
+    try:
+        with open(dest, "wb") as fh:
+            if not in_place and target.exists():
+                shutil.copymode(target, dest)  # before any byte is written
+            for piece in pieces:
+                fh.write(piece.encode() if isinstance(piece, str) else piece)
+        if not in_place:
+            os.replace(dest, target)
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        del exc.filename2  # a failed os.replace names the sibling and the target
+        raise
+    finally:
+        if not in_place:
+            dest.unlink(missing_ok=True)
+
+
+def column_text(column: np.ndarray) -> list[str]:
+    """Each entry of an int or bool column as JSON encodes it, by one C-encoded pass."""
+    return json.dumps(column.tolist())[1:-1].split(", ") if column.size else []
+
+
+def csv_pieces(header: str, columns: Sequence[np.ndarray], newline: str = "\n") -> Iterator[str]:
+    """A CSV of int columns of equal length under a header line, each line
+    ended by newline, in pieces of up to _CSV_ROWS rows."""
+    yield header + newline
+    for lo in range(0, len(columns[0]), _CSV_ROWS):
+        cells = [column_text(column[lo : lo + _CSV_ROWS]) for column in columns]
+        yield newline.join([*map(",".join, zip(*cells)), ""])
+
+
 def write_table_csv(table: RepTable, path: str | Path) -> None:
-    """Write the table as CSV with header n,count."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "count"])
-        writer.writerows(enumerate(table.counts.tolist()))
+    """Write the table as CSV with header n,count and CRLF line ends."""
+    columns = [np.arange(table.limit + 1), table.counts]
+    write_output(path, csv_pieces("n,count", columns, newline="\r\n"))
 
 
 def _csv_int(raw: str, name: str, line: int) -> int:
@@ -386,19 +435,22 @@ def read_table_csv(path: str | Path, params: WaringParams) -> RepTable:
     """Read a CSV table; the parameters are not stored in the CSV form."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["n", "count"]:
-            raise TableFormatError(f"expected header n,count, got {header}")
-        values = []
-        for line, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise TableFormatError(f"malformed row {row}")
-            n, c = _csv_int(row[0], "n", line), _csv_int(row[1], "count", line)
-            if n != len(values):
-                raise TableFormatError(f"rows out of order at n={n}")
-            if not -(2**63) <= c < 2**63:
-                raise TableFormatError(f"line {line}: count {c} at n={n} is outside int64")
-            values.append(c)
+        try:
+            header = next(reader, None)
+            if header != ["n", "count"]:
+                raise TableFormatError(f"expected header n,count, got {header}")
+            values = []
+            for line, row in enumerate(reader, start=2):
+                if len(row) != 2:
+                    raise TableFormatError(f"malformed row {row}")
+                n, c = _csv_int(row[0], "n", line), _csv_int(row[1], "count", line)
+                if n != len(values):
+                    raise TableFormatError(f"rows out of order at n={n}")
+                if not -(2**63) <= c < 2**63:
+                    raise TableFormatError(f"line {line}: count {c} at n={n} is outside int64")
+                values.append(c)
+        except csv.Error as exc:
+            raise TableFormatError(f"line {reader.line_num}: {exc}") from None
     if not values:
         raise TableFormatError("empty table")
     counts = np.asarray(values, dtype=np.int64)
@@ -421,10 +473,8 @@ def write_table_binary(table: RepTable, path: str | Path) -> None:
     little-endian unsigned integers.
     """
     width = _binary_width(table.params.ell, table.limit)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQQQ", table.params.ell, table.params.s, table.limit, width))
-        fh.write(table.counts.astype(f"<u{width}").tobytes())
+    header = struct.pack("<QQQQ", table.params.ell, table.params.s, table.limit, width)
+    write_output(path, [_MAGIC, header, table.counts.astype(f"<u{width}").tobytes()])
 
 
 def read_table_binary(path: str | Path) -> RepTable:

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,13 @@ from hypothesis import strategies as st
 
 from test_cli_golden import MAIER_CERT, write_inputs
 from waring_gaps import cli
-from waring_gaps.repcount import WaringParams, read_table_binary, sieve_rep, write_table_binary
+from waring_gaps.repcount import (
+    WaringParams,
+    read_table_binary,
+    sieve_rep,
+    write_table_binary,
+    write_table_csv,
+)
 
 
 def run_cli(*args: str) -> int:
@@ -262,6 +273,14 @@ class TestErrorsAndConfig:
                        "--min-len", "2") == 3
         assert message in capsys.readouterr().err
 
+    def test_csv_table_overlong_field_exits_3(self, tmp_path, capsys):
+        table = tmp_path / "big.csv"
+        table.write_text("n,count\n0,1\n1," + "1" * 131_073 + "\n")
+        assert run_cli("gaps", "--table", str(table), "--ell", "3", "--s", "3",
+                       "--min-len", "2") == 3
+        err = capsys.readouterr().err
+        assert err == "waring-gaps: error: line 3: field larger than field limit (131072)\n"
+
     def test_bound_violation_diagnostic(self, capsys):
         assert run_cli("sieve", "--ell", "5", "--s", "2", "--limit", "10") == 3
         assert "ell" in capsys.readouterr().err
@@ -423,6 +442,92 @@ class TestReportWriter:
             cli._write_report({"members": np.arange(5), "bad": bad}, path)
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_text() == "earlier report\n"
+
+
+# Runs the command line with SIGXFSZ ignored and RLIMIT_FSIZE lowered to
+# argv[1] bytes in this process alone, so a write past it fails with EFBIG.
+FSIZE_LIMITED_CLI = """
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), hard))
+from waring_gaps.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("name", ["t.csv", "t.bin"])
+    def test_file_size_limit_keeps_earlier_table(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"earlier table\r\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        # the (3,3) table at 1e5 takes about 1 MB as CSV and 400 kB as binary
+        proc = subprocess.run(
+            [sys.executable, "-c", FSIZE_LIMITED_CLI, "65536",
+             "sieve", "--ell", "3", "--s", "3", "--limit", "100000", "--out", name],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert path.read_bytes() == b"earlier table\r\n"
+        assert os.listdir(tmp_path) == [name]
+        assert proc.stderr == f"waring-gaps: error: [Errno 27] File too large: '{name}'\n"
+
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            (("greedy", "--ell", "3", "--b", "10", "--json"), "r.json"),
+            (("sieve", "--ell", "3", "--s", "2", "--limit", "10", "--out"), "t.bin"),
+        ],
+    )
+    def test_write_error_names_the_requested_path(self, tmp_path, capsys, args, name):
+        path = tmp_path / "nodir" / name
+        assert run_cli(*args, str(path)) == 3
+        err = capsys.readouterr().err
+        assert err == f"waring-gaps: error: [Errno 2] No such file or directory: '{path}'\n"
+
+    def test_symlinks_are_followed(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("t.csv", "r.json"):
+            (data / name).write_text("earlier\n")
+            (tmp_path / name).symlink_to(data / name)
+        assert run_cli("sieve", "--ell", "3", "--s", "3", "--limit", "60",
+                       "--out", str(tmp_path / "t.csv"), "--json", str(tmp_path / "r.json")) == 0
+        for name in ("t.csv", "r.json"):
+            assert (tmp_path / name).is_symlink()
+            assert os.readlink(tmp_path / name) == str(data / name)
+        expected = tmp_path / "expected.csv"
+        write_table_csv(sieve_rep(WaringParams(3, 3), 60), expected)
+        assert (data / "t.csv").read_bytes() == expected.read_bytes()
+        assert json.loads((data / "r.json").read_text())["summary"]["limit"] == 60
+        assert sorted(os.listdir(data)) == ["r.json", "t.csv"]
+
+    def test_replaced_files_keep_their_permissions(self, tmp_path, capsys):
+        for name in ("t.csv", "r.json"):
+            (tmp_path / name).write_text("earlier\n")
+            (tmp_path / name).chmod(0o600)
+        assert run_cli("sieve", "--ell", "3", "--s", "3", "--limit", "60",
+                       "--out", str(tmp_path / "t.csv"), "--json", str(tmp_path / "r.json")) == 0
+        for name in ("t.csv", "r.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o600
+            assert (tmp_path / name).read_text() != "earlier\n"
+
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        expected = tmp_path / "expected.csv"
+        write_table_csv(sieve_rep(WaringParams(3, 3), 60), expected)
+        fifo = tmp_path / "t.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run_cli("sieve", "--ell", "3", "--s", "3", "--limit", "60", "--out", str(fifo)) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [expected.read_bytes()]
+        assert fifo.is_fifo()
+        assert sorted(os.listdir(tmp_path)) == ["expected.csv", "t.csv"]
 
 
 class TestReplay:

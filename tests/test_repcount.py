@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 import struct
 from fractions import Fraction
@@ -16,11 +18,13 @@ from oracles import (
     zero_runs_bruteforce,
 )
 from waring_gaps.repcount import (
+    _CSV_ROWS,
     _WINDOW,
     CounterWidthError,
     RepTable,
     TableFormatError,
     WaringParams,
+    csv_pieces,
     find_gap_runs,
     floor_pow,
     floor_root,
@@ -31,6 +35,7 @@ from waring_gaps.repcount import (
     sieve_rep,
     write_table_binary,
     write_table_csv,
+    write_output,
 )
 
 
@@ -395,3 +400,32 @@ class TestSerialization:
         assert lines[1:] == [f"{n},{c}".encode() for n, c in enumerate(table.counts)] + [b""]
         back = read_table_csv(path, WaringParams(3, 3))
         assert np.array_equal(back.counts, table.counts)
+
+    @pytest.mark.parametrize("rows", [0, 1, _CSV_ROWS - 1, _CSV_ROWS, 2 * _CSV_ROWS + 3])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_csv_pieces_match_csv_module(self, rows, newline):
+        rng = np.random.default_rng(rows)
+        columns = [
+            np.arange(rows),
+            rng.integers(-(2**63), 2**63 - 1, rows, dtype=np.int64, endpoint=True),
+            np.array([10**30 * k for k in range(rows)], dtype=object),
+        ]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator=newline)
+        writer.writerow(["n", "count", "big"])
+        writer.writerows(zip(*(column.tolist() for column in columns)))
+        assert "".join(csv_pieces("n,count,big", columns, newline)) == expected.getvalue()
+
+    @pytest.mark.parametrize("piece", ["0,1\n" * 4096, b"\x00\x01" * 8192], ids=["str", "bytes"])
+    def test_failed_pieces_leave_earlier_file(self, tmp_path, piece):
+        path = tmp_path / "t.out"
+        path.write_bytes(b"earlier")
+
+        def pieces():
+            yield piece  # larger than the write buffer, so it reaches the sibling file
+            raise RuntimeError("halfway")
+
+        with pytest.raises(RuntimeError, match="halfway"):
+            write_output(path, pieces())
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"earlier"
