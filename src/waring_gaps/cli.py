@@ -204,7 +204,7 @@ def _report_chunks(value: Any, indent: str = "") -> Iterator[str]:
 
     The report itself (indent "") and every dict that holds an array are
     walked here; their keys are str, as every report's are.  A numpy array,
-    which json cannot encode, comes as one piece (see _array_text).  Every
+    which json cannot encode, comes in pieces (see _array_pieces).  Every
     other value streams from one iterencode call, which is cheaper than
     walking its dicts key by key; a JSON string never holds a raw newline,
     so re-indenting each piece is exact.
@@ -218,7 +218,7 @@ def _report_chunks(value: Any, indent: str = "") -> Iterator[str]:
             opening = ",\n" + inner
         yield "\n" + indent + "}"
     elif isinstance(value, np.ndarray):
-        yield _array_text(value, indent)
+        yield from _array_pieces(value, indent)
     else:
         # In blocks of up to 1024 pieces: one replace per block, and no more
         # than a block held at once, as json.dump holds no more than a piece.
@@ -228,27 +228,30 @@ def _report_chunks(value: Any, indent: str = "") -> Iterator[str]:
             yield (first + "".join(islice(chunks, 1023))).replace("\n", newline)
 
 
-def _array_text(value: np.ndarray, indent: str) -> str:
+def _array_pieces(value: np.ndarray, indent: str) -> Iterator[str]:
     """The JSON list of a 1-D int array, or of one object per record of a
     structured array of int and bool fields, laid out as _report_chunks
-    lays out a list at indent; each column is C-encoded once.
+    lays out a list at indent, in pieces rendered by repcount.render_rows.
     """
     names = value.dtype.names
     columns = [value[name] for name in names] if names else [value]
     if value.ndim != 1 or any(c.ndim != 1 or c.dtype.kind not in "biu" for c in columns):
         raise TypeError(f"cannot encode an array of shape {value.shape} and dtype {value.dtype}")
     if not value.size:
-        return "[]"
+        yield "[]"
+        return
     inner = indent + "  "
+    # Every item starts with the separator; the first drops its comma.
     separator = ",\n" + inner
     if names:
-        fields = inner + "  "
-        record = ",\n".join(f"{fields}{json.dumps(n).replace('%', '%%')}: %s" for n in names)
-        records = map(f"{{\n{record}\n{inner}}}".__mod__, zip(*map(repcount.column_text, columns)))
-        body = separator.join(records)
+        first, *rest = (f"{inner}  {json.dumps(name)}: " for name in names)
+        seps = [separator + "{\n" + first, *(",\n" + key for key in rest), "\n" + inner + "}"]
     else:
-        body = json.dumps(value.tolist())[1:-1].replace(", ", separator)
-    return "[\n" + inner + body + "\n" + indent + "]"
+        seps = [separator, ""]
+    pieces = repcount.render_rows(columns, seps)
+    yield "[" + next(pieces)[1:]
+    yield from pieces
+    yield "\n" + indent + "]"
 
 
 def _base_report(config: RunConfig) -> dict:

@@ -14,8 +14,9 @@ arbitrary-precision integers; no float ever decides anything.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import os
+import re
 import shutil
 import struct
 from dataclasses import dataclass
@@ -35,7 +36,8 @@ _INT64_MAX = 2**63 - 1
 # Indices handled at once by the sieve and the table ceiling check; it
 # bounds their temporaries and never changes a result.
 _WINDOW = 1 << 20
-# Rows of a CSV rendered at once; it bounds the memory of writing one.
+# Rows rendered at once by render_rows, for every CSV and JSON array; it
+# bounds the memory of writing one and never changes a byte.
 _CSV_ROWS = 1 << 12
 
 
@@ -373,6 +375,23 @@ def scan_exceptional_set(
     )
 
 
+# /proc/self/fd/N and /dev/fd/N name descriptor N of this process.
+_DESCRIPTOR_PATH = re.compile(r"/(?:proc/self|dev)/fd/([0-9]+)")
+
+
+def _descriptor(path: str | Path) -> int | None:
+    """N when path is, or links through, /proc/self/fd/N or /dev/fd/N."""
+    link, seen = os.path.abspath(path), set()
+    while link not in seen:
+        if match := _DESCRIPTOR_PATH.fullmatch(link):
+            return int(match[1])
+        if not os.path.islink(link):
+            return None
+        seen.add(link)
+        link = os.path.normpath(os.path.join(os.path.dirname(link), os.readlink(link)))
+    return None
+
+
 def write_output(path: str | Path, pieces: Iterable[str | bytes]) -> None:
     """Write the pieces, str (ASCII) or bytes, to path; every file the tool writes goes here.
 
@@ -380,15 +399,19 @@ def write_output(path: str | Path, pieces: Iterable[str | bytes]) -> None:
     sibling file that is then moved onto it, so a failed write leaves
     neither a truncated file nor the sibling behind, and an earlier file
     stays whole and keeps its permission bits.  A symlink is followed and
-    its target replaced.  A path that exists and is not a regular file,
-    such as a FIFO or /dev/stdout, is written in place.  An OSError names
-    path, never the sibling.
+    its target replaced.  A path that is, or links through, a descriptor
+    of this process (/dev/stdout, /dev/fd/N, /proc/self/fd/N) is written
+    through that descriptor, at its offset, so output the process writes
+    to it later follows.  Any other path that exists and is not a regular
+    file, such as a FIFO, is written in place.  An OSError names path,
+    never the sibling.
     """
-    in_place = os.path.exists(path) and not os.path.isfile(path)
+    fd = _descriptor(path)
+    in_place = fd is not None or (os.path.exists(path) and not os.path.isfile(path))
     target = Path(path if in_place else os.path.realpath(path))
     dest = target if in_place else target.with_name(f".{target.name}.{os.getpid()}.partial")
     try:
-        with open(dest, "wb") as fh:
+        with open(dest, "wb") if fd is None else os.fdopen(os.dup(fd), "wb") as fh:
             if not in_place and target.exists():
                 shutil.copymode(target, dest)  # before any byte is written
             for piece in pieces:
@@ -404,18 +427,76 @@ def write_output(path: str | Path, pieces: Iterable[str | bytes]) -> None:
             dest.unlink(missing_ok=True)
 
 
-def column_text(column: np.ndarray) -> list[str]:
-    """Each entry of an int or bool column as JSON encodes it, by one C-encoded pass."""
-    return json.dumps(column.tolist())[1:-1].split(", ") if column.size else []
+# The decimal codec: every int and bool column the tool writes as text, in
+# CSVs and JSON arrays alike, is rendered by render_rows, and a canonical
+# table CSV is parsed by columns.
+#
+# "00" .. "99" as native-endian byte pairs, so digits are rendered two at a time.
+_DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
+# 10^1 .. 10^19: a magnitude m has searchsorted(_POW10, m, "right") + 1 digits.
+_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+# false and true, right-aligned in five bytes.
+_BOOL_TEXT = np.frombuffer(b"false true", dtype=np.uint8).reshape(2, 5)
+
+
+def _cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each entry of a 1-D column as one row of a uint8 matrix,
+    with the mask of the bytes that belong to it: an int in decimal, a bool
+    as JSON's true or false, and an object (a Python int beyond int64) as
+    str() spells it."""
+    if column.dtype == np.bool_:
+        text = _BOOL_TEXT[column.view(np.uint8)]
+        return text, text != ord(" ")
+    if column.dtype == object:
+        text = np.array([str(value) for value in column], dtype=bytes)
+        text = text.view(np.uint8).reshape(column.size, -1)
+        return text, text != 0
+    negative = column < 0
+    magnitude = column.astype(np.uint64)  # a negative entry e wraps to 2^64 + e
+    if negative.any():
+        magnitude = np.where(negative, np.uint64(0) - magnitude, magnitude)  # |e|, mod 2^64
+    digits = np.searchsorted(_POW10, magnitude, side="right") + 1
+    pairs = (int(digits.max()) + 1) // 2
+    text = np.empty((column.size, pairs), dtype=np.uint16)
+    for j in range(pairs - 1, -1, -1):
+        magnitude, low = np.divmod(magnitude, np.uint64(100))
+        text[:, j] = _DIGIT_PAIRS[low]
+    text = text.view(np.uint8)
+    # Row w of this table keeps the last w of 2 * pairs bytes.
+    keep = (np.arange(2 * pairs) >= np.arange(2 * pairs, -1, -1)[:, None])[digits]
+    if negative.any():
+        text = np.hstack([np.full((column.size, 1), ord("-"), dtype=np.uint8), text])
+        keep = np.hstack([negative[:, None], keep])
+    return text, keep
+
+
+def render_rows(columns: Sequence[np.ndarray], seps: Sequence[str]) -> Iterator[str]:
+    """Row i rendered as seps[0] + columns[0][i] + seps[1] + ... + columns[-1][i]
+    + seps[-1], for every row of the equal-length 1-D columns, in pieces of
+    up to _CSV_ROWS rows; entries are spelled as _cells spells them.
+
+    Each piece is one compress: the separators and cells of its rows lie
+    side by side in a uint8 matrix, and one mask keeps the bytes of each row.
+    """
+    fixed = [np.frombuffer(sep.encode(), dtype=np.uint8) for sep in seps]
+    size = len(columns[0])
+    for lo in range(0, size, _CSV_ROWS):
+        rows = min(_CSV_ROWS, size - lo)
+        parts = [(np.broadcast_to(sep, (rows, sep.size)), np.broadcast_to(True, (rows, sep.size)))
+                 for sep in fixed]
+        for k, column in enumerate(columns):
+            parts.insert(2 * k + 1, _cells(column[lo : lo + rows]))
+        text = np.concatenate([text for text, _ in parts], axis=1)
+        keep = np.concatenate([keep for _, keep in parts], axis=1)
+        yield text[keep].tobytes().decode()
 
 
 def csv_pieces(header: str, columns: Sequence[np.ndarray], newline: str = "\n") -> Iterator[str]:
     """A CSV of int columns of equal length under a header line, each line
-    ended by newline, in pieces of up to _CSV_ROWS rows."""
+    ended by newline, in pieces of up to _CSV_ROWS rows.  An object column
+    holds Python ints, which may lie beyond int64."""
     yield header + newline
-    for lo in range(0, len(columns[0]), _CSV_ROWS):
-        cells = [column_text(column[lo : lo + _CSV_ROWS]) for column in columns]
-        yield newline.join([*map(",".join, zip(*cells)), ""])
+    yield from render_rows(columns, ["", *[","] * (len(columns) - 1), newline])
 
 
 def write_table_csv(table: RepTable, path: str | Path) -> None:
@@ -424,37 +505,110 @@ def write_table_csv(table: RepTable, path: str | Path) -> None:
     write_output(path, csv_pieces("n,count", columns, newline="\r\n"))
 
 
+_CSV_HEADER = b"n,count\r\n"
+# The separators of each canonical line, in order.
+_ROW_SEPS = np.frombuffer(b",\r\n", dtype=np.uint8)
+# Runs of at most 18 digits read below 10^18 < 2^63, so int64 holds them.
+_MAX_DIGITS = 18
+
+
+def _field_values(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The int64 value of each digit run buf[end - length : end], by Horner's rule."""
+    values = np.zeros(ends.size, dtype=np.int64)
+    for k in range(int(lengths.max()), 0, -1):
+        digit = buf.take(ends - k, mode="clip") - np.uint8(ord("0"))
+        digit[lengths < k] = 0
+        values *= 10
+        values += digit
+    return values
+
+
+def _csv_columns(data: bytes) -> np.ndarray | None:
+    """The counts of a canonical table CSV, parsed by columns; None for any other.
+
+    Canonical is what write_table_csv writes: the header line n,count, then
+    lines that each hold two nonempty runs of at most 18 ASCII digits joined
+    by a comma and ended by CRLF, whose first runs read 0, 1, 2, ....  The
+    row reader reads every canonical file to the same counts.
+    """
+    if not data.startswith(_CSV_HEADER):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8, offset=len(_CSV_HEADER))
+    if not buf.size or buf.max() > ord("9"):
+        return None
+    # Every byte below "0" is a separator, in the order , CR LF on each line,
+    # and the last one ends the file; every other byte is then a digit.
+    seps = np.flatnonzero(buf < ord("0"))
+    if not seps.size or seps.size % 3 or seps[-1] != buf.size - 1:
+        return None
+    seps = seps.reshape(-1, 3)
+    if not (buf[seps] == _ROW_SEPS).all():
+        return None
+    commas, crs, lfs = seps.T
+    n_len = commas - np.concatenate(([0], lfs[:-1] + 1))
+    count_len = crs - commas - 1
+    if (
+        (crs + 1 != lfs).any()
+        or min(n_len.min(), count_len.min()) < 1
+        or max(n_len.max(), count_len.max()) > _MAX_DIGITS
+        or not np.array_equal(_field_values(buf, commas, n_len), np.arange(commas.size))
+    ):
+        return None
+    return _field_values(buf, crs, count_len)
+
+
+# The only spelling of an integer field: optional minus, then ASCII digits.
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def _csv_int(raw: str, name: str, line: int) -> int:
     try:
+        if not _DECIMAL.fullmatch(raw):
+            raise ValueError
         return int(raw)
     except ValueError:
         raise TableFormatError(f"line {line}: {name} {raw!r} is not an integer") from None
 
 
-def read_table_csv(path: str | Path, params: WaringParams) -> RepTable:
-    """Read a CSV table; the parameters are not stored in the CSV form."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != ["n", "count"]:
-                raise TableFormatError(f"expected header n,count, got {header}")
-            values = []
-            for line, row in enumerate(reader, start=2):
-                if len(row) != 2:
-                    raise TableFormatError(f"malformed row {row}")
-                n, c = _csv_int(row[0], "n", line), _csv_int(row[1], "count", line)
-                if n != len(values):
-                    raise TableFormatError(f"rows out of order at n={n}")
-                if not -(2**63) <= c < 2**63:
-                    raise TableFormatError(f"line {line}: count {c} at n={n} is outside int64")
-                values.append(c)
-        except csv.Error as exc:
-            raise TableFormatError(f"line {reader.line_num}: {exc}") from None
+def _csv_rows(data: bytes) -> np.ndarray:
+    """The counts of any table CSV, read row by row; each fault is a
+    TableFormatError that names it.  Bytes that are not UTF-8 are read as
+    backslash escapes, which no integer field can hold."""
+    text = io.StringIO(data.decode(errors="backslashreplace"), newline="")
+    reader = csv.reader(text)
+    try:
+        header = next(reader, None)
+        if header != ["n", "count"]:
+            raise TableFormatError(f"expected header n,count, got {header}")
+        values = []
+        for line, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                raise TableFormatError(f"malformed row {row}")
+            n, c = _csv_int(row[0], "n", line), _csv_int(row[1], "count", line)
+            if n != len(values):
+                raise TableFormatError(f"rows out of order at n={n}")
+            if not -(2**63) <= c < 2**63:
+                raise TableFormatError(f"line {line}: count {c} at n={n} is outside int64")
+            values.append(c)
+    except csv.Error as exc:
+        raise TableFormatError(f"line {reader.line_num}: {exc}") from None
     if not values:
         raise TableFormatError("empty table")
-    counts = np.asarray(values, dtype=np.int64)
-    return RepTable(params=params, limit=len(values) - 1, counts=counts)
+    return np.asarray(values, dtype=np.int64)
+
+
+def read_table_csv(path: str | Path, params: WaringParams) -> RepTable:
+    """Read a CSV table; the parameters are not stored in the CSV form.
+
+    A canonical file, as write_table_csv writes it, is parsed by columns;
+    any other is read row by row, with the same result on every canonical
+    file and a message for every fault.
+    """
+    data = Path(path).read_bytes()
+    counts = _csv_columns(data)
+    if counts is None:
+        counts = _csv_rows(data)
+    return RepTable(params=params, limit=counts.size - 1, counts=counts)
 
 
 def _binary_width(ell: int, limit: int) -> int:

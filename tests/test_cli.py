@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from test_cli_golden import MAIER_CERT, write_inputs
 from waring_gaps import cli
 from waring_gaps.repcount import (
+    _CSV_ROWS,
     WaringParams,
     read_table_binary,
     sieve_rep,
@@ -263,6 +264,10 @@ class TestErrorsAndConfig:
         "count,message",
         [
             ("1e3", "line 4: count '1e3' is not an integer"),
+            ("1_0", "line 4: count '1_0' is not an integer"),
+            (" 5 ", "line 4: count ' 5 ' is not an integer"),
+            ("+5", "line 4: count '+5' is not an integer"),
+            ("\u0663", "line 4: count '\u0663' is not an integer"),
             ("99999999999999999999", "line 4: count 99999999999999999999 at n=2 is outside int64"),
         ],
     )
@@ -430,6 +435,22 @@ class TestReportWriter:
         # line instead of diffing every line of a long report.
         assert text.split("\n") == json.dumps(as_plain_json(value), indent=2).split("\n")
 
+    @pytest.mark.parametrize("rows", [0, 1, _CSV_ROWS - 1, _CSV_ROWS, 2 * _CSV_ROWS + 3])
+    def test_arrays_across_blocks_match_json_dumps(self, rows):
+        rng = np.random.default_rng(rows)
+        records = np.empty(rows, dtype=[("start", "<i8"), ("big", "<u8"), ("small", "i1"),
+                                        ("truncated", "?")])
+        records["start"] = rng.integers(-(2**63), 2**63 - 1, rows, endpoint=True)
+        records["big"] = rng.integers(0, 2**64 - 1, rows, dtype=np.uint64, endpoint=True)
+        records["small"] = rng.integers(-128, 127, rows, endpoint=True)
+        records["truncated"] = rng.integers(0, 1, rows, endpoint=True)
+        extremes = [(-(2**63), 2**64 - 1, -128, True), (2**63 - 1, 0, 127, False),
+                    (-1, 9, 10, True)]
+        records[: len(extremes)] = extremes[:rows]
+        value = {"members": records["start"], "nested": {"runs": records, "big": records["big"]}}
+        text = "".join(cli._report_chunks(value))
+        assert text.split("\n") == json.dumps(as_plain_json(value), indent=2).split("\n")
+
     @pytest.mark.parametrize(
         "bad",
         [np.zeros(3), np.zeros((2, 2), dtype=np.int64), np.array(["a"]), object()],
@@ -513,6 +534,27 @@ class TestOutputFiles:
         for name in ("t.csv", "r.json"):
             assert (tmp_path / name).stat().st_mode & 0o777 == 0o600
             assert (tmp_path / name).read_text() != "earlier\n"
+
+    @pytest.mark.parametrize("out", ["/dev/stdout", "/dev/fd/1", "/proc/self/fd/1", "link"])
+    def test_descriptor_paths_write_at_the_descriptor_offset(self, tmp_path, out):
+        expected = tmp_path / "expected.bin"
+        write_table_binary(sieve_rep(WaringParams(3, 2), 10), expected)
+        if out == "link":
+            (tmp_path / "link").symlink_to("/dev/stdout")
+        report = tmp_path / "r.json"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        with open(tmp_path / "out.bin", "wb") as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-m", "waring_gaps.cli", "sieve", "--ell", "3", "--s", "2",
+                 "--limit", "10", "--out", out, "--json", str(report)],
+                cwd=tmp_path, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                timeout=120,
+            )
+        assert proc.returncode == 0, proc.stderr
+        line = f"waring-gaps: report written to {report}\n".encode()
+        assert (tmp_path / "out.bin").read_bytes() == expected.read_bytes() + line
+        assert json.loads(report.read_text())["summary"]["written"] == out
 
     def test_fifo_is_written_in_place(self, tmp_path, capsys):
         expected = tmp_path / "expected.csv"

@@ -20,6 +20,8 @@ from oracles import (
 from waring_gaps.repcount import (
     _CSV_ROWS,
     _WINDOW,
+    _csv_columns,
+    _csv_rows,
     CounterWidthError,
     RepTable,
     TableFormatError,
@@ -429,3 +431,126 @@ class TestSerialization:
             write_output(path, pieces())
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == b"earlier"
+
+
+SHORT_COUNTS = st.integers(0, 40) | st.integers(0, 10**18 - 1)
+COUNTS = SHORT_COUNTS | st.integers(2**63 - 2, 2**63 + 2) | st.integers(0, 10**20)
+# Substitutes for one byte of a table CSV, one class after another.
+BYTES = (
+    st.sampled_from(b"0123456789")
+    | st.sampled_from(b",\r\n")
+    | st.sampled_from(b'-+_ ."\t\x00')
+    | st.integers(0x80, 0xFF)
+    | st.integers(0, 0x7F)
+)
+
+
+def csv_outcome(counts_of, data: bytes):
+    """The counts a reader takes from data, or the message of its TableFormatError."""
+    try:
+        counts = counts_of(data)
+        table = RepTable(params=WaringParams(4, 4), limit=counts.size - 1, counts=counts)
+        return table.counts.tolist()
+    except TableFormatError as exc:
+        return str(exc)
+
+
+@st.composite
+def canonical_rows(draw, counts=COUNTS) -> list[list[str]]:
+    """The n and count fields of a table CSV; the counts may break the table's rules."""
+    first = draw(st.sampled_from([1, 1, 1, 0, 2]))
+    counts = [first, *draw(st.lists(counts, max_size=30))]
+    return [[str(n), str(c)] for n, c in enumerate(counts)]
+
+
+@st.composite
+def table_csvs(draw) -> bytes:
+    """Table CSVs near the canonical form: at most one of leading zeros (up
+    to 19 and 20 digits), LF-only or mixed line ends, rows out of order or a
+    blank line, then at most one of a substituted or deleted byte,
+    truncation or a missing final line end."""
+    rows = draw(canonical_rows())
+    lines = ["n,count"] + [",".join(row) for row in rows]
+    ends = ["\r\n"] * len(lines)
+    variants = ["canonical", "canonical", "zeros", "line ends", "order", "blank"]
+    variant = draw(st.sampled_from(variants))
+    if variant == "zeros":
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        field = draw(st.integers(0, 1))
+        row[field] = row[field].zfill(draw(st.sampled_from([2, 17, 18, 19, 20])))
+        lines[1:] = [",".join(row) for row in rows]
+    elif variant == "line ends":
+        ends = [draw(st.sampled_from(["\r\n", "\n"])) for _ in lines]
+    elif variant == "order" and len(rows) > 1:
+        i, j = draw(st.lists(st.integers(1, len(rows)), min_size=2, max_size=2, unique=True))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif variant == "blank":
+        lines.insert(draw(st.integers(1, len(lines))), "")
+        ends.append(draw(st.sampled_from(["\r\n", "\n"])))
+    data = "".join(map(str.__add__, lines, ends)).encode()
+    edit = draw(st.sampled_from(["none", "substitute", "delete", "truncate", "unterminated"]))
+    at = draw(st.integers(0, len(data) - 1))
+    if edit == "substitute":
+        data = data[:at] + bytes([draw(BYTES)]) + data[at + 1 :]
+    elif edit == "delete":
+        data = data[:at] + data[at + 1 :]
+    elif edit == "truncate":
+        data = data[:at]
+    elif edit == "unterminated":
+        data = data[: -draw(st.sampled_from([1, 2]))]
+    return data
+
+
+class TestCsvCodec:
+    """The decimal codec: the columnar table-CSV reader against the row
+    reader, and the CSV renderer on every int dtype against the csv module."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=table_csvs())
+    @example(data=b"n,count\r\n0,1\r\n1,0000000000000000003\r\n")
+    @example(data=b"n,count\r\n0,1\r\n1,9223372036854775808\r\n")
+    @example(data=b"n,count\r\n0,1\r\n1,9999999999999999999\r\n")
+    @example(data=b"n,count\r\n,1\r\n1,3\r\n")
+    @example(data=b"n,count\r\n0,1\r\n1,\r\n")
+    @example(data=b"n,count\r\n0,1\r\n1,a\r\n")
+    @example(data=b"n,count\r\n0\r1\r\n")
+    @example(data=b"n,count\r\n0,1\n\r")
+    @example(data=b"n,count\r\n0,1\r\n01,000000000000000003\r\n")
+    @example(data=b"n,count\r\n0,1\r\n1,999999999999999999\r\n")
+    @example(data=b"n,count\r\n0,1\r\n1,3\r2\n")
+    @example(data=b"n,count\r\n0,1\r\n1,3\r\n5")
+    @example(data=b"n,count\r\n0,1\r\n\r\n1,3\r\n")
+    @example(data=b"n,count\r\n1,1\r\n0,3\r\n")
+    @example(data=b"n,count\r\n0,1\r\n,3\r\n")
+    @example(data=b"n,count\r\n")
+    def test_columnar_reader_agrees_with_row_reader(self, data, tmp_path_factory):
+        rows = csv_outcome(_csv_rows, data)
+        fast = _csv_columns(data)
+        if fast is not None:
+            assert csv_outcome(lambda _: fast, data) == rows
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(data)
+        assert csv_outcome(lambda _: read_table_csv(path, WaringParams(4, 4)).counts, data) == rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=canonical_rows(SHORT_COUNTS), zeros=st.integers(0, 17))
+    def test_canonical_tables_are_read_by_columns(self, rows, zeros):
+        rows[-1] = [field.zfill(min(len(field) + zeros, 18)) for field in rows[-1]]
+        data = ("n,count\r\n" + "".join(f"{n},{c}\r\n" for n, c in rows)).encode()
+        fast = _csv_columns(data)
+        assert fast is not None
+        assert fast.tolist() == [int(c) for _, c in rows]
+        assert csv_outcome(lambda _: fast, data) == csv_outcome(_csv_rows, data)
+
+    @pytest.mark.parametrize("dtype", ["i1", "i2", "i4", "u1", "u2", "u4", "u8"])
+    def test_csv_pieces_of_every_int_dtype_match_csv_module(self, dtype):
+        info = np.iinfo(dtype)
+        column = np.array([info.min, info.max, 0, 1, 9, 10, 99, 100] * 3, dtype=dtype)
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows([["x"], *zip(column.tolist())])
+        assert "".join(csv_pieces("x", [column])) == expected.getvalue()
+
+    def test_written_tables_are_read_by_columns(self, tmp_path, table_4_4):
+        path = tmp_path / "t.csv"
+        write_table_csv(table_4_4, path)
+        assert np.array_equal(_csv_columns(path.read_bytes()), table_4_4.counts)

@@ -1,8 +1,12 @@
-"""Every file the package writes reaches disk through repcount.write_output.
+"""Every file the package writes reaches disk through repcount.write_output,
+and every array it writes as text is rendered by repcount.render_rows.
 
-The scan reads the source of every module under waring_gaps and lists each
-call that opens a file for writing: open() or Path.open() with a mode that
-holds w, a, x or + (or a mode it cannot read), write_text and write_bytes.
+The scans read the source of every module under waring_gaps.  The first
+lists each call that opens a file for writing: open() or Path.open() with a
+mode that holds w, a, x or + (or a mode it cannot read), write_text and
+write_bytes.  The second lists each .tolist() whose result feeds
+json.dumps, json.dump or a str.join, the per-cell rendering render_rows
+replaces.
 """
 
 import ast
@@ -33,20 +37,43 @@ def _opens_for_writing(call: ast.Call) -> bool:
     return not readable or bool(set(mode.value) & set("wax+"))
 
 
-def _sites(node: ast.AST, owner: str | None):
-    """(enclosing function, line) of each write call below node."""
+def _renders_tolist(call: ast.Call) -> bool:
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return False
+    json_dump = func.attr in ("dumps", "dump") and getattr(func.value, "id", None) == "json"
+    if not (json_dump or func.attr == "join"):
+        return False
+    return any(
+        isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "tolist"
+        for arg in [*call.args, *(keyword.value for keyword in call.keywords)]
+        for node in ast.walk(arg)
+    )
+
+
+def _sites(node: ast.AST, owner: str | None, found):
+    """(enclosing function, line) of each call below node for which found holds."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call) and _opens_for_writing(child):
+        if isinstance(child, ast.Call) and found(child):
             yield owner, child.lineno
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
-        yield from _sites(child, inner)
+        yield from _sites(child, inner, found)
+
+
+def _scan(found) -> list[tuple[str, str | None, int]]:
+    return [
+        (path.relative_to(PACKAGE).as_posix(), owner, line)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for owner, line in _sites(ast.parse(path.read_text()), None, found)
+    ]
 
 
 def test_one_write_site():
-    sites = [
-        (path.relative_to(PACKAGE).as_posix(), owner, line)
-        for path in sorted(PACKAGE.rglob("*.py"))
-        for owner, line in _sites(ast.parse(path.read_text()), None)
-    ]
+    sites = _scan(_opens_for_writing)
     # The writer's own open is listed too, so a scan that finds nothing fails.
     assert [site[:2] for site in sites] == [WRITER], sites
+
+
+def test_one_renderer():
+    sites = _scan(_renders_tolist)
+    assert sites == [], sites
