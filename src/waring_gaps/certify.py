@@ -896,6 +896,14 @@ def pipeline_dry_run(
     config = config or PipelineConfig()
     if config.moduli_pool is not None and not config.moduli_pool:
         raise ValueError("moduli pool must be nonempty")
+    if config.xi <= 0:
+        raise ValueError("xi must be positive")
+    if config.max_limit < 1:
+        raise ValueError("max_limit must be at least 1")
+    if config.max_modulus < 1:
+        raise ValueError("max_modulus must be at least 1")
+    if config.mild_check_cap < 0:
+        raise ValueError("mild_check_cap must be nonnegative")
 
     report = Report(
         kind="pipeline",

@@ -510,6 +510,10 @@ _CSV_HEADER = b"n,count\r\n"
 _ROW_SEPS = np.frombuffer(b",\r\n", dtype=np.uint8)
 # Runs of at most 18 digits read below 10^18 < 2^63, so int64 holds them.
 _MAX_DIGITS = 18
+# Bytes of a table CSV that the columnar reader parses at once, at least the
+# longest canonical line; it bounds the reader's temporaries and never
+# changes a result.
+_CSV_BLOCK = 1 << 16
 
 
 def _field_values(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -529,17 +533,34 @@ def _csv_columns(data: bytes) -> np.ndarray | None:
     Canonical is what write_table_csv writes: the header line n,count, then
     lines that each hold two nonempty runs of at most 18 ASCII digits joined
     by a comma and ended by CRLF, whose first runs read 0, 1, 2, ....  The
-    row reader reads every canonical file to the same counts.
+    row reader reads every canonical file to the same counts.  The lines are
+    parsed in blocks of at most _CSV_BLOCK bytes, each cut after an LF, into
+    counts sized from the number of LFs.
     """
-    if not data.startswith(_CSV_HEADER):
+    if not data.startswith(_CSV_HEADER) or len(data) == len(_CSV_HEADER) or data[-1:] != b"\n":
         return None
-    buf = np.frombuffer(data, dtype=np.uint8, offset=len(_CSV_HEADER))
-    if not buf.size or buf.max() > ord("9"):
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf[len(_CSV_HEADER) :].max() > ord("9"):
         return None
+    counts = np.empty(data.count(b"\n") - 1, dtype=np.int64)
+    at, row = len(_CSV_HEADER), 0
+    while at < len(data):
+        end = data.rfind(b"\n", at, at + _CSV_BLOCK) + 1
+        block = _csv_block(buf[at:end], row) if end > at else None
+        if block is None:
+            return None
+        counts[row : row + block.size] = block
+        at, row = end, row + block.size
+    return counts
+
+
+def _csv_block(buf: np.ndarray, first: int) -> np.ndarray | None:
+    """The counts of whole canonical lines first, first + 1, ... in buf,
+    which ends with an LF; None unless every line is canonical."""
     # Every byte below "0" is a separator, in the order , CR LF on each line,
-    # and the last one ends the file; every other byte is then a digit.
+    # and the last one ends the block; every other byte is then a digit.
     seps = np.flatnonzero(buf < ord("0"))
-    if not seps.size or seps.size % 3 or seps[-1] != buf.size - 1:
+    if seps.size % 3:
         return None
     seps = seps.reshape(-1, 3)
     if not (buf[seps] == _ROW_SEPS).all():
@@ -551,7 +572,9 @@ def _csv_columns(data: bytes) -> np.ndarray | None:
         (crs + 1 != lfs).any()
         or min(n_len.min(), count_len.min()) < 1
         or max(n_len.max(), count_len.max()) > _MAX_DIGITS
-        or not np.array_equal(_field_values(buf, commas, n_len), np.arange(commas.size))
+        or not np.array_equal(
+            _field_values(buf, commas, n_len), np.arange(first, first + commas.size)
+        )
     ):
         return None
     return _field_values(buf, crs, count_len)

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -139,7 +139,6 @@ class HalfFunction:
             coefficient_fn=lambda n: value if n == 0 else 0,
             c=Fraction(abs(value)),
             label=f"const_{value}",
-            coverage=None,
             nonnegative=value >= 0,
             nonzero=(0,) if value else (),
         )
@@ -164,7 +163,6 @@ class HalfFunction:
             coefficient_fn=lambda n: entries.get(n, 0),
             c=Fraction(c),
             label=label,
-            coverage=None,
             nonnegative=all(a >= 0 for a in entries.values()),
             nonzero=sorted(entries),
         )
@@ -184,28 +182,41 @@ class HalfFunction:
             )
         return a
 
-    def tail_majorant_start(self, n: int) -> int | None:
-        """Smallest index >= n not certified to hold a zero coefficient.
+    def _nonzero_terms(self, lo: int, hi: int | None) -> Iterator[tuple[int, int]]:
+        """(k, a_k) for each k in [lo, hi) with a nonzero exact coefficient,
+        ascending; hi None means no upper end, for a series with an index.
+        With an index only its positions are read, else every position, and
+        each read goes through coefficient.  A window that passes coverage
+        reads max(lo, coverage + 1) last, which raises CoverageError after
+        every earlier nonzero."""
+        stop = hi
+        if self.coverage is not None and (hi is None or hi > self.coverage + 1):
+            stop = self.coverage + 1
+        if self._nonzero is None:
+            positions = range(lo, stop)
+        else:
+            i = np.searchsorted(self._nonzero, lo)
+            j = None if stop is None else np.searchsorted(self._nonzero, stop)
+            positions = map(int, self._nonzero[i:j])
+        for k in positions:
+            a = self.coefficient(k)
+            if a:
+                yield k, a
+        if stop != hi and (hi is None or lo < hi):
+            self.coefficient(max(lo, stop))
 
-        One binary search in the nonzero index finds the first listed
-        position at or after n; listed positions whose exact coefficient
-        is zero (a combination that cancels) are skipped.  Past coverage
-        nothing is certified, so the answer is at most max(n, coverage + 1);
-        None means the series is certified zero from n on.  Every
-        coefficient between n and the result is exactly zero, so the
-        result is a sound start for a tail majorant.  A series without an
-        index certifies no zero and returns n.
+    def tail_majorant_start(self, n: int) -> int | None:
+        """Smallest index >= n not certified to hold a zero coefficient: the
+        first term of the walk from n.  Past coverage nothing is certified,
+        so the answer is at most max(n, coverage + 1); None means the series
+        is certified zero from n on.  Every coefficient between n and the
+        result is exactly zero, so the result is a sound start for a tail
+        majorant.  A series without an index certifies no zero and returns n.
         """
         if self._nonzero is None:
             return n
-        end = None if self.coverage is None else self.coverage + 1
-        i = int(np.searchsorted(self._nonzero, n))
-        while i < self._nonzero.size and (end is None or self._nonzero[i] < end):
-            k = int(self._nonzero[i])
-            if self.coefficient(k) != 0:
-                return k
-            i += 1
-        return None if end is None else max(n, end)
+        end = None if self.coverage is None else max(n, self.coverage + 1)
+        return next((k for k, _ in self._nonzero_terms(n, end)), end)
 
 
 def linear_combination(
@@ -254,10 +265,10 @@ def tail_norm(f: HalfFunction, start: int, cutoff: int) -> Enclosure:
     if cutoff < start:
         raise ValueError("cutoff must not precede start")
     terms = cutoff - start
-    numerator = 0
-    for i in range(terms):
-        numerator = (numerator << 1) + abs(f.coefficient(start + i))
-    lo = Fraction(numerator, 1 << (terms - 1)) if terms else Fraction(0)
+    numerator, last = 0, start
+    for k, a in f._nonzero_terms(start, cutoff):
+        numerator, last = (numerator << (k - last)) + abs(a), k
+    lo = Fraction(numerator << (cutoff - 1 - last), 1 << (terms - 1)) if terms else Fraction(0)
     majorant_at = f.tail_majorant_start(cutoff)
     if majorant_at is None:
         return Enclosure(lo, lo)
@@ -330,11 +341,14 @@ class MildGapCheck:
         return self.verdict is Verdict.PASS
 
 
-def _default_cutoff(f: HalfFunction, start: int, gap_length: int) -> int:
-    cutoff = start + max(64, 4 * gap_length)
-    if f.coverage is not None:
-        cutoff = min(cutoff, f.coverage + 1)
-    return max(cutoff, start)
+def _valid_tail_bound(gap_length: int, tail_bound: Fraction) -> Fraction:
+    """The tail bound as a Fraction, once the gap length and bound are valid."""
+    if gap_length < 1:
+        raise ValueError("gap length must be positive")
+    tail_bound = Fraction(tail_bound)
+    if tail_bound <= 0:
+        raise ValueError("tail bound must be positive")
+    return tail_bound
 
 
 def is_mild_gap(
@@ -351,54 +365,32 @@ def is_mild_gap(
     the bound falls inside the enclosure; that verdict is distinct from a
     definite rejection (enclosure entirely above the bound).
     """
-    if gap_length < 1:
-        raise ValueError("gap length must be positive")
-    tail_bound = Fraction(tail_bound)
-    if tail_bound <= 0:
-        raise ValueError("tail bound must be positive")
+    tail_bound = _valid_tail_bound(gap_length, tail_bound)
     if n < 0:
         raise IndexError("index must be nonnegative")
-    for k in range(gap_length):
-        if f.coefficient(n + k) != 0:
-            return MildGapCheck(
-                verdict=Verdict.FAIL,
-                n=n,
-                failed_clause="zero-run",
-                detail=f"coefficient at {n + k} is nonzero",
-            )
+    for k, _ in f._nonzero_terms(n, n + gap_length):
+        detail = f"coefficient at {k} is nonzero"
+        return MildGapCheck(Verdict.FAIL, n, failed_clause="zero-run", detail=detail)
     start = n + gap_length
     if cutoff is None:
-        cutoff = _default_cutoff(f, start, gap_length)
+        cutoff = start + max(64, 4 * gap_length)
+        if f.coverage is not None:
+            cutoff = max(min(cutoff, f.coverage + 1), start)
     tail = tail_norm(f, start, cutoff)
     if tail.hi <= tail_bound:
-        return MildGapCheck(
-            verdict=Verdict.PASS,
-            n=n,
-            witness=MildGapWitness(
-                function=f.label,
-                n=n,
-                gap_length=gap_length,
-                tail_bound=tail_bound,
-                zero_checked_up_to=n + gap_length - 1,
-                tail_enclosure=tail,
-            ),
+        witness = MildGapWitness(
+            function=f.label, n=n, gap_length=gap_length, tail_bound=tail_bound,
+            zero_checked_up_to=start - 1, tail_enclosure=tail,
         )
+        return MildGapCheck(Verdict.PASS, n, witness=witness)
     if tail.lo > tail_bound:
-        return MildGapCheck(
-            verdict=Verdict.FAIL,
-            n=n,
-            failed_clause="tail-norm",
-            detail=f"tail is at least {tail.lo}, above the bound {tail_bound}",
-        )
-    return MildGapCheck(
-        verdict=Verdict.INCONCLUSIVE,
-        n=n,
-        failed_clause="tail-norm",
-        detail=(
-            f"bound {tail_bound} falls inside the tail enclosure "
-            f"[{tail.lo}, {tail.hi}] at cutoff {cutoff}"
-        ),
+        detail = f"tail is at least {tail.lo}, above the bound {tail_bound}"
+        return MildGapCheck(Verdict.FAIL, n, failed_clause="tail-norm", detail=detail)
+    detail = (
+        f"bound {tail_bound} falls inside the tail enclosure "
+        f"[{tail.lo}, {tail.hi}] at cutoff {cutoff}"
     )
+    return MildGapCheck(Verdict.INCONCLUSIVE, n, failed_clause="tail-norm", detail=detail)
 
 
 @dataclass(frozen=True)
@@ -417,29 +409,33 @@ def scan_mild_gaps(
     tail_bound: Fraction,
     cutoff: int | None = None,
 ) -> MildGapScan:
-    """All mild gap points in [lo, hi), ascending; undecided ones listed apart."""
+    """All mild gap points in [lo, hi), ascending; undecided ones listed apart.
+
+    A candidate n has its next nonzero coefficient gap_length or more past
+    it, found by one searchsorted into the walk over [lo, hi + gap_length - 1).
+    A window past coverage raises CoverageError once every candidate before
+    coverage is checked.
+    """
     if lo < 0 or hi < lo:
         raise ValueError("range must satisfy 0 <= lo <= hi")
+    tail_bound = _valid_tail_bound(gap_length, tail_bound)
     if hi == lo:
         return MildGapScan(witnesses=(), inconclusive=())
-    witnesses = []
-    inconclusive = []
-    zeros_run = 0
-    # zeros_run counts consecutive zero coefficients ending at index k.
-    for k in range(lo, hi + gap_length - 1):
-        if f.coefficient(k) == 0:
-            zeros_run += 1
-        else:
-            zeros_run = 0
-        n = k - gap_length + 1
-        if n < lo or n >= hi:
-            continue
-        if zeros_run >= gap_length:
-            check = is_mild_gap(f, n, gap_length, tail_bound, cutoff=cutoff)
-            if check.is_witness:
-                witnesses.append(check.witness)
-            elif check.verdict is Verdict.INCONCLUSIVE:
-                inconclusive.append(n)
+    end = known = hi + gap_length - 1
+    if f.coverage is not None:
+        known = max(lo, min(end, f.coverage + 1))
+    nonzero = np.fromiter((k for k, _ in f._nonzero_terms(lo, known)), dtype=np.int64)
+    starts = np.arange(lo, min(hi, known - gap_length + 1))
+    following = np.append(nonzero, known)[np.searchsorted(nonzero, starts)]
+    witnesses, inconclusive = [], []
+    for n in starts[following - starts >= gap_length].tolist():
+        check = is_mild_gap(f, n, gap_length, tail_bound, cutoff=cutoff)
+        if check.is_witness:
+            witnesses.append(check.witness)
+        elif check.verdict is Verdict.INCONCLUSIVE:
+            inconclusive.append(n)
+    if known < end:
+        list(f._nonzero_terms(known, end))  # past coverage: raises CoverageError
     return MildGapScan(witnesses=tuple(witnesses), inconclusive=tuple(inconclusive))
 
 
@@ -455,10 +451,10 @@ def eval_truncated(f: HalfFunction, q: int, terms: int) -> Fraction:
         raise ValueError("terms must be nonnegative")
     if terms == 0:
         return Fraction(0)
-    numerator = 0
-    for k in range(terms):
-        numerator = numerator * q + f.coefficient(k)
-    return Fraction(numerator, q ** (terms - 1))
+    numerator, last = 0, 0
+    for k, a in f._nonzero_terms(0, terms):
+        numerator, last = numerator * q ** (k - last) + a, k
+    return Fraction(numerator * q ** (terms - 1 - last), q ** (terms - 1))
 
 
 def _tail_majorant(c: Fraction, q: int, start: int) -> Fraction:

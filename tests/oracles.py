@@ -259,6 +259,45 @@ def first_nonzero_bruteforce(
     return answers
 
 
+def zero_run_scan(coefficient, lo: int, hi: int, gap_length: int, check) -> list:
+    """The mild-gap scan one index at a time, as check(n) results in order.
+
+    coefficient(k) is read once for each k in [lo, hi + gap_length - 1), and
+    a counter holds the length of the zero run that ends at k.  Once the run
+    from n = k - gap_length + 1 in [lo, hi) holds gap_length zeros, check(n)
+    is called, before the next index is read.  An empty range reads nothing.
+    """
+    if hi == lo:
+        return []
+    results = []
+    zeros_run = 0
+    for k in range(lo, hi + gap_length - 1):
+        zeros_run = zeros_run + 1 if coefficient(k) == 0 else 0
+        n = k - gap_length + 1
+        if lo <= n < hi and zeros_run >= gap_length:
+            results.append(check(n))
+    return results
+
+
+def horner_tail_sum(coefficient, start: int, cutoff: int) -> Fraction:
+    """Exact sum of |coefficient(start + i)| / 2^i over i < cutoff - start,
+    by Horner's rule one index at a time."""
+    terms = cutoff - start
+    numerator = 0
+    for i in range(terms):
+        numerator = (numerator << 1) + abs(coefficient(start + i))
+    return Fraction(numerator, 1 << (terms - 1)) if terms else Fraction(0)
+
+
+def horner_truncated(coefficient, q: int, terms: int) -> Fraction:
+    """Exact sum of coefficient(k) / q^k over k < terms, by Horner's rule one
+    index at a time."""
+    numerator = 0
+    for k in range(terms):
+        numerator = numerator * q + coefficient(k)
+    return Fraction(numerator, q ** (terms - 1)) if terms else Fraction(0)
+
+
 def _scaled(lo: Fraction, hi: Fraction, k: int) -> tuple[Fraction, Fraction]:
     """The interval k*[lo, hi]."""
     return (lo * k, hi * k) if k >= 0 else (hi * k, lo * k)

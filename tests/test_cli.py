@@ -110,6 +110,19 @@ class TestPlumbingCommands:
         obj = json.loads(j.read_text())
         assert [w["n"] for w in obj["witnesses"]] == [4, 11, 12, 18, 19, 20]
 
+    @pytest.mark.parametrize(
+        "window,message",
+        [
+            (("--lo", "5", "--hi", "5", "--k", "0", "--e", "-1"), "gap length must be positive"),
+            (("--lo", "1", "--hi", "4", "--k", "1", "--e", "0"), "tail bound must be positive"),
+            (("--lo", "0", "--hi", "9", "--k", "0", "--e", "8"), "gap length must be positive"),
+        ],
+    )
+    def test_mild_scan_checks_gap_shape_up_front(self, table_file, capsys, window, message):
+        # the second window holds no zero run, so no candidate would reach is_mild_gap
+        assert run_cli("mild-scan", "--table", str(table_file), *window) == 3
+        assert capsys.readouterr().err == f"waring-gaps: error: {message}\n"
+
     def test_theta_enclosure(self, tmp_path):
         j = tmp_path / "theta.json"
         assert run_cli("theta", "--ell", "3", "--q", "2", "--terms", "64",
@@ -239,6 +252,22 @@ class TestVerdictCommands:
         j = tmp_path / "pipe.json"
         assert run_cli("pipeline", "--ell", "3", "--q", "2", "--pool", "", "--json", str(j)) == 3
         assert capsys.readouterr().err == "waring-gaps: error: moduli pool must be nonempty\n"
+        assert not j.exists()
+
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            ("--mild-cap=-1", "mild_check_cap must be nonnegative"),
+            ("--xi=-1", "xi must be positive"),
+            ("--xi=0", "xi must be positive"),
+            ("--max-limit=-5", "max_limit must be at least 1"),
+            ("--max-modulus=0", "max_modulus must be at least 1"),
+        ],
+    )
+    def test_pipeline_rejects_out_of_range_settings(self, tmp_path, capsys, setting, message):
+        j = tmp_path / "pipe.json"
+        assert run_cli("pipeline", "--ell", "3", "--q", "2", setting, "--json", str(j)) == 3
+        assert capsys.readouterr().err == f"waring-gaps: error: {message}\n"
         assert not j.exists()
 
     def test_parser_is_built_once(self):

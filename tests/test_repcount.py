@@ -2,6 +2,7 @@ import csv
 import io
 import random
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,10 @@ from oracles import (
     rep_counts_convolution,
     zero_runs_bruteforce,
 )
+from waring_gaps import repcount
 from waring_gaps.repcount import (
     _CSV_ROWS,
+    _MAX_DIGITS,
     _WINDOW,
     _csv_columns,
     _csv_rows,
@@ -445,6 +448,10 @@ BYTES = (
 )
 
 
+# The longest canonical table-CSV line: two 18-digit fields, a comma and CRLF.
+LONGEST_LINE = 2 * _MAX_DIGITS + 3
+
+
 def csv_outcome(counts_of, data: bytes):
     """The counts a reader takes from data, or the message of its TableFormatError."""
     try:
@@ -501,36 +508,90 @@ def table_csvs(draw) -> bytes:
     return data
 
 
+# Edge cases for every reader-agreement test: fields of 18 to 19 digits,
+# values past int64, empty or misplaced fields and stray line ends.
+CSV_EXAMPLES = [
+    b"n,count\r\n0,1\r\n1,0000000000000000003\r\n",
+    b"n,count\r\n0,1\r\n1,9223372036854775808\r\n",
+    b"n,count\r\n0,1\r\n1,9999999999999999999\r\n",
+    b"n,count\r\n,1\r\n1,3\r\n",
+    b"n,count\r\n0,1\r\n1,\r\n",
+    b"n,count\r\n0,1\r\n1,a\r\n",
+    b"n,count\r\n0\r1\r\n",
+    b"n,count\r\n0,1\n\r",
+    b"n,count\r\n0,1\r\n01,000000000000000003\r\n",
+    b"n,count\r\n0,1\r\n1,999999999999999999\r\n",
+    b"n,count\r\n0,1\r\n1,3\r2\n",
+    b"n,count\r\n0,1\r\n1,3\r\n5",
+    b"n,count\r\n0,1\r\n\r\n1,3\r\n",
+    b"n,count\r\n1,1\r\n0,3\r\n",
+    b"n,count\r\n0,1\r\n,3\r\n",
+    b"n,count\r\n",
+]
+
+
+def csv_examples(test):
+    """Run test on every CSV_EXAMPLES case as well."""
+    for data in CSV_EXAMPLES:
+        test = example(data=data)(test)
+    return test
+
+
+def assert_readers_agree(data: bytes, tmp_path_factory) -> None:
+    """The columnar reader, where it reads data, and read_table_csv give the
+    row reader's counts or message."""
+    rows = csv_outcome(_csv_rows, data)
+    fast = _csv_columns(data)
+    if fast is not None:
+        assert csv_outcome(lambda _: fast, data) == rows
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(data)
+    assert csv_outcome(lambda _: read_table_csv(path, WaringParams(4, 4)).counts, data) == rows
+
+
 class TestCsvCodec:
     """The decimal codec: the columnar table-CSV reader against the row
     reader, and the CSV renderer on every int dtype against the csv module."""
 
     @settings(max_examples=600, deadline=None)
     @given(data=table_csvs())
-    @example(data=b"n,count\r\n0,1\r\n1,0000000000000000003\r\n")
-    @example(data=b"n,count\r\n0,1\r\n1,9223372036854775808\r\n")
-    @example(data=b"n,count\r\n0,1\r\n1,9999999999999999999\r\n")
-    @example(data=b"n,count\r\n,1\r\n1,3\r\n")
-    @example(data=b"n,count\r\n0,1\r\n1,\r\n")
-    @example(data=b"n,count\r\n0,1\r\n1,a\r\n")
-    @example(data=b"n,count\r\n0\r1\r\n")
-    @example(data=b"n,count\r\n0,1\n\r")
-    @example(data=b"n,count\r\n0,1\r\n01,000000000000000003\r\n")
-    @example(data=b"n,count\r\n0,1\r\n1,999999999999999999\r\n")
-    @example(data=b"n,count\r\n0,1\r\n1,3\r2\n")
-    @example(data=b"n,count\r\n0,1\r\n1,3\r\n5")
-    @example(data=b"n,count\r\n0,1\r\n\r\n1,3\r\n")
-    @example(data=b"n,count\r\n1,1\r\n0,3\r\n")
-    @example(data=b"n,count\r\n0,1\r\n,3\r\n")
-    @example(data=b"n,count\r\n")
+    @csv_examples
     def test_columnar_reader_agrees_with_row_reader(self, data, tmp_path_factory):
-        rows = csv_outcome(_csv_rows, data)
-        fast = _csv_columns(data)
-        if fast is not None:
-            assert csv_outcome(lambda _: fast, data) == rows
-        path = tmp_path_factory.mktemp("csv") / "t.csv"
-        path.write_bytes(data)
-        assert csv_outcome(lambda _: read_table_csv(path, WaringParams(4, 4)).counts, data) == rows
+        assert_readers_agree(data, tmp_path_factory)
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=table_csvs())
+    @csv_examples
+    def test_columnar_reader_agrees_across_block_edges(self, data, tmp_path_factory):
+        # blocks of one longest canonical line put most lines of a case
+        # next to a block edge
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repcount, "_CSV_BLOCK", LONGEST_LINE)
+            assert_readers_agree(data, tmp_path_factory)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=table_csvs(), block=st.integers(LONGEST_LINE, 2 * LONGEST_LINE))
+    def test_block_size_changes_no_decision(self, data, block):
+        whole = _csv_columns(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repcount, "_CSV_BLOCK", block)
+            blocked = _csv_columns(data)
+        assert (blocked is None) == (whole is None)
+        assert whole is None or np.array_equal(blocked, whole)
+
+    def test_columnar_reader_memory_is_bounded(self, tmp_path):
+        table = sieve_rep(WaringParams(4, 4), 200_000)
+        path = tmp_path / "t.csv"
+        write_table_csv(table, path)
+        data = path.read_bytes()
+        tracemalloc.start()
+        try:
+            counts = _csv_columns(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(counts, table.counts)
+        assert peak < 2 * counts.nbytes
 
     @settings(max_examples=100, deadline=None)
     @given(rows=canonical_rows(SHORT_COUNTS), zeros=st.integers(0, 17))

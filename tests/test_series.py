@@ -1,11 +1,22 @@
+import functools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import first_nonzero_bruteforce, rep_counts_bruteforce, weighted_tail_bruteforce
+from oracles import (
+    first_nonzero_bruteforce,
+    horner_tail_sum,
+    horner_truncated,
+    rep_counts_bruteforce,
+    weighted_tail_bruteforce,
+    zero_run_scan,
+)
 from waring_gaps.repcount import WaringParams, sieve_rep
 from waring_gaps.series import (
     CoverageError,
@@ -419,3 +430,206 @@ class TestTailBounds:
             exact = weighted_tail_bruteforce(values, n0)
             discarded = Fraction(2 * c * (length + 2) + 2 * c, 2 ** (length - n0))
             assert exact + discarded <= 5 * e_bound
+
+
+@functools.cache
+def small_table(ell: int, s: int, limit: int):
+    return sieve_rep(WaringParams(ell, s), limit)
+
+
+@st.composite
+def walked_series(draw) -> HalfFunction:
+    """Series whose coefficients respect their growth certificate: tables,
+    polynomials, constants, combinations that cancel, and bare functions with
+    no index, with or without a coverage."""
+    kind = draw(st.sampled_from(["table", "poly", "constant", "cancel", "mixed", "bare"]))
+    limit = draw(st.integers(0, 120))
+    if kind == "table":
+        ell, s = draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (4, 4)]))
+        return HalfFunction.from_table(small_table(ell, s, limit))
+    poly = HalfFunction.from_coefficients(
+        draw(st.dictionaries(st.integers(0, 90), st.integers(-5, 5), max_size=8))
+    )
+    if kind == "poly":
+        return poly
+    if kind == "constant":
+        return HalfFunction.constant(draw(st.integers(-3, 3)))
+    cubes = HalfFunction.from_table(small_table(3, 1, limit))
+    if kind == "cancel":
+        # f - f vanishes everywhere, 2*r_{3,1} - r_{3,2} at every positive cube
+        two_cubes = HalfFunction.from_table(small_table(3, 2, limit))
+        alphas, parts = draw(st.sampled_from([([1, -1], [cubes, cubes]), ([2, -1], [cubes, two_cubes])]))
+        return linear_combination(alphas, parts)
+    if kind == "mixed":
+        alphas = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2))
+        return linear_combination(alphas, [cubes, poly])
+    values = draw(st.lists(st.integers(-3, 3), max_size=90))
+    coverage = draw(st.sampled_from([None, len(values) - 1])) if values else None
+    return HalfFunction(
+        lambda n: values[n] if n < len(values) else 0,
+        c=Fraction(3),
+        label="bare",
+        coverage=coverage,
+    )
+
+
+def outcome(call):
+    """What call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except (ArithmeticError, LookupError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_mild_gap(f, n, gap_length, tail_bound, cutoff):
+    """is_mild_gap one index at a time, as (verdict, clause, detail), with the
+    tail's lower end from the Horner oracle."""
+    for k in range(n, n + gap_length):
+        if f.coefficient(k):
+            return Verdict.FAIL, "zero-run", f"coefficient at {k} is nonzero"
+    start = n + gap_length
+    if cutoff is None:
+        cutoff = start + max(64, 4 * gap_length)
+        if f.coverage is not None:
+            cutoff = max(min(cutoff, f.coverage + 1), start)
+    tail = reference_tail(f, start, cutoff)
+    if tail.hi <= tail_bound:
+        return Verdict.PASS, None, tail
+    if tail.lo > tail_bound:
+        return Verdict.FAIL, "tail-norm", f"tail is at least {tail.lo}, above the bound {tail_bound}"
+    detail = (
+        f"bound {tail_bound} falls inside the tail enclosure "
+        f"[{tail.lo}, {tail.hi}] at cutoff {cutoff}"
+    )
+    return Verdict.INCONCLUSIVE, "tail-norm", detail
+
+
+def reference_tail(f, start, cutoff):
+    """tail_norm with its partial sum from the Horner oracle."""
+    if cutoff < start:
+        raise ValueError("cutoff must not precede start")
+    lo = horner_tail_sum(f.coefficient, start, cutoff)
+    majorant_at = f.tail_majorant_start(cutoff)
+    if majorant_at is None:
+        return Enclosure(lo, lo)
+    return Enclosure(lo, lo + 8 * f.c * majorant_at * Fraction(1, 2 ** (majorant_at - start)))
+
+
+def mild_gap_outcome(check):
+    if check.is_witness:
+        return Verdict.PASS, None, check.witness.tail_enclosure
+    return check.verdict, check.failed_clause, check.detail
+
+
+def scan_outcome(witnesses, inconclusive):
+    return [w.to_json_dict() for w in witnesses], list(inconclusive)
+
+
+def window(f: HalfFunction, data) -> tuple[int, int, int, Fraction, int | None]:
+    """(lo, hi, gap_length, tail_bound, cutoff): a window that may cross
+    coverage, and a cutoff that may precede some candidate's tail."""
+    known = 100 if f.coverage is None else f.coverage
+    lo = data.draw(st.integers(0, known + 3))
+    hi = lo + data.draw(st.integers(0, 24))
+    gap_length = data.draw(st.integers(1, 8))
+    tail_bound = Fraction(data.draw(st.integers(1, 60)), data.draw(st.integers(1, 4)))
+    cutoff = data.draw(st.none() | st.integers(lo, hi + 80))
+    return lo, hi, gap_length, tail_bound, cutoff
+
+
+class TestNonzeroWalk:
+    """Every reader of the nonzero walk against the per-index oracles, with
+    the same exception type and message wherever a window crosses coverage."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=walked_series(), data=st.data())
+    def test_scan_matches_zero_run_scan(self, f, data):
+        lo, hi, gap_length, tail_bound, cutoff = window(f, data)
+
+        def reference():
+            checks = zero_run_scan(
+                f.coefficient, lo, hi, gap_length,
+                lambda n: is_mild_gap(f, n, gap_length, tail_bound, cutoff=cutoff),
+            )
+            return scan_outcome(
+                [c.witness for c in checks if c.is_witness],
+                [c.n for c in checks if c.verdict is Verdict.INCONCLUSIVE],
+            )
+
+        def scan():
+            result = scan_mild_gaps(f, lo, hi, gap_length, tail_bound, cutoff=cutoff)
+            return scan_outcome(result.witnesses, result.inconclusive)
+
+        assert outcome(scan) == outcome(reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=walked_series(), data=st.data())
+    def test_mild_gap_matches_reference(self, f, data):
+        n, _, gap_length, tail_bound, cutoff = window(f, data)
+        if cutoff is not None:
+            cutoff += gap_length
+        expected = outcome(lambda: reference_mild_gap(f, n, gap_length, tail_bound, cutoff))
+        got = outcome(lambda: mild_gap_outcome(is_mild_gap(f, n, gap_length, tail_bound, cutoff)))
+        assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=walked_series(), data=st.data())
+    def test_tail_norm_matches_horner(self, f, data):
+        start, cutoff, _, _, _ = window(f, data)
+        start += 1
+        cutoff = data.draw(st.integers(start - 1, cutoff + 80))
+        assert outcome(lambda: tail_norm(f, start, cutoff)) == outcome(
+            lambda: reference_tail(f, start, cutoff)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=walked_series(), q=st.integers(2, 10), terms=st.integers(0, 140))
+    def test_eval_truncated_matches_horner(self, f, q, terms):
+        assert outcome(lambda: eval_truncated(f, q, terms)) == outcome(
+            lambda: horner_truncated(f.coefficient, q, terms)
+        )
+
+    def test_growth_fault_found_by_every_reader(self):
+        f = HalfFunction.from_coefficients({5: 1, 12: 100}, c=Fraction(1))
+        message = "poly: |a_12| = 100 exceeds c*(n+1) = 13"
+        for call in (
+            lambda: is_mild_gap(f, 8, 6, Fraction(1)),
+            lambda: tail_norm(f, 6, 20),
+            lambda: eval_truncated(f, 3, 13),
+            lambda: f.tail_majorant_start(6),
+            lambda: scan_mild_gaps(f, 6, 10, 2, Fraction(1)),
+        ):
+            with pytest.raises(GrowthCertificateError, match=re.escape(message)):
+                call()
+
+    def test_growth_fault_in_window_precedes_a_short_cutoff(self):
+        # a scan one index at a time would first meet candidate 2, whose tail
+        # starts past the cutoff; the walk reads the whole window first
+        f = HalfFunction.from_coefficients({5: 1, 12: 100}, c=Fraction(1))
+        with pytest.raises(GrowthCertificateError):
+            scan_mild_gaps(f, 0, 15, 2, Fraction(1), cutoff=3)
+        with pytest.raises(ValueError, match="cutoff must not precede start"):
+            scan_mild_gaps(f, 0, 10, 2, Fraction(1), cutoff=3)
+
+    def test_table_window_reads_only_index_positions(self, table_3_3, monkeypatch):
+        f = HalfFunction.from_table(table_3_3)
+        reads = []
+        read = f.coefficient
+        monkeypatch.setattr(f, "coefficient", lambda n: reads.append(n) or read(n))
+        cover = table_3_3.limit
+        listed = table_3_3.nonzero.tolist()
+        lo = cover - 200
+        with pytest.raises(CoverageError, match=f"coefficient {cover + 1} beyond coverage"):
+            list(f._nonzero_terms(lo, cover + 9))
+        assert reads == [k for k in listed if k >= lo] + [cover + 1]
+        reads.clear()
+        assert table_3_3.counts[-2:].tolist() == [0, 0]
+        with pytest.raises(CoverageError, match=f"coefficient {cover + 1} beyond coverage"):
+            is_mild_gap(f, cover - 1, 8, Fraction(8))
+        assert reads == [cover + 1]
+        reads.clear()
+        # the scan decides its candidates before coverage, reading their tails
+        # through the same walk, then fails at coverage + 1
+        with pytest.raises(CoverageError, match=f"coefficient {cover + 1} beyond coverage"):
+            scan_mild_gaps(f, lo, cover - 2, 8, Fraction(8))
+        assert set(reads) <= set(listed) | {cover + 1} and reads[-1] == cover + 1
