@@ -874,6 +874,30 @@ class PipelineConfig:
         }
 
 
+def window_escapes(
+    b: np.ndarray, M: int, N: int, exceptional: np.ndarray
+) -> tuple[int, int]:
+    """(window_points, escaped) over the windows [max(1, b + ceil(M/2)),
+    min(N, b + M - 1)] of the ascending b: how many integers lie in some
+    window, and how many of those are not in the ascending exceptional.
+
+    Both ends of a window ascend with b, so a window starts a new run of
+    the union exactly when it starts past the end of the window before it,
+    and a run ends where its last window does; two binary searches count
+    the exceptional points in each run.
+    """
+    starts = np.maximum(1, b + (M + 1) // 2)
+    stops = np.minimum(N, b + M - 1) + 1  # half-open [start, stop)
+    nonempty = starts < stops
+    starts, stops = starts[nonempty], stops[nonempty]
+    gap = starts[1:] > stops[:-1]
+    run_starts = np.concatenate((starts[:1], starts[1:][gap]))
+    run_stops = np.concatenate((stops[:-1][gap], stops[-1:]))
+    window_points = int((run_stops - run_starts).sum())
+    inside = np.searchsorted(exceptional, run_stops) - np.searchsorted(exceptional, run_starts)
+    return window_points, window_points - int(inside.sum())
+
+
 def pipeline_dry_run(
     ell: int, q: int, J: Fraction | int = 1, config: PipelineConfig | None = None
 ) -> Report:
@@ -1067,27 +1091,13 @@ def pipeline_dry_run(
                 {"compare": "(M/2)^d > N^n", "exponent": fraction_str(exponent)},
             )
             scan = scan_exceptional_set(4, N, epsilon, table_full)
-            exceptional = np.zeros(N + 1, dtype=bool)
-            exceptional[scan.members] = True
-            # Each good pair's window [max(1, b + half), min(N, b + M - 1)]
-            # opens at its start and closes past its end; a point lies in
-            # some window when more windows have opened than closed.
-            half = (M + 1) // 2
-            starts = np.maximum(1, good_b1 + half)
-            stops = np.minimum(N, good_b1 + M - 1) + 1
-            nonempty = starts < stops
-            depth = np.cumsum(
-                np.bincount(starts[nonempty], minlength=N + 2)
-                - np.bincount(stops[nonempty], minlength=N + 2)
-            )
-            in_window = depth[: N + 1] > 0
-            escaped = int(np.count_nonzero(in_window & ~exceptional))
+            window_points, escaped = window_escapes(good_b1, M, N, scan.members)
             report.check(
                 "window-set-escapes-exceptional",
                 escaped > 0,
                 {
-                    "window_points": int(np.count_nonzero(in_window)),
-                    "exceptional": int(np.count_nonzero(exceptional)),
+                    "window_points": window_points,
+                    "exceptional": len(scan.members),
                     "escaped": escaped,
                     "epsilon": fraction_str(epsilon),
                 },

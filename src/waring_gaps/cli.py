@@ -391,7 +391,7 @@ def _cmd_modsearch(p: dict[str, Any]) -> tuple[dict, int]:
     Param("hi", "int", required=True),
     Param("k", "int", required=True, help="gap length"),
     Param("e", "fraction", required=True, help="tail bound"),
-    Param("cutoff", "int", help="tail cutoff index"),
+    Param("cutoff", "int", help="absolute tail cutoff index, at least n + k for every candidate n"),
     Param("ell", "int", help="exponent, only for CSV tables"),
     Param("s", "int", help="summands, only for CSV tables"),
 )

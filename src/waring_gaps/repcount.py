@@ -4,9 +4,10 @@ The central object is the table of r(n) = number of ordered s-tuples of
 nonnegative integers whose ell-th powers sum to n, for all n up to a limit.
 Tables are built by enumerating every ordered tuple once and counting its
 sum with an integer ``np.bincount``, one output window at a time: O(limit)
-work, one int64 array of length limit + 1 plus one window of temporaries.
-Counts are exact 64-bit counters whose ceiling is checked up front, and
-tables are scanned for zero runs.  All fractional-power comparisons
+work, one array of length limit + 1 plus one window of temporaries.  Counts
+are exact unsigned counters of the width the binary format stores (int64
+where that is 8 bytes), whose ceiling is checked up front, and tables are
+scanned for zero runs.  All fractional-power comparisons
 (greedy remainder bound, exceptional-window threshold) are carried out on
 arbitrary-precision integers; no float ever decides anything.
 """
@@ -18,6 +19,7 @@ import io
 import os
 import re
 import shutil
+import stat
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,9 +35,12 @@ SUPPORTED_EXPONENTS = (3, 4)
 
 _MAGIC = b"WRT1"
 _INT64_MAX = 2**63 - 1
-# Indices handled at once by the sieve and the table ceiling check; it
+# Indices handled at once by the sieve and the table bound check; it
 # bounds their temporaries and never changes a result.
 _WINDOW = 1 << 20
+# Indices handled at once by the exceptional scan; it bounds its
+# temporaries and never changes a result.
+_SCAN_BLOCK = 1 << 16
 # Rows rendered at once by render_rows, for every CSV and JSON array; it
 # bounds the memory of writing one and never changes a byte.
 _CSV_ROWS = 1 << 12
@@ -68,9 +73,22 @@ class WaringParams:
             raise ValueError(f"s must satisfy 1 <= s <= {self.ell}, got {self.s}")
 
 
+def count_dtype(ell: int, limit: int) -> np.dtype:
+    """The dtype of a table's counts: the unsigned integer of the binary
+    format's width (1, 2 or 4 bytes), or int64 where that width is 8."""
+    width = _binary_width(ell, limit)
+    return np.dtype(np.int64 if width == 8 else f"u{width}")
+
+
 @dataclass(frozen=True, eq=False)
 class RepTable:
-    """Exact counts r(n) for 0 <= n <= limit, immutable after construction."""
+    """Exact counts r(n) for 0 <= n <= limit, immutable after construction.
+
+    The given counts' dtype must hold the loose ceiling 2^ell*(limit+1).
+    Once every check has passed, they are held as count_dtype(ell, limit),
+    converted from any other dtype; a narrowed copy cannot wrap, as every
+    count is then at most the ceiling.
+    """
 
     params: WaringParams
     limit: int
@@ -93,8 +111,11 @@ class RepTable:
             raise TableFormatError("count at 0 must be 1 (the all-zero tuple)")
         if int(self.counts.min()) < 0:
             raise TableFormatError("counts must be nonnegative")
-        for lo in range(0, self.limit + 1, _WINDOW):
-            block = self.counts[lo : lo + _WINDOW]
+        # A count c at n breaks its bound only if c > 2^ell*(n+1), and c is
+        # at most the largest count, so only an index below stop can.
+        stop = min(self.limit + 1, int(self.counts.max()) >> self.params.ell)
+        for lo in range(0, stop, _WINDOW):
+            block = self.counts[lo : min(lo + _WINDOW, stop)]
             bound = (1 << self.params.ell) * np.arange(
                 lo + 1, lo + 1 + block.size, dtype=np.int64
             )
@@ -103,6 +124,9 @@ class RepTable:
                 raise TableFormatError(
                     f"count at {lo + int(over[0])} exceeds the loose bound 2^ell*(n+1)"
                 )
+        dtype = count_dtype(self.params.ell, self.limit)
+        if self.counts.dtype != dtype:
+            object.__setattr__(self, "counts", self.counts.astype(dtype))
         self.counts.setflags(write=False)
 
     def count(self, n: int) -> int:
@@ -174,9 +198,10 @@ def sieve_rep(params: WaringParams, limit: int) -> RepTable:
     head entry with lo <= head[j] + p < hi, found by binary search.  The
     ordered s-tuples with sum <= limit number about c * limit^(s/ell) with
     c <= 1 (c = 0.71 and 0.67 for s = ell = 3, 4), so the work is
-    O(limit).  The memory is the int64 counts, one window of temporaries
-    and head, which has about limit^((s-1)/ell) entries.  Counts are
-    exact: integers only, and no windowing changes a result.
+    O(limit).  The memory is the counts, held as count_dtype, one window of
+    int64 temporaries and head, which has about limit^((s-1)/ell) entries.
+    Counts are exact: integers only, the ceiling that the dtype holds is
+    checked up front, and no windowing changes a result.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -190,7 +215,7 @@ def sieve_rep(params: WaringParams, limit: int) -> RepTable:
     for _ in range(params.s - 1):
         stops = np.searchsorted(head, limit - powers, side="right")
         head = np.sort(np.concatenate([head[:k] + p for p, k in zip(powers, stops)]))
-    counts = np.empty(limit + 1, dtype=np.int64)
+    counts = np.empty(limit + 1, dtype=count_dtype(params.ell, limit))
     for lo in range(0, limit + 1, _WINDOW):
         hi = min(lo + _WINDOW, limit + 1)
         shifts = powers[powers < hi]
@@ -333,7 +358,9 @@ def scan_exceptional_set(
     The exponent is e = 4059/16384 + epsilon.  An integer n lies in the
     window exactly when (a - n)^q < a^p for e = p/q, decided by exact
     powering; the window length is therefore a step function of a whose
-    breakpoints are located once by binary search.
+    breakpoints are located once by binary search.  The integers a are
+    taken _SCAN_BLOCK at a time, and the last nonzero index at or below
+    each a is carried from block to block.
     """
     if ell != 4:
         raise ValueError("the exceptional-window scan is defined for ell = 4")
@@ -358,14 +385,16 @@ def scan_exceptional_set(
         breakpoints.append(a_min)
         d += 1
 
-    a_arr = np.arange(1, limit + 1, dtype=np.int64)
-    widths = np.searchsorted(np.asarray(breakpoints, dtype=np.int64), a_arr, side="right")
-    nz = table.counts[: limit + 1] != 0
-    last_nonzero = np.maximum.accumulate(
-        np.where(nz, np.arange(limit + 1, dtype=np.int64), np.int64(-1))
-    )
-    member_mask = last_nonzero[1:] < a_arr - widths
-    members = a_arr[member_mask]
+    breakpoints = np.asarray(breakpoints, dtype=np.int64)
+    blocks, last_nonzero = [], 0  # the count at 0 is 1
+    for lo in range(1, limit + 1, _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, limit + 1)
+        a = np.arange(lo, hi, dtype=np.int64)
+        seen = np.where(table.counts[lo:hi] != 0, a, last_nonzero)
+        np.maximum.accumulate(seen, out=seen)
+        last_nonzero = int(seen[-1])
+        blocks.append(a[seen < a - np.searchsorted(breakpoints, a, side="right")])
+    members = np.concatenate(blocks)
     members.flags.writeable = False
     return ExceptionalScan(
         limit=limit,
@@ -392,8 +421,9 @@ def _descriptor(path: str | Path) -> int | None:
     return None
 
 
-def write_output(path: str | Path, pieces: Iterable[str | bytes]) -> None:
-    """Write the pieces, str (ASCII) or bytes, to path; every file the tool writes goes here.
+def write_output(path: str | Path, pieces: Iterable[str | bytes | np.ndarray]) -> None:
+    """Write the pieces, str (ASCII), bytes or the buffer of a contiguous
+    array, to path; every file the tool writes goes here.
 
     A regular file, or a path that does not exist yet, is written to a
     sibling file that is then moved onto it, so a failed write leaves
@@ -642,20 +672,34 @@ def _binary_width(ell: int, limit: int) -> int:
     raise CounterWidthError(f"no supported width holds worst-case count {ceiling}")
 
 
+def _file_dtype(width: int) -> np.dtype:
+    """The little-endian dtype that holds counts of the given byte width as
+    stored: unsigned, but signed at width 8, whose nonnegative counts have
+    the same bytes either way."""
+    return np.dtype(f"<u{width}" if width < 8 else "<i8")
+
+
 def write_table_binary(table: RepTable, path: str | Path) -> None:
     """Write the compact binary form.
 
     Layout: magic WRT1, then ell, s, limit and the count byte width as
     unsigned 64-bit little-endian, then limit+1 counts as fixed-width
-    little-endian unsigned integers.
+    little-endian unsigned integers.  The counts already have that width,
+    so on a little-endian host their buffer is written as it is.
     """
     width = _binary_width(table.params.ell, table.limit)
     header = struct.pack("<QQQQ", table.params.ell, table.params.s, table.limit, width)
-    write_output(path, [_MAGIC, header, table.counts.astype(f"<u{width}").tobytes()])
+    write_output(path, [_MAGIC, header, table.counts.astype(_file_dtype(width), copy=False)])
 
 
 def read_table_binary(path: str | Path) -> RepTable:
-    """Read the compact binary form back into an exact table."""
+    """Read the compact binary form back into an exact table.
+
+    The payload of a regular file is sized by fstat and read straight into
+    an array of the file's width; a pipe's is read whole first.  Counts of
+    a width below the table's are widened before the table checks them, and
+    counts of a wider one are narrowed only after (see RepTable).
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -666,11 +710,20 @@ def read_table_binary(path: str | Path) -> RepTable:
         ell, s, limit, width = struct.unpack("<QQQQ", header)
         if width not in (1, 2, 4, 8):
             raise TableFormatError(f"unsupported count width {width}")
-        payload = fh.read()
-    expected = (limit + 1) * width
-    if len(payload) != expected:
-        raise TableFormatError(
-            f"payload is {len(payload)} bytes, expected {expected}"
-        )
-    counts = np.frombuffer(payload, dtype=f"<u{width}").astype(np.int64)
-    return RepTable(params=WaringParams(int(ell), int(s)), limit=int(limit), counts=counts)
+        expected = (limit + 1) * width
+        info = os.fstat(fh.fileno())
+        payload = None if stat.S_ISREG(info.st_mode) else fh.read()
+        size = info.st_size - fh.tell() if payload is None else len(payload)
+        if size != expected:
+            raise TableFormatError(f"payload is {size} bytes, expected {expected}")
+        if payload is not None:
+            counts = np.frombuffer(payload, dtype=_file_dtype(width))
+        else:
+            counts = np.empty(limit + 1, dtype=_file_dtype(width))
+            if fh.readinto(counts) != expected:  # the file shrank after fstat
+                raise TableFormatError(f"payload ended before {expected} bytes")
+    params = WaringParams(int(ell), int(s))
+    dtype = count_dtype(params.ell, int(limit))
+    if counts.itemsize < dtype.itemsize:
+        counts = counts.astype(dtype)
+    return RepTable(params=params, limit=int(limit), counts=counts)

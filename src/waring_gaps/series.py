@@ -376,6 +376,11 @@ def is_mild_gap(
         cutoff = start + max(64, 4 * gap_length)
         if f.coverage is not None:
             cutoff = max(min(cutoff, f.coverage + 1), start)
+    elif cutoff < start:
+        raise ValueError(
+            f"cutoff must not precede start: cutoff {cutoff} is below the tail start "
+            f"n + k = {start} of candidate n = {n}; the cutoff is an absolute index"
+        )
     tail = tail_norm(f, start, cutoff)
     if tail.hi <= tail_bound:
         witness = MildGapWitness(

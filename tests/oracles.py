@@ -1,16 +1,21 @@
 """Independent brute-force oracles.
 
-Everything here counts or sums by direct enumeration, deliberately
-sharing no code with the library paths it is used to check.
+Everything here counts or sums by direct enumeration, or by the
+whole-array pass that a faster library path replaced, deliberately
+sharing no code with the library paths it is used to check beyond the
+checks that RepTable makes of every table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
+
+from waring_gaps.repcount import RepTable, TableFormatError, WaringParams
 
 
 def rep_counts_bruteforce(ell: int, s: int, limit: int) -> list[int]:
@@ -375,3 +380,72 @@ def linear_forms_bruteforce(enclosures, h: int) -> tuple:
         else:
             undecided.append(coeffs)
     return forms, minimum, minimum_form, [], undecided, forms - len(undecided)
+
+
+def read_table_binary_whole(path) -> RepTable:
+    """The binary table reader with no size check before the read: the
+    whole payload as bytes, viewed at the file's width, widened to int64
+    (a count of 2^63 or more at width 8 wraps to a negative one) and
+    checked by RepTable."""
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+        if magic != b"WRT1":
+            raise TableFormatError(f"bad magic {magic!r}")
+        header = fh.read(32)
+        if len(header) != 32:
+            raise TableFormatError("truncated header")
+        ell, s, limit, width = struct.unpack("<QQQQ", header)
+        if width not in (1, 2, 4, 8):
+            raise TableFormatError(f"unsupported count width {width}")
+        payload = fh.read()
+    expected = (limit + 1) * width
+    if len(payload) != expected:
+        raise TableFormatError(f"payload is {len(payload)} bytes, expected {expected}")
+    counts = np.frombuffer(payload, dtype=f"<u{width}").astype(np.int64)
+    return RepTable(params=WaringParams(int(ell), int(s)), limit=int(limit), counts=counts)
+
+
+def exceptional_scan_whole_array(limit: int, exponent: Fraction, counts) -> np.ndarray:
+    """Members of the exceptional set in [1, limit], each a decided at once
+    over the whole range: a's window width is the number of offsets d >= 1
+    with d^q < a^p (e = p/q), counted by searching the least such a of each
+    d, and a is a member when the last nonzero index at or below it, one
+    running maximum over all of [0, limit], lies below a - width."""
+    p, q = exponent.numerator, exponent.denominator
+    breakpoints = []
+    while True:
+        d_power = (len(breakpoints) + 1) ** q
+        lo, hi = 1, limit + 1  # the least a in [1, limit] with a^p > d^q, else limit + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if mid**p > d_power else (mid + 1, hi)
+        if lo > limit:
+            break
+        breakpoints.append(lo)
+    a_arr = np.arange(1, limit + 1, dtype=np.int64)
+    widths = np.searchsorted(np.asarray(breakpoints, dtype=np.int64), a_arr, side="right")
+    nz = np.asarray(counts[: limit + 1]) != 0
+    last_nonzero = np.maximum.accumulate(
+        np.where(nz, np.arange(limit + 1, dtype=np.int64), np.int64(-1))
+    )
+    return a_arr[last_nonzero[1:] < a_arr - widths]
+
+
+def window_escapes_depth(b, M: int, N: int, exceptional) -> tuple[int, int]:
+    """(window_points, escaped) for the windows [max(1, b + ceil(M/2)),
+    min(N, b + M - 1)] by a depth count over all of [0, N + 1]: each window
+    adds one at its start and takes one away past its end, a point lies in
+    some window where the running sum is positive, and escapes where it is
+    not exceptional as well."""
+    b = np.asarray(b, dtype=np.int64)
+    is_exceptional = np.zeros(N + 1, dtype=bool)
+    is_exceptional[np.asarray(exceptional, dtype=np.int64)] = True
+    starts = np.maximum(1, b + (M + 1) // 2)
+    stops = np.minimum(N, b + M - 1) + 1
+    nonempty = starts < stops
+    depth = np.cumsum(
+        np.bincount(starts[nonempty], minlength=N + 2)
+        - np.bincount(stops[nonempty], minlength=N + 2)
+    )
+    in_window = depth[: N + 1] > 0
+    return int(np.count_nonzero(in_window)), int(np.count_nonzero(in_window & ~is_exceptional))

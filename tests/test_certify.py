@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import linear_forms_bruteforce, measure_pairs_bruteforce
+from oracles import linear_forms_bruteforce, measure_pairs_bruteforce, window_escapes_depth
 from waring_gaps.certify import (
     MaierCertificate,
     NestedGapsCertificate,
@@ -24,6 +25,7 @@ from waring_gaps.certify import (
     verify_maier,
     verify_maier_inner,
     verify_nested_gaps,
+    window_escapes,
 )
 from waring_gaps.exact import parse_fraction
 from waring_gaps.modular import residue_counts
@@ -584,6 +586,24 @@ class TestPipeline:
         a = pipeline_dry_run(3, 2, 1)
         b = pipeline_dry_run(3, 2, 1)
         assert a.to_json_dict() == b.to_json_dict()
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        N=st.integers(1, 120),
+        M=st.integers(1, 40),
+        b=st.lists(st.integers(0, 160), unique=True, max_size=30),
+        exceptional=st.lists(st.integers(1, 160), unique=True, max_size=60),
+    )
+    @example(N=50, M=10, b=[], exceptional=[3, 40])  # no good pairs
+    @example(N=50, M=1, b=[0, 7, 49], exceptional=[8])  # every window empty
+    @example(N=50, M=9, b=[44, 48, 50], exceptional=[49, 50])  # windows clipped at N
+    @example(N=50, M=4, b=[0, 2, 4], exceptional=[3, 5])  # each window next to the last
+    @example(N=50, M=4, b=[0, 3, 5], exceptional=[2, 3])  # gaps between windows
+    @example(N=50, M=12, b=[1, 2, 3, 30], exceptional=list(range(7, 16)))  # overlaps
+    def test_window_escapes_matches_depth_count(self, N, M, b, exceptional):
+        b = np.array(sorted(b), dtype=np.int64)
+        exceptional = np.array(sorted(x for x in exceptional if x <= N), dtype=np.int64)
+        assert window_escapes(b, M, N, exceptional) == window_escapes_depth(b, M, N, exceptional)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

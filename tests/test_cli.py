@@ -123,6 +123,16 @@ class TestPlumbingCommands:
         assert run_cli("mild-scan", "--table", str(table_file), *window) == 3
         assert capsys.readouterr().err == f"waring-gaps: error: {message}\n"
 
+    def test_mild_scan_names_the_candidate_a_short_cutoff_fails(self, table_file, capsys):
+        window = ("--table", str(table_file), "--lo", "0", "--hi", "100", "--k", "4", "--e", "8")
+        assert run_cli("mild-scan", *window, "--cutoff", "50") == 3
+        assert capsys.readouterr().err == (
+            "waring-gaps: error: cutoff must not precede start: cutoff 50 is below the tail "
+            "start n + k = 51 of candidate n = 47; the cutoff is an absolute index\n"
+        )
+        # hi + k - 1 is at least n + k for every candidate n < hi
+        assert run_cli("mild-scan", *window, "--cutoff", "103") == 0
+
     def test_theta_enclosure(self, tmp_path):
         j = tmp_path / "theta.json"
         assert run_cli("theta", "--ell", "3", "--q", "2", "--terms", "64",

@@ -1,7 +1,9 @@
 import csv
 import io
+import os
 import random
 import struct
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -12,8 +14,10 @@ from hypothesis import strategies as st
 
 from oracles import (
     exceptional_members_bruteforce,
+    exceptional_scan_whole_array,
     floor_root_bruteforce,
     greedy_decompose_bruteforce,
+    read_table_binary_whole,
     rep_counts_bruteforce,
     rep_counts_convolution,
     zero_runs_bruteforce,
@@ -22,6 +26,7 @@ from waring_gaps import repcount
 from waring_gaps.repcount import (
     _CSV_ROWS,
     _MAX_DIGITS,
+    _SCAN_BLOCK,
     _WINDOW,
     _csv_columns,
     _csv_rows,
@@ -29,6 +34,7 @@ from waring_gaps.repcount import (
     RepTable,
     TableFormatError,
     WaringParams,
+    count_dtype,
     csv_pieces,
     find_gap_runs,
     floor_pow,
@@ -615,3 +621,226 @@ class TestCsvCodec:
         path = tmp_path / "t.csv"
         write_table_csv(table_4_4, path)
         assert np.array_equal(_csv_columns(path.read_bytes()), table_4_4.counts)
+
+
+class TestCountDtype:
+    """Every table holds its counts at the width of the binary format."""
+
+    @pytest.mark.parametrize(
+        "ell,limit,dtype",
+        [
+            (3, 30, np.uint8), (3, 31, np.uint16),
+            (4, 14, np.uint8), (4, 15, np.uint16), (4, 4094, np.uint16), (4, 4095, np.uint32),
+            (4, 2**28 - 2, np.uint32), (4, 2**28 - 1, np.int64),
+        ],
+    )
+    def test_rule_at_width_boundaries(self, ell, limit, dtype):
+        assert count_dtype(ell, limit) == np.dtype(dtype)
+
+    @pytest.mark.parametrize("limit", [14, 15, 16, 4094, 4095, 4096])
+    @pytest.mark.parametrize("s", [1, 4])
+    def test_every_reader_follows_the_rule(self, tmp_path, s, limit):
+        params = WaringParams(4, s)
+        table = sieve_rep(params, limit)
+        write_table_binary(table, tmp_path / "t.bin")
+        write_table_csv(table, tmp_path / "t.csv")
+        tables = [
+            table, read_table_binary(tmp_path / "t.bin"), read_table_csv(tmp_path / "t.csv", params)
+        ]
+        for read in tables:
+            assert read.counts.dtype == count_dtype(4, limit)
+            assert not read.counts.flags.writeable
+            assert np.array_equal(read.counts, rep_counts_convolution(4, s, limit))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ell=st.sampled_from([3, 4]),
+        counts=st.lists(st.integers(0, 2**12), min_size=1, max_size=40),
+        window=st.sampled_from([1, 2, 3, _WINDOW]),
+    )
+    @example(ell=4, counts=[1, 33], window=_WINDOW)  # the largest count, one over its bound
+    @example(ell=3, counts=[1, 0, 25, 24], window=_WINDOW)
+    def test_first_count_over_its_bound_is_named(self, ell, counts, window):
+        counts[0] = 1
+        over = [n for n, c in enumerate(counts) if c > (1 << ell) * (n + 1)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repcount, "_WINDOW", window)
+            if over:
+                with pytest.raises(TableFormatError, match=f"^count at {over[0]} exceeds"):
+                    RepTable(WaringParams(ell, 1), len(counts) - 1, np.array(counts))
+            else:
+                table = RepTable(WaringParams(ell, 1), len(counts) - 1, np.array(counts))
+                assert table.counts.tolist() == counts
+
+    def test_wider_counts_are_narrowed_after_the_checks(self):
+        counts = np.zeros(15, dtype=np.int64)
+        counts[0], counts[1] = 1, 256  # 0 once narrowed to uint8
+        with pytest.raises(TableFormatError, match="count at 1 exceeds the loose bound"):
+            RepTable(params=WaringParams(4, 4), limit=14, counts=counts)
+        counts[1] = 32
+        table = RepTable(params=WaringParams(4, 4), limit=14, counts=counts)
+        assert table.counts.dtype == np.uint8 and table.counts.tolist() == counts.tolist()
+
+
+def binary_file(ell: int, s: int, limit: int, width: int, counts, extra: int = 0) -> bytes:
+    """A binary table file declaring ell, s, limit and width, whose payload
+    holds counts (each taken mod 2^(8 * width)) at that width, cut short by
+    -extra bytes or padded by extra zero bytes."""
+    payload = np.asarray(counts, dtype=np.uint64).astype(f"<u{width}").tobytes()
+    payload = payload[: len(payload) + extra] if extra < 0 else payload + bytes(extra)
+    return b"WRT1" + struct.pack("<QQQQ", ell, s, limit, width) + payload
+
+
+@st.composite
+def binary_files(draw) -> bytes:
+    """Binary table files: limits at the width boundaries of ell = 4 or
+    small, every declared width, sieved or random counts with a few edits
+    to values that wrap when narrowed, and at times a short or long payload
+    or an unsupported ell or s."""
+    ell = draw(st.sampled_from([3, 4, 4, 5]))
+    s = draw(st.integers(1, 4))
+    limit = draw(st.sampled_from([14, 15, 16, 4094, 4095, 4096]) | st.integers(0, 40))
+    width = draw(st.sampled_from([1, 2, 4, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sieved", "small", "any"]))
+    if kind == "sieved" and ell in (3, 4) and s <= ell:
+        counts = sieve_rep(WaringParams(ell, s), limit).counts.astype(np.uint64)
+    elif kind == "any":
+        counts = rng.integers(0, 2**64 - 1, limit + 1, dtype=np.uint64, endpoint=True)
+    else:
+        counts = rng.integers(0, 4, limit + 1).astype(np.uint64)
+        counts[0] = 1
+    wrapping = st.sampled_from([2**8, 2**8 + 1, 2**16, 2**32 + 1, 2**63, 2**64 - 1])
+    for _ in range(draw(st.integers(0, 2))):
+        counts[draw(st.integers(0, limit))] = draw(wrapping | st.integers(0, 300))
+    extra = draw(st.sampled_from([0, 0, 0, -1, -width, 1, width]))
+    return binary_file(ell, s, limit, width, counts, extra)
+
+
+def binary_outcome(read, path):
+    """The params, limit and counts a reader takes from path, or the type
+    and message of what it raises."""
+    try:
+        table = read(path)
+        return table.params, table.limit, table.counts.tolist()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestBinaryReader:
+    """read_table_binary against the reader that widens the whole payload."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=binary_files())
+    @example(data=binary_file(4, 4, 14, 2, [1, 256] + [0] * 13))  # 0 once narrowed
+    @example(data=binary_file(4, 4, 14, 4, [1, 2**32 - 1] + [0] * 13))
+    @example(data=binary_file(4, 4, 15, 8, [1, 2**63] + [0] * 14))  # negative as int64
+    @example(data=binary_file(4, 4, 15, 8, [2**64 - 1] + [0] * 15))
+    @example(data=binary_file(4, 4, 4096, 1, [1] + [2] * 4096))  # narrower than the table's
+    @example(data=binary_file(4, 4, 4094, 2, [1] * 4095, extra=-1))
+    @example(data=binary_file(4, 4, 4095, 4, [1] * 4096, extra=4))
+    @example(data=binary_file(3, 4, 20, 1, [1] * 21))
+    @example(data=b"WRT1" + bytes(31))
+    def test_agrees_with_whole_payload_reader(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bin") / "t.bin"
+        path.write_bytes(data)
+        expected = binary_outcome(read_table_binary_whole, path)
+        assert binary_outcome(read_table_binary, path) == expected
+        if isinstance(expected[0], WaringParams):
+            params, limit, _ = expected
+            assert read_table_binary(path).counts.dtype == count_dtype(params.ell, limit)
+
+    def test_pipe_is_read_whole(self, tmp_path):
+        path = tmp_path / "t.bin"
+        table = sieve_rep(WaringParams(4, 4), 4095)
+        write_table_binary(table, path)
+        read_end, write_end = os.pipe()
+
+        def feed():
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write(path.read_bytes())
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        try:
+            back = read_table_binary(f"/dev/fd/{read_end}")
+        finally:
+            feeder.join()
+            os.close(read_end)
+        assert np.array_equal(back.counts, table.counts)
+
+    def test_round_trip_memory_is_bounded(self, tmp_path):
+        # 2^22 counts of four fourth powers, held and stored in 4 bytes each
+        table = sieve_rep(WaringParams(4, 4), (1 << 22) - 1)
+        path = tmp_path / "t.bin"
+        payload = table.counts.nbytes
+        tracemalloc.start()
+        try:
+            write_table_binary(table, path)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            back = read_table_binary(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == 36 + payload == 36 + 4 * (1 << 22)
+        assert np.array_equal(back.counts, table.counts)
+        assert write_peak < 1.25 * payload
+        assert read_peak < 1.25 * payload
+
+
+@st.composite
+def sparse_tables(draw, limits) -> RepTable:
+    """(4,4) tables whose counts are nonzero at a drawn density, from none
+    past 0 to all, so scans find many members, few or none."""
+    limit = draw(limits)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.001, 0.01, 0.05, 0.3, 1.0]))
+    counts = np.where(rng.random(limit + 1) < density, rng.integers(1, 16, limit + 1), 0)
+    counts[0] = 1
+    return RepTable(params=WaringParams(4, 4), limit=limit, counts=counts)
+
+
+# Exponents 4059/16384 + epsilon with a few window-width breakpoints below 2^17.
+EPSILONS = st.integers(0, 600).map(lambda k: Fraction(k, 16384))
+
+
+class TestExceptionalBlocks:
+    """scan_exceptional_set, one block at a time, against the whole-array scan."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        table=sparse_tables(st.sampled_from([_SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1])),
+        epsilon=EPSILONS,
+        short=st.sampled_from([0, 0, 1, 2]),
+    )
+    def test_agrees_at_the_block_size(self, table, epsilon, short):
+        limit = table.limit - short
+        scan = scan_exceptional_set(4, limit, epsilon, table)
+        expected = exceptional_scan_whole_array(limit, scan.exponent, table.counts)
+        assert scan.members.dtype == np.int64 and not scan.members.flags.writeable
+        assert np.array_equal(scan.members, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        table=sparse_tables(st.integers(1, 80)),
+        epsilon=EPSILONS | st.sampled_from([Fraction(1, 2), Fraction(1, 3)]),
+        block=st.integers(1, 9),
+        data=st.data(),
+    )
+    def test_agrees_across_small_blocks(self, table, epsilon, block, data):
+        limit = data.draw(st.integers(1, table.limit))
+        expected = exceptional_scan_whole_array(
+            limit, Fraction(4059, 16384) + epsilon, table.counts
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repcount, "_SCAN_BLOCK", block)
+            scan = scan_exceptional_set(4, limit, epsilon, table)
+        assert scan.members.tolist() == expected.tolist()
+
+    def test_sieved_table_across_small_blocks(self, table_4_4):
+        expected = exceptional_scan_whole_array(10_000, Fraction(4059, 16384), table_4_4.counts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repcount, "_SCAN_BLOCK", 97)
+            scan = scan_exceptional_set(4, 10_000, Fraction(0), table_4_4)
+        assert expected.size > 0 and np.array_equal(scan.members, expected)
