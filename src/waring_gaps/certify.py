@@ -676,11 +676,11 @@ def verify_degree_criterion(
     _add_mild_gaps(report, "mild-gap-endpoints", [(f_full, n, K1, E) for n in (n1, n2)])
 
     # Both tables cover the window, so a next nonzero past its end means none inside.
-    shorter = HalfFunction.from_table(table_lower).tail_majorant_start(n1)
+    shorter = table_lower.next_nonzero(n1)
     free = shorter >= n2 + K2
     report.check("window-free-of-shorter-sums", free, None if free else {"witness": shorter})
 
-    inside = f_full.tail_majorant_start(n1)
+    inside = table_full.next_nonzero(n1)
     found = inside < n2
     report.check("representable-point-inside", found, {"witness": inside} if found else None)
 
@@ -1045,11 +1045,10 @@ def pipeline_dry_run(
         {"count": b_count, "bound": fraction_str(floor_bound)},
     )
 
-    # A window holds a nonzero count exactly when the table's nonzero index
-    # has an entry inside it, so two binary searches decide each window.
+    # The tables cover every window, so a next nonzero past its end means none inside.
     b1s, b2s = members[:-1], members[1:]
-    lower = table_lower.nonzero
-    good = np.searchsorted(lower, b1s) == np.searchsorted(lower, b2s + K2, side="right")
+    # The inclusive end is one index stricter than the criterion's [n1, n2 + K2): good pairs pass it.
+    good = table_lower.next_nonzero(b1s) > b2s + K2
     good_b1, good_b2 = b1s[good], b2s[good]
     bad_count = b1s.size - good_b1.size
     summary["pairs"] = b1s.size
@@ -1104,8 +1103,7 @@ def pipeline_dry_run(
             )
             summary["exceptional_density"] = fraction_str(scan.density)
 
-    full = table_full.nonzero
-    inside = np.searchsorted(full, good_b1 + 1) < np.searchsorted(full, good_b2)
+    inside = table_full.next_nonzero(good_b1 + 1) < good_b2
     qualified_b1, qualified_b2 = good_b1[inside], good_b2[inside]
     report.check(
         "representable-point-in-some-pair",

@@ -307,7 +307,7 @@ def _cmd_sieve(p: dict[str, Any]) -> tuple[dict, int]:
             repcount.write_table_binary(table, out)
     summary = {
         "limit": table.limit,
-        "nonzero": int((table.counts != 0).sum()),
+        "nonzero": int(np.count_nonzero(table.counts)),
         "max_count": int(table.counts.max()),
         "mass": int(table.counts.sum()),
         "written": str(out) if out is not None else None,

@@ -142,6 +142,17 @@ class RepTable:
         index.setflags(write=False)
         return index
 
+    def next_nonzero(self, points: int | np.ndarray) -> int | np.ndarray:
+        """For each point p, the least n >= p with a nonzero count, or
+        max(p, limit + 1) when there is none: an int for an int, else an
+        int64 array.  One searchsorted into the index, never copied."""
+        index = self.nonzero  # never empty: the count at 0 is 1
+        p = np.atleast_1d(np.asarray(points, dtype=np.int64))
+        result = index.take(np.searchsorted(index, p), mode="clip")
+        past = p > index[-1]
+        result[past] = np.maximum(p[past], self.limit + 1)
+        return int(result[0]) if np.ndim(points) == 0 else result
+
 
 def floor_root(ell: int, b: int) -> int:
     """Largest x with x^ell <= b, by Newton iteration on exact integers."""

@@ -90,11 +90,10 @@ class HalfFunction:
     coverage is the largest index whose coefficient is known (None when
     every index is); nonnegative marks series certified to have no
     negative coefficient, which sharpens evaluation enclosures.  nonzero
-    is an optional sorted index of every position, up to coverage, that
+    is the required sorted index of every position, up to coverage, that
     may hold a nonzero coefficient: a table's nonzero counts, a
     polynomial's support, or the union of a combination's parts.  It may
     list positions whose coefficient is zero, never omit one that is not.
-    Without it no coefficient is certified to be zero.
     """
 
     def __init__(
@@ -104,7 +103,8 @@ class HalfFunction:
         label: str,
         coverage: int | None = None,
         nonnegative: bool = False,
-        nonzero: Sequence[int] | np.ndarray | None = None,
+        *,
+        nonzero: Sequence[int] | np.ndarray,
     ) -> None:
         c = Fraction(c)
         if c < 0:
@@ -115,7 +115,7 @@ class HalfFunction:
         self.label = label
         self.coverage = coverage
         self.nonnegative = nonnegative
-        self._nonzero = None if nonzero is None else np.asarray(nonzero, dtype=np.int64)
+        self._nonzero = np.asarray(nonzero, dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"HalfFunction({self.label!r}, c={self.c})"
@@ -184,21 +184,16 @@ class HalfFunction:
 
     def _nonzero_terms(self, lo: int, hi: int | None) -> Iterator[tuple[int, int]]:
         """(k, a_k) for each k in [lo, hi) with a nonzero exact coefficient,
-        ascending; hi None means no upper end, for a series with an index.
-        With an index only its positions are read, else every position, and
-        each read goes through coefficient.  A window that passes coverage
+        ascending; hi None means no upper end.  Only the index's positions
+        are read, each through coefficient.  A window that passes coverage
         reads max(lo, coverage + 1) last, which raises CoverageError after
         every earlier nonzero."""
         stop = hi
         if self.coverage is not None and (hi is None or hi > self.coverage + 1):
             stop = self.coverage + 1
-        if self._nonzero is None:
-            positions = range(lo, stop)
-        else:
-            i = np.searchsorted(self._nonzero, lo)
-            j = None if stop is None else np.searchsorted(self._nonzero, stop)
-            positions = map(int, self._nonzero[i:j])
-        for k in positions:
+        i = np.searchsorted(self._nonzero, lo)
+        j = None if stop is None else np.searchsorted(self._nonzero, stop)
+        for k in map(int, self._nonzero[i:j]):
             a = self.coefficient(k)
             if a:
                 yield k, a
@@ -211,10 +206,8 @@ class HalfFunction:
         so the answer is at most max(n, coverage + 1); None means the series
         is certified zero from n on.  Every coefficient between n and the
         result is exactly zero, so the result is a sound start for a tail
-        majorant.  A series without an index certifies no zero and returns n.
+        majorant.
         """
-        if self._nonzero is None:
-            return n
         end = None if self.coverage is None else max(n, self.coverage + 1)
         return next((k for k, _ in self._nonzero_terms(n, end)), end)
 
@@ -229,10 +222,7 @@ def linear_combination(
     c = sum((abs(a) * f.c for a, f in zip(alphas, parts)), Fraction(0))
     coverages = [f.coverage for f in parts if f.coverage is not None]
     coverage = min(coverages) if coverages else None
-    indices = [f._nonzero for f in parts]
-    nonzero = None
-    if all(index is not None for index in indices):
-        nonzero = functools.reduce(np.union1d, indices, np.empty(0, dtype=np.int64))
+    nonzero = functools.reduce(np.union1d, [f._nonzero for f in parts], np.empty(0, dtype=np.int64))
     nonnegative = all(
         a >= 0 and f.nonnegative or a == 0 for a, f in zip(alphas, parts)
     )

@@ -264,6 +264,26 @@ def first_nonzero_bruteforce(
     return answers
 
 
+def next_nonzero_count_bruteforce(counts, p: int) -> int:
+    """The least n >= p with a nonzero count, read one index at a time, or
+    max(p, len(counts)) when no count from p on is nonzero."""
+    for n in range(max(p, 0), len(counts)):
+        if counts[n]:
+            return n
+    return max(p, len(counts))
+
+
+def pair_filters_bruteforce(members, lower_counts, full_counts, K2: int) -> tuple:
+    """(pairs, good, qualified) over the consecutive pairs (b1, b2) of the
+    members, each window read one index at a time: a pair is good when no
+    lower count in [b1, b2 + K2] is nonzero, and a good pair is qualified
+    when some full count in (b1, b2) is.  qualified lists its pairs in order."""
+    pairs = list(zip(members, members[1:]))
+    good = [(b1, b2) for b1, b2 in pairs if not any(lower_counts[b1 : b2 + K2 + 1])]
+    qualified = [(b1, b2) for b1, b2 in good if any(full_counts[b1 + 1 : b2])]
+    return len(pairs), len(good), qualified
+
+
 def zero_run_scan(coefficient, lo: int, hi: int, gap_length: int, check) -> list:
     """The mild-gap scan one index at a time, as check(n) results in order.
 

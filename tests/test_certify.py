@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import linear_forms_bruteforce, measure_pairs_bruteforce, window_escapes_depth
+from oracles import (
+    linear_forms_bruteforce,
+    measure_pairs_bruteforce,
+    pair_filters_bruteforce,
+    window_escapes_depth,
+)
+from waring_gaps import certify
 from waring_gaps.certify import (
     MaierCertificate,
     NestedGapsCertificate,
@@ -612,6 +618,35 @@ class TestPipeline:
             pipeline_dry_run(3, 1, 1)
         with pytest.raises(ValueError):
             pipeline_dry_run(3, 2, 0)
+
+    @pytest.mark.parametrize(
+        "ell, pool", [(3, (9, 63)), (3, (63,)), (3, (252,)), (4, (16, 32)), (4, (32,)), (4, (64,))]
+    )
+    def test_pair_filters_match_bruteforce(self, ell, pool, monkeypatch):
+        # the members and both tables the run used, read back through spies
+        used = {}
+
+        def sieve_spy(params, limit):
+            used[params.s] = sieve_rep(params, limit)
+            return used[params.s]
+
+        def members_spy(*args):
+            used["members"] = maier_qualifying_set(*args)
+            return used["members"]
+
+        monkeypatch.setattr(certify, "sieve_rep", sieve_spy)
+        monkeypatch.setattr(certify, "maier_qualifying_set", members_spy)
+        report = pipeline_dry_run(ell, 2, 1, PipelineConfig(moduli_pool=pool, max_limit=200_000))
+        members = used["members"].tolist()
+        pairs, good, qualified = pair_filters_bruteforce(
+            members, used[ell - 1].counts.tolist(), used[ell].counts.tolist(), report.summary["K2"]
+        )
+        assert report.summary["qualifying_points"] == len(members)
+        assert (report.summary["pairs"], report.summary["good_pairs"]) == (pairs, good)
+        witness = report.condition("representable-point-in-some-pair").witness
+        assert witness == {"qualified": len(qualified), "good_pairs": good}
+        degree = report.condition("degree-criterion").witness
+        assert qualified and (degree["n1"], degree["n2"]) == qualified[0]
 
 
 NESTED_JSON = {

@@ -17,6 +17,7 @@ from oracles import (
     exceptional_scan_whole_array,
     floor_root_bruteforce,
     greedy_decompose_bruteforce,
+    next_nonzero_count_bruteforce,
     read_table_binary_whole,
     rep_counts_bruteforce,
     rep_counts_convolution,
@@ -48,6 +49,7 @@ from waring_gaps.repcount import (
     write_table_csv,
     write_output,
 )
+from waring_gaps.series import HalfFunction
 
 
 class TestParams:
@@ -844,3 +846,43 @@ class TestExceptionalBlocks:
             patch.setattr(repcount, "_SCAN_BLOCK", 97)
             scan = scan_exceptional_set(4, 10_000, Fraction(0), table_4_4)
         assert expected.size > 0 and np.array_equal(scan.members, expected)
+
+
+ALL_PARAMS = [(ell, s) for ell in (3, 4) for s in range(1, ell + 1)]
+
+
+class TestNextNonzero:
+    """RepTable.next_nonzero against a scan one index at a time and against
+    the series' majorant start, for every point in [-3, limit + 5]."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=st.sampled_from(ALL_PARAMS), limit=st.integers(0, 300))
+    def test_matches_bruteforce_and_majorant_start(self, params, limit):
+        table = sieve_rep(WaringParams(*params), limit)
+        counts = table.counts.tolist()
+        f = HalfFunction.from_table(table)
+        points = list(range(-3, limit + 6))
+        expected = [next_nonzero_count_bruteforce(counts, p) for p in points]
+        assert [f.tail_majorant_start(p) for p in points] == expected
+        answers = [table.next_nonzero(p) for p in points]
+        assert all(type(a) is int for a in answers) and answers == expected
+        batch = table.next_nonzero(np.array(points))
+        assert batch.dtype == np.int64 and batch.tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=sparse_tables(st.integers(0, 80)))
+    def test_sparse_tables(self, table):
+        points = np.arange(-3, table.limit + 6)
+        expected = [next_nonzero_count_bruteforce(table.counts.tolist(), p) for p in points]
+        assert table.next_nonzero(points).tolist() == expected
+
+    def test_index_is_not_copied(self):
+        table = sieve_rep(WaringParams(3, 3), 200_000)
+        index = table.nonzero  # 181 KB
+        tracemalloc.start()
+        try:
+            table.next_nonzero(np.arange(0, 1000, 7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < index.nbytes // 4

@@ -171,14 +171,11 @@ class TestTailMajorantStart:
         values[0] -= 3
         self.check(combo, values, limit)
 
-    def test_bare_function_certifies_no_zero(self):
-        f = HalfFunction(lambda n: 0, c=Fraction(1), label="zero_fn")
-        assert [f.tail_majorant_start(n) for n in range(5)] == list(range(5))
-
 
 class TestTailNorm:
     def test_zero_function_majorant(self):
-        f = HalfFunction(lambda n: 0, c=Fraction(3), label="zero_fn")
+        # nothing past coverage 9 is certified zero, so the majorant starts at the cutoff
+        f = HalfFunction(lambda n: 0, c=Fraction(3), label="zero_fn", coverage=9, nonzero=range(10))
         tail = tail_norm(f, 5, 10)
         assert tail.lo == 0
         assert tail.hi <= 8 * 3 * 10 * Fraction(1, 32)
@@ -189,7 +186,9 @@ class TestTailNorm:
         assert tail.lo == tail.hi == 0
 
     def test_linear_coefficients_stay_below_majorant(self):
-        f = HalfFunction(lambda n: n + 1, c=Fraction(1), label="linear")
+        f = HalfFunction(
+            lambda n: n + 1, c=Fraction(1), label="linear", coverage=89, nonzero=range(90)
+        )
         tail = tail_norm(f, 1, 90)
         # exact value of the weighted tail at 1 is 6; the majorant gives 8
         assert tail.lo < 6 < tail.hi
@@ -440,8 +439,8 @@ def small_table(ell: int, s: int, limit: int):
 @st.composite
 def walked_series(draw) -> HalfFunction:
     """Series whose coefficients respect their growth certificate: tables,
-    polynomials, constants, combinations that cancel, and bare functions with
-    no index, with or without a coverage."""
+    polynomials, constants, combinations that cancel, and bare functions whose
+    index lists every known position, with or without a coverage."""
     kind = draw(st.sampled_from(["table", "poly", "constant", "cancel", "mixed", "bare"]))
     limit = draw(st.integers(0, 120))
     if kind == "table":
@@ -470,6 +469,7 @@ def walked_series(draw) -> HalfFunction:
         c=Fraction(3),
         label="bare",
         coverage=coverage,
+        nonzero=range(len(values)),
     )
 
 
