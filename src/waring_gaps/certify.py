@@ -32,6 +32,7 @@ from .modular import ResidueProfile, residue_counts, search_gap_modulus
 from .repcount import (
     RepTable,
     WaringParams,
+    _pow_greater,
     floor_pow,
     loose_count_bound,
     read_table_binary,
@@ -489,66 +490,64 @@ def _common_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return denominator, [v.numerator * (denominator // v.denominator) for v in values]
 
 
+def _ray(first: int, last: int, a: int, c: int, v: int) -> tuple[int, int]:
+    """The integers beta in [first, last] with a + beta*c >= v, as (start,
+    end); the range is empty when start > end."""
+    if c > 0:
+        return max(first, -((a - v) // c)), last
+    if c < 0:
+        return first, min(last, (a - v) // -c)
+    return (first, last) if a >= v else (last + 1, last)
+
+
 def _sweep_pairs(f: Enclosure, g: Enclosure, threshold: Fraction, height: int) -> SweepResult:
     """Classify every pair alpha != 0, |alpha| + |beta| <= height by the
-    enclosure of alpha*F + beta*G against a positive threshold.
+    enclosure [lo, hi] of alpha*F + beta*G against a positive threshold t:
+    the pair passes when lo >= t or hi <= -t (the certified lower bound on
+    |alpha*F + beta*G| is then lo or -hi), fails when -t < lo and hi < t,
+    and is undecided otherwise.  All arithmetic is on integer numerators
+    over one common denominator.
 
-    A pair passes when the certified lower bound on |alpha*F + beta*G| is
-    at least the threshold, fails when the enclosure lies strictly inside
-    (-threshold, threshold), and is undecided otherwise.  All arithmetic is
-    on integer numerators over one common denominator.
-
-    When g is strictly one-signed, both ends of the enclosure move strictly
-    monotonically with beta, so for each alpha the betas that do not pass
-    form one contiguous run around the real root -alpha*mid(F)/mid(G), and
-    the lower bound rises strictly away from that run on either side.  The
-    sweep walks outward from the floor of the root (clamped into the beta
-    range) while pairs do not pass; the first passing beta on each side is
-    that side's minimum, and the monotone bound certifies every pair beyond
-    it.  When g's enclosure touches or straddles 0, every beta is tested.
+    For fixed alpha and one side of 0 (beta <= 0, or beta >= 1), lo and hi
+    are linear in beta whatever the sign of G.  So the passing betas of a
+    side form two disjoint rays, lo >= t and hi <= -t, each holding one end
+    of the side; the betas between them do not pass, and the failing ones
+    form an interval among those.  Each end is one integer division (_ray).
+    The bound is linear on each ray, so its least value there is at one end.
     """
     denominator, (f_lo, f_hi, g_lo, g_hi, t) = _common_numerators(
         (f.lo, f.hi, g.lo, g.hi, threshold)
     )
-    one_signed = g_lo > 0 or g_hi < 0
-
-    def bounds(a_lo: int, a_hi: int, beta: int) -> tuple[int, int]:
-        if beta >= 0:
-            return a_lo + beta * g_lo, a_hi + beta * g_hi
-        return a_lo + beta * g_hi, a_hi + beta * g_lo
-
-    def lower(lo: int, hi: int) -> int:
-        return lo if lo > 0 else -hi if hi < 0 else 0
-
     best: tuple[int, int, int] | None = None
-    failing = []
-    undecided = []
+    failing, undecided = [], []
     for alpha in range(-height, height + 1):
         if alpha == 0:
             continue
         budget = height - abs(alpha)
         a_lo, a_hi = (alpha * f_lo, alpha * f_hi) if alpha > 0 else (alpha * f_hi, alpha * f_lo)
-        first, last = -budget, budget
-        if one_signed:
-            root_floor = (-alpha * (f_lo + f_hi)) // (g_lo + g_hi)
-            start = min(max(root_floor, -budget), budget)
-            below = start
-            while below >= -budget and lower(*bounds(a_lo, a_hi, below)) < t:
-                below -= 1
-            above = start + 1
-            while above <= budget and lower(*bounds(a_lo, a_hi, above)) < t:
-                above += 1
-            first, last = max(below, -budget), min(above, budget)
-        for beta in range(first, last + 1):
-            lo, hi = bounds(a_lo, a_hi, beta)
-            bound = lower(lo, hi)
-            if bound >= t:
-                if best is None or bound < best[0]:
-                    best = (bound, alpha, beta)
-            elif lo > -t and hi < t:
-                failing.append((alpha, beta))
-            else:
-                undecided.append((alpha, beta))
+        # lo = a_lo + beta*c_lo and hi = a_hi + beta*c_hi on each side
+        for first, last, c_lo, c_hi in ((-budget, 0, g_hi, g_lo), (1, budget, g_lo, g_hi)):
+            gap_first, gap_last = first, last
+            for a, c in ((a_lo, c_lo), (-a_hi, -c_hi)):  # lo >= t, then -hi >= t
+                start, end = _ray(first, last, a, c, t)
+                if start <= end:
+                    beta = end if c < 0 else start
+                    candidate = (a + beta * c, alpha, beta)
+                    if best is None or candidate < best:
+                        best = candidate
+                    if start == first:
+                        gap_first = end + 1
+                    else:
+                        gap_last = start - 1
+            if gap_first > gap_last:
+                continue
+            fail_first, fail_last = _ray(gap_first, gap_last, a_lo, c_lo, 1 - t)  # lo > -t
+            fail_first, fail_last = _ray(fail_first, fail_last, -a_hi, -c_hi, 1 - t)  # hi < t
+            if fail_first > fail_last:
+                fail_first, fail_last = gap_last + 1, gap_last
+            undecided.extend((alpha, beta) for beta in range(gap_first, fail_first))
+            failing.extend((alpha, beta) for beta in range(fail_first, fail_last + 1))
+            undecided.extend((alpha, beta) for beta in range(fail_last + 1, gap_last + 1))
 
     pairs = 2 * height * height
     return SweepResult(
@@ -566,12 +565,11 @@ def check_measure(cert: NestedGapsCertificate, terms: int | None = None) -> Repo
     pair with alpha != 0 and |alpha| + |beta| bounded by the certificate
     height, from certified enclosures of f(1/q) and g(1/q).
 
-    Every pair is accounted for.  When g's enclosure is strictly
-    one-signed, each alpha's betas near the root -alpha*f/g are tested
-    exactly and every other pair is certified by the bound rising
-    monotonically away from them (see _sweep_pairs); when it touches or
-    straddles 0, every pair is tested.  Pairs whose enclosure straddles the
-    threshold are reported for retry at a larger term count.
+    Every pair is accounted for, whatever the sign of g's enclosure: for
+    each alpha and each side of beta = 0, the passing, failing and
+    undecided betas are intervals solved in closed form, and only the pairs
+    that do not pass are listed (see _sweep_pairs).  Pairs whose enclosure
+    straddles the threshold are reported for retry at a larger term count.
     """
     report = Report(kind="measure", certificate=cert.to_json_dict())
     base = verify_nested_gaps(cert)
@@ -1086,7 +1084,7 @@ def pipeline_dry_run(
             ed, en = exponent.denominator, exponent.numerator
             report.check(
                 "half-modulus-exceeds-window",
-                M**ed > 2**ed * N**en,
+                _pow_greater(M, ed, N, en, ed),
                 {"compare": "(M/2)^d > N^n", "exponent": fraction_str(exponent)},
             )
             scan = scan_exceptional_set(4, N, epsilon, table_full)

@@ -549,10 +549,11 @@ def run(config: RunConfig) -> int:
 
 def _run_guarded(resolve: Callable[[], RunConfig]) -> int:
     """Resolve and run one invocation; bad input ends with a message on
-    stderr and exit status 3, never a traceback."""
+    stderr and exit status 3, never a traceback.  RecursionError counts as
+    bad input: it is how json reports nesting too deep to decode."""
     try:
         return run(resolve())
-    except (ValueError, OSError, LookupError, ArithmeticError) as exc:
+    except (ValueError, OSError, LookupError, ArithmeticError, RecursionError) as exc:
         print(f"{TOOL}: error: {exc}", file=sys.stderr)
         return 3
 

@@ -318,24 +318,31 @@ def _bounded_pow(x: int, n: int, prec: int = 96) -> tuple[int, int, int]:
     return lo, hi, e
 
 
-def _pow_greater(a: int, p: int, d: int, q: int) -> bool:
-    """Decide a^p > d^q exactly, for positive exponents.
+def _pow_greater(a: int, p: int, d: int, q: int, shift: int = 0) -> bool:
+    """Decide a^p > d^q * 2^shift exactly, for positive exponents and
+    shift >= 0.
 
     Bit-length bounds (2^(L-1) <= x < 2^L for L = x.bit_length()) settle
     everything away from the crossover; certified bounded powering
-    settles all but near-equal values; only those fall back to forming
-    the full powers.
+    settles all but near-equal values, first from the top bit positions
+    of the two bounds, so that aligning them shifts by a few bits only
+    however far apart the exponents are; only near-equal values fall back
+    to forming the full powers.
     """
-    if a <= 1 or d <= 1:
-        # with positive exponents x^n is 0, 1, or at least 2 as x is
-        return min(a, 2) > min(d, 2)
+    if a == 0 or d == 0:
+        return a > d
     la, ld = a.bit_length(), d.bit_length()
-    if p * (la - 1) >= q * ld:
+    if p * (la - 1) >= q * ld + shift:
         return True
-    if p * la <= q * (ld - 1):
+    if p * la <= q * (ld - 1) + shift:
         return False
     a_lo, a_hi, a_e = _bounded_pow(a, p)
     d_lo, d_hi, d_e = _bounded_pow(d, q)
+    d_e += shift
+    if a_lo.bit_length() + a_e > d_hi.bit_length() + d_e:
+        return True
+    if a_hi.bit_length() + a_e < d_lo.bit_length() + d_e:
+        return False
     if a_e >= d_e:
         a_lo, a_hi = a_lo << (a_e - d_e), a_hi << (a_e - d_e)
     else:
@@ -344,7 +351,7 @@ def _pow_greater(a: int, p: int, d: int, q: int) -> bool:
         return True
     if a_hi < d_lo:
         return False
-    return a**p > d**q
+    return a**p > d**q << shift
 
 
 def floor_pow(base: int, exponent: Fraction) -> int:

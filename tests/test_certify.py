@@ -302,14 +302,18 @@ widths = st.builds(Fraction, st.integers(1, 30), st.integers(1, 64))
 
 
 @st.composite
-def enclosures(draw, kinds=("point", "wide", "straddle", "zero")):
+def enclosures(draw, kinds=("point", "wide", "straddle", "touch", "zero")):
     """A rational enclosure: a point, a wide one of either sign, one
-    straddling 0, or exactly [0, 0]."""
+    straddling 0, one with 0 as an end, or exactly [0, 0]."""
     kind = draw(st.sampled_from(kinds))
     if kind == "zero":
         return Enclosure(Fraction(0), Fraction(0))
     if kind == "straddle":
         return Enclosure(-draw(widths), draw(widths))
+    if kind == "touch":
+        width = draw(widths)
+        above = draw(st.booleans())
+        return Enclosure(Fraction(0), width) if above else Enclosure(-width, Fraction(0))
     lo = draw(fractions)
     return Enclosure(lo, lo if kind == "point" else lo + draw(widths))
 
@@ -328,7 +332,7 @@ class TestSweepsAgainstOracles:
         threshold=Fraction(1, 7),
         height=12,
     )
-    @example(  # g = [0, 0]: the full-sweep fallback
+    @example(  # g = [0, 0]: every beta gives alpha's own enclosure
         f=Enclosure(Fraction(1, 2), Fraction(3, 2)),
         g=Enclosure(Fraction(0), Fraction(0)),
         threshold=Fraction(1),
@@ -338,6 +342,24 @@ class TestSweepsAgainstOracles:
         f=Enclosure(Fraction(-2), Fraction(3)),
         g=Enclosure(Fraction(1, 16), Fraction(1, 8)),
         threshold=Fraction(1, 4),
+        height=12,
+    )
+    @example(  # g touches 0 from above: one end of each enclosure stays put as beta moves
+        f=Enclosure(Fraction(1, 3), Fraction(1, 2)),
+        g=Enclosure(Fraction(0), Fraction(1, 8)),
+        threshold=Fraction(1, 4),
+        height=12,
+    )
+    @example(  # g touches 0 from below, f a point: failing and undecided runs
+        f=Enclosure(Fraction(-1, 3), Fraction(-1, 3)),
+        g=Enclosure(Fraction(-1, 6), Fraction(0)),
+        threshold=Fraction(1, 2),
+        height=12,
+    )
+    @example(  # g straddles 0, f a point: failing and undecided pairs on both sides
+        f=Enclosure(Fraction(1, 3), Fraction(1, 3)),
+        g=Enclosure(Fraction(-1, 16), Fraction(1, 16)),
+        threshold=Fraction(1, 2),
         height=12,
     )
     def test_pairs_match_exhaustive_sweep(self, f, g, threshold, height):

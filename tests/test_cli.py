@@ -188,6 +188,16 @@ class TestVerdictCommands:
         assert run_cli("measure", "--cert", str(cert), "--json", str(j)) == 0
         assert json.loads(j.read_text())["report"]["summary"]["pairs"] == 20000
 
+    def test_measure_with_zero_g_at_the_largest_height(self, tmp_path):
+        # g(1/2) = 2^-40 - 2 * 2^-41 is exactly 0, and H = 100,000 is the
+        # largest height measure accepts: 2 * 10^10 pairs
+        cert = Path(__file__).parent / "data" / "measure_zero_g.json"
+        j = tmp_path / "m.json"
+        assert run_cli("measure", "--cert", str(cert), "--json", str(j)) == 0
+        summary = json.loads(j.read_text())["report"]["summary"]
+        assert summary["pairs"] == 20_000_000_000
+        assert summary["min_pair"] == [-1, -99999]
+
     def test_invalid_certificate_file(self, tmp_path, capsys):
         cert = tmp_path / "broken.json"
         cert.write_text("{\"q\": 2}")
@@ -298,6 +308,15 @@ class TestErrorsAndConfig:
         assert "sieve: parameter ell: expected int, got 'x'" in capsys.readouterr().err
         assert run_cli("pipeline", "--ell", "3", "--q", "2", "--j", "1/0") == 3
         assert "pipeline: parameter j: expected fraction, got '1/0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand,flag", [("nested", "--cert"), ("greedy", "--config")])
+    def test_deeply_nested_json_exits_3(self, tmp_path, capsys, subcommand, flag):
+        path = tmp_path / "deep.json"
+        path.write_text('{"q": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert run_cli(subcommand, flag, str(path)) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("waring-gaps: error: maximum recursion depth exceeded")
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "count,message",
@@ -516,6 +535,47 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
+# Runs the command line with its address space capped at argv[1] bytes in
+# this process alone, so forming a power of some 10^10 bits or more fails
+# with MemoryError.
+AS_LIMITED_CLI = """
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = int(sys.argv[1]) if hard == resource.RLIM_INFINITY else min(int(sys.argv[1]), hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+from waring_gaps.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestLargeDenominatorExponents:
+    @pytest.mark.parametrize(
+        "args,status",
+        [
+            (("exceptional", "--limit", "1000", "--epsilon", "1/1000001"), 0),
+            (("pipeline", "--ell", "4", "--q", "3", "--pool", "32",
+              "--sigma", "4000001/1000000"), 1),
+        ],
+        ids=["exceptional", "pipeline"],
+    )
+    def test_reaches_a_report_within_2_gb(self, tmp_path, args, status):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        # one BLAS thread, so that the cap does not depend on the core count
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1",
+               "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", AS_LIMITED_CLI, str(2 << 30), *args, "--json", "r.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == status, proc.stderr
+        obj = json.loads((tmp_path / "r.json").read_text())
+        if args[0] == "exceptional":
+            assert obj["result"]["cardinality"] == 723
+        else:
+            conditions = {c["name"]: c["verdict"] for c in obj["report"]["per_condition"]}
+            assert conditions["half-modulus-exceeds-window"] == "fail"
+
+
 class TestOutputFiles:
     @pytest.mark.parametrize("name", ["t.csv", "t.bin"])
     def test_file_size_limit_keeps_earlier_table(self, tmp_path, name):
@@ -684,6 +744,14 @@ class TestReplay:
         a = self.normalize(json.loads(first.read_text()))
         b = self.normalize(json.loads(second.read_text()))
         assert a == b
+
+    def test_replay_of_deeply_nested_report_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text('{"subcommand": "greedy", "config": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert cli.replay_report(path) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("waring-gaps: error: maximum recursion depth exceeded")
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "text,message",

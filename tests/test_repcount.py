@@ -306,6 +306,29 @@ class TestPowerComparison:
             assert _pow_greater(a, p, d, q) is False
             assert _pow_greater(a, p + 1, d, q) is (a ** (p + 1) > d**q)
 
+    def test_wide_exponent_gap(self):
+        from waring_gaps.repcount import _bounded_pow, _pow_greater
+
+        # bit lengths leave 3^50000 against 2^70000 open either way round,
+        # and the two bounded powers lie some 9,000 bits apart
+        a, p, d, q = 3, 50_000, 2, 70_000
+        assert abs(_bounded_pow(a, p)[2] - _bounded_pow(d, q)[2]) > 9_000
+        assert _pow_greater(a, p, d, q) is (a**p > d**q) is True
+        assert _pow_greater(d, q, a, p) is (d**q > a**p) is False
+
+    def test_shift_matches_full_powers(self):
+        from waring_gaps.repcount import _pow_greater
+
+        rng = random.Random(9)
+        for _ in range(20_000):
+            a, d = rng.randrange(0, 40), rng.randrange(0, 40)
+            p, q, shift = rng.randrange(1, 50), rng.randrange(1, 50), rng.randrange(0, 80)
+            assert _pow_greater(a, p, d, q, shift) == (a**p > d**q << shift)
+        for a, p, d, q, shift in [(2, 10, 2, 4, 6), (6, 4, 3, 4, 4), (3, 6, 9, 3, 0)]:
+            assert a**p == d**q << shift
+            assert _pow_greater(a, p, d, q, shift) is False
+            assert _pow_greater(a, p + 1, d, q, shift) is True
+
     def test_bounded_pow_brackets_true_power(self):
         from waring_gaps.repcount import _bounded_pow
 
