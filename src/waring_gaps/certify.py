@@ -1153,6 +1153,8 @@ def _checked(raw: Any, kind: str, name: str) -> Any:
 
 
 def _field(obj: dict, key: str, kind: str) -> Any:
+    if key not in obj:
+        raise ValueError(f"field {key}: missing")
     return _checked(obj[key], kind, f"field {key}")
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -479,43 +479,64 @@ def write_output(path: str | Path, pieces: Iterable[str | bytes | np.ndarray]) -
 # CSVs and JSON arrays alike, is rendered by render_rows, and a canonical
 # table CSV is parsed by columns.
 #
-# "00" .. "99" as native-endian byte pairs, so digits are rendered two at a time.
-_DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
-# 10^1 .. 10^19: a magnitude m has searchsorted(_POW10, m, "right") + 1 digits.
-_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+# Digit pairs as native-endian byte pairs, looked up at min(m, 100 + m % 100)
+# for the part m of a magnitude still to write: entries 100 .. 199 are the
+# inner pairs "00" .. "99", and entry m < 100 is the leading pair of m,
+# NUL-padded.  Entry 0 is "0" for the last pair, and two NULs before it.
+_LAST_PAIRS = np.frombuffer(
+    ("".join(f"{i:>2}" for i in range(100)).replace(" ", "\0")
+     + "".join(f"{i:02d}" for i in range(100))).encode(),
+    dtype=np.uint16,
+)
+_PAIRS = _LAST_PAIRS.copy()
+_PAIRS[0] = 0
 # false and true, right-aligned in five bytes.
-_BOOL_TEXT = np.frombuffer(b"false true", dtype=np.uint8).reshape(2, 5)
+_BOOL_TEXT = np.frombuffer(b"false\0true", dtype=np.uint8).reshape(2, 5)
 
 
-def _cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The text of each entry of a 1-D column as one row of a uint8 matrix,
-    with the mask of the bytes that belong to it: an int in decimal, a bool
-    as JSON's true or false, and an object (a Python int beyond int64) as
-    str() spells it."""
+def _cells(column: np.ndarray) -> tuple[int, Callable[[np.ndarray], None]]:
+    """The width of a slot that holds the text of every entry of a 1-D
+    column, and a function that writes entry i into row i of a (rows, width)
+    uint8 slot, NUL-padded: an int in decimal, a bool as JSON's true or
+    false, and an object (a Python int beyond int64) as str() spells it."""
     if column.dtype == np.bool_:
         text = _BOOL_TEXT[column.view(np.uint8)]
-        return text, text != ord(" ")
-    if column.dtype == object:
+    elif column.dtype == object:
         text = np.array([str(value) for value in column], dtype=bytes)
         text = text.view(np.uint8).reshape(column.size, -1)
-        return text, text != 0
-    negative = column < 0
-    magnitude = column.astype(np.uint64)  # a negative entry e wraps to 2^64 + e
-    if negative.any():
+    else:
+        return _digits(column)
+    return text.shape[1], lambda slot: np.copyto(slot, text)
+
+
+def _digits(column: np.ndarray) -> tuple[int, Callable[[np.ndarray], None]]:
+    """_cells of a nonempty int column: each entry right-aligned in its slot,
+    its digits written two at a time from the last pair to the leading one."""
+    magnitude, negative = column, None
+    if column.dtype.kind == "i" and column.min() < 0:
+        negative = column < 0
+        magnitude = column.astype(np.uint64)  # a negative entry e wraps to 2^64 + e
         magnitude = np.where(negative, np.uint64(0) - magnitude, magnitude)  # |e|, mod 2^64
-    digits = np.searchsorted(_POW10, magnitude, side="right") + 1
-    pairs = (int(digits.max()) + 1) // 2
-    text = np.empty((column.size, pairs), dtype=np.uint16)
-    for j in range(pairs - 1, -1, -1):
-        magnitude, low = np.divmod(magnitude, np.uint64(100))
-        text[:, j] = _DIGIT_PAIRS[low]
-    text = text.view(np.uint8)
-    # Row w of this table keeps the last w of 2 * pairs bytes.
-    keep = (np.arange(2 * pairs) >= np.arange(2 * pairs, -1, -1)[:, None])[digits]
-    if negative.any():
-        text = np.hstack([np.full((column.size, 1), ord("-"), dtype=np.uint8), text])
-        keep = np.hstack([negative[:, None], keep])
-    return text, keep
+    top = int(magnitude.max())
+    # A quotient by a scalar is far cheaper than np.divmod, and cheaper again
+    # on uint32.
+    magnitude = magnitude.astype(np.uint64 if top >> 32 else np.uint32, copy=False)
+    pairs = (len(str(top)) + 1) // 2
+    width = 2 * pairs + (negative is not None)
+
+    def write(slot: np.ndarray) -> None:
+        rest, table = magnitude, _LAST_PAIRS
+        for end in range(width, width - 2 * pairs, -2):
+            quotient = rest // 100
+            low = rest - quotient * 100
+            slot[:, end - 2 : end].view(np.uint16)[:, 0] = table.take(np.minimum(rest, low + 100))
+            rest, table = quotient, _PAIRS
+        if negative is not None:
+            # The minus sign goes just before the first digit.
+            rows = np.flatnonzero(negative)
+            slot[rows, np.argmax(slot[rows] != 0, axis=1) - 1] = ord("-")
+
+    return width, write
 
 
 def render_rows(columns: Sequence[np.ndarray], seps: Sequence[str]) -> Iterator[str]:
@@ -523,20 +544,27 @@ def render_rows(columns: Sequence[np.ndarray], seps: Sequence[str]) -> Iterator[
     + seps[-1], for every row of the equal-length 1-D columns, in pieces of
     up to _CSV_ROWS rows; entries are spelled as _cells spells them.
 
-    Each piece is one compress: the separators and cells of its rows lie
-    side by side in a uint8 matrix, and one mask keeps the bytes of each row.
+    Each piece is one (rows, row width) uint8 matrix, tiled from a template
+    row that holds the separators and a zero-filled slot for each column.
+    The cells are written into their slots, and one compress drops the NUL
+    padding.  So no separator may hold a NUL.
     """
-    fixed = [np.frombuffer(sep.encode(), dtype=np.uint8) for sep in seps]
+    for sep in seps:
+        if "\0" in sep:
+            raise ValueError(f"separator {sep!r} holds a NUL byte")
+    fixed = [sep.encode() for sep in seps]
     size = len(columns[0])
     for lo in range(0, size, _CSV_ROWS):
         rows = min(_CSV_ROWS, size - lo)
-        parts = [(np.broadcast_to(sep, (rows, sep.size)), np.broadcast_to(True, (rows, sep.size)))
-                 for sep in fixed]
-        for k, column in enumerate(columns):
-            parts.insert(2 * k + 1, _cells(column[lo : lo + rows]))
-        text = np.concatenate([text for text, _ in parts], axis=1)
-        keep = np.concatenate([keep for _, keep in parts], axis=1)
-        yield text[keep].tobytes().decode()
+        cells = [_cells(column[lo : lo + rows]) for column in columns]
+        template, starts = bytearray(fixed[0]), []
+        for (width, _), sep in zip(cells, fixed[1:]):
+            starts.append(len(template))
+            template += bytes(width) + sep
+        out = np.tile(np.frombuffer(template, dtype=np.uint8), (rows, 1))
+        for start, (width, write) in zip(starts, cells):
+            write(out[:, start : start + width])
+        yield out[out != 0].tobytes().decode()
 
 
 def csv_pieces(header: str, columns: Sequence[np.ndarray], newline: str = "\n") -> Iterator[str]:

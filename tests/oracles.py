@@ -469,3 +469,18 @@ def window_escapes_depth(b, M: int, N: int, exceptional) -> tuple[int, int]:
     )
     in_window = depth[: N + 1] > 0
     return int(np.count_nonzero(in_window)), int(np.count_nonzero(in_window & ~is_exceptional))
+
+
+def render_rows_joined(columns, seps) -> str:
+    """What repcount.render_rows yields, joined: each row as seps[0], then
+    each cell followed by the next separator, one str() per cell, with a
+    bool spelled as JSON spells it."""
+    def cell(value) -> str:
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return str(value)
+
+    return "".join(
+        seps[0] + "".join(cell(value) + sep for value, sep in zip(row, seps[1:]))
+        for row in zip(*(column.tolist() for column in columns))
+    )

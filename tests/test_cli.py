@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import string
 import subprocess
 import sys
 import threading
@@ -7,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from test_cli_golden import MAIER_CERT, write_inputs
+from test_cli_golden import MAIER_CERT, NESTED_CERT, write_inputs
+from test_repcount import CODEC_ROWS, INT_DTYPES, codec_columns
 from waring_gaps import cli
 from waring_gaps.repcount import (
     _CSV_ROWS,
@@ -509,6 +513,18 @@ class TestReportWriter:
         text = "".join(cli._report_chunks(value))
         assert text.split("\n") == json.dumps(as_plain_json(value), indent=2).split("\n")
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rows=st.sampled_from(CODEC_ROWS))
+    def test_records_of_every_int_dtype_match_json_dumps(self, data, rows):
+        names = data.draw(st.lists(STRINGS.filter(bool), min_size=1, max_size=3, unique=True))
+        columns = [data.draw(codec_columns(rows, kinds=(*INT_DTYPES, "?"))) for _ in names]
+        records = np.empty(rows, dtype=[(name, c.dtype) for name, c in zip(names, columns)])
+        for name, column in zip(names, columns):
+            records[name] = column
+        rows_as_dicts = [dict(zip(names, row)) for row in records.tolist()]
+        text = "".join(cli._array_pieces(records, ""))
+        assert text.split("\n") == json.dumps(rows_as_dicts, indent=2).split("\n")
+
     @pytest.mark.parametrize(
         "bad",
         [np.zeros(3), np.zeros((2, 2), dtype=np.int64), np.array(["a"]), object()],
@@ -773,3 +789,185 @@ class TestReplay:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+
+# A valid configuration of every subcommand; a path is named relative to the
+# directory write_inputs fills.
+VALID_CONFIGS = {
+    "sieve": {"ell": 3, "s": 2, "limit": 100},
+    "gaps": {"table": "r33.bin", "min_len": 4},
+    "greedy": {"ell": 3, "b": 100},
+    "modcount": {"ell": 3, "modulus": 9},
+    "crt": {"ell": 3, "moduli": [2, 9]},
+    "modsearch": {"ell": 3, "k1": 2, "pool": [9, 63]},
+    "mild-scan": {"table": "r33.bin", "lo": 0, "hi": 30, "k": 4, "e": "8"},
+    "theta": {"ell": 3, "q": 2, "terms": 40},
+    "maier": {"cert": "maier.json", "table": "r33.bin"},
+    "nested": {"cert": "nested.json"},
+    "measure": {"cert": "nested.json"},
+    "linforms": {"ell": 3, "q": 2, "height": 1, "terms": 48},
+    "pipeline": {"ell": 3, "q": 2},
+    "exceptional": {"limit": 120, "epsilon": "1/100"},
+}
+# The kind of each certificate field, as the certificate parsers check it.
+CERT_KINDS = {
+    "nested": {**dict.fromkeys(NESTED_CERT, "int"), "H": "fraction", "E": "fraction",
+               "E_prime": "fraction", "f": "object", "g": "object"},
+    "maier": {**dict.fromkeys(MAIER_CERT, "int"), "eps": "list", "caps": "list"},
+}
+CERT_KINDS["measure"] = CERT_KINDS["nested"]
+
+# JSON values of a type other than the one named.  Those of a parameter are
+# never null, which a config reads as absent; a certificate field may be null.
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+LISTS = st.lists(st.integers(), max_size=2)
+OBJECTS = st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+BAD_NUMBERS = st.sampled_from(["x", "2.5", "1/0", "", "7e2", "0x10", "1/x"])
+NOT_NUMBERS = FLOATS | st.booleans() | LISTS | OBJECTS | BAD_NUMBERS
+WRONG_VALUES = {
+    "int": NOT_NUMBERS,
+    "fraction": NOT_NUMBERS,
+    "intlist": FLOATS | st.booleans() | OBJECTS | BAD_NUMBERS | st.sampled_from(["1,x", "9,2.5"])
+    | st.lists(FLOATS | st.booleans() | LISTS | OBJECTS | BAD_NUMBERS, min_size=1, max_size=2),
+    "path": st.integers() | FLOATS | st.booleans() | LISTS | OBJECTS,
+    "object": st.none() | st.integers() | st.text(max_size=3) | FLOATS | st.booleans() | LISTS,
+    "list": st.none() | st.integers() | st.text(max_size=3) | FLOATS | st.booleans() | OBJECTS,
+}
+# A line of a key = value file with no "=", which is neither blank nor a comment.
+NO_EQUALS_LINES = st.text(st.sampled_from(string.ascii_letters + string.digits + " .,:-_/[]"),
+                          min_size=1, max_size=8).filter(str.strip)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> Path:
+    directory = tmp_path_factory.mktemp("inputs")
+    write_inputs(directory)
+    return directory
+
+
+def absolute_config(subcommand: str, directory: Path) -> dict:
+    """VALID_CONFIGS[subcommand] with each path made absolute."""
+    kinds = {spec.name.replace("-", "_"): spec.kind for spec in cli.COMMANDS[subcommand].params}
+    return {key: str(directory / value) if kinds[key] == "path" else value
+            for key, value in VALID_CONFIGS[subcommand].items()}
+
+
+def key_value_text(config: dict) -> str:
+    return "".join(f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+                   for key, value in config.items())
+
+
+def run_bad_input(argv: list[str]) -> None:
+    """Run argv through cli.main: exit status 3, a message on stderr,
+    nothing on stdout and no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    message = err.getvalue()
+    assert status == 3, message
+    assert message.startswith("waring-gaps: error: ") and message.strip() != "waring-gaps: error:"
+    assert "Traceback" not in message
+    assert out.getvalue() == ""
+
+
+@st.composite
+def malformed_configs(draw, subcommand: str, config: dict) -> str:
+    """The text of a config file for subcommand with one defect in config."""
+    specs = {spec.name.replace("-", "_"): spec for spec in cli.COMMANDS[subcommand].params}
+    # Output paths are never read from a config file.
+    readable = sorted(name for name in specs if name not in cli.OUTPUT_PARAMS)
+    defect = draw(st.sampled_from(["unknown", "wrong", "threads", "truncated", "no-object",
+                                   "no-equals", "bad-number"]))
+    if defect == "unknown":
+        name = draw(st.text(st.sampled_from(string.ascii_lowercase + "_-"), min_size=1))
+        assume(name.replace("-", "_") not in specs)
+        return json.dumps({**config, name: 1})
+    if defect == "wrong":
+        name = draw(st.sampled_from(readable))
+        return json.dumps({**config, name: draw(WRONG_VALUES[specs[name].kind])})
+    if defect == "threads":
+        return json.dumps({**config, "threads": draw(st.integers(max_value=0))})
+    if defect == "truncated":
+        text = json.dumps(config)
+        return text[: draw(st.integers(1, len(text) - 1))]
+    if defect == "no-object":
+        return json.dumps({"config": draw(WRONG_VALUES["object"])})
+    if defect == "no-equals":
+        line = draw(NO_EQUALS_LINES)
+    else:
+        name = draw(st.sampled_from([name for name in readable if specs[name].kind != "path"]))
+        config = {key: value for key, value in config.items() if key != name}
+        line = f"{name} = {draw(BAD_NUMBERS | st.just('1,x'))}"
+    lines = key_value_text(config).splitlines(keepends=True)
+    lines.insert(draw(st.integers(0, len(lines))), line + "\n")
+    return "".join(lines)
+
+
+@st.composite
+def malformed_certificates(draw, subcommand: str) -> str:
+    """The text of a certificate for subcommand with one defect."""
+    cert = dict(MAIER_CERT if subcommand == "maier" else NESTED_CERT)
+    kinds = CERT_KINDS[subcommand]
+    # An item is a list entry of a maier certificate, a series of a nested one.
+    defect = draw(st.sampled_from(["missing", "wrong", "item", "no-object", "truncated"]))
+    name = draw(st.sampled_from(sorted(kinds)))
+    if defect == "missing":
+        del cert[name]
+    elif defect == "wrong":
+        cert[name] = draw(WRONG_VALUES[kinds[name]] | st.none())
+    elif defect == "item" and subcommand == "maier":
+        name = draw(st.sampled_from(["eps", "caps"]))
+        cert[name] = [*cert[name], draw(WRONG_VALUES["int"])]
+    elif defect == "item":
+        name = draw(st.sampled_from(["f", "g"]))
+        cert[name] = draw(st.sampled_from([
+            {"kind": draw(st.text(max_size=8).filter(
+                lambda kind: kind not in ("constant", "coefficients", "rep-table", "combination")))},
+            {"kind": "coefficients", "entries": [[0, 1], draw(WRONG_VALUES["list"])]},
+            {"kind": "coefficients", "entries": [[0, 1], [draw(WRONG_VALUES["int"]), 1]]},
+            {"kind": "coefficients", "values": [1, draw(WRONG_VALUES["int"])]},
+            {"kind": "constant", "value": draw(WRONG_VALUES["int"])},
+        ]))
+    elif defect == "no-object":
+        return json.dumps(draw(WRONG_VALUES["object"]))
+    text = json.dumps(cert)
+    return text[: draw(st.integers(1, len(text) - 1))] if defect == "truncated" else text
+
+
+class TestMalformedInputs:
+    """Malformed config files, for every subcommand, and malformed
+    certificates exit 3 with a message, never with a traceback."""
+
+    @pytest.mark.parametrize("subcommand", sorted(VALID_CONFIGS))
+    def test_valid_configs_run(self, inputs, subcommand, capsys):
+        assert set(VALID_CONFIGS) == set(cli.COMMANDS)
+        path = inputs / "valid.cfg"
+        path.write_text(json.dumps(absolute_config(subcommand, inputs)))
+        assert run_cli(subcommand, "--config", str(path)) in (0, 1)
+        assert capsys.readouterr().err == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), subcommand=st.sampled_from(sorted(VALID_CONFIGS)))
+    def test_malformed_config_exits_3(self, inputs, data, subcommand):
+        text = data.draw(malformed_configs(subcommand, absolute_config(subcommand, inputs)))
+        path = inputs / "malformed.cfg"
+        path.write_text(text)
+        run_bad_input([subcommand, "--config", str(path)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), subcommand=st.sampled_from(["nested", "measure", "maier"]))
+    def test_malformed_certificate_exits_3(self, inputs, data, subcommand):
+        path = inputs / "malformed.json"
+        path.write_text(data.draw(malformed_certificates(subcommand)))
+        table = ["--table", str(inputs / "r33.bin")] if subcommand == "maier" else []
+        run_bad_input([subcommand, "--cert", str(path), *table])
+
+    @pytest.mark.parametrize("subcommand,field", [("nested", "E_prime"), ("maier", "N")])
+    def test_missing_certificate_field_is_named(self, inputs, subcommand, field, capsys):
+        cert = dict(MAIER_CERT if subcommand == "maier" else NESTED_CERT)
+        del cert[field]
+        path = inputs / "missing.json"
+        path.write_text(json.dumps(cert))
+        table = ["--table", str(inputs / "r33.bin")] if subcommand == "maier" else []
+        assert run_cli(subcommand, "--cert", str(path), *table) == 3
+        assert capsys.readouterr().err == f"waring-gaps: error: field {field}: missing\n"

@@ -2,6 +2,8 @@ import csv
 import io
 import os
 import random
+import re
+import string
 import struct
 import threading
 import tracemalloc
@@ -19,6 +21,7 @@ from oracles import (
     greedy_decompose_bruteforce,
     next_nonzero_count_bruteforce,
     read_table_binary_whole,
+    render_rows_joined,
     rep_counts_bruteforce,
     rep_counts_convolution,
     zero_runs_bruteforce,
@@ -580,9 +583,44 @@ def assert_readers_agree(data: bytes, tmp_path_factory) -> None:
     assert csv_outcome(lambda _: read_table_csv(path, WaringParams(4, 4)).counts, data) == rows
 
 
+# Columns as the decimal codec meets them: every int dtype, bool, and object
+# columns of Python ints beyond int64, at the row counts around the block size.
+INT_DTYPES = ["i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8"]
+CODEC_ROWS = [0, 1, _CSV_ROWS - 1, _CSV_ROWS, 2 * _CSV_ROWS + 3]
+SEPARATORS = st.text(st.sampled_from(string.printable), max_size=4)
+
+
+@st.composite
+def codec_columns(draw, rows: int, kinds=(*INT_DTYPES, "?", "O")) -> np.ndarray:
+    """A column of rows entries: random values below a random number of bits,
+    each cut by a further random shift, and in some columns the dtype's
+    extremes planted at random rows."""
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "?":
+        return rng.integers(0, 1, rows, endpoint=True).astype(bool)
+    if kind == "O":
+        bits = draw(st.integers(65, 256))
+        extremes = [2**bits, -(2**bits), 2**64, -(2**64) - 1, 0]
+        values = [(int(v) << (bits - 62)) >> int(shift) for v, shift in
+                  zip(rng.integers(-(2**62), 2**62, rows), rng.integers(0, bits, rows))]
+    else:
+        info = np.iinfo(kind)
+        extremes = [info.min, info.max, 0, 9, 10, 99, 100]
+        values = rng.integers(info.min, info.max, rows, dtype=kind, endpoint=True)
+        bits = draw(st.integers(1, info.bits))
+        values = values >> rng.integers(info.bits - bits, info.bits, rows).astype(kind)
+    column = np.array(values, dtype=object if kind == "O" else kind)
+    if draw(st.booleans()):
+        at = rng.permutation(rows)[: len(extremes)]
+        column[at] = extremes[: at.size]
+    return column
+
+
 class TestCsvCodec:
     """The decimal codec: the columnar table-CSV reader against the row
-    reader, and the CSV renderer on every int dtype against the csv module."""
+    reader, and the renderer on every int dtype against the csv module and
+    a str() join."""
 
     @settings(max_examples=600, deadline=None)
     @given(data=table_csvs())
@@ -641,6 +679,25 @@ class TestCsvCodec:
         expected = io.StringIO()
         csv.writer(expected, lineterminator="\n").writerows([["x"], *zip(column.tolist())])
         assert "".join(csv_pieces("x", [column])) == expected.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.sampled_from(CODEC_ROWS))
+    def test_rendering_matches_str_join(self, data, rows):
+        columns = data.draw(st.lists(codec_columns(rows), min_size=1, max_size=3))
+        seps = data.draw(st.lists(SEPARATORS, min_size=len(columns) + 1,
+                                  max_size=len(columns) + 1))
+        assert "".join(repcount.render_rows(columns, seps)) == render_rows_joined(columns, seps)
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        expected = "x" + newline + render_rows_joined(
+            columns, ["", *[","] * (len(columns) - 1), newline])
+        assert "".join(csv_pieces("x", columns, newline)) == expected
+
+    @pytest.mark.parametrize("seps,bad", [(["\0", ""], "\0"), (["", ",\0"], ",\0"),
+                                          (["[", "\0]"], "\0]")])
+    def test_separator_with_nul_rejected(self, seps, bad):
+        # the compress would drop it as padding
+        with pytest.raises(ValueError, match=re.escape(f"separator {bad!r} holds a NUL byte")):
+            next(repcount.render_rows([np.arange(3)], seps))
 
     def test_written_tables_are_read_by_columns(self, tmp_path, table_4_4):
         path = tmp_path / "t.csv"
