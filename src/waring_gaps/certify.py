@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact import decimal_str, fraction_str, parse_exact
 from .modular import ResidueProfile, residue_counts, search_gap_modulus
@@ -33,10 +34,11 @@ from .repcount import (
     RepTable,
     WaringParams,
     _pow_greater,
+    exceptional_blocks,
     floor_pow,
     loose_count_bound,
     read_table_binary,
-    scan_exceptional_set,
+    scan_exceptional_set,  # noqa: F401  kept importable here: perfbench's patching test lists it
     sieve_rep,
 )
 from .series import (
@@ -46,8 +48,9 @@ from .series import (
     Verdict,
     eval_enclosure,
     eval_truncated,
-    is_mild_gap,
+    is_mild_gap,  # noqa: F401  kept importable here: perfbench's patching test lists it
     linear_combination,
+    mild_gap_checks,
 )
 
 
@@ -130,8 +133,12 @@ def _add_mild_gaps(
 ) -> None:
     """Test each (f, n, K, E) for a mild gap and record the worst verdict as
     one condition.  Its witness lists every check, or with tally counts the
-    checks by outcome and shows the first one that is not a witness."""
-    checks = [(is_mild_gap(f, n, K, E), f.label) for f, n, K, E in cases]
+    checks by outcome and shows the first one that is not a witness.  Each
+    run of consecutive cases that share f, K and E is one mild_gap_checks."""
+    checks = []
+    for (f, K, E), group in itertools.groupby(cases, key=lambda case: (case[0], case[2], case[3])):
+        ns = [n for _, n, _, _ in group]
+        checks += [(check, f.label) for check in mild_gap_checks(f, ns, K, E)]
     # PASS stands for the empty check list, which Verdict.worst rejects.
     verdict = Verdict.worst([Verdict.PASS, *(check.verdict for check, _ in checks)])
     if not tally:
@@ -215,20 +222,41 @@ class MaierCertificate:
         )
 
 
+# Rows of the qualifying-set view compared at once: bounds the boolean temporary.
+_QUALIFYING_ROWS = 1 << 16
+
+
 def maier_qualifying_set(
     table: RepTable, modulus: int, residue: int, caps: Sequence[int], limit: int, window: int
 ) -> np.ndarray:
-    """Indices n in [0, limit - window) of the progression with capped counts."""
+    """Indices n in [0, limit - window) of the progression with capped counts.
+
+    Row j of one read-only strided view of the counts is the window of
+    len(caps) counts from residue + j * modulus; a row qualifies when each
+    count is at most its cap.  Caps are clipped to the loose ceiling first,
+    so each fits an int64 and compares exactly with every count dtype.
+    """
+    if residue < 0 or modulus < 1:
+        raise ValueError("the progression needs a residue >= 0 and a modulus >= 1")
     hi = limit - window
     if hi <= residue:
         return np.empty(0, dtype=np.int64)
-    idx = np.arange(residue, hi, modulus, dtype=np.int64)
-    ok = np.ones(idx.shape, dtype=bool)
+    if not caps:
+        return np.arange(residue, hi, modulus, dtype=np.int64)
+    rows = -(-(hi - residue) // modulus)
+    if residue + (rows - 1) * modulus + len(caps) > table.limit + 1:
+        raise ValueError("the table does not cover the last progression window")
     ceiling = loose_count_bound(table.params.ell, table.limit)
-    for k, cap in enumerate(caps):
-        effective = min(int(cap), ceiling)
-        ok &= table.counts[idx + k] <= effective
-    return idx[ok]
+    clipped = np.array([min(int(cap), ceiling) for cap in caps], dtype=np.int64)
+    view = sliding_window_view(table.counts[residue:], len(caps))[::modulus][:rows]
+    ok = np.concatenate([
+        (view[r : r + _QUALIFYING_ROWS] <= clipped).all(axis=1)
+        for r in range(0, rows, _QUALIFYING_ROWS)
+    ])
+    members = np.flatnonzero(ok)
+    members *= modulus
+    members += residue
+    return members
 
 
 def verify_maier(cert: MaierCertificate, table: RepTable, profile: ResidueProfile) -> Report:
@@ -240,6 +268,14 @@ def verify_maier(cert: MaierCertificate, table: RepTable, profile: ResidueProfil
     makes the claimed bound meaningless and rejects the certificate
     before counting.
     """
+    return _verify_maier(cert, table, profile, None)
+
+
+def _verify_maier(
+    cert: MaierCertificate, table: RepTable, profile: ResidueProfile, qualifying: np.ndarray | None
+) -> Report:
+    """verify_maier, counting the given qualifying set when the caller has
+    already computed it for the certificate's progression, caps and limit."""
     report = Report(kind="maier", certificate=cert.to_json_dict())
     alpha = cert.alpha
     alpha_ok = alpha < 1
@@ -306,7 +342,8 @@ def verify_maier(cert: MaierCertificate, table: RepTable, profile: ResidueProfil
         )
         return report
 
-    qualifying = maier_qualifying_set(table, cert.M, cert.m, cert.caps, cert.N, cert.K)
+    if qualifying is None:
+        qualifying = maier_qualifying_set(table, cert.M, cert.m, cert.caps, cert.N, cert.K)
     count = int(qualifying.shape[0])
     report.summary["count"] = count
     report.check(
@@ -872,17 +909,19 @@ class PipelineConfig:
         }
 
 
-def window_escapes(
-    b: np.ndarray, M: int, N: int, exceptional: np.ndarray
-) -> tuple[int, int]:
-    """(window_points, escaped) over the windows [max(1, b + ceil(M/2)),
-    min(N, b + M - 1)] of the ascending b: how many integers lie in some
-    window, and how many of those are not in the ascending exceptional.
+def _window_escapes(
+    b: np.ndarray, M: int, N: int, exceptional_blocks: Iterable[np.ndarray]
+) -> tuple[int, int, int]:
+    """(window_points, escaped, exceptional) for the windows
+    [max(1, b + ceil(M/2)), min(N, b + M - 1)] of the ascending b: how many
+    integers lie in some window, how many of those are not exceptional, and
+    how many exceptional points there are.  The exceptional points come as
+    ascending blocks, each read once and not kept.
 
     Both ends of a window ascend with b, so a window starts a new run of
     the union exactly when it starts past the end of the window before it,
     and a run ends where its last window does; two binary searches count
-    the exceptional points in each run.
+    the points of a block in each run that reaches into it.
     """
     starts = np.maximum(1, b + (M + 1) // 2)
     stops = np.minimum(N, b + M - 1) + 1  # half-open [start, stop)
@@ -892,8 +931,26 @@ def window_escapes(
     run_starts = np.concatenate((starts[:1], starts[1:][gap]))
     run_stops = np.concatenate((stops[:-1][gap], stops[-1:]))
     window_points = int((run_stops - run_starts).sum())
-    inside = np.searchsorted(exceptional, run_stops) - np.searchsorted(exceptional, run_starts)
-    return window_points, window_points - int(inside.sum())
+    exceptional = inside = 0
+    for block in exceptional_blocks:
+        exceptional += block.size
+        if block.size:
+            # only the runs that reach into [block[0], block[-1]] can hold its points
+            i = np.searchsorted(run_stops, block[0], side="right")
+            j = np.searchsorted(run_starts, block[-1], side="right")
+            hits = np.searchsorted(block, run_stops[i:j]) - np.searchsorted(block, run_starts[i:j])
+            inside += int(hits.sum())
+    return window_points, window_points - inside, exceptional
+
+
+def window_escapes(
+    b: np.ndarray, M: int, N: int, exceptional: np.ndarray
+) -> tuple[int, int]:
+    """(window_points, escaped) over the windows [max(1, b + ceil(M/2)),
+    min(N, b + M - 1)] of the ascending b: how many integers lie in some
+    window, and how many of those are not in the ascending exceptional."""
+    window_points, escaped, _ = _window_escapes(b, M, N, [exceptional])
+    return window_points, escaped
 
 
 def pipeline_dry_run(
@@ -1026,14 +1083,14 @@ def pipeline_dry_run(
     table_full = sieve_rep(WaringParams(ell, ell), sieve_limit)
     table_lower = sieve_rep(WaringParams(ell, ell - 1), sieve_limit)
     profile = residue_counts(ell, M)
-    maier_report = verify_maier(cert, table_full, profile)
+    members = maier_qualifying_set(table_full, M, m, caps, N, K2)
+    maier_report = _verify_maier(cert, table_full, profile, members)
     report.add(
         "counting-certificate",
         Verdict.FAIL if maier_report.invalid else maier_report.verdict,
         maier_report.summary,
     )
 
-    members = maier_qualifying_set(table_full, M, m, caps, N, K2)
     b_count = int(members.shape[0])
     summary["qualifying_points"] = b_count
     floor_bound = Fraction(N, (1 << (ell + 2)) * M)
@@ -1087,19 +1144,20 @@ def pipeline_dry_run(
                 _pow_greater(M, ed, N, en, ed),
                 {"compare": "(M/2)^d > N^n", "exponent": fraction_str(exponent)},
             )
-            scan = scan_exceptional_set(4, N, epsilon, table_full)
-            window_points, escaped = window_escapes(good_b1, M, N, scan.members)
+            window_points, escaped, exceptional = _window_escapes(
+                good_b1, M, N, exceptional_blocks(4, N, epsilon, table_full)
+            )
             report.check(
                 "window-set-escapes-exceptional",
                 escaped > 0,
                 {
                     "window_points": window_points,
-                    "exceptional": len(scan.members),
+                    "exceptional": exceptional,
                     "escaped": escaped,
                     "epsilon": fraction_str(epsilon),
                 },
             )
-            summary["exceptional_density"] = fraction_str(scan.density)
+            summary["exceptional_density"] = fraction_str(Fraction(exceptional, N))
 
     inside = table_full.next_nonzero(good_b1 + 1) < good_b2
     qualified_b1, qualified_b2 = good_b1[inside], good_b2[inside]

@@ -373,13 +373,32 @@ def scan_exceptional_set(
 ) -> ExceptionalScan:
     """Find all a in [1, limit] with zero counts on the window (a - a^e, a].
 
-    The exponent is e = 4059/16384 + epsilon.  An integer n lies in the
-    window exactly when (a - n)^q < a^p for e = p/q, decided by exact
-    powering; the window length is therefore a step function of a whose
-    breakpoints are located once by binary search.  The integers a are
-    taken _SCAN_BLOCK at a time, and the last nonzero index at or below
-    each a is carried from block to block.
+    The exponent is e = 4059/16384 + epsilon.  The members are found block
+    by block, as exceptional_blocks yields them, and joined into one
+    read-only array.
     """
+    exponent = _window_exponent(ell, limit, epsilon, table)
+    members = np.concatenate(list(_exceptional_blocks(limit, exponent, table)))
+    members.flags.writeable = False
+    return ExceptionalScan(
+        limit=limit,
+        exponent=exponent,
+        members=members,
+        density=Fraction(len(members), limit),
+    )
+
+
+def exceptional_blocks(
+    ell: int, limit: int, epsilon: Fraction, table: RepTable
+) -> Iterator[np.ndarray]:
+    """The members of scan_exceptional_set, ascending, as one int64 array per
+    block of _SCAN_BLOCK candidates a, for a reader that needs no more than a
+    block at a time.  The arguments are checked at the call."""
+    return _exceptional_blocks(limit, _window_exponent(ell, limit, epsilon, table), table)
+
+
+def _window_exponent(ell: int, limit: int, epsilon: Fraction, table: RepTable) -> Fraction:
+    """The window exponent 4059/16384 + epsilon, once the scan's arguments hold."""
     if ell != 4:
         raise ValueError("the exceptional-window scan is defined for ell = 4")
     if limit < 1:
@@ -394,7 +413,15 @@ def scan_exceptional_set(
         raise ValueError("table must hold counts for four fourth powers")
     if table.limit < limit:
         raise ValueError(f"table covers [0, {table.limit}] but limit is {limit}")
+    return exponent
 
+
+def _exceptional_blocks(limit: int, exponent: Fraction, table: RepTable) -> Iterator[np.ndarray]:
+    """An integer n lies in the window of a exactly when (a - n)^q < a^p for
+    e = p/q, decided by exact powering; the window length is therefore a
+    step function of a whose breakpoints are located once by binary search.
+    The integers a are taken _SCAN_BLOCK at a time, and the last nonzero
+    index at or below each a is carried from block to block."""
     # a_min(d) = least a with a^e > d = floor(d^(1/e)) + 1; the window width
     # at a is the number of breakpoints passed.  Widths are nondecreasing in a.
     breakpoints = []
@@ -404,22 +431,14 @@ def scan_exceptional_set(
         d += 1
 
     breakpoints = np.asarray(breakpoints, dtype=np.int64)
-    blocks, last_nonzero = [], 0  # the count at 0 is 1
+    last_nonzero = 0  # the count at 0 is 1
     for lo in range(1, limit + 1, _SCAN_BLOCK):
         hi = min(lo + _SCAN_BLOCK, limit + 1)
         a = np.arange(lo, hi, dtype=np.int64)
         seen = np.where(table.counts[lo:hi] != 0, a, last_nonzero)
         np.maximum.accumulate(seen, out=seen)
         last_nonzero = int(seen[-1])
-        blocks.append(a[seen < a - np.searchsorted(breakpoints, a, side="right")])
-    members = np.concatenate(blocks)
-    members.flags.writeable = False
-    return ExceptionalScan(
-        limit=limit,
-        exponent=exponent,
-        members=members,
-        density=Fraction(len(members), limit),
-    )
+        yield a[seen < a - np.searchsorted(breakpoints, a, side="right")]
 
 
 # /proc/self/fd/N and /dev/fd/N name descriptor N of this process.

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -241,31 +241,6 @@ def linear_combination(
     )
 
 
-def tail_norm(f: HalfFunction, start: int, cutoff: int) -> Enclosure:
-    """Enclose sum(|a_{start+i}| * 2^-i) for i >= 0.
-
-    The lower end is the exact partial sum over i < cutoff - start.  The
-    upper end adds the linear-growth majorant 8*c*n0, applied at the
-    first index n0 >= cutoff not certified to be zero and scaled back by
-    the elapsed power of two; when the series is certified zero from the
-    cutoff on, the partial sum is the whole tail.
-    """
-    if start < 1:
-        raise ValueError("start must be at least 1")
-    if cutoff < start:
-        raise ValueError("cutoff must not precede start")
-    terms = cutoff - start
-    numerator, last = 0, start
-    for k, a in f._nonzero_terms(start, cutoff):
-        numerator, last = (numerator << (k - last)) + abs(a), k
-    lo = Fraction(numerator << (cutoff - 1 - last), 1 << (terms - 1)) if terms else Fraction(0)
-    majorant_at = f.tail_majorant_start(cutoff)
-    if majorant_at is None:
-        return Enclosure(lo, lo)
-    hi = lo + 8 * f.c * majorant_at * Fraction(1, 1 << (majorant_at - start))
-    return Enclosure(lo, hi)
-
-
 class Verdict(str, Enum):
     """A three-valued outcome: a mild-gap test, a certificate condition or a
     whole report.  For a mild gap, pass means n is a witness and fail a
@@ -341,44 +316,127 @@ def _valid_tail_bound(gap_length: int, tail_bound: Fraction) -> Fraction:
     return tail_bound
 
 
-def is_mild_gap(
-    f: HalfFunction,
-    n: int,
-    gap_length: int,
-    tail_bound: Fraction,
-    cutoff: int | None = None,
-) -> MildGapCheck:
-    """Test whether n is a mild gap point of f.
+class _Walk:
+    """The nonzero terms of f from lo on, read once and in ascending order.
 
-    The zero clause is decided exactly.  The tail clause compares the
-    bound against a tail enclosure, so it can come back inconclusive when
-    the bound falls inside the enclosure; that verdict is distinct from a
-    definite rejection (enclosure entirely above the bound).
+    positions and magnitudes hold the index and the absolute value of each
+    nonzero coefficient read.  Every coefficient in [lo, read_to) has been
+    read and none past it; read_to never passes coverage + 1.
     """
-    tail_bound = _valid_tail_bound(gap_length, tail_bound)
-    if n < 0:
-        raise IndexError("index must be nonnegative")
-    for k, _ in f._nonzero_terms(n, n + gap_length):
-        detail = f"coefficient at {k} is nonzero"
-        return MildGapCheck(Verdict.FAIL, n, failed_clause="zero-run", detail=detail)
-    start = n + gap_length
-    if cutoff is None:
-        cutoff = start + max(64, 4 * gap_length)
-        if f.coverage is not None:
-            cutoff = max(min(cutoff, f.coverage + 1), start)
-    elif cutoff < start:
-        raise ValueError(
-            f"cutoff must not precede start: cutoff {cutoff} is below the tail start "
-            f"n + k = {start} of candidate n = {n}; the cutoff is an absolute index"
-        )
-    tail = tail_norm(f, start, cutoff)
-    if tail.hi <= tail_bound:
+
+    def __init__(self, f: HalfFunction, lo: int) -> None:
+        self.f = f
+        self.read_to = lo
+        self.positions: list[int] = []
+        self.magnitudes: list[int] = []
+
+    def extend(self, hi: int, stop: int | None = None) -> None:
+        """Read on to hi, or to coverage + 1 if that comes first; with stop,
+        read no further than the first nonzero at or past stop."""
+        if self.f.coverage is not None:
+            hi = min(hi, self.f.coverage + 1)
+        if hi <= self.read_to:
+            return
+        for k, a in self.f._nonzero_terms(self.read_to, hi):
+            self.positions.append(k)
+            self.magnitudes.append(abs(a))
+            if stop is not None and k >= stop:
+                self.read_to = k + 1
+                return
+        self.read_to = hi
+
+
+def _fail(message: str) -> None:
+    raise ValueError(message)
+
+
+def _settled(results: list) -> list:
+    """results, unless one of them is a deferred failure: a call that raises.
+    The first such call in order is made, so the exception is the one a test
+    of each entry in turn would meet first."""
+    for result in results:
+        if callable(result):
+            result()
+    return results
+
+
+def _tail_enclosures(walk: _Walk, starts: Sequence[int], cutoffs: Sequence[int]) -> list:
+    """The tail_norm enclosure for each (start, cutoff), or the deferred read
+    that fails it, from walk: it must have read every coefficient from the
+    smallest start on up to its read_to.  The walk goes on to the largest
+    cutoff and, if some cutoff has no nonzero at or past it yet, to the first
+    one past it: every partial sum and majorant start is then one searchsorted
+    away.  A tail that reaches past coverage + 1 fails at the read of the
+    first index beyond coverage, once the walk has read up to it."""
+    if not starts:
+        return []
+    f = walk.f
+    bound = None if f.coverage is None else f.coverage + 1
+    walk.extend(max(cutoffs))
+    positions, magnitudes = walk.positions, walk.magnitudes
+    covered = [c for c in cutoffs if bound is None or c < bound]
+    past = None
+    if covered and (not positions or positions[-1] < max(covered)):
+        past = f.tail_majorant_start(walk.read_to)
+    index = np.array(positions, dtype=np.int64)
+    firsts = np.searchsorted(index, starts).tolist()
+    lasts = np.searchsorted(index, cutoffs).tolist()
+    out: list = []
+    for start, cutoff, i, j in zip(starts, cutoffs, firsts, lasts):
+        if bound is not None and start < cutoff and cutoff > bound:
+            out.append(functools.partial(f.coefficient, max(start, bound)))
+            continue
+        # sum(|a_k| * 2^(cutoff-1-k)) over the tail's terms, over 2^(terms-1)
+        terms, top = cutoff - start, cutoff - 1
+        partial = sum(m << (top - k) for k, m in zip(positions[i:j], magnitudes[i:j]))
+        lo = Fraction(partial, 1 << (terms - 1)) if terms else Fraction(0)
+        if j < len(positions):
+            majorant_at = positions[j]
+        elif bound is not None and cutoff >= bound:
+            majorant_at = cutoff  # nothing from coverage + 1 on is certified zero
+        else:
+            majorant_at = past
+        if majorant_at is None:
+            out.append(Enclosure(lo, lo))
+            continue
+        # hi = lo + 8*c*n0 / 2^(n0-start) over the one denominator den * 2^(n0-start)
+        shift = majorant_at - start
+        numerator = (partial << (shift - terms + 1)) * f._c_den + 8 * f._c_num * majorant_at
+        out.append(Enclosure(lo, Fraction(numerator, f._c_den << shift)))
+    return out
+
+
+def tail_norm(f: HalfFunction, start: int, cutoff: int) -> Enclosure:
+    """Enclose sum(|a_{start+i}| * 2^-i) for i >= 0.
+
+    The lower end is the exact partial sum over i < cutoff - start.  The
+    upper end adds the linear-growth majorant 8*c*n0, applied at the
+    first index n0 >= cutoff not certified to be zero and scaled back by
+    the elapsed power of two; when the series is certified zero from the
+    cutoff on, the partial sum is the whole tail.  This is the tail of
+    mild_gap_checks on one element.
+    """
+    if start < 1:
+        raise ValueError("start must be at least 1")
+    if cutoff < start:
+        raise ValueError("cutoff must not precede start")
+    return _settled(_tail_enclosures(_Walk(f, start), [start], [cutoff]))[0]
+
+
+def _verdict(
+    f: HalfFunction, n: int, gap_length: int, tail_bound: Fraction, cutoff: int, tail: Enclosure
+) -> MildGapCheck:
+    """The tail clause: a witness when the enclosure's upper end is at most
+    the bound, a rejection when its lower end is above it, else undecided.
+    Each comparison is one integer cross-multiplication."""
+    num, den = tail_bound.numerator, tail_bound.denominator
+    if tail.hi.numerator * den <= num * tail.hi.denominator:
         witness = MildGapWitness(
             function=f.label, n=n, gap_length=gap_length, tail_bound=tail_bound,
-            zero_checked_up_to=start - 1, tail_enclosure=tail,
+            zero_checked_up_to=n + gap_length - 1, tail_enclosure=tail,
         )
         return MildGapCheck(Verdict.PASS, n, witness=witness)
-    if tail.lo > tail_bound:
+    if tail.lo.numerator * den > num * tail.lo.denominator:
         detail = f"tail is at least {tail.lo}, above the bound {tail_bound}"
         return MildGapCheck(Verdict.FAIL, n, failed_clause="tail-norm", detail=detail)
     detail = (
@@ -386,6 +444,124 @@ def is_mild_gap(
         f"[{tail.lo}, {tail.hi}] at cutoff {cutoff}"
     )
     return MildGapCheck(Verdict.INCONCLUSIVE, n, failed_clause="tail-norm", detail=detail)
+
+
+def _checks(
+    walk: _Walk,
+    ns: Sequence[int],
+    gap_length: int,
+    tail_bound: Fraction,
+    cutoff: int | None,
+    tails: Callable[[_Walk, Sequence[int], Sequence[int]], list],
+) -> list:
+    """The mild-gap check of each n, or the deferred failure that a test of n
+    alone would raise, in the order of ns.
+
+    walk must start at or below every nonnegative n.  It is read on until
+    the first nonzero at or past the largest n up to coverage + 1, or
+    through that n's zero window; one searchsorted then gives each n its
+    first nonzero, which decides the zero clause.  tails encloses the
+    tails of the n that pass it, from the same walk.
+    """
+    f = walk.f
+    bound = None if f.coverage is None else f.coverage + 1
+    # an n past coverage + 1 fails at its own first read, so it needs no walk
+    reached = [n for n in ns if 0 <= n and (bound is None or n <= bound)]
+    if reached:
+        top = max(reached)
+        walk.extend(top + gap_length, stop=top)
+    index = np.array(walk.positions, dtype=np.int64)
+    following = np.append(index, np.iinfo(np.int64).max)[np.searchsorted(index, ns)]
+    results: list = [None] * len(ns)
+    passed, starts, cutoffs = [], [], []
+    for i, (n, k) in enumerate(zip(ns, following.tolist())):
+        start = n + gap_length
+        if n < 0:
+            results[i] = functools.partial(f.coefficient, n)
+        elif k < start:
+            detail = f"coefficient at {k} is nonzero"
+            results[i] = MildGapCheck(Verdict.FAIL, n, failed_clause="zero-run", detail=detail)
+        elif bound is not None and start > bound:
+            results[i] = functools.partial(f.coefficient, max(n, bound))
+        elif cutoff is not None and cutoff < start:
+            results[i] = functools.partial(_fail, (
+                f"cutoff must not precede start: cutoff {cutoff} is below the tail start "
+                f"n + k = {start} of candidate n = {n}; the cutoff is an absolute index"
+            ))
+        else:
+            cut = cutoff
+            if cut is None:
+                cut = start + max(64, 4 * gap_length)
+                if bound is not None:
+                    cut = max(min(cut, bound), start)
+            passed.append(i)
+            starts.append(start)
+            cutoffs.append(cut)
+    for i, cut, tail in zip(passed, cutoffs, tails(walk, starts, cutoffs)):
+        n = ns[i]
+        results[i] = tail if callable(tail) else _verdict(f, n, gap_length, tail_bound, cut, tail)
+    return results
+
+
+def mild_gap_checks(
+    f: HalfFunction,
+    ns: Iterable[int],
+    gap_length: int,
+    tail_bound: Fraction,
+    cutoff: int | None = None,
+) -> list[MildGapCheck]:
+    """Test each n of ns for a mild gap point of f; one check per n, in order.
+
+    The n are taken in ascending clusters, split wherever the next n lies
+    past the default tail of the one before (any n, with a given cutoff).
+    One walk per cluster reads every nonzero coefficient from its smallest
+    n up to the first nonzero at or past its largest cutoff, once, so far
+    apart candidates do not walk the stretch between them.  The zero clause
+    of each n is decided exactly.  Its tail clause compares the bound
+    against a tail enclosure, so it can come back inconclusive when the
+    bound falls inside the enclosure; that verdict is distinct from a
+    definite rejection (enclosure entirely above the bound).  The cutoff is
+    an absolute index; by default each n gets n + gap_length +
+    max(64, 4*gap_length), clamped to coverage.  If some n cannot be tested
+    (it is negative, its window passes coverage, or the cutoff precedes its
+    tail), the exception is the one that testing each n in turn would raise
+    first; a coefficient that breaks its growth certificate anywhere in a
+    walk raises at once.
+    """
+    tail_bound = _valid_tail_bound(gap_length, tail_bound)
+    ns = [operator.index(n) for n in ns]
+    reach = gap_length + max(64, 4 * gap_length)
+    clusters: list[list[int]] = []
+    for i in sorted(range(len(ns)), key=ns.__getitem__):
+        if clusters and (cutoff is not None or ns[i] - ns[clusters[-1][-1]] <= reach):
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    results: list = [None] * len(ns)
+    for cluster in clusters:
+        points = [ns[i] for i in cluster]
+        walk = _Walk(f, max(points[0], 0))
+        checks = _checks(walk, points, gap_length, tail_bound, cutoff, _tail_enclosures)
+        for i, check in zip(cluster, checks):
+            results[i] = check
+    return _settled(results)
+
+
+def is_mild_gap(
+    f: HalfFunction,
+    n: int,
+    gap_length: int,
+    tail_bound: Fraction,
+    cutoff: int | None = None,
+) -> MildGapCheck:
+    """Test whether n is a mild gap point of f: mild_gap_checks on one
+    index, with the tail enclosed by tail_norm."""
+    tail_bound = _valid_tail_bound(gap_length, tail_bound)
+
+    def tails(walk: _Walk, starts: Sequence[int], cutoffs: Sequence[int]) -> list:
+        return [tail_norm(f, start, cut) for start, cut in zip(starts, cutoffs)]
+
+    return _settled(_checks(_Walk(f, n), [n], gap_length, tail_bound, cutoff, tails))[0]
 
 
 @dataclass(frozen=True)
@@ -408,8 +584,9 @@ def scan_mild_gaps(
 
     A candidate n has its next nonzero coefficient gap_length or more past
     it, found by one searchsorted into the walk over [lo, hi + gap_length - 1).
-    A window past coverage raises CoverageError once every candidate before
-    coverage is checked.
+    The candidates go to mild_gap_checks on that same walk.  A window past
+    coverage raises CoverageError once every candidate before coverage is
+    checked.
     """
     if lo < 0 or hi < lo:
         raise ValueError("range must satisfy 0 <= lo <= hi")
@@ -419,19 +596,21 @@ def scan_mild_gaps(
     end = known = hi + gap_length - 1
     if f.coverage is not None:
         known = max(lo, min(end, f.coverage + 1))
-    nonzero = np.fromiter((k for k, _ in f._nonzero_terms(lo, known)), dtype=np.int64)
+    walk = _Walk(f, lo)
+    walk.extend(known)
+    nonzero = np.array(walk.positions, dtype=np.int64)
     starts = np.arange(lo, min(hi, known - gap_length + 1))
     following = np.append(nonzero, known)[np.searchsorted(nonzero, starts)]
-    witnesses, inconclusive = [], []
-    for n in starts[following - starts >= gap_length].tolist():
-        check = is_mild_gap(f, n, gap_length, tail_bound, cutoff=cutoff)
-        if check.is_witness:
-            witnesses.append(check.witness)
-        elif check.verdict is Verdict.INCONCLUSIVE:
-            inconclusive.append(n)
+    candidates = starts[following - starts >= gap_length].tolist()
+    checks = _settled(
+        _checks(walk, candidates, gap_length, tail_bound, cutoff, _tail_enclosures)
+    )
     if known < end:
         list(f._nonzero_terms(known, end))  # past coverage: raises CoverageError
-    return MildGapScan(witnesses=tuple(witnesses), inconclusive=tuple(inconclusive))
+    return MildGapScan(
+        witnesses=tuple(c.witness for c in checks if c.is_witness),
+        inconclusive=tuple(c.n for c in checks if c.verdict is Verdict.INCONCLUSIVE),
+    )
 
 
 def eval_truncated(f: HalfFunction, q: int, terms: int) -> Fraction:

@@ -284,6 +284,27 @@ def pair_filters_bruteforce(members, lower_counts, full_counts, K2: int) -> tupl
     return len(pairs), len(good), qualified
 
 
+def qualifying_set_bruteforce(
+    counts, modulus: int, residue: int, caps, limit: int, window: int
+) -> list[int]:
+    """The n = residue + j * modulus below limit - window whose counts at
+    n + k are each at most caps[k], compared one at a time as Python ints."""
+    return [
+        n for n in range(residue, limit - window, modulus)
+        if all(counts[n + k] <= cap for k, cap in enumerate(caps))
+    ]
+
+
+def window_escapes_bruteforce(b, M: int, N: int, exceptional) -> tuple[int, int]:
+    """(window_points, escaped) for the windows [max(1, b + ceil(M/2)),
+    min(N, b + M - 1)]: the union of the windows as a set of integers, and
+    how many of them are not in exceptional."""
+    points = set()
+    for x in b:
+        points.update(range(max(1, x + (M + 1) // 2), min(N, x + M - 1) + 1))
+    return len(points), len(points - set(exceptional))
+
+
 def zero_run_scan(coefficient, lo: int, hi: int, gap_length: int, check) -> list:
     """The mild-gap scan one index at a time, as check(n) results in order.
 

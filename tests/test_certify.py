@@ -7,9 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    exceptional_scan_whole_array,
     linear_forms_bruteforce,
     measure_pairs_bruteforce,
     pair_filters_bruteforce,
+    qualifying_set_bruteforce,
+    window_escapes_bruteforce,
     window_escapes_depth,
 )
 from waring_gaps import certify
@@ -546,6 +549,10 @@ class TestLinearForms:
         assert report.summary["forms_checked"] == 162  # 3^4 * 2 leading signs
 
 
+# the six pipeline runs whose tables and filters are checked against the oracles
+ORACLE_RUNS = [(3, (9, 63)), (3, (63,)), (3, (252,)), (4, (16, 32)), (4, (32,)), (4, (64,))]
+
+
 class TestPipeline:
     def test_cubic_dry_run(self):
         report = pipeline_dry_run(3, 2, 1)
@@ -633,6 +640,25 @@ class TestPipeline:
         exceptional = np.array(sorted(x for x in exceptional if x <= N), dtype=np.int64)
         assert window_escapes(b, M, N, exceptional) == window_escapes_depth(b, M, N, exceptional)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        N=st.integers(1, 120),
+        M=st.integers(1, 40),
+        b=st.lists(st.integers(0, 160), unique=True, max_size=30),
+        exceptional=st.lists(st.integers(1, 160), unique=True, max_size=60),
+        cuts=st.lists(st.integers(0, 60), max_size=5),
+    )
+    def test_window_escapes_in_blocks_match_depth_count(self, N, M, b, exceptional, cuts):
+        # the pipeline's count, with the exceptional points split into ascending
+        # blocks, some of them empty, as the exceptional scan yields them
+        b = np.array(sorted(b), dtype=np.int64)
+        exceptional = np.array(sorted(x for x in exceptional if x <= N), dtype=np.int64)
+        blocks = np.split(exceptional, sorted(c for c in cuts if c <= exceptional.size))
+        window_points, escaped = window_escapes_depth(b, M, N, exceptional)
+        assert certify._window_escapes(b, M, N, iter(blocks)) == (
+            window_points, escaped, exceptional.size
+        )
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             pipeline_dry_run(5, 2, 1)
@@ -641,11 +667,10 @@ class TestPipeline:
         with pytest.raises(ValueError):
             pipeline_dry_run(3, 2, 0)
 
-    @pytest.mark.parametrize(
-        "ell, pool", [(3, (9, 63)), (3, (63,)), (3, (252,)), (4, (16, 32)), (4, (32,)), (4, (64,))]
-    )
-    def test_pair_filters_match_bruteforce(self, ell, pool, monkeypatch):
-        # the members and both tables the run used, read back through spies
+    @staticmethod
+    def spied_run(ell, pool, monkeypatch):
+        """A pipeline run, with the tables it sieved (by s) and the arguments
+        and result of its qualifying set, read back through spies."""
         used = {}
 
         def sieve_spy(params, limit):
@@ -653,12 +678,18 @@ class TestPipeline:
             return used[params.s]
 
         def members_spy(*args):
+            used["args"] = args
             used["members"] = maier_qualifying_set(*args)
             return used["members"]
 
         monkeypatch.setattr(certify, "sieve_rep", sieve_spy)
         monkeypatch.setattr(certify, "maier_qualifying_set", members_spy)
         report = pipeline_dry_run(ell, 2, 1, PipelineConfig(moduli_pool=pool, max_limit=200_000))
+        return report, used
+
+    @pytest.mark.parametrize("ell, pool", ORACLE_RUNS)
+    def test_pair_filters_match_bruteforce(self, ell, pool, monkeypatch):
+        report, used = self.spied_run(ell, pool, monkeypatch)
         members = used["members"].tolist()
         pairs, good, qualified = pair_filters_bruteforce(
             members, used[ell - 1].counts.tolist(), used[ell].counts.tolist(), report.summary["K2"]
@@ -669,6 +700,51 @@ class TestPipeline:
         assert witness == {"qualified": len(qualified), "good_pairs": good}
         degree = report.condition("degree-criterion").witness
         assert qualified and (degree["n1"], degree["n2"]) == qualified[0]
+
+    @pytest.mark.parametrize("ell, pool", ORACLE_RUNS)
+    def test_qualifying_set_and_escapes_match_bruteforce(self, ell, pool, monkeypatch):
+        report, used = self.spied_run(ell, pool, monkeypatch)
+        table, modulus, residue, caps, limit, window = used["args"]
+        counts = table.counts.tolist()
+        members = qualifying_set_bruteforce(counts, modulus, residue, caps, limit, window)
+        assert used["members"].tolist() == members
+        assert report.condition("counting-certificate").witness["count"] == len(members)
+        if ell == 3:
+            return
+        M, N, K2 = report.summary["M"], report.summary["N"], report.summary["K2"]
+        lower = used[ell - 1].counts.tolist()
+        good_b1 = [b1 for b1, b2 in zip(members, members[1:]) if not any(lower[b1 : b2 + K2 + 1])]
+        witness = report.condition("window-set-escapes-exceptional").witness
+        exponent = Fraction(4059, 16384) + parse_fraction(witness["epsilon"])
+        exceptional = exceptional_scan_whole_array(N, exponent, table.counts).tolist()
+        window_points, escaped = window_escapes_bruteforce(good_b1, M, N, exceptional)
+        assert (witness["window_points"], witness["exceptional"], witness["escaped"]) == (
+            window_points, len(exceptional), escaped
+        )
+        density = parse_fraction(report.summary["exceptional_density"])
+        assert density == Fraction(len(exceptional), N)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        params=st.sampled_from([WaringParams(3, 3), WaringParams(3, 2), WaringParams(4, 4)]),
+        table_limit=st.integers(0, 60),
+        modulus=st.integers(1, 12),
+        residue=st.integers(0, 12),
+        caps=st.lists(st.integers(-1, 12) | st.integers(200, 2**70), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_qualifying_set_matches_bruteforce(
+        self, params, table_limit, modulus, residue, caps, data
+    ):
+        # small tables hold uint8 or uint16 counts, so caps run past the dtype and past int64
+        table = sieve_rep(params, table_limit)
+        limit = data.draw(st.integers(0, table_limit + 1))
+        window = len(caps) - 1
+        expected = qualifying_set_bruteforce(
+            table.counts.tolist(), modulus, residue, caps, limit, window
+        )
+        got = maier_qualifying_set(table, modulus, residue, caps, limit, window)
+        assert got.dtype == np.int64 and got.tolist() == expected
 
 
 NESTED_JSON = {

@@ -29,6 +29,7 @@ from waring_gaps.series import (
     eval_truncated,
     is_mild_gap,
     linear_combination,
+    mild_gap_checks,
     scan_mild_gaps,
     tail_norm,
 )
@@ -492,6 +493,11 @@ def reference_mild_gap(f, n, gap_length, tail_bound, cutoff):
         cutoff = start + max(64, 4 * gap_length)
         if f.coverage is not None:
             cutoff = max(min(cutoff, f.coverage + 1), start)
+    elif cutoff < start:
+        raise ValueError(
+            f"cutoff must not precede start: cutoff {cutoff} is below the tail start "
+            f"n + k = {start} of candidate n = {n}; the cutoff is an absolute index"
+        )
     tail = reference_tail(f, start, cutoff)
     if tail.hi <= tail_bound:
         return Verdict.PASS, None, tail
@@ -571,6 +577,68 @@ class TestNonzeroWalk:
         expected = outcome(lambda: reference_mild_gap(f, n, gap_length, tail_bound, cutoff))
         got = outcome(lambda: mild_gap_outcome(is_mild_gap(f, n, gap_length, tail_bound, cutoff)))
         assert got == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(f=walked_series(), data=st.data())
+    def test_batch_matches_reference(self, f, data):
+        # unsorted candidates with repeats, now and then a negative one or one
+        # whose window crosses coverage, and a cutoff that may precede a tail
+        known = 100 if f.coverage is None else f.coverage
+        ns = data.draw(st.lists(st.integers(-1, known + 10), max_size=10))
+        ns += data.draw(st.lists(st.sampled_from(ns), max_size=3)) if ns else []
+        gap_length = data.draw(st.integers(1, 8))
+        tail_bound = Fraction(data.draw(st.integers(1, 60)), data.draw(st.integers(1, 4)))
+        cutoff = data.draw(st.none() | st.integers(0, known + 90))
+        expected = outcome(
+            lambda: [reference_mild_gap(f, n, gap_length, tail_bound, cutoff) for n in ns]
+        )
+        got = outcome(lambda: [
+            mild_gap_outcome(check)
+            for check in mild_gap_checks(f, ns, gap_length, tail_bound, cutoff)
+        ])
+        assert got == expected
+
+    def test_batch_reads_each_coefficient_once(self, table_3_3, monkeypatch):
+        f = HalfFunction.from_table(table_3_3)
+        reads = []
+        read = f.coefficient
+        monkeypatch.setattr(f, "coefficient", lambda n: reads.append(n) or read(n))
+        ns = [93, 4, 11, 4, 400, 0, 31, 18]
+        checks = mild_gap_checks(f, ns, 4, Fraction(8))
+        assert len(reads) == len(set(reads)) and reads == sorted(reads)
+        # 400 is more than a default tail past 93, so it is walked apart: each
+        # walk ends at the first nonzero at or past its largest cutoff
+        assert reads[-1] == table_3_3.next_nonzero(400 + 4 + 64)
+        gap = (table_3_3.next_nonzero(93 + 4 + 64), 400)
+        assert not [k for k in reads if gap[0] < k < gap[1]]
+        assert [mild_gap_outcome(c) for c in checks] == [
+            mild_gap_outcome(is_mild_gap(f, n, 4, Fraction(8))) for n in ns
+        ]
+        assert {c.failed_clause for c in checks} == {None, "zero-run", "tail-norm"}
+
+    def test_candidate_past_coverage_is_not_walked_to(self, table_3_3, monkeypatch):
+        f = HalfFunction.from_table(table_3_3)
+        reads = []
+        read = f.coefficient
+        monkeypatch.setattr(f, "coefficient", lambda n: reads.append(n) or read(n))
+        far = table_3_3.limit + 10**6
+        with pytest.raises(CoverageError, match=f"coefficient {far} beyond coverage"):
+            mild_gap_checks(f, [4, far], 4, Fraction(8))
+        assert reads[-1] == far and max(reads[:-1]) == table_3_3.next_nonzero(4 + 4 + 64)
+
+    def test_empty_tail_past_coverage(self, table_3_1):
+        # nothing past coverage is read, and nothing there is certified zero
+        f = HalfFunction.from_table(table_3_1)
+        start = table_3_1.limit + 3
+        assert tail_norm(f, start, start) == reference_tail(f, start, start)
+        with pytest.raises(CoverageError, match=f"coefficient {start} beyond coverage"):
+            tail_norm(f, start, start + 1)
+
+    def test_empty_batch_still_checks_its_arguments(self, table_3_3):
+        f = HalfFunction.from_table(table_3_3)
+        assert mild_gap_checks(f, [], 4, Fraction(8)) == []
+        with pytest.raises(ValueError, match="gap length must be positive"):
+            mild_gap_checks(f, [], 0, Fraction(8))
 
     @settings(max_examples=300, deadline=None)
     @given(f=walked_series(), data=st.data())
