@@ -34,7 +34,7 @@ from .repcount import (
     RepTable,
     WaringParams,
     _pow_greater,
-    exceptional_blocks,
+    exceptional_runs,
     floor_pow,
     loose_count_bound,
     read_table_binary,
@@ -909,38 +909,58 @@ class PipelineConfig:
         }
 
 
-def _window_escapes(
-    b: np.ndarray, M: int, N: int, exceptional_blocks: Iterable[np.ndarray]
-) -> tuple[int, int, int]:
-    """(window_points, escaped, exceptional) for the windows
-    [max(1, b + ceil(M/2)), min(N, b + M - 1)] of the ascending b: how many
-    integers lie in some window, how many of those are not exceptional, and
-    how many exceptional points there are.  The exceptional points come as
-    ascending blocks, each read once and not kept.
+def _window_runs(b: np.ndarray, M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the windows [max(1, b + ceil(M/2)), min(N, b + M - 1)]
+    of the ascending b, as ascending disjoint half-open runs (starts, stops).
 
     Both ends of a window ascend with b, so a window starts a new run of
     the union exactly when it starts past the end of the window before it,
-    and a run ends where its last window does; two binary searches count
-    the points of a block in each run that reaches into it.
+    and a run ends where its last window does.
     """
-    starts = np.maximum(1, b + (M + 1) // 2)
-    stops = np.minimum(N, b + M - 1) + 1  # half-open [start, stop)
+    starts = b + (M + 1) // 2
+    np.maximum(starts, 1, out=starts)
+    stops = b + M  # half-open [start, stop)
+    np.minimum(stops, N + 1, out=stops)
     nonempty = starts < stops
     starts, stops = starts[nonempty], stops[nonempty]
     gap = starts[1:] > stops[:-1]
-    run_starts = np.concatenate((starts[:1], starts[1:][gap]))
-    run_stops = np.concatenate((stops[:-1][gap], stops[-1:]))
+    return (
+        np.concatenate((starts[:1], starts[1:][gap])),
+        np.concatenate((stops[:-1][gap], stops[-1:])),
+    )
+
+
+def _window_escapes(
+    b: np.ndarray, M: int, N: int, runs: tuple[np.ndarray, np.ndarray]
+) -> tuple[int, int, int]:
+    """(window_points, escaped, exceptional) for the windows of _window_runs:
+    how many integers lie in some window, how many of those are not
+    exceptional, and how many exceptional points there are.  The
+    exceptional points come as runs (starts, stops): ascending, disjoint
+    half-open intervals of [1, N + 1).
+
+    The exceptional points below x are a prefix sum of the run lengths,
+    less the part of the run that x cuts.  One searchsorted finds it for
+    the starts of the union's runs and one for their stops.
+    """
+    run_starts, run_stops = _window_runs(b, M, N)
     window_points = int((run_stops - run_starts).sum())
-    exceptional = inside = 0
-    for block in exceptional_blocks:
-        exceptional += block.size
-        if block.size:
-            # only the runs that reach into [block[0], block[-1]] can hold its points
-            i = np.searchsorted(run_stops, block[0], side="right")
-            j = np.searchsorted(run_starts, block[-1], side="right")
-            hits = np.searchsorted(block, run_stops[i:j]) - np.searchsorted(block, run_starts[i:j])
-            inside += int(hits.sum())
-    return window_points, window_points - inside, exceptional
+    ex_starts, ex_stops = runs
+    below = np.concatenate(([0], np.cumsum(ex_stops - ex_starts)))
+    ends = np.concatenate(([0], ex_stops))  # ends[i]: the stop of run i - 1
+
+    def exceptional_below(x: np.ndarray) -> int:
+        """The exceptional points below each x, summed over x."""
+        i = np.searchsorted(ex_starts, x)  # the runs that start below x
+        part = ends.take(i)
+        part -= x
+        np.maximum(part, 0, out=part)  # the part of run i - 1 at or past x
+        total = -int(part.sum())
+        # mode="clip" writes into out unbuffered; every i is in range
+        return total + int(below.take(i, out=part, mode="clip").sum())
+
+    inside = exceptional_below(run_stops) - exceptional_below(run_starts)
+    return window_points, window_points - inside, int(below[-1])
 
 
 def window_escapes(
@@ -949,7 +969,10 @@ def window_escapes(
     """(window_points, escaped) over the windows [max(1, b + ceil(M/2)),
     min(N, b + M - 1)] of the ascending b: how many integers lie in some
     window, and how many of those are not in the ascending exceptional."""
-    window_points, escaped, _ = _window_escapes(b, M, N, [exceptional])
+    exceptional = np.asarray(exceptional, dtype=np.int64)
+    starts = exceptional[np.diff(exceptional, prepend=exceptional[:1] - 2) != 1]
+    stops = exceptional[np.diff(exceptional, append=exceptional[-1:] + 2) != 1] + 1
+    window_points, escaped, _ = _window_escapes(b, M, N, (starts, stops))
     return window_points, escaped
 
 
@@ -1145,7 +1168,7 @@ def pipeline_dry_run(
                 {"compare": "(M/2)^d > N^n", "exponent": fraction_str(exponent)},
             )
             window_points, escaped, exceptional = _window_escapes(
-                good_b1, M, N, exceptional_blocks(4, N, epsilon, table_full)
+                good_b1, M, N, exceptional_runs(4, N, epsilon, table_full)
             )
             report.check(
                 "window-set-escapes-exceptional",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import re
 import shutil
@@ -38,9 +39,6 @@ _INT64_MAX = 2**63 - 1
 # Indices handled at once by the sieve and the table bound check; it
 # bounds their temporaries and never changes a result.
 _WINDOW = 1 << 20
-# Indices handled at once by the exceptional scan; it bounds its
-# temporaries and never changes a result.
-_SCAN_BLOCK = 1 << 16
 # Rows rendered at once by render_rows, for every CSV and JSON array; it
 # bounds the memory of writing one and never changes a byte.
 _CSV_ROWS = 1 << 12
@@ -137,8 +135,16 @@ class RepTable:
 
     @cached_property
     def nonzero(self) -> np.ndarray:
-        """Sorted, read-only indices of the nonzero counts, built on first use."""
-        index = np.flatnonzero(self.counts)
+        """Sorted, read-only int64 indices of the nonzero counts, built on
+        first use into an array sized by one count, one _WINDOW block at a
+        time: a block's bool mask is far cheaper to search than the counts
+        themselves, and the index is never held twice."""
+        index = np.empty(np.count_nonzero(self.counts), dtype=np.int64)
+        at = 0
+        for lo in range(0, self.limit + 1, _WINDOW):
+            block = np.flatnonzero(self.counts[lo : lo + _WINDOW] != 0)
+            np.add(block, lo, out=index[at : at + block.size])
+            at += block.size
         index.setflags(write=False)
         return index
 
@@ -155,7 +161,13 @@ class RepTable:
 
 
 def floor_root(ell: int, b: int) -> int:
-    """Largest x with x^ell <= b, by Newton iteration on exact integers."""
+    """Largest x with x^ell <= b, by Newton iteration on exact integers.
+
+    Newton's step descends to the floor root from any start above it, but
+    from the bit-length start, up to twice the root, it shrinks x by a factor
+    of only about 1 - 1/ell.  So it starts from a float estimate of the root
+    with a margin, once an exact power shows that start lies above the root.
+    """
     if ell < 1:
         raise ValueError("ell must be positive")
     if b < 0:
@@ -163,6 +175,13 @@ def floor_root(ell: int, b: int) -> int:
     if ell == 1 or b in (0, 1):
         return b
     x = 1 << ((b.bit_length() + ell - 1) // ell)
+    try:
+        estimate = int(2.0 ** (math.log2(b) / ell))
+    except OverflowError:
+        estimate = x
+    estimate += (estimate >> 40) + 2
+    if estimate < x and estimate**ell > b:
+        x = estimate
     while True:
         y = ((ell - 1) * x + b // x ** (ell - 1)) // ell
         if y >= x:
@@ -356,9 +375,33 @@ def _pow_greater(a: int, p: int, d: int, q: int, shift: int = 0) -> bool:
 
 def floor_pow(base: int, exponent: Fraction) -> int:
     """floor(base^(p/q)) for base >= 1 and exponent p/q > 0: the largest x
-    with x^q <= base^p, by binary search decided by _pow_greater."""
+    with x^q <= base^p, by binary search decided by _pow_greater.
+
+    The search starts in a narrow bracket around the float estimate
+    2^(log2(base) * p/q), and each end of that bracket is checked exactly
+    before the result rests on it.  When a check fails, or the estimate
+    overflows, the search runs again over the full bracket
+    [0, 2^ceil(bits * p/q)).  So the float never decides a result.
+    """
     p, q = exponent.numerator, exponent.denominator
-    lo, hi = 0, 1 << -(-base.bit_length() * p // q)  # base^(p/q) < hi
+    try:
+        estimate = int(2.0 ** (math.log2(base) * float(exponent)))
+    except OverflowError:
+        estimate = None
+    if estimate is not None:
+        slack = (estimate >> 40) + 2
+        lo, hi = max(estimate - slack, 0), estimate + slack
+        x = _floor_pow_between(base, p, q, lo, hi)
+        # x > lo and x + 1 < hi were each settled by a comparison in the search
+        if (x > lo or not _pow_greater(lo, q, base, p)) and (
+            x + 1 < hi or _pow_greater(hi, q, base, p)
+        ):
+            return x
+    return _floor_pow_between(base, p, q, 0, 1 << -(-base.bit_length() * p // q))
+
+
+def _floor_pow_between(base: int, p: int, q: int, lo: int, hi: int) -> int:
+    """The largest x in [lo, hi) with x^q <= base^p, when lo^q <= base^p < hi^q."""
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _pow_greater(mid, q, base, p):
@@ -373,12 +416,18 @@ def scan_exceptional_set(
 ) -> ExceptionalScan:
     """Find all a in [1, limit] with zero counts on the window (a - a^e, a].
 
-    The exponent is e = 4059/16384 + epsilon.  The members are found block
-    by block, as exceptional_blocks yields them, and joined into one
-    read-only array.
+    The exponent is e = 4059/16384 + epsilon.  The members are the runs of
+    exceptional_runs, expanded into one read-only int64 array by one cumsum
+    over ones that jump at each run start.
     """
     exponent = _window_exponent(ell, limit, epsilon, table)
-    members = np.concatenate(list(_exceptional_blocks(limit, exponent, table)))
+    starts, stops = _exceptional_runs(limit, exponent, table)
+    ends = np.cumsum(stops - starts)
+    members = np.ones(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+    if members.size:
+        members[0] = starts[0]
+        members[ends[:-1]] = starts[1:] - stops[:-1] + 1
+    np.cumsum(members, out=members)
     members.flags.writeable = False
     return ExceptionalScan(
         limit=limit,
@@ -388,13 +437,14 @@ def scan_exceptional_set(
     )
 
 
-def exceptional_blocks(
+def exceptional_runs(
     ell: int, limit: int, epsilon: Fraction, table: RepTable
-) -> Iterator[np.ndarray]:
-    """The members of scan_exceptional_set, ascending, as one int64 array per
-    block of _SCAN_BLOCK candidates a, for a reader that needs no more than a
-    block at a time.  The arguments are checked at the call."""
-    return _exceptional_blocks(limit, _window_exponent(ell, limit, epsilon, table), table)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The members of scan_exceptional_set as runs: (starts, stops), two
+    ascending int64 arrays, run i being [starts[i], stops[i]).  The runs are
+    nonempty and disjoint, and each lies between two consecutive nonzero
+    counts.  The arguments are checked as scan_exceptional_set checks them."""
+    return _exceptional_runs(limit, _window_exponent(ell, limit, epsilon, table), table)
 
 
 def _window_exponent(ell: int, limit: int, epsilon: Fraction, table: RepTable) -> Fraction:
@@ -416,29 +466,36 @@ def _window_exponent(ell: int, limit: int, epsilon: Fraction, table: RepTable) -
     return exponent
 
 
-def _exceptional_blocks(limit: int, exponent: Fraction, table: RepTable) -> Iterator[np.ndarray]:
+def _exceptional_runs(
+    limit: int, exponent: Fraction, table: RepTable
+) -> tuple[np.ndarray, np.ndarray]:
     """An integer n lies in the window of a exactly when (a - n)^q < a^p for
-    e = p/q, decided by exact powering; the window length is therefore a
-    step function of a whose breakpoints are located once by binary search.
-    The integers a are taken _SCAN_BLOCK at a time, and the last nonzero
-    index at or below each a is carried from block to block."""
-    # a_min(d) = least a with a^e > d = floor(d^(1/e)) + 1; the window width
-    # at a is the number of breakpoints passed.  Widths are nondecreasing in a.
-    breakpoints = []
-    d = 1
-    while (a_min := floor_pow(d, 1 / exponent) + 1) <= limit:
-        breakpoints.append(a_min)
-        d += 1
+    e = p/q.  The offset k >= 1 is in it from the breakpoint
+    b_k = floor(k^(1/e)) + 1 on, so the window of a is [a - w(a), a], w(a)
+    being the number of breakpoints <= a, and a is a member exactly when
+    h(a) = a - w(a) exceeds the last nonzero index at or below a.
 
-    breakpoints = np.asarray(breakpoints, dtype=np.int64)
-    last_nonzero = 0  # the count at 0 is 1
-    for lo in range(1, limit + 1, _SCAN_BLOCK):
-        hi = min(lo + _SCAN_BLOCK, limit + 1)
-        a = np.arange(lo, hi, dtype=np.int64)
-        seen = np.where(table.counts[lo:hi] != 0, a, last_nonzero)
-        np.maximum.accumulate(seen, out=seen)
-        last_nonzero = int(seen[-1])
-        yield a[seen < a - np.searchsorted(breakpoints, a, side="right")]
+    The breakpoints lie at least 1 apart (the slope of k^(1/e) is at least
+    1), so h never decreases and never skips a value, and b_k - k ascends.
+    For consecutive nonzero indices u < u' the members in [u, u') are then
+    [a*, u'), where a* = t + #{k : b_k - k < t} with t = u + 1 is the least a
+    with h(a) >= t: at a* exactly the first #{...} breakpoints are passed.
+    One searchsorted over the nonzero index gives every run.
+    """
+    shifted = []  # b_k - k for every breakpoint b_k <= limit
+    k = 1
+    while (a_min := floor_pow(k, 1 / exponent) + 1) <= limit:
+        shifted.append(a_min - k)
+        k += 1
+    # A breakpoint past limit moves only starts that are past limit already.
+    nonzero = table.nonzero  # never empty: the count at 0 is 1
+    u = nonzero[: np.searchsorted(nonzero, limit, side="right")]
+    starts = np.searchsorted(np.asarray(shifted, dtype=np.int64), u, side="right")
+    starts += u  # t + #{k : b_k - k < t}, with t = u + 1
+    starts += 1
+    stops = np.append(u[1:], limit + 1)
+    keep = starts < stops
+    return starts[keep], stops[keep]
 
 
 # /proc/self/fd/N and /dev/fd/N name descriptor N of this process.

@@ -645,17 +645,30 @@ class TestPipeline:
         N=st.integers(1, 120),
         M=st.integers(1, 40),
         b=st.lists(st.integers(0, 160), unique=True, max_size=30),
-        exceptional=st.lists(st.integers(1, 160), unique=True, max_size=60),
-        cuts=st.lists(st.integers(0, 60), max_size=5),
+        runs=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 15)), max_size=12),
     )
-    def test_window_escapes_in_blocks_match_depth_count(self, N, M, b, exceptional, cuts):
-        # the pipeline's count, with the exceptional points split into ascending
-        # blocks, some of them empty, as the exceptional scan yields them
+    @example(N=50, M=10, b=[0, 20, 45], runs=[])  # no runs
+    @example(N=50, M=9, b=[40, 44], runs=[(43, 8)])  # a run that touches N
+    @example(N=50, M=8, b=[0, 10, 11], runs=[(2, 5), (5, 8)])  # windows that begin inside a run
+    @example(N=50, M=6, b=[0, 6], runs=[(2, 3), (0, 4)])  # runs that touch each other
+    def test_window_escapes_on_runs_match_depth_count(self, N, M, b, runs):
+        # the pipeline's count, with the exceptional points as runs [start, stop)
+        # of [1, N], each begun a drawn gap past the stop of the one before
         b = np.array(sorted(b), dtype=np.int64)
-        exceptional = np.array(sorted(x for x in exceptional if x <= N), dtype=np.int64)
-        blocks = np.split(exceptional, sorted(c for c in cuts if c <= exceptional.size))
+        starts, stops, stop = [], [], 1
+        for gap, length in runs:
+            if stop + gap > N:
+                break
+            starts.append(stop + gap)
+            stop = min(stop + gap + length, N + 1)
+            stops.append(stop)
+        starts, stops = np.array(starts, dtype=np.int64), np.array(stops, dtype=np.int64)
+        exceptional = np.array(
+            [x for a, z in zip(starts.tolist(), stops.tolist()) for x in range(a, z)],
+            dtype=np.int64,
+        )
         window_points, escaped = window_escapes_depth(b, M, N, exceptional)
-        assert certify._window_escapes(b, M, N, iter(blocks)) == (
+        assert certify._window_escapes(b, M, N, (starts, stops)) == (
             window_points, escaped, exceptional.size
         )
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import random
 import re
@@ -8,6 +9,7 @@ import struct
 import threading
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +32,6 @@ from waring_gaps import repcount
 from waring_gaps.repcount import (
     _CSV_ROWS,
     _MAX_DIGITS,
-    _SCAN_BLOCK,
     _WINDOW,
     _csv_columns,
     _csv_rows,
@@ -40,6 +41,7 @@ from waring_gaps.repcount import (
     WaringParams,
     count_dtype,
     csv_pieces,
+    exceptional_runs,
     find_gap_runs,
     floor_pow,
     floor_root,
@@ -268,6 +270,23 @@ class TestGapRuns:
             find_gap_runs(table_3_1, 0)
 
 
+@st.composite
+def pow_cases(draw) -> tuple[int, int, int]:
+    """(base, p, q) with base <= 2^64, q <= 2^15, base^p of at most 2^17 bits
+    and base^(p/q) below about 2^96: any base, or one at or next to an exact
+    q-th power."""
+    if draw(st.booleans()):
+        base = draw(st.integers(1, 2**64))
+        q = draw(st.integers(1, 2**15))
+    else:
+        q = draw(st.integers(1, 64))
+        base = draw(st.integers(2, floor_root(q, 2**64))) ** q
+        base += draw(st.sampled_from([-1, 0, 0, 1])) if base < 2**64 else 0
+    bits = base.bit_length()
+    p = draw(st.integers(1, max(1, min(2**15, 2**17 // bits, 96 * q // bits))))
+    return base, p, q
+
+
 class TestFloorPow:
     @settings(max_examples=300, deadline=None)
     @given(base=st.integers(1, 5000), p=st.integers(1, 12), q=st.integers(1, 12))
@@ -284,6 +303,38 @@ class TestFloorPow:
         # 9^(3000001/1000000) = 729 * 9^(1/1000000), just above 729
         assert floor_pow(9, Fraction(3000001, 1000000)) == 729
         assert floor_pow(8, Fraction(10, 3)) == 1024  # an exact root
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=pow_cases())
+    @example(case=(31, 32768, 8123))  # the last breakpoint of the mild-gaps pipeline
+    @example(case=(2**64, 1, 2))
+    @example(case=(3**40 - 1, 1, 40))  # just below an exact power
+    @example(case=(5**27, 5, 27))  # an exact power
+    @example(case=(2**64 - 1, 8123, 32768))
+    def test_matches_floor_root_with_large_denominators(self, case):
+        base, p, q = case
+        assert floor_pow(base, Fraction(p, q)) == floor_root(q, base**p)
+
+    def test_overflowing_estimate_falls_back_to_the_full_bracket(self, monkeypatch):
+        brackets = []
+        search = repcount._floor_pow_between
+
+        def spy(base, p, q, lo, hi):
+            brackets.append((lo, hi))
+            return search(base, p, q, lo, hi)
+
+        monkeypatch.setattr(repcount, "_floor_pow_between", spy)
+        base = 2**1100 + 12_345  # base^(3/2) is past the largest float
+        assert floor_pow(base, Fraction(3, 2)) == floor_root(2, base**3)
+        assert brackets == [(0, 1 << -(-base.bit_length() * 3 // 2))]
+
+    @pytest.mark.parametrize("error", [-3.0, -0.01, 0.01, 3.0])
+    def test_wrong_estimate_never_decides(self, error, monkeypatch):
+        cases = [(base, Fraction(p, q)) for base, p, q in
+                 [(31, 32768, 8123), (2**40 + 3, 7, 2), (10**6, 1, 3), (5**27, 5, 27), (2, 1, 1)]]
+        expected = [floor_root(e.denominator, base**e.numerator) for base, e in cases]
+        monkeypatch.setattr(repcount, "math", SimpleNamespace(log2=lambda x: math.log2(x) + error))
+        assert [floor_pow(base, e) for base, e in cases] == expected
 
 
 class TestPowerComparison:
@@ -887,45 +938,92 @@ def sparse_tables(draw, limits) -> RepTable:
 EPSILONS = st.integers(0, 600).map(lambda k: Fraction(k, 16384))
 
 
-class TestExceptionalBlocks:
-    """scan_exceptional_set, one block at a time, against the whole-array scan."""
+def table_4_4_of(counts) -> RepTable:
+    return RepTable(params=WaringParams(4, 4), limit=len(counts) - 1,
+                    counts=np.asarray(counts, dtype=np.int64))
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        table=sparse_tables(st.sampled_from([_SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1])),
-        epsilon=EPSILONS,
-        short=st.sampled_from([0, 0, 1, 2]),
-    )
-    def test_agrees_at_the_block_size(self, table, epsilon, short):
-        limit = table.limit - short
+
+class TestExceptionalRuns:
+    """exceptional_runs and scan_exceptional_set against the whole-array
+    scan and the one-point-at-a-time scan."""
+
+    @staticmethod
+    def check_runs(limit, epsilon, table):
+        """The runs and the members, checked against the whole-array scan;
+        returns the members."""
         scan = scan_exceptional_set(4, limit, epsilon, table)
         expected = exceptional_scan_whole_array(limit, scan.exponent, table.counts)
         assert scan.members.dtype == np.int64 and not scan.members.flags.writeable
         assert np.array_equal(scan.members, expected)
+        starts, stops = exceptional_runs(4, limit, epsilon, table)
+        assert starts.dtype == stops.dtype == np.int64
+        assert (starts < stops).all() and (stops[:-1] < starts[1:]).all()
+        assert starts.size == 0 or (1 <= starts[0] and stops[-1] <= limit + 1)
+        # each run ends where a nonzero count or the limit cuts it
+        assert all(table.counts[z] != 0 for z in stops.tolist() if z <= limit)
+        joined = [a for lo, hi in zip(starts.tolist(), stops.tolist()) for a in range(lo, hi)]
+        assert joined == expected.tolist()
+        return scan.members
 
     @settings(max_examples=300, deadline=None)
     @given(
         table=sparse_tables(st.integers(1, 80)),
         epsilon=EPSILONS | st.sampled_from([Fraction(1, 2), Fraction(1, 3)]),
-        block=st.integers(1, 9),
-        data=st.data(),
+        short=st.integers(0, 80),
     )
-    def test_agrees_across_small_blocks(self, table, epsilon, block, data):
-        limit = data.draw(st.integers(1, table.limit))
-        expected = exceptional_scan_whole_array(
-            limit, Fraction(4059, 16384) + epsilon, table.counts
+    @example(table=table_4_4_of([1, *[0] * 40, 3]), epsilon=Fraction(0), short=0)  # count at limit
+    @example(table=table_4_4_of([1, *[0] * 40]), epsilon=Fraction(0), short=0)  # ends at limit + 1
+    @example(table=table_4_4_of([1, *[0] * 20, 7, 0, 0, 0]), epsilon=Fraction(1, 3), short=3)
+    @example(table=table_4_4_of([1, 0]), epsilon=Fraction(0), short=0)  # limit 1, a member
+    @example(table=table_4_4_of([1, 4]), epsilon=Fraction(0), short=0)  # limit 1, none
+    @example(table=table_4_4_of([1, 0, 0]), epsilon=Fraction(1, 2), short=0)  # limit 2
+    @example(table=table_4_4_of([1, 0, 2]), epsilon=Fraction(0), short=0)
+    @example(table=table_4_4_of([1, *[0] * 80]), epsilon=Fraction(0), short=0)  # density 0
+    @example(table=table_4_4_of([1] * 81), epsilon=Fraction(1, 2), short=0)  # density 1
+    def test_match_both_oracles(self, table, epsilon, short):
+        limit = max(1, table.limit - short)
+        members = self.check_runs(limit, epsilon, table)
+        expected = exceptional_members_bruteforce(
+            limit, Fraction(4059, 16384) + epsilon, table.counts.tolist()
         )
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(repcount, "_SCAN_BLOCK", block)
-            scan = scan_exceptional_set(4, limit, epsilon, table)
-        assert scan.members.tolist() == expected.tolist()
+        assert members.tolist() == expected
 
-    def test_sieved_table_across_small_blocks(self, table_4_4):
-        expected = exceptional_scan_whole_array(10_000, Fraction(4059, 16384), table_4_4.counts)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(repcount, "_SCAN_BLOCK", 97)
-            scan = scan_exceptional_set(4, 10_000, Fraction(0), table_4_4)
-        assert expected.size > 0 and np.array_equal(scan.members, expected)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        table=sparse_tables(st.integers(1_000, 100_000)),
+        epsilon=EPSILONS,
+        short=st.sampled_from([0, 0, 1, 2, 500]),
+    )
+    def test_match_the_whole_array_scan_on_long_tables(self, table, epsilon, short):
+        self.check_runs(table.limit - short, epsilon, table)
+
+    def test_sieved_table(self, table_4_4):
+        members = self.check_runs(10_000, Fraction(0), table_4_4)
+        assert members.size > 0
+
+    def test_arguments_checked(self, table_4_4, table_3_3):
+        for args in [(3, 10, Fraction(0), table_4_4), (4, 10, Fraction(0), table_3_3),
+                     (4, 0, Fraction(0), table_4_4), (4, 10, Fraction(-1), table_4_4),
+                     (4, 10_001, Fraction(0), table_4_4)]:
+            with pytest.raises(ValueError):
+                exceptional_runs(*args)
+
+
+class TestNonzeroIndex:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+    @pytest.mark.parametrize("size", [_WINDOW - 1, _WINDOW, _WINDOW + 1])
+    def test_matches_flatnonzero(self, dtype, size, monkeypatch):
+        # the table holds its counts as dtype, whatever its limit asks for
+        monkeypatch.setattr(repcount, "count_dtype", lambda ell, limit: np.dtype(dtype))
+        # counts as large as the dtype and the loose bound 16 (n + 1) allow
+        largest = np.minimum(np.iinfo(dtype).max, 16 * np.arange(1, size + 1, dtype=np.int64))
+        counts = np.where(np.random.default_rng(size).random(size) < 0.01, largest, 0)
+        counts[[0, _WINDOW - 2, -1]] = [1, largest[_WINDOW - 2], largest[-1]]
+        table = RepTable(params=WaringParams(4, 4), limit=size - 1, counts=counts)
+        assert table.counts.dtype == dtype
+        index = table.nonzero
+        assert index.dtype == np.int64 and not index.flags.writeable
+        assert np.array_equal(index, np.flatnonzero(counts))
 
 
 ALL_PARAMS = [(ell, s) for ell in (3, 4) for s in range(1, ell + 1)]
