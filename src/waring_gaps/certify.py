@@ -39,6 +39,7 @@ from .repcount import (
     loose_count_bound,
     read_table_binary,
     scan_exceptional_set,  # noqa: F401  kept importable here: perfbench's patching test lists it
+    sieve_pair,
     sieve_rep,
 )
 from .series import (
@@ -1103,8 +1104,7 @@ def pipeline_dry_run(
 
     # Margin past N keeps boundary tail checks decidable; counting ignores it.
     sieve_limit = N + K2 + max(64, 4 * K1) + 8
-    table_full = sieve_rep(WaringParams(ell, ell), sieve_limit)
-    table_lower = sieve_rep(WaringParams(ell, ell - 1), sieve_limit)
+    table_full, table_lower = sieve_pair(ell, sieve_limit)
     profile = residue_counts(ell, M)
     members = maier_qualifying_set(table_full, M, m, caps, N, K2)
     maier_report = _verify_maier(cert, table_full, profile, members)

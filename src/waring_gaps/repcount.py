@@ -225,14 +225,44 @@ def sieve_rep(params: WaringParams, limit: int) -> RepTable:
     ``head`` holds the sorted sums <= limit of all ordered (s-1)-tuples of
     ell-th powers.  The counts of one output window [lo, hi) are then the
     integer ``np.bincount`` of head[j] + p over every power p and every
-    head entry with lo <= head[j] + p < hi, found by binary search.  The
-    ordered s-tuples with sum <= limit number about c * limit^(s/ell) with
-    c <= 1 (c = 0.71 and 0.67 for s = ell = 3, 4), so the work is
-    O(limit).  The memory is the counts, held as count_dtype, one window of
-    int64 temporaries and head, which has about limit^((s-1)/ell) entries.
-    Counts are exact: integers only, the ceiling that the dtype holds is
-    checked up front, and no windowing changes a result.
+    head entry with lo <= head[j] + p < hi, found by binary search; those
+    sums are written in place into one int64 buffer per window, one
+    ``np.add(..., out=)`` per power.  The ordered s-tuples with sum <= limit
+    number about c * limit^(s/ell) with c <= 1 (c = 0.71 and 0.67 for
+    s = ell = 3, 4), so the work is O(limit).  The memory is the counts,
+    held as count_dtype, one window's buffer and head, which has about
+    limit^((s-1)/ell) entries.  Counts are exact: integers only, the
+    ceiling that the dtype holds is checked up front, and no windowing
+    changes a result.
     """
+    counts, _ = _sieve(params, limit)
+    return RepTable(params=params, limit=limit, counts=counts)
+
+
+def sieve_pair(ell: int, limit: int) -> tuple[RepTable, RepTable]:
+    """The (ell, ell) and (ell, ell - 1) tables up to limit, from one sieve.
+
+    The full table is sieve_rep's.  The head of that sieve is the sorted
+    list of (ell - 1)-tuple sums <= limit, so the lower table is its
+    integer ``np.bincount``, taken one _WINDOW block at a time so that no
+    temporary is longer than a block.  Both tables equal sieve_rep's, dtype
+    included.
+    """
+    params = WaringParams(ell, ell)
+    counts, head = _sieve(params, limit)
+    lower = np.empty_like(counts)
+    for lo in range(0, limit + 1, _WINDOW):
+        hi = min(lo + _WINDOW, limit + 1)
+        a, b = np.searchsorted(head, (lo, hi)).tolist()
+        lower[lo:hi] = np.bincount(head[a:b] - lo, minlength=hi - lo)
+    return (
+        RepTable(params=params, limit=limit, counts=counts),
+        RepTable(params=WaringParams(ell, ell - 1), limit=limit, counts=lower),
+    )
+
+
+def _sieve(params: WaringParams, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """sieve_rep's counts, as count_dtype, and its sorted int64 head."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     ceiling = loose_count_bound(params.ell, limit)
@@ -244,18 +274,30 @@ def sieve_rep(params: WaringParams, limit: int) -> RepTable:
     head = np.zeros(1, dtype=np.int64)
     for _ in range(params.s - 1):
         stops = np.searchsorted(head, limit - powers, side="right")
-        head = np.sort(np.concatenate([head[:k] + p for p, k in zip(powers, stops)]))
+        head = np.sort(_shifted_slices(head, powers, np.zeros_like(stops), stops))
     counts = np.empty(limit + 1, dtype=count_dtype(params.ell, limit))
     for lo in range(0, limit + 1, _WINDOW):
         hi = min(lo + _WINDOW, limit + 1)
         shifts = powers[powers < hi]
         starts = np.searchsorted(head, lo - shifts)
         stops = np.searchsorted(head, hi - shifts)
-        sums = np.concatenate(
-            [head[a:b] + (p - lo) for p, a, b in zip(shifts, starts, stops)]
-        )
+        sums = _shifted_slices(head, shifts - lo, starts, stops)
         counts[lo:hi] = np.bincount(sums, minlength=hi - lo)
-    return RepTable(params=params, limit=limit, counts=counts)
+    return counts, head
+
+
+def _shifted_slices(
+    head: np.ndarray, shifts: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> np.ndarray:
+    """head[starts[i]:stops[i]] + shifts[i] for every i, one after another,
+    written in place into one int64 array sized by the slices."""
+    ends = np.cumsum(stops - starts).tolist()
+    out = np.empty(ends[-1], dtype=np.int64)
+    at = 0
+    for p, a, b, end in zip(shifts.tolist(), starts.tolist(), stops.tolist(), ends):
+        np.add(head[a:b], p, out=out[at:end])
+        at = end
+    return out
 
 
 def _powers_up_to(ell: int, limit: int) -> list[int]:
@@ -345,8 +387,10 @@ def _pow_greater(a: int, p: int, d: int, q: int, shift: int = 0) -> bool:
     everything away from the crossover; certified bounded powering
     settles all but near-equal values, first from the top bit positions
     of the two bounds, so that aligning them shifts by a few bits only
-    however far apart the exponents are; only near-equal values fall back
-    to forming the full powers.
+    however far apart the exponents are.  Its precision, 96 bits for small
+    operands, grows with their bit lengths, so that a bisection near a
+    large root is settled there too; only near-equal values fall back to
+    forming the full powers.
     """
     if a == 0 or d == 0:
         return a > d
@@ -355,8 +399,12 @@ def _pow_greater(a: int, p: int, d: int, q: int, shift: int = 0) -> bool:
         return True
     if p * la <= q * (ld - 1) + shift:
         return False
-    a_lo, a_hi, a_e = _bounded_pow(a, p)
-    d_lo, d_hi, d_e = _bounded_pow(d, q)
+    # The precision decides speed, never the result: near a root of L bits,
+    # neighbouring candidates' powers differ by a relative 2^-L or so, which
+    # 2L + 64 bits resolve despite the rounding of every squaring.
+    prec = max(96, 2 * max(la, ld) + 64)
+    a_lo, a_hi, a_e = _bounded_pow(a, p, prec)
+    d_lo, d_hi, d_e = _bounded_pow(d, q, prec)
     d_e += shift
     if a_lo.bit_length() + a_e > d_hi.bit_length() + d_e:
         return True

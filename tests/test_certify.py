@@ -38,7 +38,7 @@ from waring_gaps.certify import (
 )
 from waring_gaps.exact import parse_fraction
 from waring_gaps.modular import residue_counts
-from waring_gaps.repcount import WaringParams, sieve_rep
+from waring_gaps.repcount import WaringParams, sieve_pair, sieve_rep
 from waring_gaps.series import Enclosure, HalfFunction, eval_enclosure, linear_combination
 
 
@@ -686,16 +686,17 @@ class TestPipeline:
         and result of its qualifying set, read back through spies."""
         used = {}
 
-        def sieve_spy(params, limit):
-            used[params.s] = sieve_rep(params, limit)
-            return used[params.s]
+        def sieve_spy(ell, limit):
+            tables = sieve_pair(ell, limit)
+            used.update((table.params.s, table) for table in tables)
+            return tables
 
         def members_spy(*args):
             used["args"] = args
             used["members"] = maier_qualifying_set(*args)
             return used["members"]
 
-        monkeypatch.setattr(certify, "sieve_rep", sieve_spy)
+        monkeypatch.setattr(certify, "sieve_pair", sieve_spy)
         monkeypatch.setattr(certify, "maier_qualifying_set", members_spy)
         report = pipeline_dry_run(ell, 2, 1, PipelineConfig(moduli_pool=pool, max_limit=200_000))
         return report, used

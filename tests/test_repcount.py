@@ -49,6 +49,7 @@ from waring_gaps.repcount import (
     read_table_binary,
     read_table_csv,
     scan_exceptional_set,
+    sieve_pair,
     sieve_rep,
     write_table_binary,
     write_table_csv,
@@ -101,6 +102,27 @@ class TestSieve:
         for limit in (k * _WINDOW - 1, k * _WINDOW, k * _WINDOW + 1):
             table = sieve_rep(WaringParams(ell, s), limit)
             assert np.array_equal(table.counts, rep_counts_convolution(ell, s, limit)), limit
+
+    @pytest.mark.parametrize("ell", [3, 4])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_pair_matches_sieve_and_convolution_at_window_edges(self, ell, k):
+        for limit in (k * _WINDOW - 1, k * _WINDOW, k * _WINDOW + 1):
+            full, lower = sieve_pair(ell, limit)
+            for table, s in ((full, ell), (lower, ell - 1)):
+                single = sieve_rep(WaringParams(ell, s), limit)
+                assert (table.params, table.limit) == (single.params, limit)
+                assert table.counts.dtype == single.counts.dtype
+                assert np.array_equal(table.counts, single.counts), (s, limit)
+                assert np.array_equal(table.counts, rep_counts_convolution(ell, s, limit)), (s, limit)
+
+    @pytest.mark.parametrize("ell", [3, 4])
+    @pytest.mark.parametrize("limit", [0, 1, 2, 100])
+    def test_pair_matches_bruteforce(self, ell, limit):
+        full, lower = sieve_pair(ell, limit)
+        assert (full.params, lower.params) == (WaringParams(ell, ell), WaringParams(ell, ell - 1))
+        assert full.counts.dtype == lower.counts.dtype == count_dtype(ell, limit)
+        assert full.counts.tolist() == rep_counts_bruteforce(ell, ell, limit)
+        assert lower.counts.tolist() == rep_counts_bruteforce(ell, ell - 1, limit)
 
     @pytest.mark.parametrize("ell", [3, 4])
     def test_convolution_consistency(self, ell):
@@ -314,6 +336,12 @@ class TestFloorPow:
     def test_matches_floor_root_with_large_denominators(self, case):
         base, p, q = case
         assert floor_pow(base, Fraction(p, q)) == floor_root(q, base**p)
+
+    def test_large_result_under_large_denominator(self):
+        # A 162-bit result: bisection steps within 2^-120 of the root must be
+        # settled by bounded powering, not by the full 1.3M-bit powers.
+        base = 2**40 + 3
+        assert floor_pow(base, Fraction(32768, 8123)) == floor_root(8123, base**32768)
 
     def test_overflowing_estimate_falls_back_to_the_full_bracket(self, monkeypatch):
         brackets = []
