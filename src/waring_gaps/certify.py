@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -428,6 +429,21 @@ class NestedGapsCertificate:
         }
 
 
+def _printable_power(q: int, n: int, field: str) -> int:
+    """q^n for the report field that prints it.  When str() would refuse
+    to print it (more digits than sys.get_int_max_str_digits()), a
+    ValueError names the field instead, decided from bit lengths before an
+    astronomically large power is formed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    # q^n >= 2^m with m = n * (bit_length(q) - 1), so it has at least
+    # floor(m * log10(2)) + 1 > m * 3 // 10 digits
+    if not limit or n * (q.bit_length() - 1) * 3 // 10 < limit:
+        power = q**n
+        if not limit or power < 10**limit:
+            return power
+    raise ValueError(f"{field} has more than {limit} digits to print")
+
+
 def verify_nested_gaps(cert: NestedGapsCertificate) -> Report:
     """Check hypotheses of the nested-gaps principle, each one exactly.
 
@@ -484,14 +500,15 @@ def verify_nested_gaps(cert: NestedGapsCertificate) -> Report:
     )
     report.check("window-sum-nonzero", window_sum != 0, {"sum": fraction_str(window_sum)})
 
+    q_K1 = _printable_power(cert.q, cert.K1, "q^K1")
+    q_K2 = _printable_power(cert.q, cert.K2, "q^K2")
     report.check(
         "gap-dominates-height",
-        Fraction(cert.q**cert.K1) > cert.H * cert.E
-        and Fraction(cert.q**cert.K2) > cert.H * cert.E_prime,
+        q_K1 > cert.H * cert.E and q_K2 > cert.H * cert.E_prime,
         {
-            "q^K1": str(cert.q**cert.K1),
+            "q^K1": str(q_K1),
             "H*E": fraction_str(cert.H * cert.E),
-            "q^K2": str(cert.q**cert.K2),
+            "q^K2": str(q_K2),
             "H*E_prime": fraction_str(cert.H * cert.E_prime),
         },
     )
@@ -618,11 +635,11 @@ def check_measure(cert: NestedGapsCertificate, terms: int | None = None) -> Repo
         return report
     report.add("nested-gaps-precondition", Verdict.PASS)
 
+    threshold = Fraction(1, _printable_power(cert.q, cert.n2, "threshold"))
     if terms is None:
         terms = max(64, cert.n2 + cert.K2 + 1, cert.n_prime + cert.K_prime + 1)
     f_enc = _clamped_enclosure(cert.f, cert.q, terms)
     g_enc = _clamped_enclosure(cert.g, cert.q, terms)
-    threshold = Fraction(1, cert.q**cert.n2)
     height = int(cert.H)
     if height > 100_000:
         raise ValueError(f"height {height} too large for exhaustive pair enumeration")
@@ -962,19 +979,6 @@ def _window_escapes(
 
     inside = exceptional_below(run_stops) - exceptional_below(run_starts)
     return window_points, window_points - inside, int(below[-1])
-
-
-def window_escapes(
-    b: np.ndarray, M: int, N: int, exceptional: np.ndarray
-) -> tuple[int, int]:
-    """(window_points, escaped) over the windows [max(1, b + ceil(M/2)),
-    min(N, b + M - 1)] of the ascending b: how many integers lie in some
-    window, and how many of those are not in the ascending exceptional."""
-    exceptional = np.asarray(exceptional, dtype=np.int64)
-    starts = exceptional[np.diff(exceptional, prepend=exceptional[:1] - 2) != 1]
-    stops = exceptional[np.diff(exceptional, append=exceptional[-1:] + 2) != 1] + 1
-    window_points, escaped, _ = _window_escapes(b, M, N, (starts, stops))
-    return window_points, escaped
 
 
 def pipeline_dry_run(

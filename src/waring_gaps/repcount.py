@@ -320,18 +320,25 @@ def find_gap_runs(table: RepTable, min_len: int) -> np.ndarray:
     """
     if min_len < 1:
         raise ValueError("min_len must be positive")
-    padded = np.concatenate(([False], table.counts == 0, [False]))
-    delta = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(delta == 1)
-    ends = np.flatnonzero(delta == -1)
-    keep = ends - starts >= min_len
-    starts, ends = starts[keep], ends[keep]
+    starts, stops = _zero_runs(table, table.limit)
+    keep = stops - starts >= min_len
+    starts, stops = starts[keep], stops[keep]
     runs = np.empty(starts.size, dtype=_GAP_RUN)
     runs["start"] = starts
-    runs["length"] = ends - starts
-    runs["truncated"] = ends == table.limit + 1
+    runs["length"] = stops - starts
+    runs["truncated"] = stops == table.limit + 1
     runs.flags.writeable = False
     return runs
+
+
+def _zero_runs(table: RepTable, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zero runs [u + 1, u') of the counts up to limit, from the nonzero
+    index: one after each nonzero index u <= limit, ending at the next one
+    u', or at limit + 1 after the last.  Runs may be empty; none starts
+    before 1, since the count at 0 is 1."""
+    nonzero = table.nonzero
+    u = nonzero[: np.searchsorted(nonzero, limit, side="right")]
+    return u + 1, np.append(u[1:], limit + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,12 +543,9 @@ def _exceptional_runs(
         shifted.append(a_min - k)
         k += 1
     # A breakpoint past limit moves only starts that are past limit already.
-    nonzero = table.nonzero  # never empty: the count at 0 is 1
-    u = nonzero[: np.searchsorted(nonzero, limit, side="right")]
-    starts = np.searchsorted(np.asarray(shifted, dtype=np.int64), u, side="right")
-    starts += u  # t + #{k : b_k - k < t}, with t = u + 1
-    starts += 1
-    stops = np.append(u[1:], limit + 1)
+    t, stops = _zero_runs(table, limit)
+    starts = np.searchsorted(np.asarray(shifted, dtype=np.int64), t, side="left")
+    starts += t  # t + #{k : b_k - k < t}
     keep = starts < stops
     return starts[keep], stops[keep]
 

@@ -628,7 +628,7 @@ def eval_truncated(f: HalfFunction, q: int, terms: int) -> Fraction:
     numerator, last = 0, 0
     for k, a in f._nonzero_terms(0, terms):
         numerator, last = numerator * q ** (k - last) + a, k
-    return Fraction(numerator * q ** (terms - 1 - last), q ** (terms - 1))
+    return Fraction(numerator, q**last)
 
 
 def _tail_majorant(c: Fraction, q: int, start: int) -> Fraction:

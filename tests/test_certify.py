@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,6 @@ from waring_gaps.certify import (
     verify_maier,
     verify_maier_inner,
     verify_nested_gaps,
-    window_escapes,
 )
 from waring_gaps.exact import parse_fraction
 from waring_gaps.modular import residue_counts
@@ -216,6 +216,34 @@ class TestNestedGaps:
         for name in ("ordering", "mild-gaps", "gap-dominates-height"):
             assert report.condition(name).verdict is Verdict.PASS
 
+    def test_unprintable_gap_power_names_its_field(self):
+        # decided from bit lengths: 2^(10^30) is never formed
+        cert = synthetic_nested(K2=10**30, K_prime=10**30 + 1)
+        with pytest.raises(ValueError, match=r"^q\^K2 has more than [0-9]+ digits"):
+            verify_nested_gaps(cert)
+
+    @pytest.mark.parametrize(
+        "q", [2, 3, 10, 255, 256, 10**700], ids=["2", "3", "10", "255", "256", "10^700"]
+    )
+    def test_printable_power_refuses_what_str_refuses(self, q):
+        digits, n = [], 0
+        while q**n <= 10**1400:
+            digits.append(len(str(q**n)))
+            n += 1
+        default = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)  # the least limit Python accepts
+            for n, size in enumerate(digits):
+                if size > 640:
+                    with pytest.raises(ValueError, match=r"^q\^n has more than 640 digits"):
+                        certify._printable_power(q, n, "q^n")
+                else:
+                    assert certify._printable_power(q, n, "q^n") == q**n
+            sys.set_int_max_str_digits(0)  # no limit
+            assert certify._printable_power(q, len(digits), "q^n") == q ** len(digits)
+        finally:
+            sys.set_int_max_str_digits(default)
+
     def test_structural_defect_invalid(self):
         report = verify_nested_gaps(synthetic_nested(E=Fraction(0)))
         assert report.exit_code == 3
@@ -280,6 +308,29 @@ class TestCheckMeasure:
     def test_failed_precondition_is_invalid(self):
         report = check_measure(synthetic_nested(H=Fraction(300)))
         assert report.exit_code == 3
+
+    def test_unprintable_threshold_names_its_field(self):
+        # passes nested-gaps; the threshold 1/2^2200 has a 663-digit denominator
+        cert = synthetic_nested(
+            H=Fraction(1),
+            f=HalfFunction.from_coefficients({0: 1, 19: 1, 91: 1, 2219: 1}, label="f_far"),
+            g=HalfFunction.from_coefficients({0: 1, 2219: 1}, label="g_far"),
+            K1=18,
+            K2=18,
+            K_prime=2218,
+            n2=2200,
+            E=Fraction(5, 2),
+            E_prime=Fraction(5, 2),
+        )
+        assert verify_nested_gaps(cert).verdict is Verdict.PASS
+        default = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            with pytest.raises(ValueError, match=r"^threshold has more than 640 digits"):
+                check_measure(cert)
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert check_measure(cert).summary["threshold"] == f"1/{2**2200}"
 
     def test_unreasonable_height_rejected(self):
         huge = synthetic_nested(
@@ -627,26 +678,14 @@ class TestPipeline:
         N=st.integers(1, 120),
         M=st.integers(1, 40),
         b=st.lists(st.integers(0, 160), unique=True, max_size=30),
-        exceptional=st.lists(st.integers(1, 160), unique=True, max_size=60),
-    )
-    @example(N=50, M=10, b=[], exceptional=[3, 40])  # no good pairs
-    @example(N=50, M=1, b=[0, 7, 49], exceptional=[8])  # every window empty
-    @example(N=50, M=9, b=[44, 48, 50], exceptional=[49, 50])  # windows clipped at N
-    @example(N=50, M=4, b=[0, 2, 4], exceptional=[3, 5])  # each window next to the last
-    @example(N=50, M=4, b=[0, 3, 5], exceptional=[2, 3])  # gaps between windows
-    @example(N=50, M=12, b=[1, 2, 3, 30], exceptional=list(range(7, 16)))  # overlaps
-    def test_window_escapes_matches_depth_count(self, N, M, b, exceptional):
-        b = np.array(sorted(b), dtype=np.int64)
-        exceptional = np.array(sorted(x for x in exceptional if x <= N), dtype=np.int64)
-        assert window_escapes(b, M, N, exceptional) == window_escapes_depth(b, M, N, exceptional)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        N=st.integers(1, 120),
-        M=st.integers(1, 40),
-        b=st.lists(st.integers(0, 160), unique=True, max_size=30),
         runs=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 15)), max_size=12),
     )
+    @example(N=50, M=10, b=[], runs=[(2, 1), (36, 1)])  # no good pairs
+    @example(N=50, M=1, b=[0, 7, 49], runs=[(7, 1)])  # every window empty
+    @example(N=50, M=9, b=[44, 48, 50], runs=[(48, 2)])  # windows clipped at N
+    @example(N=50, M=4, b=[0, 2, 4], runs=[(2, 1), (1, 1)])  # each window next to the last
+    @example(N=50, M=4, b=[0, 3, 5], runs=[(1, 2)])  # gaps between windows
+    @example(N=50, M=12, b=[1, 2, 3, 30], runs=[(6, 9)])  # overlaps
     @example(N=50, M=10, b=[0, 20, 45], runs=[])  # no runs
     @example(N=50, M=9, b=[40, 44], runs=[(43, 8)])  # a run that touches N
     @example(N=50, M=8, b=[0, 10, 11], runs=[(2, 5), (5, 8)])  # windows that begin inside a run

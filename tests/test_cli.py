@@ -592,6 +592,32 @@ class TestLargeDenominatorExponents:
             assert conditions["half-modulus-exceeds-window"] == "fail"
 
 
+class TestAstronomicalCertificateIntegers:
+    @pytest.mark.parametrize(
+        "name,subcommand,status,message",
+        [
+            ("nested_huge_K2.json", "nested", 3, "error: q^K2 has more than"),
+            ("nested_huge_K2.json", "measure", 3, "error: q^K2 has more than"),
+            ("nested_huge_n2.json", "nested", 1, "report written"),
+            ("nested_huge_n2.json", "measure", 3, "report written"),
+        ],
+        ids=["K2-nested", "K2-measure", "n2-nested", "n2-measure"],
+    )
+    def test_returns_within_20_s(self, tmp_path, name, subcommand, status, message):
+        # K2 = 10^30 or n2 = 10^30: no report field may form q^K2 or q^(n2 - 1)
+        cert = Path(__file__).parent / "data" / name
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1",
+               "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", AS_LIMITED_CLI, str(2 << 30),
+             subcommand, "--cert", str(cert), "--json", "r.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == status, proc.stderr
+        assert "Traceback" not in proc.stderr and message in proc.stdout + proc.stderr
+
+
 class TestOutputFiles:
     @pytest.mark.parametrize("name", ["t.csv", "t.bin"])
     def test_file_size_limit_keeps_earlier_table(self, tmp_path, name):

@@ -268,17 +268,21 @@ class TestGapRuns:
     @given(
         tail=st.lists(st.sampled_from([0, 0, 0, 1, 2, 8]), max_size=80),
         min_len=st.integers(1, 90),
+        window=st.sampled_from([1, 2, 3, _WINDOW]),
     )
-    @example(tail=[1, 0, 0], min_len=1)  # a run touching the end
-    @example(tail=[0, 0, 1, 0], min_len=5)  # min_len longer than every run
-    def test_matches_bruteforce_on_random_tables(self, tail, min_len):
+    @example(tail=[1, 0, 0], min_len=1, window=_WINDOW)  # a run touching the end
+    @example(tail=[0, 0, 1, 0], min_len=5, window=_WINDOW)  # min_len longer than every run
+    @example(tail=[0, 0, 0, 0, 1], min_len=1, window=2)  # a run across index blocks
+    def test_matches_bruteforce_on_random_tables(self, tail, min_len, window):
         counts = [1, *tail]
-        table = RepTable(
-            params=WaringParams(3, 3),
-            limit=len(counts) - 1,
-            counts=np.asarray(counts, dtype=np.int64),
-        )
-        runs = find_gap_runs(table, min_len)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repcount, "_WINDOW", window)  # the nonzero index's block size
+            table = RepTable(
+                params=WaringParams(3, 3),
+                limit=len(counts) - 1,
+                counts=np.asarray(counts, dtype=np.int64),
+            )
+            runs = find_gap_runs(table, min_len)
         assert runs.dtype == np.dtype(
             [("start", np.int64), ("length", np.int64), ("truncated", np.bool_)]
         )

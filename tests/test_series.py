@@ -350,6 +350,11 @@ class TestEvalTruncated:
     def test_constant(self):
         assert eval_truncated(HalfFunction.constant(1), 7, 5) == 1
 
+    def test_sparse_series_far_past_its_support(self):
+        # q^(terms - 1) is never formed: the sum's denominator is q^38
+        f = HalfFunction.from_coefficients({0: 1, 19: 1, 38: 1}, label="f_sparse")
+        assert eval_truncated(f, 2, 10**30) == 1 + Fraction(1, 2**19) + Fraction(1, 2**38)
+
     @pytest.mark.parametrize("q", [2, 3, 7, 10])
     @pytest.mark.parametrize("terms", [1, 5, 17, 40])
     def test_denominator_divides_power(self, table_3_3, q, terms):
