@@ -261,23 +261,23 @@ def maier_qualifying_set(
     return members
 
 
-def verify_maier(cert: MaierCertificate, table: RepTable, profile: ResidueProfile) -> Report:
+def verify_maier(
+    cert: MaierCertificate,
+    table: RepTable,
+    profile: ResidueProfile,
+    *,
+    _qualifying: np.ndarray | None = None,
+) -> Report:
     """Check every certificate invariant and the counting conclusion.
 
     Invariant violations are reported field by field and mark the report
     invalid, but counting still runs whenever the table allows it, so
     near-misses stay visible.  The one exception is alpha >= 1, which
     makes the claimed bound meaningless and rejects the certificate
-    before counting.
+    before counting.  A caller that has already computed the qualifying
+    set for the certificate's progression, caps and limit passes it as
+    _qualifying, and it is counted as it is.
     """
-    return _verify_maier(cert, table, profile, None)
-
-
-def _verify_maier(
-    cert: MaierCertificate, table: RepTable, profile: ResidueProfile, qualifying: np.ndarray | None
-) -> Report:
-    """verify_maier, counting the given qualifying set when the caller has
-    already computed it for the certificate's progression, caps and limit."""
     report = Report(kind="maier", certificate=cert.to_json_dict())
     alpha = cert.alpha
     alpha_ok = alpha < 1
@@ -344,9 +344,9 @@ def _verify_maier(
         )
         return report
 
-    if qualifying is None:
-        qualifying = maier_qualifying_set(table, cert.M, cert.m, cert.caps, cert.N, cert.K)
-    count = int(qualifying.shape[0])
+    if _qualifying is None:
+        _qualifying = maier_qualifying_set(table, cert.M, cert.m, cert.caps, cert.N, cert.K)
+    count = int(_qualifying.shape[0])
     report.summary["count"] = count
     report.check(
         "count-at-least-bound", count >= bound, {"count": count, "bound": fraction_str(bound)}
@@ -737,18 +737,20 @@ def verify_degree_criterion(
     found = inside < n2
     report.check("representable-point-inside", found, {"witness": inside} if found else None)
 
+    q_K1 = _printable_power(q, K1, "q^K1")
+    q_K2 = _printable_power(q, K2, "q^K2")
     report.check(
         "height-gap",
-        Fraction(q**K1) > J * E and Fraction(q**K2) > J * N,
+        q_K1 > J * E and q_K2 > J * N,
         {
-            "q^K1": str(q**K1),
+            "q^K1": str(q_K1),
             "J*E": fraction_str(J * E),
-            "q^K2": str(q**K2),
+            "q^K2": str(q_K2),
             "J*N": fraction_str(J * N),
         },
     )
 
-    j_max = min(Fraction(q**K1) / E, Fraction(q**K2, N))
+    j_max = min(Fraction(q_K1) / E, Fraction(q_K2, N))
     unit_c_paper = ell * (1 << ell)
     unit_c_sum = 1 + (ell - 1) * (1 << ell)
     report.summary = {
@@ -1111,7 +1113,7 @@ def pipeline_dry_run(
     table_full, table_lower = sieve_pair(ell, sieve_limit)
     profile = residue_counts(ell, M)
     members = maier_qualifying_set(table_full, M, m, caps, N, K2)
-    maier_report = _verify_maier(cert, table_full, profile, members)
+    maier_report = verify_maier(cert, table_full, profile, _qualifying=members)
     report.add(
         "counting-certificate",
         Verdict.FAIL if maier_report.invalid else maier_report.verdict,

@@ -78,67 +78,124 @@ def count_dtype(ell: int, limit: int) -> np.dtype:
     return np.dtype(np.int64 if width == 8 else f"u{width}")
 
 
-@dataclass(frozen=True, eq=False)
 class RepTable:
     """Exact counts r(n) for 0 <= n <= limit, immutable after construction.
 
-    The given counts' dtype must hold the loose ceiling 2^ell*(limit+1).
-    Once every check has passed, they are held as count_dtype(ell, limit),
-    converted from any other dtype; a narrowed copy cannot wrap, as every
-    count is then at most the ceiling.
+    RepTable(params, limit, counts) takes the counts dense.  Their dtype
+    must hold the loose ceiling 2^ell*(limit+1).  Once every check has
+    passed, they are held as count_dtype(ell, limit), converted from any
+    other dtype; a narrowed copy cannot wrap, as every count is then at
+    most the ceiling.
+
+    RepTable.from_sums(params, limit, sums) takes the sorted tuple sums
+    instead.  Their distinct values are the nonzero index and their
+    multiplicities the counts there, so count and next_nonzero read the
+    index alone.  The dense counts, as count_dtype, are built on first read
+    and cached.
     """
 
-    params: WaringParams
-    limit: int
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.limit < 0:
+    def __init__(self, params: WaringParams, limit: int, counts: np.ndarray) -> None:
+        if limit < 0:
             raise ValueError("limit must be nonnegative")
-        if self.counts.shape != (self.limit + 1,):
-            raise TableFormatError(
-                f"counts length {self.counts.shape} does not match limit {self.limit}"
-            )
-        ceiling = loose_count_bound(self.params.ell, self.limit)
-        width_max = int(np.iinfo(self.counts.dtype).max)
+        if counts.shape != (limit + 1,):
+            raise TableFormatError(f"counts length {counts.shape} does not match limit {limit}")
+        ceiling = loose_count_bound(params.ell, limit)
+        width_max = int(np.iinfo(counts.dtype).max)
         if ceiling > width_max:
             raise CounterWidthError(
-                f"counter dtype {self.counts.dtype} cannot hold worst-case count {ceiling}"
+                f"counter dtype {counts.dtype} cannot hold worst-case count {ceiling}"
             )
-        if int(self.counts[0]) != 1:
+        if int(counts[0]) != 1:
             raise TableFormatError("count at 0 must be 1 (the all-zero tuple)")
-        if int(self.counts.min()) < 0:
+        if int(counts.min()) < 0:
             raise TableFormatError("counts must be nonnegative")
         # A count c at n breaks its bound only if c > 2^ell*(n+1), and c is
         # at most the largest count, so only an index below stop can.
-        stop = min(self.limit + 1, int(self.counts.max()) >> self.params.ell)
+        stop = min(limit + 1, int(counts.max()) >> params.ell)
         for lo in range(0, stop, _WINDOW):
-            block = self.counts[lo : min(lo + _WINDOW, stop)]
-            bound = (1 << self.params.ell) * np.arange(
-                lo + 1, lo + 1 + block.size, dtype=np.int64
-            )
+            block = counts[lo : min(lo + _WINDOW, stop)]
+            bound = (1 << params.ell) * np.arange(lo + 1, lo + 1 + block.size, dtype=np.int64)
             over = np.flatnonzero(block > bound)
             if over.size:
                 raise TableFormatError(
                     f"count at {lo + int(over[0])} exceeds the loose bound 2^ell*(n+1)"
                 )
-        dtype = count_dtype(self.params.ell, self.limit)
-        if self.counts.dtype != dtype:
-            object.__setattr__(self, "counts", self.counts.astype(dtype))
-        self.counts.setflags(write=False)
+        dtype = count_dtype(params.ell, limit)
+        if counts.dtype != dtype:
+            counts = counts.astype(dtype)
+        counts.setflags(write=False)
+        vars(self).update(params=params, limit=limit, counts=counts, _nonzero_counts=None)
+
+    @classmethod
+    def from_sums(cls, params: WaringParams, limit: int, sums: np.ndarray) -> RepTable:
+        """The table of the tuple sums <= limit, given as one sorted 1-D
+        integer array with each sum once per tuple.  The checks are the
+        dense constructor's, made on the distinct sums and their
+        multiplicities, which are found where neighbours differ."""
+        if limit < 0:
+            raise ValueError("limit must be nonnegative")
+        ceiling = loose_count_bound(params.ell, limit)
+        if ceiling > int(np.iinfo(count_dtype(params.ell, limit)).max):
+            raise CounterWidthError(f"64-bit counters cannot hold worst-case count {ceiling}")
+        sums = np.asarray(sums)
+        if sums.ndim != 1 or sums.dtype.kind not in "iu":
+            raise TableFormatError("sums must be a 1-D array of integers")
+        if (sums[1:] < sums[:-1]).any():
+            raise TableFormatError("sums must be sorted")
+        if sums.size and not 0 <= sums[0] <= sums[-1] <= limit:
+            raise TableFormatError(f"sums must lie in [0, {limit}]")
+        sums = sums.astype(np.int64, copy=False)
+        firsts = np.flatnonzero(np.diff(sums, prepend=-1))  # where each distinct sum begins
+        nonzero = sums[firsts]
+        multiplicities = np.diff(firsts, append=sums.size)
+        if not nonzero.size or nonzero[0] != 0 or multiplicities[0] != 1:
+            raise TableFormatError("count at 0 must be 1 (the all-zero tuple)")
+        over = np.flatnonzero(multiplicities > (nonzero + 1) << params.ell)
+        if over.size:
+            raise TableFormatError(
+                f"count at {int(nonzero[over[0]])} exceeds the loose bound 2^ell*(n+1)"
+            )
+        nonzero.setflags(write=False)
+        multiplicities.setflags(write=False)
+        table = cls.__new__(cls)
+        vars(table).update(
+            params=params, limit=limit, nonzero=nonzero, _nonzero_counts=multiplicities
+        )
+        return table
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"RepTable is immutable: cannot set {name}")
+
+    def __repr__(self) -> str:
+        return f"RepTable(params={self.params!r}, limit={self.limit})"
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The read-only dense counts, as count_dtype: given to the
+        constructor, or for a table built from sums, filled from its nonzero
+        index on first read."""
+        counts = np.zeros(self.limit + 1, dtype=count_dtype(self.params.ell, self.limit))
+        counts[self.nonzero] = self._nonzero_counts
+        counts.setflags(write=False)
+        return counts
 
     def count(self, n: int) -> int:
         """Exact count at n, as a Python integer."""
         if not 0 <= n <= self.limit:
             raise IndexError(f"index {n} outside table range [0, {self.limit}]")
-        return int(self.counts[n])
+        if self._nonzero_counts is None:
+            return int(self.counts[n])
+        at = int(np.searchsorted(self.nonzero, n))
+        found = at < self.nonzero.size and self.nonzero[at] == n
+        return int(self._nonzero_counts[at]) if found else 0
 
     @cached_property
     def nonzero(self) -> np.ndarray:
-        """Sorted, read-only int64 indices of the nonzero counts, built on
-        first use into an array sized by one count, one _WINDOW block at a
-        time: a block's bool mask is far cheaper to search than the counts
-        themselves, and the index is never held twice."""
+        """Sorted, read-only int64 indices of the nonzero counts.  A table
+        built from sums holds them from the start; a dense table builds
+        them on first use into an array sized by one count, one _WINDOW
+        block at a time: a block's bool mask is far cheaper to search than
+        the counts themselves, and the index is never held twice."""
         index = np.empty(np.count_nonzero(self.counts), dtype=np.int64)
         at = 0
         for lo in range(0, self.limit + 1, _WINDOW):
@@ -243,21 +300,16 @@ def sieve_pair(ell: int, limit: int) -> tuple[RepTable, RepTable]:
     """The (ell, ell) and (ell, ell - 1) tables up to limit, from one sieve.
 
     The full table is sieve_rep's.  The head of that sieve is the sorted
-    list of (ell - 1)-tuple sums <= limit, so the lower table is its
-    integer ``np.bincount``, taken one _WINDOW block at a time so that no
-    temporary is longer than a block.  Both tables equal sieve_rep's, dtype
-    included.
+    list of (ell - 1)-tuple sums <= limit, so the lower table is built from
+    it by RepTable.from_sums, with no second pass over the limit: its
+    nonzero index is the head's distinct sums.  Both tables equal
+    sieve_rep's, dense counts and dtype included.
     """
     params = WaringParams(ell, ell)
     counts, head = _sieve(params, limit)
-    lower = np.empty_like(counts)
-    for lo in range(0, limit + 1, _WINDOW):
-        hi = min(lo + _WINDOW, limit + 1)
-        a, b = np.searchsorted(head, (lo, hi)).tolist()
-        lower[lo:hi] = np.bincount(head[a:b] - lo, minlength=hi - lo)
     return (
         RepTable(params=params, limit=limit, counts=counts),
-        RepTable(params=WaringParams(ell, ell - 1), limit=limit, counts=lower),
+        RepTable.from_sums(WaringParams(ell, ell - 1), limit, head),
     )
 
 

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from waring_gaps.certify import (
 )
 from waring_gaps.exact import parse_fraction
 from waring_gaps.modular import residue_counts
-from waring_gaps.repcount import WaringParams, sieve_pair, sieve_rep
+from waring_gaps.repcount import RepTable, WaringParams, sieve_pair, sieve_rep
 from waring_gaps.series import Enclosure, HalfFunction, eval_enclosure, linear_combination
 
 
@@ -776,6 +777,25 @@ class TestPipeline:
         )
         density = parse_fraction(report.summary["exceptional_density"])
         assert density == Fraction(len(exceptional), N)
+
+    @pytest.mark.parametrize("ell, pool", [(3, (63,)), (4, (32,))])
+    def test_lower_table_dense_counts_never_built(self, ell, pool, monkeypatch):
+        # every build of a table's dense counts from its nonzero index goes through the spy
+        built = []
+        build = RepTable.__dict__["counts"].func
+
+        def counts_spy(table):
+            built.append(table.params)
+            return build(table)
+
+        spy = cached_property(counts_spy)
+        spy.__set_name__(RepTable, "counts")
+        monkeypatch.setattr(RepTable, "counts", spy)
+        report, used = self.spied_run(ell, pool, monkeypatch)
+        assert "n1" in report.condition("degree-criterion").witness  # the lower table was read
+        assert built == []
+        assert "counts" not in vars(used[ell - 1])
+        assert used[ell - 1].nonzero.size > 1
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -294,6 +294,20 @@ class TestVerdictCommands:
         assert capsys.readouterr().err == f"waring-gaps: error: {message}\n"
         assert not j.exists()
 
+    def test_pipeline_unprintable_height_power_names_its_field(self, tmp_path, capsys):
+        # K2 = 256, so q^K2 = 10^5120 has more digits than str() prints by default
+        j = tmp_path / "pipe.json"
+        argv = ["--ell", "4", "--q", str(10**20), "--pool", "512", "--max-limit", "3000000"]
+        default = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)  # Python's default
+            assert run_cli("pipeline", *argv, "--json", str(j)) == 3
+        finally:
+            sys.set_int_max_str_digits(default)
+        err = capsys.readouterr().err
+        assert err == "waring-gaps: error: q^K2 has more than 4300 digits to print\n"
+        assert not j.exists()
+
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import math
 import os
@@ -1096,3 +1097,122 @@ class TestNextNonzero:
         finally:
             tracemalloc.stop()
         assert peak < index.nbytes // 4
+
+
+# Every limit from 0 to 100, and each side of the first two _WINDOW edges.
+SUMS_LIMITS = [*range(101), *(k * _WINDOW + d for k in (1, 2) for d in (-1, 0, 1))]
+
+
+@functools.lru_cache(maxsize=None)
+def lower_and_oracle(ell: int, limit: int) -> tuple[RepTable, np.ndarray]:
+    """sieve_pair's (ell, ell - 1) table, and the convolution oracle's
+    counts for it as uint8, which holds every one of them."""
+    oracle = rep_counts_convolution(ell, ell - 1, limit)
+    assert oracle.max() < 256
+    return sieve_pair(ell, limit)[1], oracle.astype(np.uint8)
+
+
+class TestSumsTable:
+    """The (ell, ell - 1) table that sieve_pair builds from the sieve's
+    sorted head, and RepTable.from_sums's checks."""
+
+    @pytest.mark.parametrize("ell", [3, 4])
+    def test_index_and_counts_match_sieve_and_oracles(self, ell):
+        for limit in SUMS_LIMITS:
+            lower, oracle = lower_and_oracle(ell, limit)
+            single = sieve_rep(WaringParams(ell, ell - 1), limit)
+            assert (lower.params, lower.limit) == (single.params, limit)
+            index = lower.nonzero
+            assert index.dtype == np.int64 and not index.flags.writeable
+            assert np.array_equal(index, single.nonzero), limit
+            assert np.array_equal(index, np.flatnonzero(oracle)), limit
+            if limit <= 100:
+                expected = rep_counts_bruteforce(ell, ell - 1, limit)
+                assert [lower.count(n) for n in range(limit + 1)] == expected
+            # reading the index and counts never builds the dense counts
+            assert "counts" not in vars(lower)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ell=st.sampled_from([3, 4]),
+        limit=st.sampled_from(SUMS_LIMITS),
+        data=st.data(),
+    )
+    def test_count_and_next_nonzero_at_points(self, ell, limit, data):
+        lower, oracle = lower_and_oracle(ell, limit)
+        edges = [k * _WINDOW + d for k in (1, 2) for d in (-1, 0, 1)]
+        point = st.one_of(
+            st.integers(-3, limit + 8),
+            st.sampled_from([limit, limit + 1, *edges]),
+        )
+        points = data.draw(st.lists(point, min_size=1, max_size=40))
+        expected = [next_nonzero_count_bruteforce(oracle, p) for p in points]
+        answers = [lower.next_nonzero(p) for p in points]
+        assert all(type(a) is int for a in answers) and answers == expected
+        assert lower.next_nonzero(np.array(points)).tolist() == expected
+        for p in points:
+            if 0 <= p <= limit:
+                assert lower.count(p) == int(oracle[p])
+            else:
+                with pytest.raises(IndexError):
+                    lower.count(p)
+
+    @pytest.mark.parametrize("ell", [3, 4])
+    @pytest.mark.parametrize("limit", [0, 100, _WINDOW + 1])
+    def test_dense_counts_built_once_on_first_read(self, ell, limit):
+        lower = sieve_pair(ell, limit)[1]
+        single = sieve_rep(WaringParams(ell, ell - 1), limit)
+        assert "counts" not in vars(lower)
+        counts = lower.counts
+        assert counts.dtype == single.counts.dtype == count_dtype(ell, limit)
+        assert np.array_equal(counts, single.counts)
+        assert not counts.flags.writeable
+        assert lower.counts is counts
+
+    @pytest.mark.parametrize(
+        "sums, limit",
+        [
+            ([], 10),
+            ([1, 2], 10),
+            ([0, 0], 10),
+            ([0, 0, 0, 3], 10),
+        ],
+    )
+    def test_rejects_count_at_zero_other_than_one(self, sums, limit):
+        with pytest.raises(TableFormatError, match="count at 0 must be 1"):
+            RepTable.from_sums(WaringParams(3, 2), limit, np.array(sums, dtype=np.int64))
+
+    @pytest.mark.parametrize("ell", [3, 4])
+    def test_rejects_count_over_loose_bound(self, ell):
+        # 2^ell * (n + 1) copies of n are allowed; one more is not
+        at_bound = [0, *[1] * (2 << ell), *[5] * (6 << ell)]
+        table = RepTable.from_sums(WaringParams(ell, 2), 10, np.array(at_bound))
+        assert (table.count(1), table.count(5)) == (2 << ell, 6 << ell)
+        over = [0, *[1] * (2 << ell), *[5] * ((6 << ell) + 1), 7]
+        with pytest.raises(TableFormatError, match="count at 5 exceeds the loose bound"):
+            RepTable.from_sums(WaringParams(ell, 2), 10, np.array(over))
+
+    @pytest.mark.parametrize(
+        "sums, message",
+        [
+            ([0, 3, 2], "sorted"),
+            ([0, 3, 11], r"lie in \[0, 10\]"),
+            ([-1, 0, 3], r"lie in \[0, 10\]"),
+            (np.array([0.0, 3.0]), "integers"),
+            (np.array([[0, 3]]), "integers"),
+        ],
+    )
+    def test_rejects_sums_that_are_not_a_table(self, sums, message):
+        with pytest.raises(TableFormatError, match=message):
+            RepTable.from_sums(WaringParams(3, 2), 10, np.asarray(sums))
+
+    def test_width_ceiling_checked(self):
+        with pytest.raises(CounterWidthError):
+            RepTable.from_sums(WaringParams(3, 2), 2**61, np.zeros(1, dtype=np.int64))
+
+    def test_immutable(self):
+        lower = sieve_pair(3, 100)[1]
+        with pytest.raises(AttributeError):
+            lower.limit = 7
+        with pytest.raises(ValueError):
+            lower.nonzero[0] = 7
