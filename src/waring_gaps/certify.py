@@ -207,7 +207,7 @@ class MaierCertificate:
             "eps": [fraction_str(e) for e in self.eps],
             "caps": list(self.caps),
             "N": self.N,
-            "alpha": fraction_str(self.alpha),
+            "alpha": _printable_fraction(self.alpha, "alpha"),
         }
 
     @classmethod
@@ -301,7 +301,7 @@ def verify_maier(
             {"N": cert.N, "M^ell": cert.M**cert.ell},
         ),
         report.check("eps-positive", all(e > 0 for e in cert.eps)),
-        report.check("alpha-below-one", alpha_ok, {"alpha": fraction_str(alpha)}),
+        report.check("alpha-below-one", alpha_ok, {"alpha": _printable_fraction(alpha, "alpha")}),
         report.check(
             "inputs-match",
             inputs_ok,
@@ -332,8 +332,8 @@ def verify_maier(
     report.invalid = not all(invariants)
 
     bound = (1 - alpha) * Fraction(cert.N, cert.M) / (1 << cert.ell)
-    report.summary["alpha"] = fraction_str(alpha)
-    report.summary["bound"] = fraction_str(bound)
+    report.summary["alpha"] = _printable_fraction(alpha, "alpha")
+    report.summary["bound"] = _printable_fraction(bound, "bound")
 
     can_count = alpha_ok and table.limit >= cert.N - 1
     if not can_count:
@@ -442,6 +442,17 @@ def _printable_power(q: int, n: int, field: str) -> int:
         if not limit or power < 10**limit:
             return power
     raise ValueError(f"{field} has more than {limit} digits to print")
+
+
+def _printable_fraction(x: Fraction | int, field: str) -> str:
+    """fraction_str(x) for the report field that prints it.  When str()
+    refuses its numerator or denominator (more digits than
+    sys.get_int_max_str_digits()), the ValueError names the field."""
+    try:
+        return fraction_str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{field} has more than {limit} digits to print") from None
 
 
 def verify_nested_gaps(cert: NestedGapsCertificate) -> Report:
@@ -1090,12 +1101,12 @@ def pipeline_dry_run(
         ell=ell, K=K2, M=M, m=m, eps=tuple(eps), caps=tuple(caps), N=N
     )
     alpha = cert.alpha
-    summary["alpha"] = fraction_str(alpha)
+    summary["alpha"] = _printable_fraction(alpha, "alpha")
     summary["xi"] = fraction_str(xi)
     report.check(
         "schedule-alpha-below-three-quarters",
         alpha < Fraction(3, 4),
-        {"alpha": fraction_str(alpha), "alpha_decimal_display_only": decimal_str(alpha, 6)},
+        {"alpha": summary["alpha"], "alpha_decimal_display_only": decimal_str(alpha, 6)},
     )
     report.check(
         "schedule-dominates-loose-bound",

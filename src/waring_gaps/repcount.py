@@ -2,14 +2,16 @@
 
 The central object is the table of r(n) = number of ordered s-tuples of
 nonnegative integers whose ell-th powers sum to n, for all n up to a limit.
-Tables are built by enumerating every ordered tuple once and counting its
-sum with an integer ``np.bincount``, one output window at a time: O(limit)
-work, one array of length limit + 1 plus one window of temporaries.  Counts
-are exact unsigned counters of the width the binary format stores (int64
-where that is 8 bytes), whose ceiling is checked up front, and tables are
-scanned for zero runs.  All fractional-power comparisons
-(greedy remainder bound, exceptional-window threshold) are carried out on
-arbitrary-precision integers; no float ever decides anything.
+Tables are built by counting every ordered tuple once: the distinct sums of
+its first s - 1 powers, with their multiplicities, are added for each last
+power p into the counts at those sums plus p, in place, one output window
+at a time.  That is O(limit) work and one array of length limit + 1, with
+no temporary of a window's size.  Counts are exact unsigned counters of the
+width the binary format stores (int64 where that is 8 bytes), whose
+ceiling is checked up front, and tables are scanned for zero runs.  All
+fractional-power comparisons (greedy remainder bound, exceptional-window
+threshold) are carried out on arbitrary-precision integers; no float ever
+decides anything.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ SUPPORTED_EXPONENTS = (3, 4)
 
 _MAGIC = b"WRT1"
 _INT64_MAX = 2**63 - 1
-# Indices handled at once by the sieve and the table bound check; it
-# bounds their temporaries and never changes a result.
+# Indices handled at once by the sieve, whose adds it keeps within one
+# block of the counts, and by the table bound check and the nonzero index,
+# whose temporaries it bounds; it never changes a result.
 _WINDOW = 1 << 20
 # Rows rendered at once by render_rows, for every CSV and JSON array; it
 # bounds the memory of writing one and never changes a byte.
@@ -129,14 +132,10 @@ class RepTable:
     @classmethod
     def from_sums(cls, params: WaringParams, limit: int, sums: np.ndarray) -> RepTable:
         """The table of the tuple sums <= limit, given as one sorted 1-D
-        integer array with each sum once per tuple.  The checks are the
-        dense constructor's, made on the distinct sums and their
-        multiplicities, which are found where neighbours differ."""
+        integer array with each sum once per tuple: the index table of its
+        distinct values and their multiplicities."""
         if limit < 0:
             raise ValueError("limit must be nonnegative")
-        ceiling = loose_count_bound(params.ell, limit)
-        if ceiling > int(np.iinfo(count_dtype(params.ell, limit)).max):
-            raise CounterWidthError(f"64-bit counters cannot hold worst-case count {ceiling}")
         sums = np.asarray(sums)
         if sums.ndim != 1 or sums.dtype.kind not in "iu":
             raise TableFormatError("sums must be a 1-D array of integers")
@@ -144,10 +143,19 @@ class RepTable:
             raise TableFormatError("sums must be sorted")
         if sums.size and not 0 <= sums[0] <= sums[-1] <= limit:
             raise TableFormatError(f"sums must lie in [0, {limit}]")
-        sums = sums.astype(np.int64, copy=False)
-        firsts = np.flatnonzero(np.diff(sums, prepend=-1))  # where each distinct sum begins
-        nonzero = sums[firsts]
-        multiplicities = np.diff(firsts, append=sums.size)
+        return cls._from_index(params, limit, *_distinct_sums(sums.astype(np.int64, copy=False)))
+
+    @classmethod
+    def _from_index(
+        cls, params: WaringParams, limit: int, nonzero: np.ndarray, multiplicities: np.ndarray
+    ) -> RepTable:
+        """The table whose nonzero counts are multiplicities, at the sorted
+        distinct indices nonzero in [0, limit].  The checks are the dense
+        constructor's, made on those two arrays, which the table then holds
+        read-only."""
+        ceiling = loose_count_bound(params.ell, limit)
+        if ceiling > int(np.iinfo(count_dtype(params.ell, limit)).max):
+            raise CounterWidthError(f"64-bit counters cannot hold worst-case count {ceiling}")
         if not nonzero.size or nonzero[0] != 0 or multiplicities[0] != 1:
             raise TableFormatError("count at 0 must be 1 (the all-zero tuple)")
         over = np.flatnonzero(multiplicities > (nonzero + 1) << params.ell)
@@ -277,44 +285,46 @@ def greedy_decompose(ell: int, b: int) -> tuple[tuple[int, ...], int]:
 
 
 def sieve_rep(params: WaringParams, limit: int) -> RepTable:
-    """Sieve all counts up to limit by enumerating every ordered tuple once.
+    """Sieve all counts up to limit by counting every ordered tuple once.
 
     ``head`` holds the sorted sums <= limit of all ordered (s-1)-tuples of
-    ell-th powers.  The counts of one output window [lo, hi) are then the
-    integer ``np.bincount`` of head[j] + p over every power p and every
-    head entry with lo <= head[j] + p < hi, found by binary search; those
-    sums are written in place into one int64 buffer per window, one
-    ``np.add(..., out=)`` per power.  The ordered s-tuples with sum <= limit
-    number about c * limit^(s/ell) with c <= 1 (c = 0.71 and 0.67 for
-    s = ell = 3, 4), so the work is O(limit).  The memory is the counts,
-    held as count_dtype, one window's buffer and head, which has about
-    limit^((s-1)/ell) entries.  Counts are exact: integers only, the
-    ceiling that the dtype holds is checked up front, and no windowing
-    changes a result.
+    ell-th powers, reduced to its distinct sums and their multiplicities.
+    For every power p, the multiplicity of each distinct sum h is then
+    added into the count at h + p, in place, one output window [lo, hi) at
+    a time; the distinct sums with lo <= h + p < hi are found by binary
+    search, and as they are distinct, so are the counts one power adds to.
+    The ordered s-tuples with sum <= limit number about c * limit^(s/ell)
+    with c <= 1 (c = 0.71 and 0.67 for s = ell = 3, 4), so the work is
+    O(limit).  The memory is the counts, held as count_dtype, and head,
+    which has about limit^((s-1)/ell) entries; a window bounds where the
+    adds land, not a buffer.  Counts are exact: integers only, the ceiling
+    that the dtype holds is checked up front, so no add wraps, and no
+    windowing changes a result.
     """
-    counts, _ = _sieve(params, limit)
+    counts, _, _ = _sieve(params, limit)
     return RepTable(params=params, limit=limit, counts=counts)
 
 
 def sieve_pair(ell: int, limit: int) -> tuple[RepTable, RepTable]:
     """The (ell, ell) and (ell, ell - 1) tables up to limit, from one sieve.
 
-    The full table is sieve_rep's.  The head of that sieve is the sorted
-    list of (ell - 1)-tuple sums <= limit, so the lower table is built from
-    it by RepTable.from_sums, with no second pass over the limit: its
-    nonzero index is the head's distinct sums.  Both tables equal
-    sieve_rep's, dense counts and dtype included.
+    The full table is sieve_rep's.  The head of that sieve holds the
+    (ell - 1)-tuple sums <= limit as their distinct values and
+    multiplicities, which are the lower table's nonzero index and its
+    counts there, so it is built from them with no second pass over the
+    limit.  Both tables equal sieve_rep's, dense counts and dtype included.
     """
     params = WaringParams(ell, ell)
-    counts, head = _sieve(params, limit)
+    counts, nonzero, multiplicities = _sieve(params, limit)
     return (
         RepTable(params=params, limit=limit, counts=counts),
-        RepTable.from_sums(WaringParams(ell, ell - 1), limit, head),
+        RepTable._from_index(WaringParams(ell, ell - 1), limit, nonzero, multiplicities),
     )
 
 
-def _sieve(params: WaringParams, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """sieve_rep's counts, as count_dtype, and its sorted int64 head."""
+def _sieve(params: WaringParams, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sieve_rep's counts, as count_dtype, and its head's distinct sums
+    (sorted int64) with their multiplicities (as count_dtype)."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     ceiling = loose_count_bound(params.ell, limit)
@@ -322,34 +332,44 @@ def _sieve(params: WaringParams, limit: int) -> tuple[np.ndarray, np.ndarray]:
         raise CounterWidthError(
             f"64-bit counters cannot hold worst-case count {ceiling} at limit {limit}"
         )
+    dtype = count_dtype(params.ell, limit)
     powers = np.asarray(_powers_up_to(params.ell, limit), dtype=np.int64)
     head = np.zeros(1, dtype=np.int64)
     for _ in range(params.s - 1):
         stops = np.searchsorted(head, limit - powers, side="right")
-        head = np.sort(_shifted_slices(head, powers, np.zeros_like(stops), stops))
-    counts = np.empty(limit + 1, dtype=count_dtype(params.ell, limit))
+        head = np.sort(_shifted_slices(head, powers, stops))
+    nonzero, multiplicities = _distinct_sums(head)
+    multiplicities = multiplicities.astype(dtype, copy=False)
+    counts = np.zeros(limit + 1, dtype=dtype)
     for lo in range(0, limit + 1, _WINDOW):
         hi = min(lo + _WINDOW, limit + 1)
+        window = counts[lo:hi]
         shifts = powers[powers < hi]
-        starts = np.searchsorted(head, lo - shifts)
-        stops = np.searchsorted(head, hi - shifts)
-        sums = _shifted_slices(head, shifts - lo, starts, stops)
-        counts[lo:hi] = np.bincount(sums, minlength=hi - lo)
-    return counts, head
+        starts = np.searchsorted(nonzero, lo - shifts).tolist()
+        stops = np.searchsorted(nonzero, hi - shifts).tolist()
+        for p, a, b in zip((shifts - lo).tolist(), starts, stops):
+            # the targets of one power are distinct, so += adds each once
+            window[nonzero[a:b] + p] += multiplicities[a:b]
+    return counts, nonzero, multiplicities
 
 
-def _shifted_slices(
-    head: np.ndarray, shifts: np.ndarray, starts: np.ndarray, stops: np.ndarray
-) -> np.ndarray:
-    """head[starts[i]:stops[i]] + shifts[i] for every i, one after another,
-    written in place into one int64 array sized by the slices."""
-    ends = np.cumsum(stops - starts).tolist()
+def _shifted_slices(head: np.ndarray, shifts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """head[:stops[i]] + shifts[i] for every i, one after another, written in
+    place into one int64 array sized by the prefixes."""
+    ends = np.cumsum(stops).tolist()
     out = np.empty(ends[-1], dtype=np.int64)
     at = 0
-    for p, a, b, end in zip(shifts.tolist(), starts.tolist(), stops.tolist(), ends):
-        np.add(head[a:b], p, out=out[at:end])
+    for p, b, end in zip(shifts.tolist(), stops.tolist(), ends):
+        np.add(head[:b], p, out=out[at:end])
         at = end
     return out
+
+
+def _distinct_sums(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of sorted int64 sums and how often each occurs,
+    both int64, found where neighbours differ."""
+    firsts = np.flatnonzero(np.diff(sums, prepend=-1))  # where each distinct sum begins
+    return sums[firsts], np.diff(firsts, append=sums.size)
 
 
 def _powers_up_to(ell: int, limit: int) -> list[int]:

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -115,6 +116,25 @@ class TestVerifyMaier:
         if report.verdict is Verdict.PASS and bound >= 1:
             members = maier_qualifying_set(table_729, 9, 4, cert.caps, 729, 1)
             assert members.size > 0
+
+    def test_unprintable_alpha_names_its_field(self, table_729):
+        # caps + 1 runs over the primes below 3000, so alpha's denominator
+        # is their product, of about 1,250 digits
+        primes = [p for p in range(2, 3000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        eps = (Fraction(1, 100),) * len(primes)
+        cert = worked_maier(K=len(primes) - 1, eps=eps, caps=tuple(p - 1 for p in primes))
+        unprintable = r"^alpha has more than 640 digits to print$"
+        default = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)  # the least limit Python accepts
+            with pytest.raises(ValueError, match=unprintable):
+                cert.to_json_dict()
+            with pytest.raises(ValueError, match=unprintable):
+                verify_maier(cert, table_729, residue_counts(3, 9))
+            sys.set_int_max_str_digits(0)  # no limit
+            assert parse_fraction(cert.to_json_dict()["alpha"]) == cert.alpha
+        finally:
+            sys.set_int_max_str_digits(default)
 
     def test_certificate_round_trip(self):
         cert = worked_maier()

@@ -308,6 +308,20 @@ class TestVerdictCommands:
         assert err == "waring-gaps: error: q^K2 has more than 4300 digits to print\n"
         assert not j.exists()
 
+    def test_pipeline_unprintable_alpha_names_its_field(self, tmp_path, capsys):
+        # at M = 1024 alpha's numerator has more than 15,000 digits
+        j = tmp_path / "pipe.json"
+        argv = ["--ell", "4", "--q", "3", "--pool", "1024", "--max-limit", "3000000"]
+        default = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)  # Python's default
+            assert run_cli("pipeline", *argv, "--json", str(j)) == 3
+        finally:
+            sys.set_int_max_str_digits(default)
+        err = capsys.readouterr().err
+        assert err == "waring-gaps: error: alpha has more than 4300 digits to print\n"
+        assert not j.exists()
+
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 

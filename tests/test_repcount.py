@@ -70,6 +70,16 @@ class TestParams:
             WaringParams(ell, s)
 
 
+# Limits on each side of the two places where count_dtype widens (from 1
+# to 2 bytes, and from 2 to 4), for each ell.
+WIDTH_EDGES = {3: [30, 31, 8190, 8191], 4: [14, 15, 4094, 4095]}
+
+
+@functools.lru_cache(maxsize=None)
+def bruteforce_counts(ell: int, s: int, limit: int) -> list[int]:
+    return rep_counts_bruteforce(ell, s, limit)
+
+
 class TestSieve:
     def test_single_cube_indicator(self):
         table = sieve_rep(WaringParams(3, 1), 10)
@@ -124,6 +134,35 @@ class TestSieve:
         assert full.counts.dtype == lower.counts.dtype == count_dtype(ell, limit)
         assert full.counts.tolist() == rep_counts_bruteforce(ell, ell, limit)
         assert lower.counts.tolist() == rep_counts_bruteforce(ell, ell - 1, limit)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ell_s=st.sampled_from([(ell, s) for ell in (3, 4) for s in range(1, ell + 1)]),
+        limit=st.integers(0, 300) | st.sampled_from(sorted(WIDTH_EDGES[3] + WIDTH_EDGES[4])),
+        window=st.sampled_from([1, 2, 7, 64]),
+    )
+    @example(ell_s=(3, 3), limit=30, window=1)
+    @example(ell_s=(3, 1), limit=31, window=2)
+    @example(ell_s=(3, 3), limit=8190, window=64)
+    @example(ell_s=(3, 2), limit=8191, window=7)
+    @example(ell_s=(4, 2), limit=14, window=1)
+    @example(ell_s=(4, 4), limit=15, window=7)
+    @example(ell_s=(4, 4), limit=4094, window=2)
+    @example(ell_s=(4, 1), limit=4095, window=1)
+    def test_rep_and_pair_match_bruteforce_in_small_windows(self, ell_s, limit, window):
+        ell, s = ell_s
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repcount, "_WINDOW", window)  # shifts below lo, empty slices
+            table = sieve_rep(WaringParams(ell, s), limit)
+            full, lower = sieve_pair(ell, limit)
+            single_lower = sieve_rep(WaringParams(ell, ell - 1), limit)
+        dtype = count_dtype(ell, limit)
+        assert table.counts.dtype == full.counts.dtype == lower.counts.dtype == dtype
+        assert table.counts.tolist() == bruteforce_counts(ell, s, limit)
+        assert full.counts.tolist() == bruteforce_counts(ell, ell, limit)
+        assert lower.counts.tolist() == bruteforce_counts(ell, ell - 1, limit)
+        assert np.array_equal(lower.nonzero, single_lower.nonzero)
+        assert np.array_equal(lower.counts, single_lower.counts)
 
     @pytest.mark.parametrize("ell", [3, 4])
     def test_convolution_consistency(self, ell):
