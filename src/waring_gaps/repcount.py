@@ -37,7 +37,6 @@ from .exact import fraction_str
 SUPPORTED_EXPONENTS = (3, 4)
 
 _MAGIC = b"WRT1"
-_INT64_MAX = 2**63 - 1
 # Indices handled at once by the sieve, whose adds it keeps within one
 # block of the counts, and by the table bound check and the nonzero index,
 # whose temporaries it bounds; it never changes a result.
@@ -75,10 +74,28 @@ class WaringParams:
 
 
 def count_dtype(ell: int, limit: int) -> np.dtype:
-    """The dtype of a table's counts: the unsigned integer of the binary
-    format's width (1, 2 or 4 bytes), or int64 where that width is 8."""
-    width = _binary_width(ell, limit)
-    return np.dtype(np.int64 if width == 8 else f"u{width}")
+    """The dtype of a table's counts, whose byte width the binary format
+    stores: the narrowest of uint8, uint16, uint32 and int64 that holds the
+    loose ceiling 2^ell*(limit+1).  A ceiling past int64 raises
+    CounterWidthError: the sieve, the constructor and the binary reader all
+    take their width from here."""
+    ceiling = loose_count_bound(ell, limit)
+    for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
+        if ceiling <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise CounterWidthError(
+        f"64-bit counters cannot hold worst-case count {ceiling} at limit {limit}"
+    )
+
+
+def _check_loose_bound(ell: int, index: np.ndarray, counts: np.ndarray) -> None:
+    """Raise TableFormatError naming the first n of the ascending int64
+    index whose count, at the same position of counts, exceeds 2^ell*(n+1)."""
+    over = np.flatnonzero(counts > (index + 1) << ell)
+    if over.size:
+        raise TableFormatError(
+            f"count at {int(index[over[0]])} exceeds the loose bound 2^ell*(n+1)"
+        )
 
 
 class RepTable:
@@ -86,15 +103,14 @@ class RepTable:
 
     RepTable(params, limit, counts) takes the counts dense.  Their dtype
     must hold the loose ceiling 2^ell*(limit+1).  Once every check has
-    passed, they are held as count_dtype(ell, limit), converted from any
-    other dtype; a narrowed copy cannot wrap, as every count is then at
-    most the ceiling.
+    passed, they are held as count_dtype(ell, limit), the one width rule,
+    converted from any other dtype; a narrowed copy cannot wrap, as every
+    count is then at most the ceiling.
 
-    RepTable.from_sums(params, limit, sums) takes the sorted tuple sums
-    instead.  Their distinct values are the nonzero index and their
-    multiplicities the counts there, so count and next_nonzero read the
-    index alone.  The dense counts, as count_dtype, are built on first read
-    and cached.
+    sieve_pair builds its lower table with RepTable._from_index, from the
+    sorted distinct tuple sums and their multiplicities: the nonzero index
+    and the counts there, so count and next_nonzero read the index alone.
+    The dense counts, as count_dtype, are built on first read and cached.
     """
 
     def __init__(self, params: WaringParams, limit: int, counts: np.ndarray) -> None:
@@ -116,13 +132,8 @@ class RepTable:
         # at most the largest count, so only an index below stop can.
         stop = min(limit + 1, int(counts.max()) >> params.ell)
         for lo in range(0, stop, _WINDOW):
-            block = counts[lo : min(lo + _WINDOW, stop)]
-            bound = (1 << params.ell) * np.arange(lo + 1, lo + 1 + block.size, dtype=np.int64)
-            over = np.flatnonzero(block > bound)
-            if over.size:
-                raise TableFormatError(
-                    f"count at {lo + int(over[0])} exceeds the loose bound 2^ell*(n+1)"
-                )
+            hi = min(lo + _WINDOW, stop)
+            _check_loose_bound(params.ell, np.arange(lo, hi, dtype=np.int64), counts[lo:hi])
         dtype = count_dtype(params.ell, limit)
         if counts.dtype != dtype:
             counts = counts.astype(dtype)
@@ -130,39 +141,17 @@ class RepTable:
         vars(self).update(params=params, limit=limit, counts=counts, _nonzero_counts=None)
 
     @classmethod
-    def from_sums(cls, params: WaringParams, limit: int, sums: np.ndarray) -> RepTable:
-        """The table of the tuple sums <= limit, given as one sorted 1-D
-        integer array with each sum once per tuple: the index table of its
-        distinct values and their multiplicities."""
-        if limit < 0:
-            raise ValueError("limit must be nonnegative")
-        sums = np.asarray(sums)
-        if sums.ndim != 1 or sums.dtype.kind not in "iu":
-            raise TableFormatError("sums must be a 1-D array of integers")
-        if (sums[1:] < sums[:-1]).any():
-            raise TableFormatError("sums must be sorted")
-        if sums.size and not 0 <= sums[0] <= sums[-1] <= limit:
-            raise TableFormatError(f"sums must lie in [0, {limit}]")
-        return cls._from_index(params, limit, *_distinct_sums(sums.astype(np.int64, copy=False)))
-
-    @classmethod
     def _from_index(
         cls, params: WaringParams, limit: int, nonzero: np.ndarray, multiplicities: np.ndarray
     ) -> RepTable:
         """The table whose nonzero counts are multiplicities, at the sorted
-        distinct indices nonzero in [0, limit].  The checks are the dense
-        constructor's, made on those two arrays, which the table then holds
-        read-only."""
-        ceiling = loose_count_bound(params.ell, limit)
-        if ceiling > int(np.iinfo(count_dtype(params.ell, limit)).max):
-            raise CounterWidthError(f"64-bit counters cannot hold worst-case count {ceiling}")
+        distinct int64 indices nonzero in [0, limit], with multiplicities
+        as count_dtype(ell, limit).  The count at 0 and the loose bounds are
+        checked as the dense constructor checks them, on those two arrays,
+        which the table then holds read-only."""
         if not nonzero.size or nonzero[0] != 0 or multiplicities[0] != 1:
             raise TableFormatError("count at 0 must be 1 (the all-zero tuple)")
-        over = np.flatnonzero(multiplicities > (nonzero + 1) << params.ell)
-        if over.size:
-            raise TableFormatError(
-                f"count at {int(nonzero[over[0]])} exceeds the loose bound 2^ell*(n+1)"
-            )
+        _check_loose_bound(params.ell, nonzero, multiplicities)
         nonzero.setflags(write=False)
         multiplicities.setflags(write=False)
         table = cls.__new__(cls)
@@ -180,8 +169,8 @@ class RepTable:
     @cached_property
     def counts(self) -> np.ndarray:
         """The read-only dense counts, as count_dtype: given to the
-        constructor, or for a table built from sums, filled from its nonzero
-        index on first read."""
+        constructor, or for an index table, filled from its nonzero index on
+        first read."""
         counts = np.zeros(self.limit + 1, dtype=count_dtype(self.params.ell, self.limit))
         counts[self.nonzero] = self._nonzero_counts
         counts.setflags(write=False)
@@ -199,11 +188,11 @@ class RepTable:
 
     @cached_property
     def nonzero(self) -> np.ndarray:
-        """Sorted, read-only int64 indices of the nonzero counts.  A table
-        built from sums holds them from the start; a dense table builds
-        them on first use into an array sized by one count, one _WINDOW
-        block at a time: a block's bool mask is far cheaper to search than
-        the counts themselves, and the index is never held twice."""
+        """Sorted, read-only int64 indices of the nonzero counts.  An index
+        table holds them from the start; a dense table builds them on first
+        use into an array sized by one count, one _WINDOW block at a time: a
+        block's bool mask is far cheaper to search than the counts
+        themselves, and the index is never held twice."""
         index = np.empty(np.count_nonzero(self.counts), dtype=np.int64)
         at = 0
         for lo in range(0, self.limit + 1, _WINDOW):
@@ -327,12 +316,7 @@ def _sieve(params: WaringParams, limit: int) -> tuple[np.ndarray, np.ndarray, np
     (sorted int64) with their multiplicities (as count_dtype)."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    ceiling = loose_count_bound(params.ell, limit)
-    if ceiling > _INT64_MAX:
-        raise CounterWidthError(
-            f"64-bit counters cannot hold worst-case count {ceiling} at limit {limit}"
-        )
-    dtype = count_dtype(params.ell, limit)
+    dtype = count_dtype(params.ell, limit)  # raises before anything is allocated
     powers = np.asarray(_powers_up_to(params.ell, limit), dtype=np.int64)
     head = np.zeros(1, dtype=np.int64)
     for _ in range(params.s - 1):
@@ -910,14 +894,6 @@ def read_table_csv(path: str | Path, params: WaringParams) -> RepTable:
     return RepTable(params=params, limit=counts.size - 1, counts=counts)
 
 
-def _binary_width(ell: int, limit: int) -> int:
-    ceiling = loose_count_bound(ell, limit)
-    for width in (1, 2, 4, 8):
-        if ceiling <= (1 << (8 * width)) - 1:
-            return width
-    raise CounterWidthError(f"no supported width holds worst-case count {ceiling}")
-
-
 def _file_dtype(width: int) -> np.dtype:
     """The little-endian dtype that holds counts of the given byte width as
     stored: unsigned, but signed at width 8, whose nonnegative counts have
@@ -930,10 +906,10 @@ def write_table_binary(table: RepTable, path: str | Path) -> None:
 
     Layout: magic WRT1, then ell, s, limit and the count byte width as
     unsigned 64-bit little-endian, then limit+1 counts as fixed-width
-    little-endian unsigned integers.  The counts already have that width,
-    so on a little-endian host their buffer is written as it is.
+    little-endian unsigned integers.  That width is the counts' own, set by
+    count_dtype, so on a little-endian host their buffer is written as it is.
     """
-    width = _binary_width(table.params.ell, table.limit)
+    width = table.counts.itemsize
     header = struct.pack("<QQQQ", table.params.ell, table.params.s, table.limit, width)
     write_output(path, [_MAGIC, header, table.counts.astype(_file_dtype(width), copy=False)])
 

@@ -12,6 +12,7 @@ never conflated.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import operator
 from dataclasses import dataclass
@@ -135,13 +136,7 @@ class HalfFunction:
     @classmethod
     def constant(cls, value: int) -> "HalfFunction":
         value = int(value)
-        return cls(
-            coefficient_fn=lambda n: value if n == 0 else 0,
-            c=Fraction(abs(value)),
-            label=f"const_{value}",
-            nonnegative=value >= 0,
-            nonzero=(0,) if value else (),
-        )
+        return cls.from_coefficients({0: value}, c=Fraction(abs(value)), label=f"const_{value}")
 
     @classmethod
     def from_coefficients(
@@ -459,9 +454,10 @@ def _checks(
 
     walk must start at or below every nonnegative n.  It is read on until
     the first nonzero at or past the largest n up to coverage + 1, or
-    through that n's zero window; one searchsorted then gives each n its
-    first nonzero, which decides the zero clause.  tails encloses the
-    tails of the n that pass it, from the same walk.
+    through that n's zero window; one bisection of the positions read then
+    gives each n its first nonzero, which decides the zero clause: it holds
+    when there is none.  tails encloses the tails of the n that pass it,
+    from the same walk.
     """
     f = walk.f
     bound = None if f.coverage is None else f.coverage + 1
@@ -470,16 +466,16 @@ def _checks(
     if reached:
         top = max(reached)
         walk.extend(top + gap_length, stop=top)
-    index = np.array(walk.positions, dtype=np.int64)
-    following = np.append(index, np.iinfo(np.int64).max)[np.searchsorted(index, ns)]
+    positions = walk.positions
     results: list = [None] * len(ns)
     passed, starts, cutoffs = [], [], []
-    for i, (n, k) in enumerate(zip(ns, following.tolist())):
+    for i, n in enumerate(ns):
         start = n + gap_length
+        j = bisect.bisect_left(positions, n)
         if n < 0:
             results[i] = functools.partial(f.coefficient, n)
-        elif k < start:
-            detail = f"coefficient at {k} is nonzero"
+        elif j < len(positions) and positions[j] < start:
+            detail = f"coefficient at {positions[j]} is nonzero"
             results[i] = MildGapCheck(Verdict.FAIL, n, failed_clause="zero-run", detail=detail)
         elif bound is not None and start > bound:
             results[i] = functools.partial(f.coefficient, max(n, bound))

@@ -837,10 +837,17 @@ class TestCountDtype:
             (3, 30, np.uint8), (3, 31, np.uint16),
             (4, 14, np.uint8), (4, 15, np.uint16), (4, 4094, np.uint16), (4, 4095, np.uint32),
             (4, 2**28 - 2, np.uint32), (4, 2**28 - 1, np.int64),
+            (3, 2**60 - 2, np.int64), (4, 2**59 - 2, np.int64),
         ],
     )
     def test_rule_at_width_boundaries(self, ell, limit, dtype):
         assert count_dtype(ell, limit) == np.dtype(dtype)
+
+    @pytest.mark.parametrize("ell,limit", [(3, 2**60 - 1), (4, 2**59 - 1)])
+    def test_no_width_past_int64(self, ell, limit):
+        # the ceiling 2^ell * (limit + 1) is 2^63 here, one past int64
+        with pytest.raises(CounterWidthError, match=f"at limit {limit}"):
+            count_dtype(ell, limit)
 
     @pytest.mark.parametrize("limit", [14, 15, 16, 4094, 4095, 4096])
     @pytest.mark.parametrize("s", [1, 4])
@@ -1153,7 +1160,7 @@ def lower_and_oracle(ell: int, limit: int) -> tuple[RepTable, np.ndarray]:
 
 class TestSumsTable:
     """The (ell, ell - 1) table that sieve_pair builds from the sieve's
-    sorted head, and RepTable.from_sums's checks."""
+    sorted head, and RepTable._from_index's checks."""
 
     @pytest.mark.parametrize("ell", [3, 4])
     def test_index_and_counts_match_sieve_and_oracles(self, ell):
@@ -1208,46 +1215,47 @@ class TestSumsTable:
         assert not counts.flags.writeable
         assert lower.counts is counts
 
+    @staticmethod
+    def index_table(ell: int, limit: int, nonzero: list, multiplicities: list) -> RepTable:
+        return RepTable._from_index(
+            WaringParams(ell, 2),
+            limit,
+            np.array(nonzero, dtype=np.int64),
+            np.array(multiplicities, dtype=count_dtype(ell, limit)),
+        )
+
     @pytest.mark.parametrize(
         "sums, limit",
         [
-            ([], 10),
-            ([1, 2], 10),
-            ([0, 0], 10),
-            ([0, 0, 0, 3], 10),
+            # the distinct sums and their multiplicities
+            (([], []), 10),
+            (([1, 2], [1, 1]), 10),
+            (([0], [2]), 10),
+            (([0, 3], [3, 1]), 10),
         ],
     )
     def test_rejects_count_at_zero_other_than_one(self, sums, limit):
         with pytest.raises(TableFormatError, match="count at 0 must be 1"):
-            RepTable.from_sums(WaringParams(3, 2), limit, np.array(sums, dtype=np.int64))
+            self.index_table(3, limit, *sums)
 
     @pytest.mark.parametrize("ell", [3, 4])
     def test_rejects_count_over_loose_bound(self, ell):
-        # 2^ell * (n + 1) copies of n are allowed; one more is not
-        at_bound = [0, *[1] * (2 << ell), *[5] * (6 << ell)]
-        table = RepTable.from_sums(WaringParams(ell, 2), 10, np.array(at_bound))
+        # a count of 2^ell * (n + 1) at n is allowed; one more is not
+        table = self.index_table(ell, 10, [0, 1, 5], [1, 2 << ell, 6 << ell])
         assert (table.count(1), table.count(5)) == (2 << ell, 6 << ell)
-        over = [0, *[1] * (2 << ell), *[5] * ((6 << ell) + 1), 7]
         with pytest.raises(TableFormatError, match="count at 5 exceeds the loose bound"):
-            RepTable.from_sums(WaringParams(ell, 2), 10, np.array(over))
-
-    @pytest.mark.parametrize(
-        "sums, message",
-        [
-            ([0, 3, 2], "sorted"),
-            ([0, 3, 11], r"lie in \[0, 10\]"),
-            ([-1, 0, 3], r"lie in \[0, 10\]"),
-            (np.array([0.0, 3.0]), "integers"),
-            (np.array([[0, 3]]), "integers"),
-        ],
-    )
-    def test_rejects_sums_that_are_not_a_table(self, sums, message):
-        with pytest.raises(TableFormatError, match=message):
-            RepTable.from_sums(WaringParams(3, 2), 10, np.asarray(sums))
+            self.index_table(ell, 10, [0, 1, 5, 7], [1, 2 << ell, (6 << ell) + 1, 1])
 
     def test_width_ceiling_checked(self):
-        with pytest.raises(CounterWidthError):
-            RepTable.from_sums(WaringParams(3, 2), 2**61, np.zeros(1, dtype=np.int64))
+        # the sieve would list 1.3 million cubes before its first sum; it lists none
+        tracemalloc.start()
+        try:
+            with pytest.raises(CounterWidthError):
+                sieve_pair(3, 2**61)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_immutable(self):
         lower = sieve_pair(3, 100)[1]
