@@ -1272,6 +1272,9 @@ def half_function_from_spec(spec: dict, base_dir: Path | None = None) -> HalfFun
                 _checked(n, "int", "field entries"): _checked(a, "int", "field entries")
                 for n, a in pairs
             }
+            huge = next((n for n in values if n >= 2**63), None)
+            if huge is not None:
+                raise ValueError(f"field entries: index {huge} is past 2^63 - 1")
         else:
             values = {
                 n: _checked(a, "int", "field values")

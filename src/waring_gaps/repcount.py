@@ -108,8 +108,8 @@ class RepTable:
     count is then at most the ceiling.
 
     sieve_pair builds its lower table with RepTable._from_index, from the
-    sorted distinct tuple sums and their multiplicities: the nonzero index
-    and the counts there, so count and next_nonzero read the index alone.
+    sorted distinct tuple sums and their multiplicities: nonzero and
+    nonzero_counts, so count and next_nonzero read the index alone.
     The dense counts, as count_dtype, are built on first read and cached.
     """
 
@@ -138,7 +138,7 @@ class RepTable:
         if counts.dtype != dtype:
             counts = counts.astype(dtype)
         counts.setflags(write=False)
-        vars(self).update(params=params, limit=limit, counts=counts, _nonzero_counts=None)
+        vars(self).update(params=params, limit=limit, counts=counts)
 
     @classmethod
     def _from_index(
@@ -156,7 +156,7 @@ class RepTable:
         multiplicities.setflags(write=False)
         table = cls.__new__(cls)
         vars(table).update(
-            params=params, limit=limit, nonzero=nonzero, _nonzero_counts=multiplicities
+            params=params, limit=limit, nonzero=nonzero, nonzero_counts=multiplicities
         )
         return table
 
@@ -172,7 +172,7 @@ class RepTable:
         constructor, or for an index table, filled from its nonzero index on
         first read."""
         counts = np.zeros(self.limit + 1, dtype=count_dtype(self.params.ell, self.limit))
-        counts[self.nonzero] = self._nonzero_counts
+        counts[self.nonzero] = self.nonzero_counts
         counts.setflags(write=False)
         return counts
 
@@ -180,11 +180,9 @@ class RepTable:
         """Exact count at n, as a Python integer."""
         if not 0 <= n <= self.limit:
             raise IndexError(f"index {n} outside table range [0, {self.limit}]")
-        if self._nonzero_counts is None:
-            return int(self.counts[n])
         at = int(np.searchsorted(self.nonzero, n))
         found = at < self.nonzero.size and self.nonzero[at] == n
-        return int(self._nonzero_counts[at]) if found else 0
+        return int(self.nonzero_counts[at]) if found else 0
 
     @cached_property
     def nonzero(self) -> np.ndarray:
@@ -201,6 +199,15 @@ class RepTable:
             at += block.size
         index.setflags(write=False)
         return index
+
+    @cached_property
+    def nonzero_counts(self) -> np.ndarray:
+        """The read-only counts at the nonzero index, as count_dtype: an
+        index table holds them from the start; a dense table gathers them
+        on first use."""
+        counts = self.counts[self.nonzero]
+        counts.setflags(write=False)
+        return counts
 
     def next_nonzero(self, points: int | np.ndarray) -> int | np.ndarray:
         """For each point p, the least n >= p with a nonzero count, or
@@ -351,9 +358,11 @@ def _shifted_slices(head: np.ndarray, shifts: np.ndarray, stops: np.ndarray) -> 
 
 def _distinct_sums(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of sorted int64 sums and how often each occurs,
-    both int64, found where neighbours differ."""
-    firsts = np.flatnonzero(np.diff(sums, prepend=-1))  # where each distinct sum begins
-    return sums[firsts], np.diff(firsts, append=sums.size)
+    both int64, found where neighbours differ.  sums is never empty: a
+    sieve head always holds the sum 0."""
+    # where each run of equal sums begins, and where the last one ends
+    bounds = np.flatnonzero(np.concatenate(([True], sums[1:] != sums[:-1], [True])))
+    return sums[bounds[:-1]], np.diff(bounds)
 
 
 def _powers_up_to(ell: int, limit: int) -> list[int]:

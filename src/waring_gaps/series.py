@@ -1,13 +1,13 @@
 """Integer power series convergent on |z| <= 1/2, with certified tails.
 
-A series here carries its coefficients (exact integers), a linear growth
-certificate c with |a_n| <= c*(n+1) checked on every access, and enough
-provenance to serialize witnesses.  Real numbers only ever appear as
-enclosures: pairs of exact rationals [lo, hi] produced together with the
-majorant that justifies them.  Gap detection is three-valued: a tail
-clause compared against an enclosure can be definitely true, definitely
-false, or undecided at the chosen cutoff, and the three outcomes are
-never conflated.
+A series here carries its nonzero coefficients (exact integers), a linear
+growth certificate c with |a_n| <= c*(n+1) checked once, when the series
+is built, and enough provenance to serialize witnesses.  Real numbers only
+ever appear as enclosures: pairs of exact rationals [lo, hi] produced
+together with the majorant that justifies them.  Gap detection is
+three-valued: a tail clause compared against an enclosure can be
+definitely true, definitely false, or undecided at the chosen cutoff, and
+the three outcomes are never conflated.
 """
 
 from __future__ import annotations
@@ -18,12 +18,20 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .exact import fraction_str
 from .repcount import RepTable
+
+
+# A tail majorant starts at most this far past the index it is asked for.
+# The coefficients in between are zero, so a majorant started anywhere among
+# them is sound; it only grows wider the earlier it starts.  The cap keeps its
+# numbers to about this many bits when the next nonzero term is astronomically
+# far away.
+_MAJORANT_REACH = 1 << 12
 
 
 class GrowthCertificateError(ArithmeticError):
@@ -86,37 +94,41 @@ class Enclosure:
 
 
 class HalfFunction:
-    """Coefficient accessor with a growth certificate and provenance label.
+    """A power series held as its nonzero terms, with a growth certificate
+    and a provenance label.
 
-    coverage is the largest index whose coefficient is known (None when
-    every index is); nonnegative marks series certified to have no
-    negative coefficient, which sharpens evaluation enclosures.  nonzero
-    is the required sorted index of every position, up to coverage, that
-    may hold a nonzero coefficient: a table's nonzero counts, a
-    polynomial's support, or the union of a combination's parts.  It may
-    list positions whose coefficient is zero, never omit one that is not.
+    positions is the sorted int64 index of every position, up to coverage,
+    whose coefficient is nonzero, and values holds those coefficients in the
+    same order: a table's counts, or Python ints in an object array.  Every
+    other coefficient up to coverage is zero.  coverage is the largest index
+    whose coefficient is known (None when every index is); nonnegative marks
+    series certified to have no negative coefficient, which sharpens
+    evaluation enclosures.  c certifies |a_n| <= c*(n+1) for every n, which
+    every tail majorant relies on.  The constructor takes c as given; each
+    named constructor makes it hold: RepTable checks a table's counts,
+    from_coefficients checks every entry, and a combination inherits the
+    bound from its parts.
     """
 
     def __init__(
         self,
-        coefficient_fn: Callable[[int], int],
+        positions: Sequence[int] | np.ndarray,
+        values: Sequence[int] | np.ndarray,
         c: Fraction,
         label: str,
         coverage: int | None = None,
         nonnegative: bool = False,
-        *,
-        nonzero: Sequence[int] | np.ndarray,
     ) -> None:
         c = Fraction(c)
         if c < 0:
             raise ValueError("growth certificate must be nonnegative")
-        self._fn = coefficient_fn
+        self.positions = np.asarray(positions, dtype=np.int64)
+        self.values = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
         self.c = c
         self._c_num, self._c_den = c.numerator, c.denominator
         self.label = label
         self.coverage = coverage
         self.nonnegative = nonnegative
-        self._nonzero = np.asarray(nonzero, dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"HalfFunction({self.label!r}, c={self.c})"
@@ -124,14 +136,8 @@ class HalfFunction:
     @classmethod
     def from_table(cls, table: RepTable) -> "HalfFunction":
         ell, s = table.params.ell, table.params.s
-        return cls(
-            coefficient_fn=table.count,
-            c=Fraction(1 << ell),
-            label=f"f_{ell}_{s}",
-            coverage=table.limit,
-            nonnegative=True,
-            nonzero=table.nonzero,
-        )
+        return cls(table.nonzero, table.nonzero_counts, Fraction(1 << ell), f"f_{ell}_{s}",
+                   coverage=table.limit, nonnegative=True)
 
     @classmethod
     def constant(cls, value: int) -> "HalfFunction":
@@ -145,95 +151,79 @@ class HalfFunction:
         c: Fraction | None = None,
         label: str = "poly",
     ) -> "HalfFunction":
-        """Polynomial given densely or as an index -> coefficient map."""
+        """Polynomial given densely or as an index -> coefficient map.  A
+        given c is checked against every entry, in ascending index order."""
         if isinstance(values, dict):
             entries = {int(n): int(a) for n, a in values.items() if a}
         else:
             entries = {n: int(a) for n, a in enumerate(values) if a}
         if any(n < 0 for n in entries):
             raise ValueError("coefficient indices must be nonnegative")
+        positions = sorted(entries)
+        coefficients = [entries[n] for n in positions]
         if c is None:
             c = max((Fraction(abs(a), n + 1) for n, a in entries.items()), default=Fraction(0))
-        return cls(
-            coefficient_fn=lambda n: entries.get(n, 0),
-            c=Fraction(c),
-            label=label,
-            nonnegative=all(a >= 0 for a in entries.values()),
-            nonzero=sorted(entries),
-        )
+        f = cls(positions, coefficients, c, label, nonnegative=all(a >= 0 for a in coefficients))
+        for n, a in zip(positions, coefficients):
+            if abs(a) * f._c_den > f._c_num * (n + 1):
+                raise GrowthCertificateError(
+                    f"{label}: |a_{n}| = {abs(a)} exceeds c*(n+1) = {f.c * (n + 1)}"
+                )
+        return f
 
     def coefficient(self, n: int) -> int:
-        """Exact coefficient at n; checks coverage and the growth bound."""
+        """Exact coefficient at n; checks coverage."""
         if n < 0:
             raise IndexError("coefficient index must be nonnegative")
         if self.coverage is not None and n > self.coverage:
             raise CoverageError(
                 f"{self.label}: coefficient {n} beyond coverage {self.coverage}"
             )
-        a = int(self._fn(n))
-        if abs(a) * self._c_den > self._c_num * (n + 1):
-            raise GrowthCertificateError(
-                f"{self.label}: |a_{n}| = {abs(a)} exceeds c*(n+1) = {self.c * (n + 1)}"
-            )
-        return a
+        values = self._terms(n, n + 1)[1]
+        return values[0] if values else 0
 
-    def _nonzero_terms(self, lo: int, hi: int | None) -> Iterator[tuple[int, int]]:
-        """(k, a_k) for each k in [lo, hi) with a nonzero exact coefficient,
-        ascending; hi None means no upper end.  Only the index's positions
-        are read, each through coefficient.  A window that passes coverage
-        reads max(lo, coverage + 1) last, which raises CoverageError after
-        every earlier nonzero."""
-        stop = hi
-        if self.coverage is not None and (hi is None or hi > self.coverage + 1):
-            stop = self.coverage + 1
-        i = np.searchsorted(self._nonzero, lo)
-        j = None if stop is None else np.searchsorted(self._nonzero, stop)
-        for k in map(int, self._nonzero[i:j]):
-            a = self.coefficient(k)
-            if a:
-                yield k, a
-        if stop != hi and (hi is None or lo < hi):
-            self.coefficient(max(lo, stop))
+    def _terms(self, lo: int, hi: int | None = None) -> tuple[list[int], list[int]]:
+        """The positions and coefficients, as Python ints, of the nonzero
+        terms in [lo, hi), ascending; hi None means no upper end."""
+        i = np.searchsorted(self.positions, lo)
+        j = None if hi is None else np.searchsorted(self.positions, hi)
+        return self.positions[i:j].tolist(), self.values[i:j].tolist()
 
     def tail_majorant_start(self, n: int) -> int | None:
         """Smallest index >= n not certified to hold a zero coefficient: the
-        first term of the walk from n.  Past coverage nothing is certified,
-        so the answer is at most max(n, coverage + 1); None means the series
-        is certified zero from n on.  Every coefficient between n and the
-        result is exactly zero, so the result is a sound start for a tail
-        majorant.
+        first nonzero term from n on, else, as nothing past coverage is
+        certified, max(n, coverage + 1); None means the series is certified
+        zero from n on.  Every coefficient between n and the result is
+        exactly zero, so the result is a sound start for a tail majorant.
         """
-        end = None if self.coverage is None else max(n, self.coverage + 1)
-        return next((k for k, _ in self._nonzero_terms(n, end)), end)
+        i = int(np.searchsorted(self.positions, n))
+        if i < self.positions.size:
+            return int(self.positions[i])
+        return None if self.coverage is None else max(n, self.coverage + 1)
 
 
 def linear_combination(
     alphas: Sequence[int], parts: Sequence[HalfFunction]
 ) -> HalfFunction:
-    """Integer combination sum(alpha_j * f_j) with certificate sum(|alpha_j| * c_j)."""
+    """Integer combination sum(alpha_j * f_j) with certificate sum(|alpha_j| * c_j).
+
+    The parts' terms up to the least coverage are merged in exact integers,
+    and terms that cancel are dropped.  The certificate holds by the
+    triangle inequality, since each part's does."""
     if len(alphas) != len(parts):
         raise ValueError("alphas and parts must have equal length")
     alphas = [int(a) for a in alphas]
     c = sum((abs(a) * f.c for a, f in zip(alphas, parts)), Fraction(0))
     coverages = [f.coverage for f in parts if f.coverage is not None]
     coverage = min(coverages) if coverages else None
-    nonzero = functools.reduce(np.union1d, [f._nonzero for f in parts], np.empty(0, dtype=np.int64))
-    nonnegative = all(
-        a >= 0 and f.nonnegative or a == 0 for a, f in zip(alphas, parts)
-    )
+    nonnegative = all(a >= 0 and f.nonnegative or a == 0 for a, f in zip(alphas, parts))
     label = "+".join(f"{a}*{f.label}" for a, f in zip(alphas, parts)) or "zero"
-
-    def fn(n: int) -> int:
-        return sum(a * f.coefficient(n) for a, f in zip(alphas, parts) if a)
-
-    return HalfFunction(
-        coefficient_fn=fn,
-        c=c,
-        label=label,
-        coverage=coverage,
-        nonnegative=nonnegative,
-        nonzero=nonzero,
-    )
+    terms: dict[int, int] = {}
+    for a, f in zip(alphas, parts):
+        for k, value in zip(*f._terms(0, None if coverage is None else coverage + 1)):
+            terms[k] = terms.get(k, 0) + a * value
+    positions = sorted(k for k, value in terms.items() if value)
+    return HalfFunction(positions, [terms[k] for k in positions], c, label, coverage, nonnegative)
 
 
 class Verdict(str, Enum):
@@ -332,12 +322,13 @@ class _Walk:
             hi = min(hi, self.f.coverage + 1)
         if hi <= self.read_to:
             return
-        for k, a in self.f._nonzero_terms(self.read_to, hi):
-            self.positions.append(k)
-            self.magnitudes.append(abs(a))
-            if stop is not None and k >= stop:
-                self.read_to = k + 1
-                return
+        positions, values = self.f._terms(self.read_to, hi)
+        if stop is not None:
+            at = bisect.bisect_left(positions, stop)
+            if at < len(positions):
+                positions, values, hi = positions[: at + 1], values[: at + 1], positions[at] + 1
+        self.positions += positions
+        self.magnitudes += map(abs, values)
         self.read_to = hi
 
 
@@ -359,9 +350,9 @@ def _tail_enclosures(walk: _Walk, starts: Sequence[int], cutoffs: Sequence[int])
     """The tail_norm enclosure for each (start, cutoff), or the deferred read
     that fails it, from walk: it must have read every coefficient from the
     smallest start on up to its read_to.  The walk goes on to the largest
-    cutoff and, if some cutoff has no nonzero at or past it yet, to the first
-    one past it: every partial sum and majorant start is then one searchsorted
-    away.  A tail that reaches past coverage + 1 fails at the read of the
+    cutoff, so every partial sum is one searchsorted away, and so is every
+    majorant start but one past all the terms read, which tail_majorant_start
+    finds.  A tail that reaches past coverage + 1 fails at the read of the
     first index beyond coverage, once the walk has read up to it."""
     if not starts:
         return []
@@ -394,6 +385,7 @@ def _tail_enclosures(walk: _Walk, starts: Sequence[int], cutoffs: Sequence[int])
         if majorant_at is None:
             out.append(Enclosure(lo, lo))
             continue
+        majorant_at = min(majorant_at, cutoff + _MAJORANT_REACH)
         # hi = lo + 8*c*n0 / 2^(n0-start) over the one denominator den * 2^(n0-start)
         shift = majorant_at - start
         numerator = (partial << (shift - terms + 1)) * f._c_den + 8 * f._c_num * majorant_at
@@ -406,9 +398,10 @@ def tail_norm(f: HalfFunction, start: int, cutoff: int) -> Enclosure:
 
     The lower end is the exact partial sum over i < cutoff - start.  The
     upper end adds the linear-growth majorant 8*c*n0, applied at the
-    first index n0 >= cutoff not certified to be zero and scaled back by
-    the elapsed power of two; when the series is certified zero from the
-    cutoff on, the partial sum is the whole tail.  This is the tail of
+    first index n0 >= cutoff not certified to be zero, or at cutoff +
+    _MAJORANT_REACH if that comes first, and scaled back by the elapsed
+    power of two; when the series is certified zero from the cutoff on,
+    the partial sum is the whole tail.  This is the tail of
     mild_gap_checks on one element.
     """
     if start < 1:
@@ -521,8 +514,7 @@ def mild_gap_checks(
     max(64, 4*gap_length), clamped to coverage.  If some n cannot be tested
     (it is negative, its window passes coverage, or the cutoff precedes its
     tail), the exception is the one that testing each n in turn would raise
-    first; a coefficient that breaks its growth certificate anywhere in a
-    walk raises at once.
+    first.
     """
     tail_bound = _valid_tail_bound(gap_length, tail_bound)
     ns = [operator.index(n) for n in ns]
@@ -602,7 +594,7 @@ def scan_mild_gaps(
         _checks(walk, candidates, gap_length, tail_bound, cutoff, _tail_enclosures)
     )
     if known < end:
-        list(f._nonzero_terms(known, end))  # past coverage: raises CoverageError
+        f.coefficient(known)  # past coverage: raises CoverageError
     return MildGapScan(
         witnesses=tuple(c.witness for c in checks if c.is_witness),
         inconclusive=tuple(c.n for c in checks if c.verdict is Verdict.INCONCLUSIVE),
@@ -621,8 +613,10 @@ def eval_truncated(f: HalfFunction, q: int, terms: int) -> Fraction:
         raise ValueError("terms must be nonnegative")
     if terms == 0:
         return Fraction(0)
+    if f.coverage is not None and terms > f.coverage + 1:
+        f.coefficient(f.coverage + 1)  # raises CoverageError
     numerator, last = 0, 0
-    for k, a in f._nonzero_terms(0, terms):
+    for k, a in zip(*f._terms(0, terms)):
         numerator, last = numerator * q ** (k - last) + a, k
     return Fraction(numerator, q**last)
 
@@ -639,15 +633,16 @@ def eval_enclosure(f: HalfFunction, q: int, terms: int) -> Enclosure:
     """Enclose f(1/q) from the first `terms` coefficients.
 
     The tail majorant starts not at `terms` but at the first index beyond
-    it that the accessor cannot certify to be zero, so a certified gap
-    tightens the enclosure.  Series certified nonnegative get a one-sided
-    enclosure [T, T + tail]; general series get [T - tail, T + tail].
+    it that the series cannot certify to be zero, capped at terms +
+    _MAJORANT_REACH, so a certified gap tightens the enclosure.  Series
+    certified nonnegative get a one-sided enclosure [T, T + tail]; general
+    series get [T - tail, T + tail].
     """
     value = eval_truncated(f, q, terms)
     start = f.tail_majorant_start(terms)
     if start is None:
         return Enclosure(value, value)
-    tail = _tail_majorant(f.c, q, start)
+    tail = _tail_majorant(f.c, q, min(start, terms + _MAJORANT_REACH))
     if f.nonnegative:
         return Enclosure(value, value + tail)
     return Enclosure(value - tail, value + tail)

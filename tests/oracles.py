@@ -240,6 +240,15 @@ def exceptional_members_bruteforce(
     return members
 
 
+def first_growth_fault_bruteforce(entries: dict[int, int], c: Fraction) -> int | None:
+    """The least index n with |a_n| > c*(n + 1), compared as Fractions, or
+    None when every entry keeps its bound."""
+    for n in range(max(entries, default=-1) + 1):
+        if Fraction(abs(entries.get(n, 0))) > c * (n + 1):
+            return n
+    return None
+
+
 def first_nonzero_bruteforce(
     values: list[int], coverage: int | None, stop: int
 ) -> list[int | None]:

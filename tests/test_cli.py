@@ -202,6 +202,16 @@ class TestVerdictCommands:
         assert summary["pairs"] == 20_000_000_000
         assert summary["min_pair"] == [-1, -99999]
 
+    @pytest.mark.parametrize("subcommand", ["nested", "measure"])
+    def test_growth_fault_no_walk_reads(self, tmp_path, capsys, subcommand):
+        # f = 1 + x^10 + x^200 + 2^400 x^201 declares c = 1.  Every mild-gap
+        # walk stops short of a_201, yet the true tail at n2 = 11 is above
+        # 2^214, far above E = 2, so the certificate must not pass.
+        cert = Path(__file__).parent / "data" / "nested_unread_growth.json"
+        assert run_cli(subcommand, "--cert", str(cert), "--json", str(tmp_path / "r.json")) == 3
+        assert f"error: poly: |a_201| = {2**400} exceeds c*(n+1) = 202" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_invalid_certificate_file(self, tmp_path, capsys):
         cert = tmp_path / "broken.json"
         cert.write_text("{\"q\": 2}")
@@ -631,11 +641,20 @@ class TestAstronomicalCertificateIntegers:
             ("nested_huge_n2.json", "nested", 1, "report written",
              {"ordering": "fail", "mild-gaps": "pass"}),
             ("nested_huge_n2.json", "measure", 3, "report written", None),
+            # f's next nonzero past every cutoff is at 2^40: each tail majorant
+            # starts a bounded distance past its cutoff instead
+            ("nested_far_nonzero.json", "nested", 0, "report written",
+             {"mild-gaps": "pass"}),
+            ("nested_far_nonzero.json", "measure", 0, "report written", None),
+            ("nested_huge_index.json", "nested", 3,
+             f"error: field entries: index {10**30} is past 2^63 - 1", None),
         ],
-        ids=["K2-nested", "K2-measure", "n2-nested", "n2-measure"],
+        ids=["K2-nested", "K2-measure", "n2-nested", "n2-measure", "far-nonzero-nested",
+             "far-nonzero-measure", "huge-index-nested"],
     )
     def test_returns_within_20_s(self, tmp_path, name, subcommand, status, message, verdicts):
-        # K2 = 10^30 or n2 = 10^30: no report field may form q^K2 or q^(n2 - 1)
+        # K2 = 10^30, n2 = 10^30, a coefficient at 2^40 or at 10^30: no report
+        # field may form q^K2, q^(n2 - 1) or 2^(2^40)
         cert = Path(__file__).parent / "data" / name
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1",

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    first_growth_fault_bruteforce,
     first_nonzero_bruteforce,
     horner_tail_sum,
     horner_truncated,
@@ -17,6 +18,7 @@ from oracles import (
     weighted_tail_bruteforce,
     zero_run_scan,
 )
+from waring_gaps import series
 from waring_gaps.repcount import WaringParams, sieve_rep
 from waring_gaps.series import (
     CoverageError,
@@ -72,10 +74,35 @@ class TestHalfFunction:
             f.coefficient(table_3_1.limit + 1)
 
     def test_growth_certificate_enforced(self):
-        f = HalfFunction.from_coefficients({0: 1, 5: 100}, c=Fraction(1))
-        assert f.coefficient(0) == 1
-        with pytest.raises(GrowthCertificateError):
-            f.coefficient(5)
+        message = "poly: |a_5| = 100 exceeds c*(n+1) = 6"
+        with pytest.raises(GrowthCertificateError, match=re.escape(message)):
+            HalfFunction.from_coefficients({0: 1, 5: 100}, c=Fraction(1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.dictionaries(
+            st.integers(0, 60), st.integers(-400, 400) | st.integers(-(2**80), 2**80), max_size=8
+        ),
+        c=st.fractions(min_value=0, max_value=12, max_denominator=6),
+    )
+    def test_growth_certificate_matches_bruteforce(self, entries, c):
+        fault = first_growth_fault_bruteforce(entries, c)
+        if fault is None:
+            f = HalfFunction.from_coefficients(entries, c=c)
+            assert [f.coefficient(n) for n in range(62)] == [entries.get(n, 0) for n in range(62)]
+        else:
+            a, bound = abs(entries[fault]), c * (fault + 1)
+            message = f"poly: |a_{fault}| = {a} exceeds c*(n+1) = {bound}"
+            with pytest.raises(GrowthCertificateError, match=re.escape(message)):
+                HalfFunction.from_coefficients(entries, c=c)
+
+    def test_table_counts_gathered_once(self, table_3_3):
+        # the dense table gathers its nonzero counts on first use, and every
+        # series of that table holds the same array
+        f, g = HalfFunction.from_table(table_3_3), HalfFunction.from_table(table_3_3)
+        assert f.values is g.values is table_3_3.nonzero_counts
+        assert f.positions is table_3_3.nonzero
+        assert f.values.tolist() == [n for n in table_3_3.counts.tolist() if n]
 
     def test_constant(self):
         one = HalfFunction.constant(1)
@@ -176,7 +203,7 @@ class TestTailMajorantStart:
 class TestTailNorm:
     def test_zero_function_majorant(self):
         # nothing past coverage 9 is certified zero, so the majorant starts at the cutoff
-        f = HalfFunction(lambda n: 0, c=Fraction(3), label="zero_fn", coverage=9, nonzero=range(10))
+        f = HalfFunction([], [], c=Fraction(3), label="zero_fn", coverage=9)
         tail = tail_norm(f, 5, 10)
         assert tail.lo == 0
         assert tail.hi <= 8 * 3 * 10 * Fraction(1, 32)
@@ -188,7 +215,7 @@ class TestTailNorm:
 
     def test_linear_coefficients_stay_below_majorant(self):
         f = HalfFunction(
-            lambda n: n + 1, c=Fraction(1), label="linear", coverage=89, nonzero=range(90)
+            range(90), [n + 1 for n in range(90)], c=Fraction(1), label="linear", coverage=89
         )
         tail = tail_norm(f, 1, 90)
         # exact value of the weighted tail at 1 is 6; the majorant gives 8
@@ -445,8 +472,8 @@ def small_table(ell: int, s: int, limit: int):
 @st.composite
 def walked_series(draw) -> HalfFunction:
     """Series whose coefficients respect their growth certificate: tables,
-    polynomials, constants, combinations that cancel, and bare functions whose
-    index lists every known position, with or without a coverage."""
+    polynomials, constants, combinations that cancel, and series built by the
+    constructor from their nonzero terms, with or without a coverage."""
     kind = draw(st.sampled_from(["table", "poly", "constant", "cancel", "mixed", "bare"]))
     limit = draw(st.integers(0, 120))
     if kind == "table":
@@ -470,12 +497,9 @@ def walked_series(draw) -> HalfFunction:
         return linear_combination(alphas, [cubes, poly])
     values = draw(st.lists(st.integers(-3, 3), max_size=90))
     coverage = draw(st.sampled_from([None, len(values) - 1])) if values else None
+    positions = [n for n, a in enumerate(values) if a]
     return HalfFunction(
-        lambda n: values[n] if n < len(values) else 0,
-        c=Fraction(3),
-        label="bare",
-        coverage=coverage,
-        nonzero=range(len(values)),
+        positions, [values[n] for n in positions], c=Fraction(3), label="bare", coverage=coverage
     )
 
 
@@ -603,33 +627,29 @@ class TestNonzeroWalk:
         ])
         assert got == expected
 
-    def test_batch_reads_each_coefficient_once(self, table_3_3, monkeypatch):
+    def test_batch_reads_each_coefficient_once(self, table_3_3, walks):
         f = HalfFunction.from_table(table_3_3)
-        reads = []
-        read = f.coefficient
-        monkeypatch.setattr(f, "coefficient", lambda n: reads.append(n) or read(n))
         ns = [93, 4, 11, 4, 400, 0, 31, 18]
         checks = mild_gap_checks(f, ns, 4, Fraction(8))
-        assert len(reads) == len(set(reads)) and reads == sorted(reads)
         # 400 is more than a default tail past 93, so it is walked apart: each
-        # walk ends at the first nonzero at or past its largest cutoff
-        assert reads[-1] == table_3_3.next_nonzero(400 + 4 + 64)
-        gap = (table_3_3.next_nonzero(93 + 4 + 64), 400)
-        assert not [k for k in reads if gap[0] < k < gap[1]]
+        # walk ends at its largest cutoff, and no position is held by two walks
+        assert [(w.lo, w.read_to) for w in walks] == [(0, 93 + 4 + 64), (400, 400 + 4 + 64)]
+        for w in walks:
+            assert w.positions == [k for k in table_3_3.nonzero.tolist() if w.lo <= k < w.read_to]
+            assert w.magnitudes == [table_3_3.count(k) for k in w.positions]
         assert [mild_gap_outcome(c) for c in checks] == [
             mild_gap_outcome(is_mild_gap(f, n, 4, Fraction(8))) for n in ns
         ]
         assert {c.failed_clause for c in checks} == {None, "zero-run", "tail-norm"}
 
-    def test_candidate_past_coverage_is_not_walked_to(self, table_3_3, monkeypatch):
+    def test_candidate_past_coverage_is_not_walked_to(self, table_3_3, walks):
         f = HalfFunction.from_table(table_3_3)
-        reads = []
-        read = f.coefficient
-        monkeypatch.setattr(f, "coefficient", lambda n: reads.append(n) or read(n))
         far = table_3_3.limit + 10**6
         with pytest.raises(CoverageError, match=f"coefficient {far} beyond coverage"):
             mild_gap_checks(f, [4, far], 4, Fraction(8))
-        assert reads[-1] == far and max(reads[:-1]) == table_3_3.next_nonzero(4 + 4 + 64)
+        # the walk from far reads nothing; the one from 4 ends at its cutoff
+        assert [(w.lo, w.read_to) for w in walks] == [(4, 4 + 4 + 64), (far, far)]
+        assert walks[1].positions == []
 
     def test_empty_tail_past_coverage(self, table_3_1):
         # nothing past coverage is read, and nothing there is certified zero
@@ -662,47 +682,63 @@ class TestNonzeroWalk:
             lambda: horner_truncated(f.coefficient, q, terms)
         )
 
-    def test_growth_fault_found_by_every_reader(self):
-        f = HalfFunction.from_coefficients({5: 1, 12: 100}, c=Fraction(1))
-        message = "poly: |a_12| = 100 exceeds c*(n+1) = 13"
-        for call in (
-            lambda: is_mild_gap(f, 8, 6, Fraction(1)),
-            lambda: tail_norm(f, 6, 20),
-            lambda: eval_truncated(f, 3, 13),
-            lambda: f.tail_majorant_start(6),
-            lambda: scan_mild_gaps(f, 6, 10, 2, Fraction(1)),
-        ):
-            with pytest.raises(GrowthCertificateError, match=re.escape(message)):
-                call()
-
-    def test_growth_fault_in_window_precedes_a_short_cutoff(self):
-        # a scan one index at a time would first meet candidate 2, whose tail
-        # starts past the cutoff; the walk reads the whole window first
-        f = HalfFunction.from_coefficients({5: 1, 12: 100}, c=Fraction(1))
-        with pytest.raises(GrowthCertificateError):
-            scan_mild_gaps(f, 0, 15, 2, Fraction(1), cutoff=3)
-        with pytest.raises(ValueError, match="cutoff must not precede start"):
-            scan_mild_gaps(f, 0, 10, 2, Fraction(1), cutoff=3)
-
-    def test_table_window_reads_only_index_positions(self, table_3_3, monkeypatch):
+    def test_table_window_reads_only_index_positions(self, table_3_3, walks):
         f = HalfFunction.from_table(table_3_3)
-        reads = []
-        read = f.coefficient
-        monkeypatch.setattr(f, "coefficient", lambda n: reads.append(n) or read(n))
         cover = table_3_3.limit
         listed = table_3_3.nonzero.tolist()
         lo = cover - 200
-        with pytest.raises(CoverageError, match=f"coefficient {cover + 1} beyond coverage"):
-            list(f._nonzero_terms(lo, cover + 9))
-        assert reads == [k for k in listed if k >= lo] + [cover + 1]
-        reads.clear()
+        walk = series._Walk(f, lo)
+        walk.extend(cover + 9)
+        assert walk.positions == [k for k in listed if k >= lo] and walk.read_to == cover + 1
+        walks.clear()
         assert table_3_3.counts[-2:].tolist() == [0, 0]
         with pytest.raises(CoverageError, match=f"coefficient {cover + 1} beyond coverage"):
             is_mild_gap(f, cover - 1, 8, Fraction(8))
-        assert reads == [cover + 1]
-        reads.clear()
+        assert [(w.positions, w.read_to) for w in walks] == [([], cover + 1)]
+        walks.clear()
         # the scan decides its candidates before coverage, reading their tails
         # through the same walk, then fails at coverage + 1
         with pytest.raises(CoverageError, match=f"coefficient {cover + 1} beyond coverage"):
             scan_mild_gaps(f, lo, cover - 2, 8, Fraction(8))
-        assert set(reads) <= set(listed) | {cover + 1} and reads[-1] == cover + 1
+        assert [(w.positions, w.read_to) for w in walks] == [
+            ([k for k in listed if k >= lo], cover + 1)
+        ]
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Every _Walk made while the test runs, in order, each with its lo."""
+    made = []
+
+    class Recorded(series._Walk):
+        def __init__(self, f, lo):
+            super().__init__(f, lo)
+            self.lo = lo
+            made.append(self)
+
+    monkeypatch.setattr(series, "_Walk", Recorded)
+    return made
+
+
+class TestFarMajorantStart:
+    """A next nonzero term astronomically far past a cutoff: the majorant
+    starts _MAJORANT_REACH past it instead, a wider but sound bound."""
+
+    far = HalfFunction.from_coefficients({0: 1, 10: 1, 2**40: 1})
+    reach = series._MAJORANT_REACH
+
+    def test_tail_norm(self):
+        tail = tail_norm(self.far, 10, 74)
+        n0 = 74 + self.reach
+        assert tail.lo == 1
+        assert tail.hi == 1 + 8 * self.far.c * n0 / Fraction(2) ** (n0 - 10)
+        exact = 1 + Fraction(1, 2 ** (2**20))  # a bound on the true tail, 1 + 2^(10 - 2^40)
+        assert tail.lo < exact < tail.hi
+
+    def test_eval_enclosure(self):
+        enclosure = eval_enclosure(self.far, 3, 64)
+        value = 1 + Fraction(1, 3**10)
+        assert enclosure.lo == value
+        # c * sum((k+1) * x^k) over k >= s is c * x^s * ((s+1)/(1-x) + x/(1-x)^2)
+        s, x = 64 + self.reach, Fraction(1, 3)
+        assert enclosure.hi == value + self.far.c * x**s * ((s + 1) / (1 - x) + x / (1 - x) ** 2)
