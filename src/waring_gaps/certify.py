@@ -436,10 +436,11 @@ def _printable_power(q: int, n: int, field: str) -> int:
     astronomically large power is formed."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     # q^n >= 2^m with m = n * (bit_length(q) - 1), so it has at least
-    # floor(m * log10(2)) + 1 > m * 3 // 10 digits
+    # floor(m * log10(2)) + 1 > m * 3 // 10 digits; and 2^(3 * limit) < 10^limit,
+    # so a power of at most 3 * limit bits prints without forming 10^limit
     if not limit or n * (q.bit_length() - 1) * 3 // 10 < limit:
         power = q**n
-        if not limit or power < 10**limit:
+        if not limit or power.bit_length() <= 3 * limit or power < 10**limit:
             return power
     raise ValueError(f"{field} has more than {limit} digits to print")
 
@@ -506,6 +507,11 @@ def verify_nested_gaps(cert: NestedGapsCertificate) -> Report:
         ],
     )
 
+    # The sum's denominator divides q^p for f's last nonzero position p below
+    # n2: refuse it by bit lengths before eval_truncated forms that power.
+    below_n2 = int(np.searchsorted(cert.f.positions, cert.n2))
+    if below_n2:
+        _printable_power(cert.q, int(cert.f.positions[below_n2 - 1]), "window sum")
     window_sum = eval_truncated(cert.f, cert.q, cert.n2) - eval_truncated(
         cert.f, cert.q, cert.n1
     )
@@ -784,6 +790,19 @@ def verify_degree_criterion(
 # ---------------------------------------------------------------------------
 
 
+# Choices of c_1 .. c_ell swept at once by _sweep_forms: bounds its object
+# arrays of numerators.
+_FORM_BLOCK = 1 << 14
+
+
+def _flat_sums(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Every sum of one entry of each part, in itertools.product order."""
+    sums = np.zeros(1, dtype=object)
+    for part in parts:
+        sums = np.add.outer(sums, part).ravel()
+    return sums
+
+
 def _sweep_forms(powers: Sequence[Enclosure], height: int) -> SweepResult:
     """Classify every integer form c_0 + c_1*t_1 + ... + c_ell*t_ell with
     coefficients in [-height, height] and c_ell != 0, where t_j lies in
@@ -791,47 +810,87 @@ def _sweep_forms(powers: Sequence[Enclosure], height: int) -> SweepResult:
 
     A form is certified when its enclosure excludes 0, and undecided
     otherwise; the minimum is over the certified lower bounds on |form|.
-    All arithmetic is on integer numerators over one common denominator D.
+    All arithmetic is on integer numerators over one common denominator D,
+    held as Python ints in object arrays.
 
     For fixed c_1 .. c_ell the enclosure of S = sum_j c_j*t_j is [s_lo, s_hi]
     (as numerators), and c_0 only shifts it by c_0*D.  So the undecided c_0
     are exactly the integers in [ceil(-s_hi/D), floor(-s_lo/D)], the lower
     bound rises strictly away from that interval on either side, and the
     least one sits at a neighbour of the interval, clamped into
-    [-height, height].  Each choice of c_1 .. c_ell costs one sum.
+    [-height, height].  The sums of every choice of c_1 .. c_ell come from
+    np.add.outer over the terms' numerators, and are swept in blocks of at
+    most about _FORM_BLOCK choices: the leading coefficients index the
+    blocks and the trailing ones the choices within a block.
     """
     denominator, nums = _common_numerators([x for e in powers for x in (e.lo, e.hi)])
-    coeffs = range(-height, height + 1)
-    choices = [
-        [(c, c * lo, c * hi) if c >= 0 else (c, c * hi, c * lo) for c in coeffs]
-        for lo, hi in zip(nums[0::2], nums[1::2])
-    ]
-    choices[-1] = [choice for choice in choices[-1] if choice[0] != 0]
+    coeffs = [np.arange(-height, height + 1) for _ in powers]
+    coeffs[-1] = coeffs[-1][coeffs[-1] != 0]
+    lows, highs = [], []
+    for c, lo, hi in zip(coeffs, nums[0::2], nums[1::2]):
+        ends = c.astype(object) * lo, c.astype(object) * hi
+        lows.append(np.minimum(*ends))
+        highs.append(np.maximum(*ends))
+
+    sizes = [len(c) for c in coeffs]
+    split, inner = len(sizes), 1
+    while split > 1 and inner * sizes[split - 1] <= _FORM_BLOCK:
+        split -= 1
+        inner *= sizes[split]
+    step = max(1, _FORM_BLOCK // inner)
+    outer_lo, outer_hi = _flat_sums(lows[:split]), _flat_sums(highs[:split])
+    inner_lo, inner_hi = _flat_sums(lows[split:]), _flat_sums(highs[split:])
+
+    def forms(c0: np.ndarray, choices: np.ndarray) -> np.ndarray:
+        """Rows (c_0, c_1, ..., c_ell) for c_0 at each flat choice index."""
+        digits = np.unravel_index(choices, sizes)
+        return np.column_stack([c0, *(c[d] for c, d in zip(coeffs, digits))])
 
     best: tuple[int, tuple[int, ...]] | None = None
-    undecided = []
-    for parts in itertools.product(*choices):
-        rest = tuple(c for c, _lo, _hi in parts)
-        s_lo = sum(lo for _c, lo, _hi in parts)
-        s_hi = sum(hi for _c, _lo, hi in parts)
+    open_forms = [np.empty((0, len(powers) + 1), dtype=np.int64)]
+    for start in range(0, len(outer_lo), step):
+        s_lo = np.add.outer(outer_lo[start : start + step], inner_lo).ravel()
+        s_hi = np.add.outer(outer_hi[start : start + step], inner_hi).ravel()
+        offset = start * inner
         first, last = -(s_hi // denominator), -s_lo // denominator
-        undecided.extend((c0, *rest) for c0 in range(max(first, -height), min(last, height) + 1))
-        below, above = min(first - 1, height), max(last + 1, -height)
-        for c0, bound in ((below, -(below * denominator + s_hi)), (above, above * denominator + s_lo)):
-            if -height <= c0 <= height:
-                candidate = (bound, (c0, *rest))
-                if best is None or candidate < best:
-                    best = candidate
 
-    undecided.sort()
-    forms = (2 * height + 1) ** len(powers) * 2 * height
+        c0_lo, c0_hi = np.maximum(first, -height), np.minimum(last, height)
+        open_ = np.flatnonzero(c0_lo <= c0_hi)
+        if open_.size:
+            c0_lo = c0_lo[open_].astype(np.int64)
+            runs = c0_hi[open_].astype(np.int64) - c0_lo + 1
+            stops = np.cumsum(runs)
+            c0 = np.arange(stops[-1]) + np.repeat(c0_lo - stops + runs, runs)
+            open_forms.append(forms(c0, np.repeat(open_ + offset, runs)))
+
+        below, above = np.minimum(first - 1, height), np.maximum(last + 1, -height)
+        at_below = np.flatnonzero(below >= -height)
+        at_above = np.flatnonzero(above <= height)
+        bounds = np.concatenate((
+            -(below[at_below] * denominator + s_hi[at_below]),
+            above[at_above] * denominator + s_lo[at_above],
+        ))
+        if not bounds.size:
+            continue
+        least = bounds.min()
+        if best is not None and least > best[0]:
+            continue
+        ties = np.flatnonzero(bounds == least)
+        c0 = np.concatenate((below[at_below], above[at_above]))[ties].astype(np.int64)
+        choices = np.concatenate((at_below, at_above))[ties] + offset
+        candidate = (least, min(map(tuple, forms(c0, choices).tolist())))
+        if best is None or candidate < best:
+            best = candidate
+
+    forms_count = (2 * height + 1) ** len(powers) * 2 * height
+    undecided = sorted(map(tuple, np.concatenate(open_forms).tolist()))
     return SweepResult(
-        count=forms,
+        count=forms_count,
         minimum=None if best is None else Fraction(best[0], denominator),
         minimum_at=None if best is None else best[1],
         failing=[],
         undecided=undecided,
-        certified=forms - len(undecided),
+        certified=forms_count - len(undecided),
     )
 
 

@@ -83,9 +83,9 @@ def _crt_product(ell: int, parts: list[np.ndarray]) -> np.ndarray:
     glued left to right as r(m) = r1(m mod M1) * r2(m mod M2)."""
     counts = np.ones(1, dtype=np.int64)
     for part in parts:
-        idx = np.arange(len(counts) * len(part))
-        dtype = _dtype(ell, len(idx))
-        counts = counts.astype(dtype)[idx % len(counts)] * part.astype(dtype)[idx % len(part)]
+        dtype = _dtype(ell, len(counts) * len(part))
+        # entry m of each tile is the count at m mod that factor's modulus
+        counts = np.tile(counts.astype(dtype), len(part)) * np.tile(part.astype(dtype), len(counts))
     return counts
 
 
@@ -207,10 +207,13 @@ def search_gap_modulus(
     best: tuple[Fraction, int, int, np.ndarray, tuple[int, ...]] | None = None
     for modulus, factors in _coprime_products(pool, product_bound):
         counts = _counts(ell, modulus, cache)
-        # worst[m] = max r(m + k) over k < window; shifts past M repeat
+        # worst[m] = max r(m + k) over k < window; shifts past M repeat, so
+        # each shift is one slice of the counts extended by their first span - 1
+        span = min(window, modulus)
+        wrapped = np.concatenate((counts, counts[: span - 1]))
         worst = counts.copy()
-        for k in range(1, min(window, modulus)):
-            np.maximum(worst, np.roll(counts, -k), out=worst)
+        for k in range(1, span):
+            np.maximum(worst, wrapped[k : k + modulus], out=worst)
         residue = int(np.argmin(worst))
         quality = Fraction(int(worst[residue]), modulus ** (ell - 1))
         if best is None or quality < best[0]:
@@ -230,6 +233,6 @@ def search_gap_modulus(
 
 def write_profile_csv(profile: ResidueProfile, path: str | Path) -> None:
     """Write the profile as CSV with header m,count."""
-    # Python ints: counts outgrow int64 once M^ell reaches 2^63
-    columns = [np.arange(profile.modulus), np.array(profile.counts, dtype=object)]
+    counts = np.array(profile.counts, dtype=_dtype(profile.ell, profile.modulus))
+    columns = [np.arange(profile.modulus), counts]
     write_output(path, csv_pieces("m,count", columns))

@@ -432,6 +432,47 @@ def linear_forms_bruteforce(enclosures, h: int) -> tuple:
     return forms, minimum, minimum_form, [], undecided, forms - len(undecided)
 
 
+def linear_forms_sweep_loop(enclosures, h: int) -> tuple:
+    """The same sweep as linear_forms_bruteforce, one choice of c_1 .. c_ell
+    at a time: the per-choice loop that the block-wise sweep replaced.
+
+    On numerators over the common denominator D, the choice's sum of
+    c_j*t_j is enclosed in [s_lo, s_hi]; its undecided c_0 are the integers
+    in [ceil(-s_hi/D), floor(-s_lo/D)] within the height, and its least
+    certified bound sits at a neighbour of that interval.  Returns the same
+    tuple, with the undecided forms sorted.
+    """
+    ends = [x for enc in enclosures for x in (enc.lo, enc.hi)]
+    d = math.lcm(*(x.denominator for x in ends))
+    nums = [x.numerator * (d // x.denominator) for x in ends]
+    choices = [
+        [(c, c * lo, c * hi) if c >= 0 else (c, c * hi, c * lo) for c in range(-h, h + 1)]
+        for lo, hi in zip(nums[0::2], nums[1::2])
+    ]
+    choices[-1] = [choice for choice in choices[-1] if choice[0] != 0]
+
+    best = None
+    undecided = []
+    for parts in itertools.product(*choices):
+        rest = tuple(c for c, _lo, _hi in parts)
+        s_lo = sum(lo for _c, lo, _hi in parts)
+        s_hi = sum(hi for _c, _lo, hi in parts)
+        first, last = -(s_hi // d), -s_lo // d
+        undecided.extend((c0, *rest) for c0 in range(max(first, -h), min(last, h) + 1))
+        below, above = min(first - 1, h), max(last + 1, -h)
+        for c0, bound in ((below, -(below * d + s_hi)), (above, above * d + s_lo)):
+            if -h <= c0 <= h:
+                candidate = (bound, (c0, *rest))
+                if best is None or candidate < best:
+                    best = candidate
+
+    undecided.sort()
+    forms = (2 * h + 1) ** len(enclosures) * 2 * h
+    minimum = None if best is None else Fraction(best[0], d)
+    minimum_form = None if best is None else best[1]
+    return forms, minimum, minimum_form, [], undecided, forms - len(undecided)
+
+
 def read_table_binary_whole(path) -> RepTable:
     """The binary table reader with no size check before the read: the
     whole payload as bytes, viewed at the file's width, widened to int64

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     exceptional_scan_whole_array,
     linear_forms_bruteforce,
+    linear_forms_sweep_loop,
     measure_pairs_bruteforce,
     pair_filters_bruteforce,
     qualifying_set_bruteforce,
@@ -457,6 +458,25 @@ class TestSweepsAgainstOracles:
     def test_forms_match_exhaustive_sweep(self, powers, height):
         expected = linear_forms_bruteforce(powers, height)
         assert tuple(_sweep_forms(powers, height)) == expected
+
+    @pytest.mark.parametrize("height", [6, 12])
+    def test_forms_match_loop_on_linforms_enclosures(self, height):
+        # the enclosures of t^j, j = 1 .. 4, that linforms --ell 4 --q 2 --terms 64 sweeps
+        tables = [sieve_rep(WaringParams(4, s), 64 + 128) for s in range(1, 5)]
+        powers = [certify._clamped_enclosure(HalfFunction.from_table(t), 2, 64) for t in tables]
+        assert tuple(_sweep_forms(powers, height)) == linear_forms_sweep_loop(powers, height)
+
+    @pytest.mark.parametrize("block", [certify._FORM_BLOCK, 64])
+    def test_forms_match_loop_on_planted_zero_forms(self, monkeypatch, block):
+        # t = 1/2 exactly: each form with 16*c_0 + 8*c_1 + 4*c_2 + 2*c_3 + c_4 = 0
+        # is undecided.  By default a block holds eight c_1 values; at 64 choices
+        # a block holds five choices of (c_1, c_2, c_3).
+        monkeypatch.setattr(certify, "_FORM_BLOCK", block)
+        powers = [Enclosure(Fraction(1, 2**j), Fraction(1, 2**j)) for j in range(1, 5)]
+        sweep = _sweep_forms(powers, 6)
+        assert tuple(sweep) == linear_forms_sweep_loop(powers, 6)
+        # undecided forms in the first block and in the last
+        assert {-6, 6} <= {form[1] for form in sweep.undecided}
 
 
 def h200_certificate():

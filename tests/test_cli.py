@@ -646,11 +646,17 @@ class TestAstronomicalCertificateIntegers:
             ("nested_far_nonzero.json", "nested", 0, "report written",
              {"mild-gaps": "pass"}),
             ("nested_far_nonzero.json", "measure", 0, "report written", None),
+            # f's nonzero at 2^40 lies below n2 = 10^30: the window sum's
+            # denominator would be 2^(2^40)
+            ("nested_far_window.json", "nested", 3,
+             "error: window sum has more than", None),
+            ("nested_far_window.json", "measure", 3,
+             "error: window sum has more than", None),
             ("nested_huge_index.json", "nested", 3,
              f"error: field entries: index {10**30} is past 2^63 - 1", None),
         ],
         ids=["K2-nested", "K2-measure", "n2-nested", "n2-measure", "far-nonzero-nested",
-             "far-nonzero-measure", "huge-index-nested"],
+             "far-nonzero-measure", "far-window-nested", "far-window-measure", "huge-index-nested"],
     )
     def test_returns_within_20_s(self, tmp_path, name, subcommand, status, message, verdicts):
         # K2 = 10^30, n2 = 10^30, a coefficient at 2^40 or at 10^30: no report

@@ -215,6 +215,8 @@ class TestAgainstOracles:
         product_bound=st.one_of(st.none(), st.integers(1, 400)),
     )
     @example(ell=3, window=12, pool=[9], product_bound=None)  # window > M: every residue
+    @example(ell=3, window=9, pool=[9], product_bound=None)  # window == M: the widest wrap, M - 1 entries
+    @example(ell=3, window=10, pool=[9], product_bound=None)  # window == M + 1
     @example(ell=4, window=3, pool=[2, 16], product_bound=32)  # window > M = 2, then M = 16 wins
     @example(ell=3, window=2, pool=[1, 9, 9, 2], product_bound=200)  # 1 and a duplicate
     @example(ell=4, window=3, pool=[16, 5, 3], product_bound=240)
@@ -242,3 +244,12 @@ class TestCsvExport:
         assert lines[1] == "0,189"
         assert lines[5] == "4,0"
         assert len(lines) == 10
+
+    @pytest.mark.parametrize("ell,modulus", [(7, 511), (7, 512), (64, 2)])
+    def test_rows_match_counts_on_both_sides_of_int64(self, tmp_path, ell, modulus):
+        # 511^7 < 2^63 <= 512^7: int64 counts below, Python ints from 512 on
+        path = tmp_path / "p.csv"
+        profile = residue_counts(ell, modulus)
+        write_profile_csv(profile, path)
+        rows = path.read_text().splitlines()[1:]
+        assert rows == [f"{m},{c}" for m, c in enumerate(profile.counts)]
