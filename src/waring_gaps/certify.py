@@ -213,7 +213,7 @@ class MaierCertificate:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MaierCertificate":
         obj = _checked(obj, "object", "certificate")
-        return cls(
+        cert = cls(
             ell=_field(obj, "ell", "int"),
             K=_field(obj, "K", "int"),
             M=_field(obj, "M", "int"),
@@ -222,6 +222,11 @@ class MaierCertificate:
             caps=tuple(_checked(c, "int", "field caps") for c in _field(obj, "caps", "list")),
             N=_field(obj, "N", "int"),
         )
+        # a cap below 0 admits no count, and at cap + 1 <= 0 alpha is no bound
+        for k, cap in enumerate(cert.caps):
+            if cap < 0:
+                raise ValueError(f"field caps[{k}]: {cap} is below 0")
+        return cert
 
 
 # Rows of the qualifying-set view compared at once: bounds the boolean temporary.

@@ -78,15 +78,14 @@ def power_histogram(ell: int, modulus: int) -> PowerHistogram:
     return PowerHistogram(ell=ell, modulus=modulus, counts=tuple(counts.tolist()))
 
 
-def _crt_product(ell: int, parts: list[np.ndarray]) -> np.ndarray:
-    """Counts modulo the product of the pairwise coprime lengths of parts,
-    glued left to right as r(m) = r1(m mod M1) * r2(m mod M2)."""
-    counts = np.ones(1, dtype=np.int64)
-    for part in parts:
-        dtype = _dtype(ell, len(counts) * len(part))
-        # entry m of each tile is the count at m mod that factor's modulus
-        counts = np.tile(counts.astype(dtype), len(part)) * np.tile(part.astype(dtype), len(counts))
-    return counts
+def _glue(ell: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Counts modulo len(a) * len(b), coprime lengths: entry m is
+    a[m mod len(a)] * b[m mod len(b)], as _dtype of the product modulus."""
+    out = np.empty((len(b), len(a)), dtype=_dtype(ell, len(a) * len(b)))
+    out[...] = a  # row i holds m = i*len(a) .. (i+1)*len(a) - 1
+    out = out.reshape(len(a), len(b))  # row j holds m = j*len(b) .. (j+1)*len(b) - 1
+    out *= b.astype(out.dtype, copy=False)
+    return out.reshape(-1)
 
 
 def _counts(ell: int, modulus: int, cache: dict[int, np.ndarray]) -> np.ndarray:
@@ -94,7 +93,7 @@ def _counts(ell: int, modulus: int, cache: dict[int, np.ndarray]) -> np.ndarray:
     are ell-1 linear convolutions of the power histogram mod q, each folded
     mod q so that no partial sum exceeds q^ell.  cache keeps them by q."""
     _check_sizes(ell, modulus)
-    parts, p = [], 1
+    counts, p = None, 1
     while modulus > 1:
         p, q = (p + 1 if (p + 1) ** 2 <= modulus else modulus), 1
         if modulus % p:
@@ -107,8 +106,8 @@ def _counts(ell: int, modulus: int, cache: dict[int, np.ndarray]) -> np.ndarray:
                 full = np.convolve(cache[q], hist)
                 full[: q - 1] += full[q:]
                 cache[q] = full[:q]
-        parts.append(cache[q])
-    return _crt_product(ell, parts)
+        counts = cache[q] if counts is None else _glue(ell, counts, cache[q])
+    return np.ones(1, dtype=np.int64) if counts is None else counts
 
 
 def residue_counts(ell: int, modulus: int) -> ResidueProfile:
@@ -127,15 +126,14 @@ def crt_fold(profiles: Iterable[ResidueProfile]) -> ResidueProfile:
     profiles = list(profiles)
     if not profiles:
         raise ValueError("need at least one modulus")
-    ell, modulus = profiles[0].ell, profiles[0].modulus
+    ell, counts = profiles[0].ell, np.array(profiles[0].counts, dtype=object)
     for profile in profiles[1:]:
         if profile.ell != ell:
             raise ValueError("profiles must share the exponent")
-        if gcd(modulus, profile.modulus) != 1:
-            raise ValueError(f"moduli {modulus} and {profile.modulus} are not coprime")
-        modulus *= profile.modulus
-    counts = _crt_product(ell, [np.array(p.counts, dtype=object) for p in profiles])
-    return ResidueProfile(ell=ell, modulus=modulus, counts=tuple(counts.tolist()))
+        if gcd(len(counts), profile.modulus) != 1:
+            raise ValueError(f"moduli {len(counts)} and {profile.modulus} are not coprime")
+        counts = _glue(ell, counts, np.array(profile.counts, dtype=object))
+    return ResidueProfile(ell=ell, modulus=len(counts), counts=tuple(counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -165,34 +163,16 @@ class GapModulusResult:
         }
 
 
-def _coprime_products(pool: list[int], bound: int) -> list[tuple[int, tuple[int, ...]]]:
-    """All products of pairwise-coprime pool subsets up to bound, ascending."""
-    items = sorted(set(pool))
-    found: dict[int, tuple[int, ...]] = {}
-
-    def extend(index: int, product: int, factors: tuple[int, ...]) -> None:
-        if factors:
-            found.setdefault(product, factors)
-        for j in range(index, len(items)):
-            nxt = items[j]
-            if product * nxt > bound:
-                break
-            if gcd(product, nxt) == 1:
-                extend(j + 1, product * nxt, factors + (nxt,))
-
-    extend(0, 1, ())
-    return sorted(found.items())
-
-
 def search_gap_modulus(
     ell: int, window: int, moduli_pool: list[int] | tuple[int, ...], product_bound: int | None = None
 ) -> GapModulusResult | None:
-    """Search pool elements and their coprime products for a small window.
+    """Search products of pairwise-coprime pool subsets for a small window.
 
-    Candidates go in ascending product order; for each, the residue m
-    minimizing max(r(m+k)) over 0 <= k < window is found, ties broken by
-    smaller modulus then smaller residue.  Returns the best candidate if its
-    window quality is at most 1/(2*window), else None.
+    One depth-first walk over the subsets of the sorted distinct pool, each
+    child glued once from its parent's counts; a product reached twice keeps
+    its first factors.  Each candidate's residue m minimizes max(r(m+k)) over
+    0 <= k < window (the smaller residue on ties), and the least (quality,
+    modulus) wins.  Returns it if its quality is at most 1/(2*window), else None.
     """
     if window < 1:
         raise ValueError("window must be positive")
@@ -201,29 +181,49 @@ def search_gap_modulus(
         raise ValueError("moduli pool must be nonempty")
     if any(m < 1 for m in pool):
         raise ValueError("pool moduli must be positive")
-    if product_bound is None:
-        product_bound = max(pool)
-    cache: dict[int, np.ndarray] = {}
-    best: tuple[Fraction, int, int, np.ndarray, tuple[int, ...]] | None = None
-    for modulus, factors in _coprime_products(pool, product_bound):
-        counts = _counts(ell, modulus, cache)
-        # worst[m] = max r(m + k) over k < window; shifts past M repeat, so
-        # each shift is one slice of the counts extended by their first span - 1
-        span = min(window, modulus)
-        wrapped = np.concatenate((counts, counts[: span - 1]))
-        worst = counts.copy()
-        for k in range(1, span):
-            np.maximum(worst, wrapped[k : k + modulus], out=worst)
-        residue = int(np.argmin(worst))
-        quality = Fraction(int(worst[residue]), modulus ** (ell - 1))
-        if best is None or quality < best[0]:
-            best = (quality, modulus, residue, counts, factors)
+    items = sorted(set(pool))
+    bound = max(pool) if product_bound is None else product_bound
+    cache, element, scratch = {}, {}, {}  # counts by prime power, by pool element; buffers by dtype
+    best: tuple[int, int, int, int, np.ndarray, tuple[int, ...]] | None = None
 
-    if best is None or best[0] > Fraction(1, 2 * window):
+    def visit(index: int, modulus: int, counts: np.ndarray | None, factors: tuple[int, ...]) -> None:
+        nonlocal best, bound
+        if counts is not None:
+            # worst[m] = max r(m + k) over k < window; shifts past M repeat, so each
+            # shift is one slice of the counts extended by their first span - 1.  Both
+            # sit in one buffer kept across candidates, as fresh arrays page-fault
+            span = min(window, modulus)
+            buf = scratch.get(counts.dtype)
+            if buf is None or len(buf) < 2 * modulus + span:
+                buf = scratch[counts.dtype] = np.empty(2 * (2 * modulus + span), dtype=counts.dtype)
+            worst, wrapped = buf[:modulus], buf[modulus : 2 * modulus + span - 1]
+            worst[:] = wrapped[:modulus] = counts
+            wrapped[modulus:] = counts[: span - 1]
+            for k in range(1, span):
+                np.maximum(worst, wrapped[k : k + modulus], out=worst)
+            residue = int(np.argmin(worst))
+            top = int(worst[residue])
+            # the least (quality, M) wins, the qualities top / M^(ell-1) compared as integers
+            denom = modulus ** (ell - 1)
+            if best is None or (top * best[1], modulus) < (best[0] * denom, best[2]):
+                best = (top, denom, modulus, residue, counts, factors)
+                if top == 0:  # nothing from M on wins; smaller products pass only smaller ones
+                    bound = modulus - 1
+        for j in range(index, len(items)):
+            nxt = items[j]
+            if modulus * nxt > bound:
+                break
+            if gcd(modulus, nxt) == 1:
+                if nxt not in element:
+                    element[nxt] = _counts(ell, nxt, cache)
+                glued = element[nxt] if counts is None else _glue(ell, counts, element[nxt])
+                visit(j + 1, modulus * nxt, glued, factors + (nxt,))
+
+    visit(0, 1, None, ())
+    if best is None or best[0] * 2 * window > best[1]:
         return None
-    _, modulus, residue, counts, factors = best
+    _, denom, modulus, residue, counts, factors = best
     profile = ResidueProfile(ell=ell, modulus=modulus, counts=tuple(counts.tolist()))
-    denom = modulus ** (ell - 1)
     return GapModulusResult(
         ell=ell, modulus=modulus, residue=residue, window=window, factors=factors,
         per_window_quality=tuple(Fraction(profile.r(residue + k), denom) for k in range(window)),

@@ -251,6 +251,23 @@ class TestVerdictCommands:
         assert run_cli(subcommand, "--cert", str(path), *table) == 3
         assert f"error: {field}: expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "caps,message",
+        [
+            # cap + 1 = 0 would divide by zero in alpha
+            ([-1, 0], "field caps[0]: -1 is below 0"),
+            # cap + 1 = -1 would cancel the other term of alpha to a false 0 at eps 1/100
+            ([0, -2], "field caps[1]: -2 is below 0"),
+        ],
+    )
+    def test_maier_negative_cap_rejected(self, tmp_path, capsys, table_file, caps, message):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(dict(MAIER_CERT, caps=caps)))
+        j = tmp_path / "r.json"
+        assert run_cli("maier", "--cert", str(path), "--table", str(table_file), "--json", str(j)) == 3
+        assert capsys.readouterr().err == f"waring-gaps: error: {message}\n"
+        assert not j.exists()
+
     def test_linforms(self, tmp_path):
         j = tmp_path / "lin.json"
         assert run_cli("linforms", "--ell", "3", "--q", "2", "--height", "1",

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import gap_modulus_search_loop, residue_counts_bruteforce, residue_counts_convolution
+from waring_gaps import modular
 from waring_gaps.modular import (
     GapModulusResult,
     PowerHistogram,
@@ -182,6 +183,20 @@ class TestSearch:
     def test_bound_below_every_candidate_finds_nothing(self):
         assert search_gap_modulus(3, 2, [9], product_bound=5) is None
 
+    def test_zero_window_stops_the_walk(self, monkeypatch):
+        # M = 9 has a zero window, so no larger pool element can win: the
+        # O(q^2) convolution at q = 1,000,003 is never started
+        seen = []
+
+        def spy(ell, modulus):
+            seen.append(modulus)
+            return power_histogram(ell, modulus)
+
+        monkeypatch.setattr(modular, "power_histogram", spy)
+        result = search_gap_modulus(3, 2, [9, 1000003], product_bound=10**7)
+        assert (result.modulus, result.factors) == (9, (9,))
+        assert seen == [9]
+
 
 class TestAgainstOracles:
     """The factored profiles and the array search against the quadratic
@@ -222,6 +237,10 @@ class TestAgainstOracles:
     @example(ell=4, window=3, pool=[16, 5, 3], product_bound=240)
     @example(ell=3, window=1, pool=[7, 13], product_bound=91)  # prime moduli
     @example(ell=7, window=1, pool=[49, 4, 9, 5], product_bound=20000)  # won at M = 1764 > 2^9
+    @example(ell=3, window=2, pool=[7, 9], product_bound=63)  # a zero at 63 is found before the zero at 9
+    @example(ell=3, window=1, pool=[4, 7, 28], product_bound=28)  # 28 as (4, 7) before (28,): 81/196
+    @example(ell=3, window=2, pool=[27, 9, 5], product_bound=405)  # zeros at 45 and 9; 27 is past the bound
+    @example(ell=4, window=12, pool=[16], product_bound=None)  # r is 0 on 5..15: each window wraps to r(0)
     def test_search_matches_loop(self, ell, window, pool, product_bound):
         bound = max(pool) if product_bound is None else product_bound
         expected = gap_modulus_search_loop(ell, window, pool, bound)
