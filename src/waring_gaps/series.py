@@ -12,13 +12,11 @@ the three outcomes are never conflated.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -301,80 +299,30 @@ def _valid_tail_bound(gap_length: int, tail_bound: Fraction) -> Fraction:
     return tail_bound
 
 
-class _Walk:
-    """The nonzero terms of f from lo on, read once and in ascending order.
-
-    positions and magnitudes hold the index and the absolute value of each
-    nonzero coefficient read.  Every coefficient in [lo, read_to) has been
-    read and none past it; read_to never passes coverage + 1.
-    """
-
-    def __init__(self, f: HalfFunction, lo: int) -> None:
-        self.f = f
-        self.read_to = lo
-        self.positions: list[int] = []
-        self.magnitudes: list[int] = []
-
-    def extend(self, hi: int, stop: int | None = None) -> None:
-        """Read on to hi, or to coverage + 1 if that comes first; with stop,
-        read no further than the first nonzero at or past stop."""
-        if self.f.coverage is not None:
-            hi = min(hi, self.f.coverage + 1)
-        if hi <= self.read_to:
-            return
-        positions, values = self.f._terms(self.read_to, hi)
-        if stop is not None:
-            at = bisect.bisect_left(positions, stop)
-            if at < len(positions):
-                positions, values, hi = positions[: at + 1], values[: at + 1], positions[at] + 1
-        self.positions += positions
-        self.magnitudes += map(abs, values)
-        self.read_to = hi
-
-
-def _fail(message: str) -> None:
-    raise ValueError(message)
-
-
-def _settled(results: list) -> list:
-    """results, unless one of them is a deferred failure: a call that raises.
-    The first such call in order is made, so the exception is the one a test
-    of each entry in turn would meet first."""
-    for result in results:
-        if callable(result):
-            result()
-    return results
-
-
-def _tail_enclosures(walk: _Walk, starts: Sequence[int], cutoffs: Sequence[int]) -> list:
-    """The tail_norm enclosure for each (start, cutoff), or the deferred read
-    that fails it, from walk: it must have read every coefficient from the
-    smallest start on up to its read_to.  The walk goes on to the largest
-    cutoff, so every partial sum is one searchsorted away, and so is every
-    majorant start but one past all the terms read, which tail_majorant_start
-    finds.  A tail that reaches past coverage + 1 fails at the read of the
-    first index beyond coverage, once the walk has read up to it."""
-    if not starts:
-        return []
-    f = walk.f
+def _tail_enclosures(
+    f: HalfFunction, starts: Sequence[int], cutoffs: Sequence[int]
+) -> list[Enclosure]:
+    """The tail_norm enclosure for each (start, cutoff), from one read of f's
+    terms from the smallest start up to the largest cutoff, or coverage + 1
+    if that comes first; no tail may reach past coverage + 1 unless it is
+    empty.  Every partial sum is one searchsorted into the terms read away,
+    and so is every majorant start but one past all of them, which
+    tail_majorant_start finds."""
     bound = None if f.coverage is None else f.coverage + 1
-    walk.extend(max(cutoffs))
-    positions, magnitudes = walk.positions, walk.magnitudes
+    read_to = max(cutoffs) if bound is None else min(max(cutoffs), bound)
+    positions, values = f._terms(min(starts), read_to)
     covered = [c for c in cutoffs if bound is None or c < bound]
     past = None
     if covered and (not positions or positions[-1] < max(covered)):
-        past = f.tail_majorant_start(walk.read_to)
+        past = f.tail_majorant_start(read_to)
     index = np.array(positions, dtype=np.int64)
-    firsts = np.searchsorted(index, starts).tolist()
-    lasts = np.searchsorted(index, cutoffs).tolist()
-    out: list = []
+    firsts = index.searchsorted(starts).tolist()
+    lasts = index.searchsorted(cutoffs).tolist()
+    out = []
     for start, cutoff, i, j in zip(starts, cutoffs, firsts, lasts):
-        if bound is not None and start < cutoff and cutoff > bound:
-            out.append(functools.partial(f.coefficient, max(start, bound)))
-            continue
         # sum(|a_k| * 2^(cutoff-1-k)) over the tail's terms, over 2^(terms-1)
         terms, top = cutoff - start, cutoff - 1
-        partial = sum(m << (top - k) for k, m in zip(positions[i:j], magnitudes[i:j]))
+        partial = sum(abs(a) << (top - k) for k, a in zip(positions[i:j], values[i:j]))
         lo = Fraction(partial, 1 << (terms - 1)) if terms else Fraction(0)
         if j < len(positions):
             majorant_at = positions[j]
@@ -408,7 +356,9 @@ def tail_norm(f: HalfFunction, start: int, cutoff: int) -> Enclosure:
         raise ValueError("start must be at least 1")
     if cutoff < start:
         raise ValueError("cutoff must not precede start")
-    return _settled(_tail_enclosures(_Walk(f, start), [start], [cutoff]))[0]
+    if f.coverage is not None and cutoff > start and cutoff > f.coverage + 1:
+        f.coefficient(max(start, f.coverage + 1))  # raises CoverageError
+    return _tail_enclosures(f, [start], [cutoff])[0]
 
 
 def _verdict(
@@ -434,62 +384,46 @@ def _verdict(
     return MildGapCheck(Verdict.INCONCLUSIVE, n, failed_clause="tail-norm", detail=detail)
 
 
-def _checks(
-    walk: _Walk,
-    ns: Sequence[int],
-    gap_length: int,
-    tail_bound: Fraction,
-    cutoff: int | None,
-    tails: Callable[[_Walk, Sequence[int], Sequence[int]], list],
-) -> list:
-    """The mild-gap check of each n, or the deferred failure that a test of n
-    alone would raise, in the order of ns.
-
-    walk must start at or below every nonnegative n.  It is read on until
-    the first nonzero at or past the largest n up to coverage + 1, or
-    through that n's zero window; one bisection of the positions read then
-    gives each n its first nonzero, which decides the zero clause: it holds
-    when there is none.  tails encloses the tails of the n that pass it,
-    from the same walk.
+def _windows(
+    f: HalfFunction, ns: Sequence[int], gap_length: int, cutoff: int | None
+) -> list[MildGapCheck | tuple[int, int]]:
+    """For each n of ns, in order: the check that rejects its zero run, or
+    the (start, cutoff) of its tail, whose enclosure cannot fail.  One
+    searchsorted gives each n its first nonzero, which decides the zero
+    clause without reading a coefficient.  An n that cannot be tested
+    raises as it is met: a negative n, a window past coverage, a cutoff
+    that precedes the tail, or one past coverage + 1.
     """
-    f = walk.f
     bound = None if f.coverage is None else f.coverage + 1
-    # an n past coverage + 1 fails at its own first read, so it needs no walk
-    reached = [n for n in ns if 0 <= n and (bound is None or n <= bound)]
-    if reached:
-        top = max(reached)
-        walk.extend(top + gap_length, stop=top)
-    positions = walk.positions
-    results: list = [None] * len(ns)
-    passed, starts, cutoffs = [], [], []
-    for i, n in enumerate(ns):
+    size = f.positions.size
+    firsts = f.positions.searchsorted(ns)
+    following = f.positions[np.minimum(firsts, size - 1)].tolist() if size else [0] * len(ns)
+    out: list[MildGapCheck | tuple[int, int]] = []
+    for n, i, k in zip(ns, firsts.tolist(), following):
         start = n + gap_length
-        j = bisect.bisect_left(positions, n)
         if n < 0:
-            results[i] = functools.partial(f.coefficient, n)
-        elif j < len(positions) and positions[j] < start:
-            detail = f"coefficient at {positions[j]} is nonzero"
-            results[i] = MildGapCheck(Verdict.FAIL, n, failed_clause="zero-run", detail=detail)
-        elif bound is not None and start > bound:
-            results[i] = functools.partial(f.coefficient, max(n, bound))
-        elif cutoff is not None and cutoff < start:
-            results[i] = functools.partial(_fail, (
+            f.coefficient(n)  # raises IndexError
+        if i < size and k < start:
+            detail = f"coefficient at {k} is nonzero"
+            out.append(MildGapCheck(Verdict.FAIL, n, failed_clause="zero-run", detail=detail))
+            continue
+        if bound is not None and start > bound:
+            f.coefficient(max(n, bound))  # raises CoverageError
+        if cutoff is None:
+            cut = start + max(64, 4 * gap_length)
+            if bound is not None:
+                cut = max(min(cut, bound), start)
+        elif cutoff < start:
+            raise ValueError(
                 f"cutoff must not precede start: cutoff {cutoff} is below the tail start "
                 f"n + k = {start} of candidate n = {n}; the cutoff is an absolute index"
-            ))
+            )
+        elif bound is not None and cutoff > bound:
+            f.coefficient(bound)  # raises CoverageError
         else:
             cut = cutoff
-            if cut is None:
-                cut = start + max(64, 4 * gap_length)
-                if bound is not None:
-                    cut = max(min(cut, bound), start)
-            passed.append(i)
-            starts.append(start)
-            cutoffs.append(cut)
-    for i, cut, tail in zip(passed, cutoffs, tails(walk, starts, cutoffs)):
-        n = ns[i]
-        results[i] = tail if callable(tail) else _verdict(f, n, gap_length, tail_bound, cut, tail)
-    return results
+        out.append((start, cut))
+    return out
 
 
 def mild_gap_checks(
@@ -501,38 +435,37 @@ def mild_gap_checks(
 ) -> list[MildGapCheck]:
     """Test each n of ns for a mild gap point of f; one check per n, in order.
 
-    The n are taken in ascending clusters, split wherever the next n lies
-    past the default tail of the one before (any n, with a given cutoff).
-    One walk per cluster reads every nonzero coefficient from its smallest
-    n up to the first nonzero at or past its largest cutoff, once, so far
-    apart candidates do not walk the stretch between them.  The zero clause
-    of each n is decided exactly.  Its tail clause compares the bound
-    against a tail enclosure, so it can come back inconclusive when the
-    bound falls inside the enclosure; that verdict is distinct from a
-    definite rejection (enclosure entirely above the bound).  The cutoff is
-    an absolute index; by default each n gets n + gap_length +
-    max(64, 4*gap_length), clamped to coverage.  If some n cannot be tested
-    (it is negative, its window passes coverage, or the cutoff precedes its
-    tail), the exception is the one that testing each n in turn would raise
-    first.
+    The zero clause of every n is decided first, exactly and in order, and
+    an n that cannot be tested (it is negative, its window passes coverage,
+    or the cutoff precedes its tail or passes coverage + 1) raises there:
+    the exception is the one that testing each n in turn would raise first.
+    The tails left are enclosed in ascending clusters of starts, split
+    wherever the next start lies more than a default tail past the one
+    before (never, with a given cutoff); each cluster reads f's terms once,
+    from its smallest start up to its largest cutoff, so far apart
+    candidates do not read the stretch between them.  A tail clause
+    compares the bound against its enclosure, so it can come back
+    inconclusive when the bound falls inside the enclosure; that verdict is
+    distinct from a definite rejection (enclosure entirely above the
+    bound).  The cutoff is an absolute index; by default each n gets n +
+    gap_length + max(64, 4*gap_length), clamped to coverage.
     """
     tail_bound = _valid_tail_bound(gap_length, tail_bound)
     ns = [operator.index(n) for n in ns]
-    reach = gap_length + max(64, 4 * gap_length)
-    clusters: list[list[int]] = []
-    for i in sorted(range(len(ns)), key=ns.__getitem__):
-        if clusters and (cutoff is not None or ns[i] - ns[clusters[-1][-1]] <= reach):
-            clusters[-1].append(i)
+    results = _windows(f, ns, gap_length, cutoff)
+    tails = sorted((w[0], w[1], i) for i, w in enumerate(results) if isinstance(w, tuple))
+    reach = max(64, 4 * gap_length)
+    clusters: list[list[tuple[int, int, int]]] = []
+    for tail in tails:
+        if clusters and (cutoff is not None or tail[0] - clusters[-1][-1][0] <= reach):
+            clusters[-1].append(tail)
         else:
-            clusters.append([i])
-    results: list = [None] * len(ns)
+            clusters.append([tail])
     for cluster in clusters:
-        points = [ns[i] for i in cluster]
-        walk = _Walk(f, max(points[0], 0))
-        checks = _checks(walk, points, gap_length, tail_bound, cutoff, _tail_enclosures)
-        for i, check in zip(cluster, checks):
-            results[i] = check
-    return _settled(results)
+        starts, cutoffs, indices = zip(*cluster)
+        for i, cut, tail in zip(indices, cutoffs, _tail_enclosures(f, starts, cutoffs)):
+            results[i] = _verdict(f, ns[i], gap_length, tail_bound, cut, tail)
+    return results
 
 
 def is_mild_gap(
@@ -545,11 +478,11 @@ def is_mild_gap(
     """Test whether n is a mild gap point of f: mild_gap_checks on one
     index, with the tail enclosed by tail_norm."""
     tail_bound = _valid_tail_bound(gap_length, tail_bound)
-
-    def tails(walk: _Walk, starts: Sequence[int], cutoffs: Sequence[int]) -> list:
-        return [tail_norm(f, start, cut) for start, cut in zip(starts, cutoffs)]
-
-    return _settled(_checks(_Walk(f, n), [n], gap_length, tail_bound, cutoff, tails))[0]
+    window = _windows(f, [n], gap_length, cutoff)[0]
+    if isinstance(window, MildGapCheck):
+        return window
+    start, cut = window
+    return _verdict(f, n, gap_length, tail_bound, cut, tail_norm(f, start, cut))
 
 
 @dataclass(frozen=True)
@@ -571,8 +504,8 @@ def scan_mild_gaps(
     """All mild gap points in [lo, hi), ascending; undecided ones listed apart.
 
     A candidate n has its next nonzero coefficient gap_length or more past
-    it, found by one searchsorted into the walk over [lo, hi + gap_length - 1).
-    The candidates go to mild_gap_checks on that same walk.  A window past
+    it, found by one searchsorted into the positions in [lo, hi +
+    gap_length - 1).  The candidates go to mild_gap_checks.  A window past
     coverage raises CoverageError once every candidate before coverage is
     checked.
     """
@@ -584,15 +517,11 @@ def scan_mild_gaps(
     end = known = hi + gap_length - 1
     if f.coverage is not None:
         known = max(lo, min(end, f.coverage + 1))
-    walk = _Walk(f, lo)
-    walk.extend(known)
-    nonzero = np.array(walk.positions, dtype=np.int64)
+    nonzero = f.positions[slice(*f.positions.searchsorted([lo, known]))]
     starts = np.arange(lo, min(hi, known - gap_length + 1))
     following = np.append(nonzero, known)[np.searchsorted(nonzero, starts)]
     candidates = starts[following - starts >= gap_length].tolist()
-    checks = _settled(
-        _checks(walk, candidates, gap_length, tail_bound, cutoff, _tail_enclosures)
-    )
+    checks = mild_gap_checks(f, candidates, gap_length, tail_bound, cutoff)
     if known < end:
         f.coefficient(known)  # past coverage: raises CoverageError
     return MildGapScan(

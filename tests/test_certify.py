@@ -100,6 +100,23 @@ class TestVerifyMaier:
         witness = report.condition("residue-count-bounds").witness
         assert witness["violations"][0]["k"] == 0  # r(0, 9) = 189 is far above eps
 
+    def test_window_past_modulus_is_invalid(self, table_729):
+        # m + K = 9 is not below M = 9
+        report = verify_maier(worked_maier(m=8), table_729, residue_counts(3, 9))
+        assert report.condition("window-in-modulus").verdict is Verdict.FAIL
+        assert report.exit_code == 3
+
+    def test_zero_eps_is_invalid(self, table_729):
+        cert = worked_maier(eps=(Fraction(0), Fraction(1, 100)))
+        report = verify_maier(cert, table_729, residue_counts(3, 9))
+        assert report.condition("eps-positive").verdict is Verdict.FAIL
+        assert report.exit_code == 3
+
+    def test_profile_for_another_modulus_is_invalid(self, table_729):
+        report = verify_maier(worked_maier(), table_729, residue_counts(3, 7))
+        assert report.condition("inputs-match").verdict is Verdict.FAIL
+        assert report.exit_code == 3
+
     def test_enlarging_caps_preserves_pass(self, table_729):
         rng = random.Random(11)
         profile = residue_counts(3, 9)
@@ -182,6 +199,16 @@ class TestMaierInner:
             for m in range(modulus):
                 report = verify_maier_inner(ell, m, 0, modulus, 1, table)
                 assert report.verdict is Verdict.PASS, (ell, modulus, m)
+
+    def test_column_over_its_bound_fails(self):
+        # r = 0 at residue 4 mod 9, so a planted count of 5 at 4 breaks the bound 0
+        counts = np.zeros(725, dtype=np.int64)
+        counts[0], counts[4] = 1, 5
+        table = RepTable(WaringParams(3, 3), 724, counts)
+        report = verify_maier_inner(3, 4, 0, 9, 1, table)
+        assert report.condition("column-sum-bounded").verdict is Verdict.FAIL
+        assert report.summary == {"column_sum": 5, "bound": 0}
+        assert report.exit_code == 1
 
     def test_insufficient_coverage(self):
         table = sieve_rep(WaringParams(3, 3), 100)

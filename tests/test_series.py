@@ -627,29 +627,27 @@ class TestNonzeroWalk:
         ])
         assert got == expected
 
-    def test_batch_reads_each_coefficient_once(self, table_3_3, walks):
+    def test_batch_reads_each_coefficient_once(self, table_3_3, reads):
         f = HalfFunction.from_table(table_3_3)
         ns = [93, 4, 11, 4, 400, 0, 31, 18]
         checks = mild_gap_checks(f, ns, 4, Fraction(8))
-        # 400 is more than a default tail past 93, so it is walked apart: each
-        # walk ends at its largest cutoff, and no position is held by two walks
-        assert [(w.lo, w.read_to) for w in walks] == [(0, 93 + 4 + 64), (400, 400 + 4 + 64)]
-        for w in walks:
-            assert w.positions == [k for k in table_3_3.nonzero.tolist() if w.lo <= k < w.read_to]
-            assert w.magnitudes == [table_3_3.count(k) for k in w.positions]
+        # 0 fails its zero run unread; 400's tail starts more than a default
+        # tail past 93's, so it is read apart: each read runs from its
+        # cluster's smallest tail start to its largest cutoff, and the two
+        # ranges are disjoint
+        assert reads == [(4 + 4, 93 + 4 + 64), (400 + 4, 400 + 4 + 64)]
         assert [mild_gap_outcome(c) for c in checks] == [
             mild_gap_outcome(is_mild_gap(f, n, 4, Fraction(8))) for n in ns
         ]
         assert {c.failed_clause for c in checks} == {None, "zero-run", "tail-norm"}
 
-    def test_candidate_past_coverage_is_not_walked_to(self, table_3_3, walks):
+    def test_candidate_past_coverage_is_not_walked_to(self, table_3_3, reads):
         f = HalfFunction.from_table(table_3_3)
         far = table_3_3.limit + 10**6
         with pytest.raises(CoverageError, match=f"coefficient {far} beyond coverage"):
             mild_gap_checks(f, [4, far], 4, Fraction(8))
-        # the walk from far reads nothing; the one from 4 ends at its cutoff
-        assert [(w.lo, w.read_to) for w in walks] == [(4, 4 + 4 + 64), (far, far)]
-        assert walks[1].positions == []
+        # far fails before any tail is enclosed, so no term is read at all
+        assert reads == []
 
     def test_empty_tail_past_coverage(self, table_3_1):
         # nothing past coverage is read, and nothing there is certified zero
@@ -682,41 +680,34 @@ class TestNonzeroWalk:
             lambda: horner_truncated(f.coefficient, q, terms)
         )
 
-    def test_table_window_reads_only_index_positions(self, table_3_3, walks):
+    def test_table_window_reads_only_index_positions(self, table_3_3, reads):
         f = HalfFunction.from_table(table_3_3)
         cover = table_3_3.limit
-        listed = table_3_3.nonzero.tolist()
         lo = cover - 200
-        walk = series._Walk(f, lo)
-        walk.extend(cover + 9)
-        assert walk.positions == [k for k in listed if k >= lo] and walk.read_to == cover + 1
-        walks.clear()
         assert table_3_3.counts[-2:].tolist() == [0, 0]
         with pytest.raises(CoverageError, match=f"coefficient {cover + 1} beyond coverage"):
             is_mild_gap(f, cover - 1, 8, Fraction(8))
-        assert [(w.positions, w.read_to) for w in walks] == [([], cover + 1)]
-        walks.clear()
+        assert reads == []
         # the scan decides its candidates before coverage, reading their tails
-        # through the same walk, then fails at coverage + 1
+        # once and no further than coverage + 1, then fails at coverage + 1
         with pytest.raises(CoverageError, match=f"coefficient {cover + 1} beyond coverage"):
             scan_mild_gaps(f, lo, cover - 2, 8, Fraction(8))
-        assert [(w.positions, w.read_to) for w in walks] == [
-            ([k for k in listed if k >= lo], cover + 1)
-        ]
+        assert len(reads) == 1
+        assert lo < reads[0][0] and reads[0][1] == cover + 1
 
 
 @pytest.fixture
-def walks(monkeypatch):
-    """Every _Walk made while the test runs, in order, each with its lo."""
+def reads(monkeypatch):
+    """The (lo, hi) of every HalfFunction._terms call made while the test
+    runs, in order."""
     made = []
+    terms = HalfFunction._terms
 
-    class Recorded(series._Walk):
-        def __init__(self, f, lo):
-            super().__init__(f, lo)
-            self.lo = lo
-            made.append(self)
+    def recorded(self, lo, hi=None):
+        made.append((lo, hi))
+        return terms(self, lo, hi)
 
-    monkeypatch.setattr(series, "_Walk", Recorded)
+    monkeypatch.setattr(HalfFunction, "_terms", recorded)
     return made
 
 
