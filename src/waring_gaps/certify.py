@@ -21,7 +21,7 @@ import itertools
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
@@ -29,7 +29,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exact import decimal_str, fraction_str, parse_exact
+from .exact import decimal_str, fraction_str, parse_exact, render_exact
 from .modular import ResidueProfile, residue_counts, search_gap_modulus
 from .repcount import (
     RepTable,
@@ -199,27 +199,18 @@ class MaierCertificate:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "K": self.K,
-            "M": self.M,
-            "m": self.m,
-            "eps": [fraction_str(e) for e in self.eps],
-            "caps": list(self.caps),
-            "N": self.N,
-            "alpha": _printable_fraction(self.alpha, "alpha"),
-        }
+        return {**_echo(self), "alpha": _printable_fraction(self.alpha, "alpha")}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MaierCertificate":
-        obj = _checked(obj, "object", "certificate")
+        obj = parse_exact(obj, "object", "certificate")
         cert = cls(
             ell=_field(obj, "ell", "int"),
             K=_field(obj, "K", "int"),
             M=_field(obj, "M", "int"),
             m=_field(obj, "m", "int"),
-            eps=tuple(_checked(e, "fraction", "field eps") for e in _field(obj, "eps", "list")),
-            caps=tuple(_checked(c, "int", "field caps") for c in _field(obj, "caps", "list")),
+            eps=tuple(parse_exact(e, "fraction", "field eps") for e in _field(obj, "eps", "list")),
+            caps=tuple(parse_exact(c, "int", "field caps") for c in _field(obj, "caps", "list")),
             N=_field(obj, "N", "int"),
         )
         # a cap below 0 admits no count, and at cap + 1 <= 0 alpha is no bound
@@ -991,17 +982,7 @@ class PipelineConfig:
     threads: int = 1
 
     def to_json_dict(self) -> dict:
-        return {
-            "moduli_pool": list(self.moduli_pool) if self.moduli_pool is not None else None,
-            "window": self.window,
-            "xi": fraction_str(self.xi),
-            "sigma": fraction_str(self.sigma) if self.sigma is not None else None,
-            "product_bound": self.product_bound,
-            "max_modulus": self.max_modulus,
-            "max_limit": self.max_limit,
-            "mild_check_cap": self.mild_check_cap,
-            "threads": self.threads,
-        }
+        return _echo(self)
 
 
 def _window_runs(b: np.ndarray, M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1300,24 +1281,26 @@ def pipeline_dry_run(
 # ---------------------------------------------------------------------------
 
 
-_JSON_TYPES = {"object": dict, "list": (list, tuple), "string": str}
-
-
-def _checked(raw: Any, kind: str, name: str) -> Any:
-    """A certificate value of the given kind: "int" and "fraction" are parsed
-    strictly, "object", "list" and "string" only checked.  A value of another
-    JSON type is a ValueError naming the field."""
-    if kind in ("int", "fraction"):
-        return parse_exact(raw, kind, name)
-    if not isinstance(raw, _JSON_TYPES[kind]):
-        raise ValueError(f"{name}: expected {kind}, got {type(raw).__name__}")
-    return raw
+def _echo(obj: Any) -> dict:
+    """A dataclass's fields, in order, as a report echoes them."""
+    return {f.name: render_exact(getattr(obj, f.name)) for f in fields(obj)}
 
 
 def _field(obj: dict, key: str, kind: str) -> Any:
     if key not in obj:
         raise ValueError(f"field {key}: missing")
-    return _checked(obj[key], kind, f"field {key}")
+    return parse_exact(obj[key], kind, f"field {key}")
+
+
+def _entry(raw: Any) -> tuple[int, int]:
+    """One [index, coefficient] pair of a coefficients spec's entries."""
+    name = "field entries"
+    entry = parse_exact(raw, "list", name)
+    if len(entry) != 2:
+        raise ValueError(
+            f"{name}: expected an [index, coefficient] pair, got a list of {len(entry)}"
+        )
+    return parse_exact(entry[0], "int", name), parse_exact(entry[1], "int", name)
 
 
 def half_function_from_spec(spec: dict, base_dir: Path | None = None) -> HalfFunction:
@@ -1331,23 +1314,20 @@ def half_function_from_spec(spec: dict, base_dir: Path | None = None) -> HalfFun
         return HalfFunction.constant(_field(spec, "value", "int"))
     if kind == "coefficients":
         if "entries" in spec:
-            pairs = (_checked(e, "list", "field entries") for e in _field(spec, "entries", "list"))
-            values = {
-                _checked(n, "int", "field entries"): _checked(a, "int", "field entries")
-                for n, a in pairs
-            }
+            values = dict(map(_entry, _field(spec, "entries", "list")))
             huge = next((n for n in values if n >= 2**63), None)
             if huge is not None:
                 raise ValueError(f"field entries: index {huge} is past 2^63 - 1")
         else:
             values = {
-                n: _checked(a, "int", "field values")
+                n: parse_exact(a, "int", "field values")
                 for n, a in enumerate(_field(spec, "values", "list"))
             }
         c = _field(spec, "c", "fraction") if "c" in spec else None
-        return HalfFunction.from_coefficients(
-            values, c=c, label=spec.get("label", "poly")
-        )
+        if c is not None and c < 0:
+            raise ValueError(f"field c: {fraction_str(c)} is below 0")
+        label = _field(spec, "label", "string") if "label" in spec else "poly"
+        return HalfFunction.from_coefficients(values, c=c, label=label)
     if kind == "rep-table":
         if "path" in spec:
             path = Path(_field(spec, "path", "string"))
@@ -1355,13 +1335,16 @@ def half_function_from_spec(spec: dict, base_dir: Path | None = None) -> HalfFun
                 path = base_dir / path
             return HalfFunction.from_table(read_table_binary(path))
         params = WaringParams(_field(spec, "ell", "int"), _field(spec, "s", "int"))
-        return HalfFunction.from_table(sieve_rep(params, _field(spec, "limit", "int")))
+        limit = _field(spec, "limit", "int")
+        if limit < 0:
+            raise ValueError(f"field limit: {limit} is below 0")
+        return HalfFunction.from_table(sieve_rep(params, limit))
     if kind == "combination":
         parts = [
-            half_function_from_spec(_checked(p, "object", "field parts"), base_dir)
+            half_function_from_spec(parse_exact(p, "object", "field parts"), base_dir)
             for p in _field(spec, "parts", "list")
         ]
-        alphas = [_checked(a, "int", "field alphas") for a in _field(spec, "alphas", "list")]
+        alphas = [parse_exact(a, "int", "field alphas") for a in _field(spec, "alphas", "list")]
         return linear_combination(alphas, parts)
     raise ValueError(f"unknown half-function kind {kind!r}")
 
@@ -1370,7 +1353,7 @@ def nested_certificate_from_json(
     obj: dict, base_dir: Path | None = None
 ) -> NestedGapsCertificate:
     """Parse the nested-gaps certificate wire format."""
-    obj = _checked(obj, "object", "certificate")
+    obj = parse_exact(obj, "object", "certificate")
     return NestedGapsCertificate(
         q=_field(obj, "q", "int"),
         H=_field(obj, "H", "fraction"),

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from . import certify, modular, repcount, series
-from .exact import decimal_str, fraction_str, parse_exact
+from .exact import decimal_str, fraction_str, parse_exact, render_exact
 
 TOOL = "waring-gaps"
 
@@ -32,7 +31,7 @@ TOOL = "waring-gaps"
 @dataclass(frozen=True)
 class Param:
     name: str
-    kind: str  # int | fraction | intlist | path
+    kind: str  # int | fraction | intlist | path, as exact.parse_exact reads them
     default: Any = None
     required: bool = False
     help: str = ""
@@ -72,38 +71,6 @@ class RunConfig:
 
     subcommand: str
     params: dict[str, Any]
-
-    def rendered(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for key, value in self.params.items():
-            if isinstance(value, Fraction):
-                out[key] = fraction_str(value)
-            elif isinstance(value, Path):
-                out[key] = str(value)
-            elif isinstance(value, tuple):
-                out[key] = list(value)
-            else:
-                out[key] = value
-        return out
-
-
-def _parse_value(subcommand: str, spec: Param, raw: Any) -> Any:
-    """A parameter's value from a flag, a config file or a replay override.
-
-    A value of the wrong JSON type is a ValueError naming the parameter.
-    """
-    name = f"{subcommand}: parameter {spec.name}"
-    if spec.kind == "path":
-        if not isinstance(raw, (str, os.PathLike)):
-            raise ValueError(f"{name}: expected path, got {type(raw).__name__}")
-        return Path(raw)
-    if spec.kind == "intlist":
-        if isinstance(raw, str):
-            raw = [part for part in raw.split(",") if part.strip()]
-        elif not isinstance(raw, (list, tuple)):
-            raw = [raw]
-        return tuple(parse_exact(v, "int", name) for v in raw)
-    return parse_exact(raw, spec.kind, name)
 
 
 def _config_object(obj: Any, path: str | Path) -> dict[str, Any]:
@@ -153,7 +120,8 @@ def _resolve(subcommand: str, flags: dict[str, Any], file_config: dict[str, Any]
         raw = flags.get(attr)
         if raw is None and spec.name not in OUTPUT_PARAMS:
             raw = file_config.get(attr)
-        value = spec.default if raw is None else _parse_value(subcommand, spec, raw)
+        name = f"{subcommand}: parameter {spec.name}"
+        value = spec.default if raw is None else parse_exact(raw, spec.kind, name)
         if value is None and spec.required:
             raise ValueError(f"{subcommand}: missing required parameter --{spec.name}")
         params[attr] = value
@@ -255,7 +223,8 @@ def _array_pieces(value: np.ndarray, indent: str) -> Iterator[str]:
 
 
 def _base_report(config: RunConfig) -> dict:
-    return {"tool": TOOL, "subcommand": config.subcommand, "config": config.rendered()}
+    config_echo = {key: render_exact(value) for key, value in config.params.items()}
+    return {"tool": TOOL, "subcommand": config.subcommand, "config": config_echo}
 
 
 def _verdict(result: certify.Report) -> tuple[dict, int]:
@@ -550,12 +519,17 @@ def run(config: RunConfig) -> int:
 def _run_guarded(resolve: Callable[[], RunConfig]) -> int:
     """Resolve and run one invocation; bad input ends with a message on
     stderr and exit status 3, never a traceback.  RecursionError counts as
-    bad input: it is how json reports nesting too deep to decode."""
+    bad input: it is how json reports nesting too deep to decode.  So does
+    running out of memory, whose message may be empty (a bare MemoryError)
+    or numpy's account of the allocation that failed."""
     try:
         return run(resolve())
     except (ValueError, OSError, LookupError, ArithmeticError, RecursionError) as exc:
         print(f"{TOOL}: error: {exc}", file=sys.stderr)
-        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"{TOOL}: error: ran out of memory{detail}", file=sys.stderr)
+    return 3
 
 
 def replay_report(path: str | Path, overrides: dict[str, Any] | None = None) -> int:

@@ -1,4 +1,5 @@
-"""Canonical rational rendering and parsing.
+"""Canonical rational rendering, and the one parser and echo rule for
+values from outside.
 
 Everything that feeds a verdict is kept as a reduced ``Fraction`` or a
 Python integer; decimal output exists for human eyes only and is produced
@@ -7,7 +8,9 @@ with integer arithmetic, never ``float``.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from pathlib import Path
 from typing import Any
 
 
@@ -30,23 +33,59 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
     return Fraction(int(text))
 
 
-def parse_exact(raw: Any, kind: str, name: str) -> int | Fraction:
-    """Parse an integer (kind ``"int"``) or a rational (``"fraction"``) that
-    arrives from outside the program: a certificate, a config, a flag.
+# The JSON types (and, for a flag, the Python types) each kind accepts.
+_ACCEPTED = {
+    "int": (str, int),
+    "fraction": (str, int, Fraction),
+    "path": (str, os.PathLike),
+    "object": dict,
+    "list": (list, tuple),
+    "string": str,
+}
 
-    A string, an int or, for a rational, a Fraction is accepted.  bool,
-    float, list, object and null raise a ValueError naming the field:
-    ``int()`` would truncate a float or a bool and fail on the others with a
-    TypeError.  A malformed string (``"x"``, ``"2.5"`` for an int,
-    ``"1/0"``) is a ValueError naming the field as well.
+
+def parse_exact(raw: Any, kind: str, name: str) -> Any:
+    """Parse a value that arrives from outside the program (a flag, a
+    config entry, a replayed config or a certificate field) as kind.
+
+    ``"int"`` and ``"fraction"`` take a string, an int or, for a rational,
+    a Fraction; ``"intlist"`` takes a comma-separated string, a list of
+    ints or a single int, as a tuple; ``"path"`` takes a string as a Path;
+    ``"object"``, ``"list"`` and ``"string"`` are only checked.  A value of
+    another type is a ValueError naming the field: ``int()`` would truncate
+    a float or a bool and fail on the others with a TypeError.  A malformed
+    string (``"x"``, ``"2.5"`` for an int, ``"1/0"``) is a ValueError
+    naming the field as well.
     """
-    accepted = (str, int) if kind == "int" else (str, int, Fraction)
-    if isinstance(raw, bool) or not isinstance(raw, accepted):
+    if kind == "intlist":
+        if isinstance(raw, str):
+            raw = [part for part in raw.split(",") if part.strip()]
+        elif not isinstance(raw, (list, tuple)):
+            raw = [raw]
+        return tuple(parse_exact(v, "int", name) for v in raw)
+    if isinstance(raw, bool) or not isinstance(raw, _ACCEPTED[kind]):
         raise ValueError(f"{name}: expected {kind}, got {type(raw).__name__}")
+    if kind == "path":
+        return Path(raw)
+    if kind not in ("int", "fraction"):
+        return raw
     try:
         return int(raw) if kind == "int" else parse_fraction(raw)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{name}: expected {kind}, got {raw!r}") from None
+
+
+def render_exact(value: Any) -> Any:
+    """A parsed value as a report echoes it: a Fraction as fraction_str
+    spells it, a Path as its string, a tuple as the list of its echoed
+    entries, anything else as is."""
+    if isinstance(value, Fraction):
+        return fraction_str(value)
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, tuple):
+        return [render_exact(v) for v in value]
+    return value
 
 
 def decimal_str(x: Fraction | int, digits: int = 12) -> str:

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 from fractions import Fraction
+from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -555,3 +558,58 @@ def render_rows_joined(columns, seps) -> str:
         seps[0] + "".join(cell(value) + sep for value, sep in zip(row, seps[1:]))
         for row in zip(*(column.tolist() for column in columns))
     )
+
+
+# The two value parsers that exact.parse_exact replaced, kept as written
+# (with the int and rational parse they shared) as its reference.
+
+
+def parse_number_reference(raw: Any, kind: str, name: str) -> int | Fraction:
+    """An int (kind "int") or a rational ("fraction") from outside, as
+    exact.parse_exact read it before it took every kind."""
+    accepted = (str, int) if kind == "int" else (str, int, Fraction)
+    if isinstance(raw, bool) or not isinstance(raw, accepted):
+        raise ValueError(f"{name}: expected {kind}, got {type(raw).__name__}")
+    try:
+        if kind == "int":
+            return int(raw)
+        if isinstance(raw, (int, Fraction)):
+            return Fraction(raw)
+        text = raw.strip()
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num.strip()), int(den.strip()))
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name}: expected {kind}, got {raw!r}") from None
+
+
+def parse_value_reference(subcommand: str, spec, raw: Any) -> Any:
+    """A parameter's value from a flag, a config file or a replay override,
+    as cli._parse_value read it; spec has the name and kind of a cli.Param."""
+    name = f"{subcommand}: parameter {spec.name}"
+    if spec.kind == "path":
+        if not isinstance(raw, (str, os.PathLike)):
+            raise ValueError(f"{name}: expected path, got {type(raw).__name__}")
+        return Path(raw)
+    if spec.kind == "intlist":
+        if isinstance(raw, str):
+            raw = [part for part in raw.split(",") if part.strip()]
+        elif not isinstance(raw, (list, tuple)):
+            raw = [raw]
+        return tuple(parse_number_reference(v, "int", name) for v in raw)
+    return parse_number_reference(raw, spec.kind, name)
+
+
+_JSON_TYPES = {"object": dict, "list": (list, tuple), "string": str}
+
+
+def checked_reference(raw: Any, kind: str, name: str) -> Any:
+    """A certificate value of the given kind, as certify._checked read it:
+    "int" and "fraction" parsed strictly, "object", "list" and "string"
+    only checked."""
+    if kind in ("int", "fraction"):
+        return parse_number_reference(raw, kind, name)
+    if not isinstance(raw, _JSON_TYPES[kind]):
+        raise ValueError(f"{name}: expected {kind}, got {type(raw).__name__}")
+    return raw

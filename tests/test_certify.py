@@ -947,3 +947,57 @@ class TestWireFormats:
         again = nested_certificate_from_json(obj)
         report = verify_nested_gaps(again)
         assert report.verdict is Verdict.PASS
+
+
+class TestPlantedNonPass:
+    """A minimal input on which each of these conditions does not pass."""
+
+    def test_windows_out_of_order_halt(self):
+        # M = 16 gives K2 = 8 < K1 = 9
+        report = pipeline_dry_run(4, 2, 1, PipelineConfig(moduli_pool=(16,), window=9))
+        assert report.condition("windows-ordered").verdict is Verdict.FAIL
+        assert report.condition("windows-ordered").witness == {"K1": 9, "K2": 8}
+        assert report.summary["halted_at"] == "windows-ordered"
+        assert report.conditions[-1].name == "windows-ordered"
+
+    def test_window_too_wide_for_the_modulus(self):
+        report = pipeline_dry_run(4, 2, 1, PipelineConfig(moduli_pool=(16, 32, 64), window=6))
+        assert report.summary["M"] == 16
+        assert report.condition("size-shape").verdict is Verdict.FAIL
+        assert report.condition("size-shape").witness == {"2m": 10, "4K1": 24, "M": 16}
+        assert report.condition("kappa-at-least-first-window").verdict is Verdict.FAIL
+        assert report.condition("kappa-at-least-first-window").witness == {"kappa": 2, "K1": 6}
+
+    def test_residue_window_reaching_the_modulus(self):
+        # M = 52, m = 26: m + K2 = 52
+        report = pipeline_dry_run(3, 2, 1, PipelineConfig(moduli_pool=(52,), window=1))
+        condition = report.condition("residue-window-inside-modulus")
+        assert condition.verdict is Verdict.FAIL
+        assert condition.witness == {"m+K2": 52, "M": 52}
+
+    def test_schedule_below_the_loose_bound(self):
+        report = pipeline_dry_run(3, 2, 1, PipelineConfig(moduli_pool=(63,), xi=Fraction(1, 1000)))
+        condition = report.condition("schedule-dominates-loose-bound")
+        assert condition.verdict is Verdict.FAIL
+        assert condition.witness == {"12*xi": "3/250", "8*2^ell": 64}
+
+    def test_no_qualifying_pair(self):
+        # N = 300 leaves no point of any window outside the exceptional set
+        report = pipeline_dry_run(4, 2, 1, PipelineConfig(moduli_pool=(32,), max_limit=300))
+        for name in ("good-set-large", "window-set-escapes-exceptional",
+                     "representable-point-in-some-pair"):
+            assert report.condition(name).verdict is Verdict.FAIL, name
+        assert report.condition("good-set-large").witness["count"] == 0
+        assert report.condition("window-set-escapes-exceptional").witness["escaped"] == 0
+        degree = report.condition("degree-criterion")
+        assert degree.verdict is Verdict.FAIL
+        assert degree.witness == "no qualifying pair available"
+
+    def test_forms_undecided_at_few_terms(self):
+        tables = [sieve_rep(WaringParams(3, s), 4 + 128) for s in (1, 2, 3)]
+        report = check_theta_linear_forms(3, 2, 1, 4, tables)
+        condition = report.condition("forms-nonvanishing")
+        assert condition.verdict is Verdict.INCONCLUSIVE
+        assert condition.witness["certified"] == 48 and len(condition.witness["undecided"]) == 6
+        assert report.verdict is Verdict.INCONCLUSIVE
+

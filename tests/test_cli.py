@@ -1076,3 +1076,102 @@ class TestMalformedInputs:
         table = ["--table", str(inputs / "r33.bin")] if subcommand == "maier" else []
         assert run_cli(subcommand, "--cert", str(path), *table) == 3
         assert capsys.readouterr().err == f"waring-gaps: error: field {field}: missing\n"
+
+
+class TestOutOfMemory:
+    """Running out of memory exits 3 with one message line, not a traceback."""
+
+    @pytest.mark.parametrize("subcommand", ["sieve", "nested"])
+    def test_exits_3_under_a_2_gb_cap(self, tmp_path, subcommand):
+        if subcommand == "sieve":
+            args = ["sieve", "--ell", "3", "--s", "3", "--limit", str(10**13)]
+        else:
+            f = {"kind": "rep-table", "ell": 3, "s": 3, "limit": 10**13}
+            (tmp_path / "cert.json").write_text(json.dumps(dict(NESTED_CERT, f=f)))
+            args = ["nested", "--cert", "cert.json", "--json", "r.json"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1",
+               "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", AS_LIMITED_CLI, str(2 << 30), *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("waring-gaps: error: ran out of memory")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout == "" and not (tmp_path / "r.json").exists()
+
+    def test_message_of_a_bare_memory_error(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.repcount, "greedy_decompose", exhausted)
+        assert run_cli("greedy", "--ell", "3", "--b", "50") == 3
+        assert capsys.readouterr().err == "waring-gaps: error: ran out of memory\n"
+
+
+class TestExceptionalFromTable:
+    def test_table_gives_the_sieving_run(self, tmp_path):
+        table = tmp_path / "t.bin"
+        assert run_cli("sieve", "--ell", "4", "--s", "4", "--limit", "120",
+                       "--out", str(table)) == 0
+        runs = {}
+        for name, extra in (("sieved", ()), ("read", ("--table", str(table)))):
+            out, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            assert run_cli("exceptional", "--limit", "120", "--epsilon", "1/100", *extra,
+                           "--out", str(out), "--json", str(report)) == 0
+            runs[name] = out.read_bytes(), json.loads(report.read_text())
+        (sieved_csv, sieved), (read_csv, read) = runs["sieved"], runs["read"]
+        assert read_csv == sieved_csv and sieved_csv.startswith(b"a\n")
+        assert (sieved["config"]["table"], read["config"]["table"]) == (None, str(table))
+        for report in (sieved, read):
+            del report["config"]["table"], report["config"]["out"], report["config"]["json"]
+        assert read == sieved
+        assert read["result"]["limit"] == 120
+
+
+class TestSeriesSpecs:
+    """Every field of a series spec goes through the one parser, and a
+    malformed or out-of-range one exits 3 naming its field."""
+
+    @pytest.mark.parametrize(
+        "f,message",
+        [
+            ({"kind": "coefficients", "entries": [[0, 1], [10, 1], [20, 1]], "label": {"x": 1}},
+             "field label: expected string, got dict"),
+            ({"kind": "coefficients", "entries": [[0, 1, 5], [10, 1], [20, 1]]},
+             "field entries: expected an [index, coefficient] pair, got a list of 3"),
+            ({"kind": "coefficients", "entries": [[0], [10, 1], [20, 1]]},
+             "field entries: expected an [index, coefficient] pair, got a list of 1"),
+            ({"kind": "coefficients", "entries": [[0, 1]], "c": "-1"}, "field c: -1 is below 0"),
+            ({"kind": "coefficients", "values": [1], "c": "-1/2"}, "field c: -1/2 is below 0"),
+            ({"kind": "rep-table", "ell": 3, "s": 3, "limit": -5},
+             "field limit: -5 is below 0"),
+        ],
+        ids=["label", "entry-of-three", "entry-of-one", "c", "c-of-values", "limit"],
+    )
+    @pytest.mark.parametrize("subcommand", ["nested", "measure"])
+    def test_malformed_field_exits_3_naming_it(self, tmp_path, capsys, subcommand, f, message):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(dict(NESTED_CERT, f=f)))
+        assert run_cli(subcommand, "--cert", str(cert), "--json", str(tmp_path / "r.json")) == 3
+        assert capsys.readouterr().err == f"waring-gaps: error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_table_path_is_read_from_the_certificate_directory(self, tmp_path, monkeypatch):
+        certs = tmp_path / "certs"
+        certs.mkdir()
+        write_table_binary(sieve_rep(WaringParams(3, 3), 760), certs / "r33.bin")
+        monkeypatch.chdir(tmp_path)  # not the certificate's directory
+        reports = []
+        for f in ({"kind": "rep-table", "path": "r33.bin"},
+                  {"kind": "rep-table", "ell": 3, "s": 3, "limit": 760}):
+            cert = certs / "cert.json"
+            cert.write_text(json.dumps(dict(NESTED_CERT, K1=2, K2=3, n1=4, n2=11, f=f)))
+            assert run_cli("nested", "--cert", str(cert), "--json", "r.json") in (0, 1)
+            reports.append(json.loads((tmp_path / "r.json").read_text())["report"])
+        by_path, by_params = reports
+        for key in ("verdict", "per_condition", "summary"):
+            assert by_path[key] == by_params[key], key
+        mild = {c["name"]: c for c in by_path["per_condition"]}["mild-gaps"]
+        assert "f_3_3" in {check["function"] for check in mild["witness"]}
