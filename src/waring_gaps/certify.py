@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -29,7 +28,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exact import decimal_str, fraction_str, parse_exact, render_exact
+from .exact import decimal_str, digit_limit, parse_exact, render_exact, unprintable
 from .modular import ResidueProfile, residue_counts, search_gap_modulus
 from .repcount import (
     RepTable,
@@ -68,7 +67,12 @@ class ConditionResult:
 
 @dataclass
 class Report:
-    """Per-condition verdicts plus a summary, JSON-ready and replayable."""
+    """Per-condition verdicts plus a summary, JSON-ready and replayable.
+
+    Every value it records, the certificate included, is spelled and
+    bounded by render_exact: a check hands over the exact value, and one
+    too long to print is a ValueError naming its key.
+    """
 
     kind: str
     certificate: dict | None = None
@@ -76,8 +80,12 @@ class Report:
     summary: dict = field(default_factory=dict)
     invalid: bool = False
 
+    def __post_init__(self) -> None:
+        self.certificate = render_exact(self.certificate)
+
     def add(self, name: str, verdict: Verdict, witness: Any = None) -> ConditionResult:
-        cond = ConditionResult(name=name, verdict=verdict, witness=witness)
+        """Record a condition; its witness is rendered under its name."""
+        cond = ConditionResult(name=name, verdict=verdict, witness=render_exact(witness, name))
         self.conditions.append(cond)
         return cond
 
@@ -85,6 +93,10 @@ class Report:
         """Record a condition that passes exactly when ok holds; returns ok."""
         self.add(name, Verdict.FAIL if not ok else Verdict.PASS, witness)
         return ok
+
+    def note(self, **entries: Any) -> None:
+        """Add entries to the summary, each rendered under its key."""
+        self.summary.update(render_exact(entries))
 
     def condition(self, name: str) -> ConditionResult:
         for cond in self.conditions:
@@ -199,7 +211,7 @@ class MaierCertificate:
         )
 
     def to_json_dict(self) -> dict:
-        return {**_echo(self), "alpha": _printable_fraction(self.alpha, "alpha")}
+        return _echo(self, alpha=self.alpha)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MaierCertificate":
@@ -297,7 +309,7 @@ def verify_maier(
             {"N": cert.N, "M^ell": cert.M**cert.ell},
         ),
         report.check("eps-positive", all(e > 0 for e in cert.eps)),
-        report.check("alpha-below-one", alpha_ok, {"alpha": _printable_fraction(alpha, "alpha")}),
+        report.check("alpha-below-one", alpha_ok, {"alpha": alpha}),
         report.check(
             "inputs-match",
             inputs_ok,
@@ -317,7 +329,7 @@ def verify_maier(
     for k, e in enumerate(cert.eps):
         r = profile.r(cert.m + k) if profile.modulus == cert.M else None
         if r is None or r * e.denominator > e.numerator * denom:
-            violations.append({"k": k, "count": r, "eps": fraction_str(e)})
+            violations.append({"k": k, "count": r, "eps": e})
     invariants.append(
         report.check(
             "residue-count-bounds",
@@ -328,8 +340,7 @@ def verify_maier(
     report.invalid = not all(invariants)
 
     bound = (1 - alpha) * Fraction(cert.N, cert.M) / (1 << cert.ell)
-    report.summary["alpha"] = _printable_fraction(alpha, "alpha")
-    report.summary["bound"] = _printable_fraction(bound, "bound")
+    report.note(alpha=alpha, bound=bound)
 
     can_count = alpha_ok and table.limit >= cert.N - 1
     if not can_count:
@@ -343,10 +354,8 @@ def verify_maier(
     if _qualifying is None:
         _qualifying = maier_qualifying_set(table, cert.M, cert.m, cert.caps, cert.N, cert.K)
     count = int(_qualifying.shape[0])
-    report.summary["count"] = count
-    report.check(
-        "count-at-least-bound", count >= bound, {"count": count, "bound": fraction_str(bound)}
-    )
+    report.note(count=count)
+    report.check("count-at-least-bound", count >= bound, {"count": count, "bound": bound})
     return report
 
 
@@ -380,7 +389,7 @@ def verify_maier_inner(
     report.check(
         "column-sum-bounded", lhs <= rhs, {"column_sum": lhs, "bound": rhs, "column_length": column}
     )
-    report.summary = {"column_sum": lhs, "bound": rhs}
+    report.note(column_sum=lhs, bound=rhs)
     return report
 
 
@@ -409,47 +418,33 @@ class NestedGapsCertificate:
     g_spec: dict | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        return render_exact({
             "q": self.q,
-            "H": fraction_str(self.H),
+            "H": self.H,
             "K1": self.K1,
             "K2": self.K2,
             "K_prime": self.K_prime,
             "n1": self.n1,
             "n2": self.n2,
             "n_prime": self.n_prime,
-            "E": fraction_str(self.E),
-            "E_prime": fraction_str(self.E_prime),
+            "E": self.E,
+            "E_prime": self.E_prime,
             "f": self.f_spec if self.f_spec is not None else {"label": self.f.label},
             "g": self.g_spec if self.g_spec is not None else {"label": self.g.label},
-        }
+        })
 
 
 def _printable_power(q: int, n: int, field: str) -> int:
     """q^n for the report field that prints it.  When str() would refuse
-    to print it (more digits than sys.get_int_max_str_digits()), a
-    ValueError names the field instead, decided from bit lengths before an
-    astronomically large power is formed."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    to print it, a ValueError names the field instead: decided from bit
+    lengths before an astronomically large power is formed, and otherwise
+    by render_exact's digit test."""
+    limit = digit_limit()
     # q^n >= 2^m with m = n * (bit_length(q) - 1), so it has at least
-    # floor(m * log10(2)) + 1 > m * 3 // 10 digits; and 2^(3 * limit) < 10^limit,
-    # so a power of at most 3 * limit bits prints without forming 10^limit
-    if not limit or n * (q.bit_length() - 1) * 3 // 10 < limit:
-        power = q**n
-        if not limit or power.bit_length() <= 3 * limit or power < 10**limit:
-            return power
-    raise ValueError(f"{field} has more than {limit} digits to print")
-
-
-def _printable_fraction(x: Fraction | int, field: str) -> str:
-    """fraction_str(x) for the report field that prints it.  When str()
-    refuses its numerator or denominator (more digits than
-    sys.get_int_max_str_digits()), the ValueError names the field."""
-    try:
-        return fraction_str(x)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"{field} has more than {limit} digits to print") from None
+    # floor(m * log10(2)) + 1 > m * 3 // 10 digits
+    if limit and n * (q.bit_length() - 1) * 3 // 10 >= limit:
+        raise unprintable(field)
+    return render_exact(q**n, field)
 
 
 def verify_nested_gaps(cert: NestedGapsCertificate) -> Report:
@@ -511,7 +506,7 @@ def verify_nested_gaps(cert: NestedGapsCertificate) -> Report:
     window_sum = eval_truncated(cert.f, cert.q, cert.n2) - eval_truncated(
         cert.f, cert.q, cert.n1
     )
-    report.check("window-sum-nonzero", window_sum != 0, {"sum": fraction_str(window_sum)})
+    report.check("window-sum-nonzero", window_sum != 0, {"sum": window_sum})
 
     q_K1 = _printable_power(cert.q, cert.K1, "q^K1")
     q_K2 = _printable_power(cert.q, cert.K2, "q^K2")
@@ -519,16 +514,16 @@ def verify_nested_gaps(cert: NestedGapsCertificate) -> Report:
         "gap-dominates-height",
         q_K1 > cert.H * cert.E and q_K2 > cert.H * cert.E_prime,
         {
-            "q^K1": str(q_K1),
-            "H*E": fraction_str(cert.H * cert.E),
-            "q^K2": str(q_K2),
-            "H*E_prime": fraction_str(cert.H * cert.E_prime),
+            "q^K1": Fraction(q_K1),
+            "H*E": cert.H * cert.E,
+            "q^K2": Fraction(q_K2),
+            "H*E_prime": cert.H * cert.E_prime,
         },
     )
 
     if report.verdict is Verdict.PASS:
-        report.summary["conclusion"] = (
-            "either g(1/q) = 0 or f(1/q) and g(1/q) are linearly independent "
+        report.note(
+            conclusion="either g(1/q) = 0 or f(1/q) and g(1/q) are linearly independent "
             "over the rationals"
         )
     return report
@@ -668,18 +663,18 @@ def check_measure(cert: NestedGapsCertificate, terms: int | None = None) -> Repo
         verdict,
         {
             "pairs": sweep.count,
-            "threshold": fraction_str(threshold),
+            "threshold": threshold,
             "failing": sweep.failing[:10],
             "undecided": sweep.undecided[:10],
         },
     )
-    report.summary = {
-        "pairs": sweep.count,
-        "threshold": fraction_str(threshold),
-        "min_lower_bound": fraction_str(sweep.minimum) if sweep.minimum is not None else None,
-        "min_pair": list(sweep.minimum_at) if sweep.minimum_at is not None else None,
-        "terms": terms,
-    }
+    report.note(
+        pairs=sweep.count,
+        threshold=threshold,
+        min_lower_bound=sweep.minimum,
+        min_pair=sweep.minimum_at,
+        terms=terms,
+    )
     return report
 
 
@@ -722,8 +717,8 @@ def verify_degree_criterion(
         certificate={
             "ell": ell,
             "q": q,
-            "J": fraction_str(J),
-            "E": fraction_str(E),
+            "J": J,
+            "E": E,
             "N": N,
             "K1": K1,
             "K2": K2,
@@ -756,27 +751,27 @@ def verify_degree_criterion(
         "height-gap",
         q_K1 > J * E and q_K2 > J * N,
         {
-            "q^K1": str(q_K1),
-            "J*E": fraction_str(J * E),
-            "q^K2": str(q_K2),
-            "J*N": fraction_str(J * N),
+            "q^K1": Fraction(q_K1),
+            "J*E": J * E,
+            "q^K2": Fraction(q_K2),
+            "J*N": J * N,
         },
     )
 
     j_max = min(Fraction(q_K1) / E, Fraction(q_K2, N))
     unit_c_paper = ell * (1 << ell)
     unit_c_sum = 1 + (ell - 1) * (1 << ell)
-    report.summary = {
-        "largest_certifiable_J_below": fraction_str(j_max),
-        "derived_outer_gap": n2 - n1 + K2,
-        "outer_tail_bound_unit_height": fraction_str(8 * unit_c_paper * N),
-        "outer_tail_bound_unit_height_sharper": fraction_str(8 * unit_c_sum * N),
-    }
+    report.note(
+        largest_certifiable_J_below=j_max,
+        derived_outer_gap=n2 - n1 + K2,
+        outer_tail_bound_unit_height=Fraction(8 * unit_c_paper * N),
+        outer_tail_bound_unit_height_sharper=Fraction(8 * unit_c_sum * N),
+    )
     if report.verdict is Verdict.PASS:
-        report.summary["conclusion"] = (
-            f"instance recorded as evidence that the series value at 1/{q} "
+        report.note(
+            conclusion=f"instance recorded as evidence that the series value at 1/{q} "
             f"admits no algebraic relation of degree at most {ell} at strength "
-            f"J = {fraction_str(J)}"
+            f"J = {render_exact(J, 'J')}"
         )
     return report
 
@@ -943,15 +938,15 @@ def check_theta_linear_forms(
     report.add(
         "forms-nonvanishing",
         Verdict.INCONCLUSIVE if sweep.undecided else Verdict.PASS,
-        {"certified": sweep.certified, "undecided": [list(c) for c in sweep.undecided[:10]]},
+        {"certified": sweep.certified, "undecided": sweep.undecided[:10]},
     )
-    report.summary = {
-        "forms_checked": sweep.count,
-        "L_min": fraction_str(sweep.minimum) if sweep.minimum is not None else None,
-        "L_min_form": list(sweep.minimum_at) if sweep.minimum_at is not None else None,
-        "theta_enclosure": theta.to_json_dict(),
-        "theta_width": fraction_str(theta.width),
-    }
+    report.note(
+        forms_checked=sweep.count,
+        L_min=sweep.minimum,
+        L_min_form=sweep.minimum_at,
+        theta_enclosure=theta.to_json_dict(),
+        theta_width=theta.width,
+    )
     return report
 
 
@@ -1072,24 +1067,19 @@ def pipeline_dry_run(
 
     report = Report(
         kind="pipeline",
-        certificate={"ell": ell, "q": q, "J": fraction_str(J), "config": config.to_json_dict()},
+        certificate={"ell": ell, "q": q, "J": J, "config": config.to_json_dict()},
     )
-    summary: dict[str, Any] = {}
-    report.summary = summary
 
     sigma = config.sigma if config.sigma is not None else DEFAULT_SIGMAS[ell]
     lo_sigma, hi_sigma = SIGMA_RANGES[ell]
     in_range = report.check(
         "exponent-in-range",
         lo_sigma < sigma < hi_sigma,
-        {
-            "sigma": fraction_str(sigma),
-            "open_interval": [fraction_str(lo_sigma), fraction_str(hi_sigma)],
-        },
+        {"sigma": sigma, "open_interval": [lo_sigma, hi_sigma]},
     )
-    summary["sigma"] = fraction_str(sigma)
+    report.note(sigma=sigma)
     if not in_range:
-        summary["halted_at"] = "exponent-in-range"
+        report.note(halted_at="exponent-in-range")
         return report
 
     pool = tuple(config.moduli_pool) if config.moduli_pool is not None else DEFAULT_POOLS[ell]
@@ -1109,12 +1099,10 @@ def pipeline_dry_run(
         search is not None,
         search.to_json_dict() if search is not None else "no candidate met the small-count threshold",
     ):
-        summary["halted_at"] = "modulus-search"
+        report.note(halted_at="modulus-search")
         return report
     M, m = search.modulus, search.residue
-    summary["M"] = M
-    summary["m"] = m
-    summary["K1"] = K1
+    report.note(M=M, m=m, K1=K1)
 
     exact_limit = floor_pow(M, sigma)
     capped = exact_limit > config.max_limit
@@ -1125,12 +1113,12 @@ def pipeline_dry_run(
         {"exact": exact_limit, "used": N, "max_limit": config.max_limit},
     )
     report.check("limit-covers-modulus-power", N >= M**ell, {"N": N, "M^ell": M**ell})
-    summary["N"] = N
+    report.note(N=N)
 
     K2 = M // 2
-    summary["K2"] = K2
+    report.note(K2=K2)
     if not report.check("windows-ordered", K1 <= K2, {"K1": K1, "K2": K2}):
-        summary["halted_at"] = "windows-ordered"
+        report.note(halted_at="windows-ordered")
         return report
     report.check("second-window-doubles-first", K2 > 2 * K1, {"K1": K1, "K2": K2})
     report.check("residue-window-inside-modulus", m + K2 < M, {"m+K2": m + K2, "M": M})
@@ -1146,23 +1134,22 @@ def pipeline_dry_run(
         ell=ell, K=K2, M=M, m=m, eps=tuple(eps), caps=tuple(caps), N=N
     )
     alpha = cert.alpha
-    summary["alpha"] = _printable_fraction(alpha, "alpha")
-    summary["xi"] = fraction_str(xi)
+    report.note(alpha=alpha, xi=xi)
     report.check(
         "schedule-alpha-below-three-quarters",
         alpha < Fraction(3, 4),
-        {"alpha": summary["alpha"], "alpha_decimal_display_only": decimal_str(alpha, 6)},
+        {"alpha": alpha, "alpha_decimal_display_only": decimal_str(alpha, 6)},
     )
     report.check(
         "schedule-dominates-loose-bound",
         12 * xi >= 8 * (1 << ell),
-        {"12*xi": fraction_str(12 * xi), "8*2^ell": 8 * (1 << ell)},
+        {"12*xi": 12 * xi, "8*2^ell": 8 * (1 << ell)},
     )
     kappa = K2 - K1
     report.check("kappa-at-least-first-window", kappa >= K1, {"kappa": kappa, "K1": K1})
     report.check("kappa-at-least-log-limit", (1 << kappa) >= N, {"kappa": kappa, "N": N})
     E = 60 * xi
-    summary["E"] = fraction_str(E)
+    report.note(E=E)
 
     # Margin past N keeps boundary tail checks decidable; counting ignores it.
     sieve_limit = N + K2 + max(64, 4 * K1) + 8
@@ -1177,12 +1164,10 @@ def pipeline_dry_run(
     )
 
     b_count = int(members.shape[0])
-    summary["qualifying_points"] = b_count
+    report.note(qualifying_points=b_count)
     floor_bound = Fraction(N, (1 << (ell + 2)) * M)
     report.check(
-        "qualifying-set-large",
-        b_count >= floor_bound,
-        {"count": b_count, "bound": fraction_str(floor_bound)},
+        "qualifying-set-large", b_count >= floor_bound, {"count": b_count, "bound": floor_bound}
     )
 
     # The tables cover every window, so a next nonzero past its end means none inside.
@@ -1191,8 +1176,7 @@ def pipeline_dry_run(
     good = table_lower.next_nonzero(b1s) > b2s + K2
     good_b1, good_b2 = b1s[good], b2s[good]
     bad_count = b1s.size - good_b1.size
-    summary["pairs"] = b1s.size
-    summary["good_pairs"] = good_b1.size
+    report.note(pairs=b1s.size, good_pairs=good_b1.size)
     report.check(
         "bad-points-minority", 2 * bad_count < b_count, {"bad": bad_count, "qualifying": b_count}
     )
@@ -1200,7 +1184,7 @@ def pipeline_dry_run(
     report.check(
         "good-set-large",
         good_b1.size >= good_bound,
-        {"count": good_b1.size, "bound": fraction_str(good_bound)},
+        {"count": good_b1.size, "bound": good_bound},
     )
 
     f_full = HalfFunction.from_table(table_full)
@@ -1220,14 +1204,14 @@ def pipeline_dry_run(
     else:
         epsilon = (Fraction(1) / sigma - Fraction(4059, 16384)) / 2
         if report.check(
-            "window-exponent-positive", epsilon > 0, {"epsilon": fraction_str(epsilon)}
+            "window-exponent-positive", epsilon > 0, {"epsilon": epsilon}
         ):
             exponent = Fraction(4059, 16384) + epsilon
             ed, en = exponent.denominator, exponent.numerator
             report.check(
                 "half-modulus-exceeds-window",
                 _pow_greater(M, ed, N, en, ed),
-                {"compare": "(M/2)^d > N^n", "exponent": fraction_str(exponent)},
+                {"compare": "(M/2)^d > N^n", "exponent": exponent},
             )
             window_points, escaped, exceptional = _window_escapes(
                 good_b1, M, N, exceptional_runs(4, N, epsilon, table_full)
@@ -1239,10 +1223,10 @@ def pipeline_dry_run(
                     "window_points": window_points,
                     "exceptional": exceptional,
                     "escaped": escaped,
-                    "epsilon": fraction_str(epsilon),
+                    "epsilon": epsilon,
                 },
             )
-            summary["exceptional_density"] = fraction_str(Fraction(exceptional, N))
+            report.note(exceptional_density=Fraction(exceptional, N))
 
     inside = table_full.next_nonzero(good_b1 + 1) < good_b2
     qualified_b1, qualified_b2 = good_b1[inside], good_b2[inside]
@@ -1267,9 +1251,9 @@ def pipeline_dry_run(
                 "summary": degree_report.summary,
             },
         )
-        summary["largest_certifiable_J_below"] = degree_report.summary[
-            "largest_certifiable_J_below"
-        ]
+        report.note(
+            largest_certifiable_J_below=degree_report.summary["largest_certifiable_J_below"]
+        )
     else:
         report.add("degree-criterion", Verdict.FAIL, "no qualifying pair available")
 
@@ -1281,9 +1265,10 @@ def pipeline_dry_run(
 # ---------------------------------------------------------------------------
 
 
-def _echo(obj: Any) -> dict:
-    """A dataclass's fields, in order, as a report echoes them."""
-    return {f.name: render_exact(getattr(obj, f.name)) for f in fields(obj)}
+def _echo(obj: Any, **extra: Any) -> dict:
+    """A dataclass's fields, in order, then extra, as a report prints them."""
+    echo = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return render_exact({**echo, **extra})
 
 
 def _field(obj: dict, key: str, kind: str) -> Any:
@@ -1315,9 +1300,10 @@ def half_function_from_spec(spec: dict, base_dir: Path | None = None) -> HalfFun
     if kind == "coefficients":
         if "entries" in spec:
             values = dict(map(_entry, _field(spec, "entries", "list")))
-            huge = next((n for n in values if n >= 2**63), None)
-            if huge is not None:
-                raise ValueError(f"field entries: index {huge} is past 2^63 - 1")
+            bad = next((n for n in values if not 0 <= n < 2**63), None)
+            if bad is not None:
+                past = "below 0" if bad < 0 else "past 2^63 - 1"
+                raise ValueError(f"field entries: index {bad} is {past}")
         else:
             values = {
                 n: parse_exact(a, "int", "field values")
@@ -1325,7 +1311,7 @@ def half_function_from_spec(spec: dict, base_dir: Path | None = None) -> HalfFun
             }
         c = _field(spec, "c", "fraction") if "c" in spec else None
         if c is not None and c < 0:
-            raise ValueError(f"field c: {fraction_str(c)} is below 0")
+            raise ValueError(f"field c: {render_exact(c, 'c')} is below 0")
         label = _field(spec, "label", "string") if "label" in spec else "poly"
         return HalfFunction.from_coefficients(values, c=c, label=label)
     if kind == "rep-table":

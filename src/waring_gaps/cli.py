@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from . import certify, modular, repcount, series
-from .exact import decimal_str, fraction_str, parse_exact, render_exact
+from .exact import decimal_str, parse_exact, render_exact
 
 TOOL = "waring-gaps"
 
@@ -223,7 +223,7 @@ def _array_pieces(value: np.ndarray, indent: str) -> Iterator[str]:
 
 
 def _base_report(config: RunConfig) -> dict:
-    config_echo = {key: render_exact(value) for key, value in config.params.items()}
+    config_echo = render_exact(config.params)
     return {"tool": TOOL, "subcommand": config.subcommand, "config": config_echo}
 
 
@@ -384,11 +384,11 @@ def _cmd_mild_scan(p: dict[str, Any]) -> tuple[dict, int]:
 def _cmd_theta(p: dict[str, Any]) -> tuple[dict, int]:
     table = repcount.sieve_rep(repcount.WaringParams(p["ell"], p["s"]), _sieve_limit(p))
     enc = series.eval_enclosure(series.HalfFunction.from_table(table), p["q"], p["terms"])
-    return {
+    return render_exact({
         "enclosure": enc.to_json_dict(),
-        "width": fraction_str(enc.width),
+        "width": enc.width,
         "decimal_display_only": decimal_str((enc.lo + enc.hi) / 2, 18),
-    }, 0
+    }), 0
 
 
 @command(

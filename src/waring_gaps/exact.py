@@ -1,5 +1,5 @@
-"""Canonical rational rendering, and the one parser and echo rule for
-values from outside.
+"""Canonical rational rendering, the one parser of values from outside,
+and the one rule by which a report spells and bounds every value.
 
 Everything that feeds a verdict is kept as a reduced ``Fraction`` or a
 Python integer; decimal output exists for human eyes only and is produced
@@ -9,6 +9,7 @@ with integer arithmetic, never ``float``.
 from __future__ import annotations
 
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -16,7 +17,6 @@ from typing import Any
 
 def fraction_str(x: Fraction | int) -> str:
     """Render a rational canonically, as ``p`` or ``p/q`` in lowest terms."""
-    x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -75,16 +75,45 @@ def parse_exact(raw: Any, kind: str, name: str) -> Any:
         raise ValueError(f"{name}: expected {kind}, got {raw!r}") from None
 
 
-def render_exact(value: Any) -> Any:
-    """A parsed value as a report echoes it: a Fraction as fraction_str
-    spells it, a Path as its string, a tuple as the list of its echoed
-    entries, anything else as is."""
+def digit_limit() -> int:
+    """The most digits str() prints of an int (sys.get_int_max_str_digits());
+    0 when there is no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def unprintable(name: str) -> ValueError:
+    """The error for a value under name that str() would refuse to print."""
+    return ValueError(f"{name} has more than {digit_limit()} digits to print")
+
+
+def render_exact(value: Any, name: str = "value") -> Any:
+    """A value as a report prints it: a Fraction as fraction_str spells it,
+    a Path as its string, a tuple or a list as the list of its rendered
+    entries, a dict entry by entry under each key, anything else (a numpy
+    array included) as is.  An int or a Fraction that str() would refuse,
+    having more digits than digit_limit(), is a ValueError naming the
+    innermost key it is under, or name outside every dict."""
+    if value is None or isinstance(value, str):  # the most common leaves, first
+        return value
+    if isinstance(value, dict):
+        return {key: render_exact(item, key) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [render_exact(item, name) for item in value]
+    if isinstance(value, int):
+        # 2^(3 * limit) < 10^limit, so an int of at most 3 * limit bits
+        # prints; and every limit Python accepts but 0 (none) is at least 640
+        bits = value.bit_length()
+        if bits > 3 * 640 and (limit := digit_limit()) and bits > 3 * limit:
+            if abs(value) >= 10**limit:
+                raise unprintable(name)
+        return value
     if isinstance(value, Fraction):
-        return fraction_str(value)
+        try:
+            return fraction_str(value)
+        except ValueError:
+            raise unprintable(name) from None
     if isinstance(value, Path):
         return str(value)
-    if isinstance(value, tuple):
-        return [render_exact(v) for v in value]
     return value
 
 

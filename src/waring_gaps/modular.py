@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .exact import fraction_str
+from .exact import render_exact
 from .repcount import csv_pieces, write_output
 
 
@@ -151,16 +151,16 @@ class GapModulusResult:
     meets_small_count: bool
 
     def to_json_dict(self) -> dict:
-        return {
+        return render_exact({
             "ell": self.ell,
             "M": self.modulus,
             "m": self.residue,
             "K1": self.window,
-            "factors": list(self.factors),
-            "per_k_quality": [fraction_str(q) for q in self.per_window_quality],
-            "global_quality": fraction_str(self.global_quality),
+            "factors": self.factors,
+            "per_k_quality": self.per_window_quality,
+            "global_quality": self.global_quality,
             "meets_iii": self.meets_small_count,
-        }
+        })
 
 
 def search_gap_modulus(

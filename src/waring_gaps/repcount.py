@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .exact import fraction_str
+from .exact import render_exact
 
 SUPPORTED_EXPONENTS = (3, 4)
 
@@ -418,13 +418,13 @@ class ExceptionalScan:
 
     def to_json_dict(self) -> dict:
         """The report fields; members stays the array, for the CLI's report writer."""
-        return {
+        return render_exact({
             "limit": self.limit,
-            "exponent": fraction_str(self.exponent),
+            "exponent": self.exponent,
             "cardinality": len(self.members),
-            "density": fraction_str(self.density),
+            "density": self.density,
             "members": self.members,
-        }
+        })
 
 
 def _bounded_pow(x: int, n: int, prec: int = 96) -> tuple[int, int, int]:

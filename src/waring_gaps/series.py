@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exact import fraction_str
+from .exact import render_exact
 from .repcount import RepTable
 
 
@@ -88,7 +88,7 @@ class Enclosure:
         return result
 
     def to_json_dict(self) -> dict:
-        return {"lo": fraction_str(self.lo), "hi": fraction_str(self.hi)}
+        return render_exact({"lo": self.lo, "hi": self.hi})
 
 
 class HalfFunction:
@@ -260,14 +260,14 @@ class MildGapWitness:
     tail_enclosure: Enclosure
 
     def to_json_dict(self) -> dict:
-        return {
+        return render_exact({
             "function": self.function,
             "n": self.n,
             "K": self.gap_length,
-            "E": fraction_str(self.tail_bound),
+            "E": self.tail_bound,
             "zero_checked_up_to": self.zero_checked_up_to,
             "tail_enclosure": self.tail_enclosure.to_json_dict(),
-        }
+        })
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import itertools
 import math
 import os
 import struct
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -613,3 +614,41 @@ def checked_reference(raw: Any, kind: str, name: str) -> Any:
     if not isinstance(raw, _JSON_TYPES[kind]):
         raise ValueError(f"{name}: expected {kind}, got {type(raw).__name__}")
     return raw
+
+
+# The bounded rational printer that exact.render_exact replaced
+# (certify._printable_fraction, with the fraction_str it called written
+# out), and the rule by which it and json's str() for ints printed a report.
+
+
+def printable_fraction_reference(x: Fraction | int, field: str) -> str:
+    """x as p or p/q in lowest terms for the report field that prints it,
+    as certify._printable_fraction spelled it through exact.fraction_str.
+    When str() refuses its numerator or denominator (more digits than
+    sys.get_int_max_str_digits()), the ValueError names the field."""
+    x = Fraction(x)
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{field} has more than {limit} digits to print") from None
+
+
+def render_reference(value: Any, name: str) -> Any:
+    """value as a report printed it: a Fraction through
+    printable_fraction_reference, an int as is once str() prints it (or
+    the same error naming its field), a tuple or list as a list and a dict
+    entry by entry, each under its innermost key."""
+    if isinstance(value, dict):
+        return {key: render_reference(item, key) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [render_reference(item, name) for item in value]
+    if isinstance(value, Fraction):
+        return printable_fraction_reference(value, name)
+    if isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"{name} has more than {limit} digits to print") from None
+    return value

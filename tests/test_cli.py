@@ -30,6 +30,16 @@ def run_cli(*args: str) -> int:
     return cli.main(list(args))
 
 
+def run_cli_at_default_digit_limit(*args: str) -> int:
+    """run_cli under Python's default limit of 4,300 digits on int-to-str."""
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        return run_cli(*args)
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
 def no_floats(obj) -> bool:
     if isinstance(obj, float):
         return False
@@ -325,12 +335,7 @@ class TestVerdictCommands:
         # K2 = 256, so q^K2 = 10^5120 has more digits than str() prints by default
         j = tmp_path / "pipe.json"
         argv = ["--ell", "4", "--q", str(10**20), "--pool", "512", "--max-limit", "3000000"]
-        default = sys.get_int_max_str_digits()
-        try:
-            sys.set_int_max_str_digits(4300)  # Python's default
-            assert run_cli("pipeline", *argv, "--json", str(j)) == 3
-        finally:
-            sys.set_int_max_str_digits(default)
+        assert run_cli_at_default_digit_limit("pipeline", *argv, "--json", str(j)) == 3
         err = capsys.readouterr().err
         assert err == "waring-gaps: error: q^K2 has more than 4300 digits to print\n"
         assert not j.exists()
@@ -339,14 +344,29 @@ class TestVerdictCommands:
         # at M = 1024 alpha's numerator has more than 15,000 digits
         j = tmp_path / "pipe.json"
         argv = ["--ell", "4", "--q", "3", "--pool", "1024", "--max-limit", "3000000"]
-        default = sys.get_int_max_str_digits()
-        try:
-            sys.set_int_max_str_digits(4300)  # Python's default
-            assert run_cli("pipeline", *argv, "--json", str(j)) == 3
-        finally:
-            sys.set_int_max_str_digits(default)
+        assert run_cli_at_default_digit_limit("pipeline", *argv, "--json", str(j)) == 3
         err = capsys.readouterr().err
         assert err == "waring-gaps: error: alpha has more than 4300 digits to print\n"
+        assert not j.exists()
+
+    def test_pipeline_unprintable_strength_product_names_its_field(self, tmp_path, capsys):
+        # J has 4,296 digits and prints, J * N has more than 4,300
+        j = tmp_path / "pipe.json"
+        argv = ["--ell", "4", "--q", "3", "--pool", "32", "--j", "1" + "0" * 4295]
+        assert run_cli_at_default_digit_limit("pipeline", *argv, "--json", str(j)) == 3
+        err = capsys.readouterr().err
+        assert err == "waring-gaps: error: J*N has more than 4300 digits to print\n"
+        assert not j.exists()
+
+    @pytest.mark.parametrize("subcommand", ["nested", "measure"])
+    def test_unprintable_height_product_names_its_field(self, tmp_path, capsys, subcommand):
+        # H and E have 4,001 digits and print, H * E has 8,001
+        cert, j = tmp_path / "cert.json", tmp_path / "r.json"
+        cert.write_text(json.dumps(dict(NESTED_CERT, H="1" + "0" * 4000, E="1" + "0" * 4000)))
+        argv = ["--cert", str(cert), "--json", str(j)]
+        assert run_cli_at_default_digit_limit(subcommand, *argv) == 3
+        err = capsys.readouterr().err
+        assert err == "waring-gaps: error: H*E has more than 4300 digits to print\n"
         assert not j.exists()
 
     def test_parser_is_built_once(self):
@@ -1147,8 +1167,10 @@ class TestSeriesSpecs:
             ({"kind": "coefficients", "values": [1], "c": "-1/2"}, "field c: -1/2 is below 0"),
             ({"kind": "rep-table", "ell": 3, "s": 3, "limit": -5},
              "field limit: -5 is below 0"),
+            ({"kind": "coefficients", "entries": [[-1, 1]]}, "field entries: index -1 is below 0"),
         ],
-        ids=["label", "entry-of-three", "entry-of-one", "c", "c-of-values", "limit"],
+        ids=["label", "entry-of-three", "entry-of-one", "c", "c-of-values", "limit",
+             "negative-index"],
     )
     @pytest.mark.parametrize("subcommand", ["nested", "measure"])
     def test_malformed_field_exits_3_naming_it(self, tmp_path, capsys, subcommand, f, message):

@@ -1,6 +1,9 @@
 """exact.parse_exact, the one parser of values from outside, and
-exact.render_exact, the one rule by which a report echoes them."""
+exact.render_exact, the one rule by which a report spells and bounds
+every value it prints."""
 
+import contextlib
+import sys
 from fractions import Fraction
 from pathlib import Path, PurePosixPath
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import checked_reference, parse_value_reference
+from oracles import checked_reference, parse_value_reference, render_reference
 from waring_gaps import cli
 from waring_gaps.exact import fraction_str, parse_exact, render_exact
 
@@ -29,6 +32,38 @@ VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=2), inner, max_size=2),
     max_leaves=6,
 )
+
+# The least limit on int-to-str digits Python accepts, and ints and
+# rationals on both sides of it: near 10^DIGITS, where str() starts to
+# refuse, and near 2^(3 * DIGITS), where render_exact's bit-length shortcut
+# ends.
+DIGITS = 640
+SIGNS = st.sampled_from([1, -1])
+NEAR_LIMIT = (
+    st.integers(-(2**70), 2**70)
+    | st.builds(lambda e, k, sign: sign * (10**e + k),
+                st.integers(DIGITS - 2, DIGITS + 1), st.integers(-2, 2), SIGNS)
+    | st.builds(lambda b, k, sign: sign * (2**b + k),
+                st.integers(3 * DIGITS - 2, 3 * DIGITS + 2), st.integers(-2, 2), SIGNS)
+)
+REPORT_VALUES = st.recursive(
+    NEAR_LIMIT | st.builds(Fraction, NEAR_LIMIT, NEAR_LIMIT.filter(bool))
+    | st.none() | st.booleans() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.sampled_from(["a", "H*E", "J*N"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@contextlib.contextmanager
+def int_str_digits(digits: int):
+    """Python's limit on int-to-str digits set to digits, then restored."""
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def outcome(parse, *args):
@@ -105,7 +140,7 @@ class TestRenderExact:
             (7, 7),
             (True, True),
             ("poly", "poly"),
-            ([Fraction(1, 2)], [Fraction(1, 2)]),  # only tuples are parsed values
+            ([Fraction(1, 2)], ["1/2"]),  # a list is rendered as a tuple is
         ],
     )
     def test_echoes(self, value, echo):
@@ -121,3 +156,26 @@ class TestRenderExact:
         assert parse_exact(render_exact(value), kind, "x") == value
         if kind == "fraction":
             assert render_exact(value) == fraction_str(value)
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (10**640, "value has more than 640 digits to print"),
+            ({"H*E": Fraction(1, 10**640)}, "H*E has more than 640 digits to print"),
+            ({"a": [{"b": 1, "c": (2, -(10**700))}]}, "c has more than 640 digits to print"),
+        ],
+        ids=["int", "fraction", "nested"],
+    )
+    def test_a_value_too_long_to_print_names_its_innermost_key(self, value, message):
+        with int_str_digits(DIGITS):
+            with pytest.raises(ValueError) as info:
+                render_exact(value)
+        assert str(info.value) == message
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=REPORT_VALUES)
+    def test_spells_and_bounds_as_the_sites_it_replaced(self, value):
+        with int_str_digits(DIGITS):
+            got = outcome(render_exact, value, "top")
+            expected = outcome(render_reference, value, "top")
+        assert got == expected

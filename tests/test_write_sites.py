@@ -1,12 +1,13 @@
 """Every file the package writes reaches disk through repcount.write_output,
-and every array it writes as text is rendered by repcount.render_rows.
+every array it writes as text is rendered by repcount.render_rows, and
+every rational a report prints is spelled by exact.render_exact.
 
 The scans read the source of every module under waring_gaps.  The first
 lists each call that opens a file for writing: open() or Path.open() with a
 mode that holds w, a, x or + (or a mode it cannot read), write_text and
 write_bytes.  The second lists each .tolist() whose result feeds
 json.dumps, json.dump or a str.join, the per-cell rendering render_rows
-replaces.
+replaces.  The third lists each call of exact.fraction_str.
 """
 
 import ast
@@ -16,6 +17,7 @@ import waring_gaps
 
 PACKAGE = Path(waring_gaps.__file__).parent
 WRITER = ("repcount.py", "write_output")
+SPELLER = ("exact.py", "render_exact")
 
 
 def _mode(call: ast.Call) -> ast.expr | None:
@@ -77,3 +79,14 @@ def test_one_write_site():
 def test_one_renderer():
     sites = _scan(_renders_tolist)
     assert sites == [], sites
+
+
+def _spells_fraction(call: ast.Call) -> bool:
+    func = call.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "fraction_str"
+
+
+def test_one_spelling():
+    sites = _scan(_spells_fraction)
+    # render_exact's own call is listed too, so a scan that finds nothing fails.
+    assert [site[:2] for site in sites] == [SPELLER], sites
