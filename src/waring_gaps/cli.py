@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -147,7 +147,13 @@ def _emit(report: dict, json_path: Path | None) -> None:
             line += f" (verdict: {verdict})"
         print(line)
     else:
-        print("".join(_report_chunks(report)))
+        sys.stdout.writelines(_decoded(chain(_report_chunks(report), ["\n"])))
+
+
+def _decoded(pieces: Iterable[str | np.ndarray]) -> Iterator[str]:
+    """The pieces as str, each array of ASCII bytes decoded, for stdout."""
+    for piece in pieces:
+        yield piece if isinstance(piece, str) else str(piece, "ascii")
 
 
 def _write_report(report: dict, path: Path) -> None:
@@ -166,13 +172,14 @@ def _holds_array(value: Any) -> bool:
     )
 
 
-def _report_chunks(value: Any, indent: str = "") -> Iterator[str]:
+def _report_chunks(value: Any, indent: str = "") -> Iterator[str | np.ndarray]:
     """value as json.dumps encodes it with an indent of 2, in pieces, with
     every line after the first indented further by indent.
 
     The report itself (indent "") and every dict that holds an array are
     walked here; their keys are str, as every report's are.  A numpy array,
-    which json cannot encode, comes in pieces (see _array_pieces).  Every
+    which json cannot encode, comes in pieces, some of them arrays of ASCII
+    bytes (see _array_pieces).  Every
     other value streams from one iterencode call, which is cheaper than
     walking its dicts key by key; a JSON string never holds a raw newline,
     so re-indenting each piece is exact.
@@ -196,10 +203,11 @@ def _report_chunks(value: Any, indent: str = "") -> Iterator[str]:
             yield (first + "".join(islice(chunks, 1023))).replace("\n", newline)
 
 
-def _array_pieces(value: np.ndarray, indent: str) -> Iterator[str]:
+def _array_pieces(value: np.ndarray, indent: str) -> Iterator[str | np.ndarray]:
     """The JSON list of a 1-D int array, or of one object per record of a
     structured array of int and bool fields, laid out as _report_chunks
-    lays out a list at indent, in pieces rendered by repcount.render_rows.
+    lays out a list at indent: its brackets as str, its items in the blocks
+    repcount.render_rows yields.
     """
     names = value.dtype.names
     columns = [value[name] for name in names] if names else [value]
@@ -217,7 +225,8 @@ def _array_pieces(value: np.ndarray, indent: str) -> Iterator[str]:
     else:
         seps = [separator, ""]
     pieces = repcount.render_rows(columns, seps)
-    yield "[" + next(pieces)[1:]
+    yield "["
+    yield next(pieces)[1:]
     yield from pieces
     yield "\n" + indent + "]"
 
@@ -299,7 +308,7 @@ def _cmd_gaps(p: dict[str, Any]) -> tuple[dict | None, int]:
     if p["out"] is not None:
         repcount.write_output(p["out"], text)
     else:
-        sys.stdout.writelines(text)
+        sys.stdout.writelines(_decoded(text))
     # The runs went to stdout or --out; a report is written only to --json.
     if p["json"] is None:
         return None, 0
@@ -399,6 +408,10 @@ def _cmd_theta(p: dict[str, Any]) -> tuple[dict, int]:
 def _cmd_maier(p: dict[str, Any]) -> tuple[dict, int]:
     cert = certify.MaierCertificate.from_json_dict(json.loads(p["cert"].read_text()))
     table = repcount.read_table_binary(p["table"])
+    # A valid certificate has M <= M^ell <= N <= limit + 1, and a profile
+    # for a larger M may not fit in memory.
+    if cert.M > table.limit + 1:
+        raise ValueError(f"field M: past the table's limit + 1 = {table.limit + 1}")
     profile = modular.residue_counts(cert.ell, cert.M)
     return _verdict(certify.verify_maier(cert, table, profile))
 

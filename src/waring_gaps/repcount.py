@@ -41,9 +41,11 @@ _MAGIC = b"WRT1"
 # block of the counts, and by the table bound check and the nonzero index,
 # whose temporaries it bounds; it never changes a result.
 _WINDOW = 1 << 20
-# Rows rendered at once by render_rows, for every CSV and JSON array; it
-# bounds the memory of writing one and never changes a byte.
-_CSV_ROWS = 1 << 12
+# Bytes of the matrix render_rows fills at once, for every CSV and JSON
+# array; it bounds the memory of writing one and never changes a byte.  Of
+# limits from 64 KiB to 1 MiB, 256 KiB rendered the sieve-tables arrays
+# fastest.
+_BLOCK_BYTES = 1 << 18
 
 
 class CounterWidthError(ValueError):
@@ -687,26 +689,32 @@ _PAIRS[0] = 0
 _BOOL_TEXT = np.frombuffer(b"false\0true", dtype=np.uint8).reshape(2, 5)
 
 
-def _cells(column: np.ndarray) -> tuple[int, Callable[[np.ndarray], None]]:
+def _cells(column: np.ndarray) -> tuple[int, Callable[[np.ndarray], None], bool]:
     """The width of a slot that holds the text of every entry of a 1-D
-    column, and a function that writes entry i into row i of a (rows, width)
-    uint8 slot, NUL-padded: an int in decimal, a bool as JSON's true or
-    false, and an object (a Python int beyond int64) as str() spells it."""
+    column, a function that writes entry i into row i of a (rows, width)
+    uint8 slot, NUL-padded, and whether every entry fills its slot: an int
+    in decimal, a bool as JSON's true or false, and an object (a Python int
+    beyond int64) as str() spells it."""
     if column.dtype == np.bool_:
-        text = _BOOL_TEXT[column.view(np.uint8)]
+        true = bool(column.all())
+        # All true fills a slot of four bytes, all false one of five.
+        text = _BOOL_TEXT[column.view(np.uint8), int(true) :]
+        full = true or not column.any()
     elif column.dtype == object:
         text = np.array([str(value) for value in column], dtype=bytes)
         text = text.view(np.uint8).reshape(column.size, -1)
+        full = False
     else:
         return _digits(column)
-    return text.shape[1], lambda slot: np.copyto(slot, text)
+    return text.shape[1], lambda slot: np.copyto(slot, text), full
 
 
-def _digits(column: np.ndarray) -> tuple[int, Callable[[np.ndarray], None]]:
+def _digits(column: np.ndarray) -> tuple[int, Callable[[np.ndarray], None], bool]:
     """_cells of a nonempty int column: each entry right-aligned in its slot,
     its digits written two at a time from the last pair to the leading one."""
     magnitude, negative = column, None
-    if column.dtype.kind == "i" and column.min() < 0:
+    least = int(column.min())
+    if least < 0:
         negative = column < 0
         magnitude = column.astype(np.uint64)  # a negative entry e wraps to 2^64 + e
         magnitude = np.where(negative, np.uint64(0) - magnitude, magnitude)  # |e|, mod 2^64
@@ -714,56 +722,99 @@ def _digits(column: np.ndarray) -> tuple[int, Callable[[np.ndarray], None]]:
     # A quotient by a scalar is far cheaper than np.divmod, and cheaper again
     # on uint32.
     magnitude = magnitude.astype(np.uint64 if top >> 32 else np.uint32, copy=False)
-    pairs = (len(str(top)) + 1) // 2
+    digits = len(str(top))
+    pairs = (digits + 1) // 2
     width = 2 * pairs + (negative is not None)
+    # Every slot is full when each entry has the same even number of digits
+    # and none is negative.
+    full = digits % 2 == 0 and least >= 10 ** (digits - 1)
 
     def write(slot: np.ndarray) -> None:
-        rest, table = magnitude, _LAST_PAIRS
-        for end in range(width, width - 2 * pairs, -2):
+        rest, table, end = magnitude, _LAST_PAIRS, width
+        for k in range(1, pairs):
             quotient = rest // 100
-            low = rest - quotient * 100
-            slot[:, end - 2 : end].view(np.uint16)[:, 0] = table.take(np.minimum(rest, low + 100))
-            rest, table = quotient, _PAIRS
+            index = rest - quotient * 100
+            index += 100
+            if least < 100**k:  # rest < 100, padding or a leading pair, in some row
+                np.minimum(index, rest, out=index)
+            slot[:, end - 2 : end].view(np.uint16)[:, 0] = table.take(index)
+            rest, table, end = quotient, _PAIRS, end - 2
+        # The leading pair of the longest entries: rest < 100 in every row.
+        slot[:, end - 2 : end].view(np.uint16)[:, 0] = table.take(rest)
         if negative is not None:
             # The minus sign goes just before the first digit.
             rows = np.flatnonzero(negative)
             slot[rows, np.argmax(slot[rows] != 0, axis=1) - 1] = ord("-")
 
-    return width, write
+    return width, write, full
 
 
-def render_rows(columns: Sequence[np.ndarray], seps: Sequence[str]) -> Iterator[str]:
+def _block_rows(columns: Sequence[np.ndarray], fixed: Sequence[bytes]) -> int:
+    """Rows of the nonempty columns that render_rows renders at once: as
+    many of their longest row, the separators fixed and each column's
+    longest text (at its least or its greatest entry), as fit in
+    _BLOCK_BYTES, and at least one."""
+    longest = sum(map(len, fixed)) + sum(
+        5 if column.dtype == np.bool_ else max(len(str(column.min())), len(str(column.max())))
+        for column in columns
+    )
+    return max(1, _BLOCK_BYTES // longest)
+
+
+def _tiled(row: bytes, rows: int) -> np.ndarray:
+    """A (rows, len(row)) uint8 matrix of copies of row, each copy step
+    doubling the copies made: for rows of a few bytes several times faster
+    than np.tile or a broadcast, which copy one row at a time."""
+    out = np.empty(rows * len(row), dtype=np.uint8)
+    out[: len(row)] = np.frombuffer(row, dtype=np.uint8)
+    done = len(row)
+    while done < out.size:
+        more = min(done, out.size - done)
+        out[done : done + more] = out[:more]
+        done += more
+    return out.reshape(rows, len(row))
+
+
+def render_rows(columns: Sequence[np.ndarray], seps: Sequence[str]) -> Iterator[np.ndarray]:
     """Row i rendered as seps[0] + columns[0][i] + seps[1] + ... + columns[-1][i]
-    + seps[-1], for every row of the equal-length 1-D columns, in pieces of
-    up to _CSV_ROWS rows; entries are spelled as _cells spells them.
+    + seps[-1], for every row of the equal-length 1-D columns, in blocks of
+    whole rows, each a 1-D uint8 array of their ASCII bytes; entries are
+    spelled as _cells spells them.
 
-    Each piece is one (rows, row width) uint8 matrix, tiled from a template
-    row that holds the separators and a zero-filled slot for each column.
-    The cells are written into their slots, and one compress drops the NUL
-    padding.  So no separator may hold a NUL.
+    Each block is one (rows, row width) uint8 matrix of about _BLOCK_BYTES,
+    tiled from a template row that holds the separators and a zero-filled
+    slot for each column.  The cells are written into their slots, and one
+    compress drops the NUL padding; a block whose every slot is full has
+    none, and is its matrix as it stands.  So no separator may hold a NUL.
     """
     for sep in seps:
         if "\0" in sep:
             raise ValueError(f"separator {sep!r} holds a NUL byte")
     fixed = [sep.encode() for sep in seps]
     size = len(columns[0])
-    for lo in range(0, size, _CSV_ROWS):
-        rows = min(_CSV_ROWS, size - lo)
+    if not size:
+        return
+    step = _block_rows(columns, fixed)
+    for lo in range(0, size, step):
+        rows = min(step, size - lo)
         cells = [_cells(column[lo : lo + rows]) for column in columns]
         template, starts = bytearray(fixed[0]), []
-        for (width, _), sep in zip(cells, fixed[1:]):
+        for (width, _, _), sep in zip(cells, fixed[1:]):
             starts.append(len(template))
             template += bytes(width) + sep
-        out = np.tile(np.frombuffer(template, dtype=np.uint8), (rows, 1))
-        for start, (width, write) in zip(starts, cells):
+        out = _tiled(template, rows)
+        for start, (width, write, _) in zip(starts, cells):
             write(out[:, start : start + width])
-        yield out[out != 0].tobytes().decode()
+        yield out.reshape(-1) if all(full for _, _, full in cells) else out[out != 0]
 
 
-def csv_pieces(header: str, columns: Sequence[np.ndarray], newline: str = "\n") -> Iterator[str]:
+def csv_pieces(
+    header: str, columns: Sequence[np.ndarray], newline: str = "\n"
+) -> Iterator[str | np.ndarray]:
     """A CSV of int columns of equal length under a header line, each line
-    ended by newline, in pieces of up to _CSV_ROWS rows.  An object column
-    holds Python ints, which may lie beyond int64."""
+    ended by newline: the header line as a str, then the rows in the blocks
+    render_rows yields.  An object column holds Python ints, which may lie
+    beyond int64."""
     yield header + newline
     yield from render_rows(columns, ["", *[","] * (len(columns) - 1), newline])
 

@@ -14,10 +14,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from test_cli_golden import MAIER_CERT, NESTED_CERT, write_inputs
-from test_repcount import CODEC_ROWS, INT_DTYPES, codec_columns
+from test_repcount import BLOCK_ROWS, CODEC_ROWS, INT_DTYPES, blocks_of, codec_columns, text_of
 from waring_gaps import cli
 from waring_gaps.repcount import (
-    _CSV_ROWS,
     WaringParams,
     read_table_binary,
     sieve_rep,
@@ -165,6 +164,36 @@ class TestPlumbingCommands:
         assert csv_path.read_text().splitlines()[0] == "a"
 
 
+class TestStdout:
+    """What a run prints is, byte for byte, what the same run writes to a
+    file; blocks of 64 bytes put many block edges in each array."""
+
+    def test_gaps_prints_the_bytes_out_writes(self, table_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.repcount, "_BLOCK_BYTES", 64)
+        out = tmp_path / "runs.csv"
+        assert run_cli("gaps", "--table", str(table_file), "--min-len", "1",
+                       "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("gaps", "--table", str(table_file), "--min-len", "1") == 0
+        printed = capsys.readouterr().out
+        assert printed.encode() == out.read_bytes()
+        assert printed.count("\n") > 20
+
+    @pytest.mark.parametrize(
+        "args",
+        [("exceptional", "--limit", "3000"), ("sieve", "--ell", "3", "--s", "3", "--limit", "100")],
+        ids=["exceptional", "sieve"],
+    )
+    def test_printed_report_is_the_json_file(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.setattr(cli.repcount, "_BLOCK_BYTES", 64)
+        j = tmp_path / "r.json"
+        assert run_cli(*args, "--json", str(j)) == 0
+        capsys.readouterr()
+        assert run_cli(*args) == 0
+        echoed = f'"json": {json.dumps(str(j))},'
+        assert capsys.readouterr().out == j.read_text().replace(echoed, '"json": null,', 1)
+
+
 CERT_JSON = {
     "q": 2, "H": "100", "K1": 9, "K2": 9, "K_prime": 39,
     "n1": 1, "n2": 11, "n_prime": 1, "E": "2", "E_prime": "1",
@@ -277,6 +306,23 @@ class TestVerdictCommands:
         assert run_cli("maier", "--cert", str(path), "--table", str(table_file), "--json", str(j)) == 3
         assert capsys.readouterr().err == f"waring-gaps: error: {message}\n"
         assert not j.exists()
+
+    @pytest.mark.parametrize("modulus,refused", [(761, False), (762, True), (2000, True)])
+    def test_maier_modulus_past_the_table_refused(
+        self, tmp_path, capsys, table_file, modulus, refused
+    ):
+        # The table reaches 760, and a valid certificate has M <= M^3 <= N <= 761.
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(dict(MAIER_CERT, M=modulus)))
+        j = tmp_path / "r.json"
+        assert run_cli("maier", "--cert", str(path), "--table", str(table_file), "--json", str(j)) == 3
+        err = capsys.readouterr().err
+        if refused:
+            assert err == "waring-gaps: error: field M: past the table's limit + 1 = 761\n"
+            assert not j.exists()
+        else:
+            assert err == ""
+            assert json.loads(j.read_text())["report"]["verdict"] == "invalid"
 
     def test_linforms(self, tmp_path):
         j = tmp_path / "lin.json"
@@ -567,12 +613,12 @@ class TestReportWriter:
     @example(value={"%s": np.array([(2**63 - 1,)], dtype=[("%s", "<i8")]), "big": 2**70})
     @example(value={"report": {"witnesses": [{"n": n, "ok": n % 3 == 0} for n in range(500)]}})
     def test_matches_json_dumps(self, value):
-        text = "".join(cli._report_chunks(value))
+        text = text_of(cli._report_chunks(value))
         # Line lists, not strings: a failure then names the first differing
         # line instead of diffing every line of a long report.
         assert text.split("\n") == json.dumps(as_plain_json(value), indent=2).split("\n")
 
-    @pytest.mark.parametrize("rows", [0, 1, _CSV_ROWS - 1, _CSV_ROWS, 2 * _CSV_ROWS + 3])
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3])
     def test_arrays_across_blocks_match_json_dumps(self, rows):
         rng = np.random.default_rng(rows)
         records = np.empty(rows, dtype=[("start", "<i8"), ("big", "<u8"), ("small", "i1"),
@@ -585,7 +631,8 @@ class TestReportWriter:
                     (-1, 9, 10, True)]
         records[: len(extremes)] = extremes[:rows]
         value = {"members": records["start"], "nested": {"runs": records, "big": records["big"]}}
-        text = "".join(cli._report_chunks(value))
+        with blocks_of(BLOCK_ROWS):
+            text = text_of(cli._report_chunks(value))
         assert text.split("\n") == json.dumps(as_plain_json(value), indent=2).split("\n")
 
     @settings(max_examples=100, deadline=None)
@@ -597,7 +644,8 @@ class TestReportWriter:
         for name, column in zip(names, columns):
             records[name] = column
         rows_as_dicts = [dict(zip(names, row)) for row in records.tolist()]
-        text = "".join(cli._array_pieces(records, ""))
+        with blocks_of(BLOCK_ROWS):
+            text = text_of(cli._array_pieces(records, ""))
         assert text.split("\n") == json.dumps(rows_as_dicts, indent=2).split("\n")
 
     @pytest.mark.parametrize(
@@ -1119,6 +1167,22 @@ class TestOutOfMemory:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("waring-gaps: error: ran out of memory")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout == "" and not (tmp_path / "r.json").exists()
+
+    def test_maier_modulus_of_1501_digits_exits_3_within_seconds(self, tmp_path, table_file):
+        # A residue profile modulo 10^1500 would list pow(x, 3, 2^1500) for
+        # every x below 2^1500; the modulus is refused before one is built.
+        (tmp_path / "cert.json").write_text(json.dumps(dict(MAIER_CERT, M="1" + "0" * 1500)))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1",
+               "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", AS_LIMITED_CLI, str(3 << 29), "maier", "--cert", "cert.json",
+             "--table", str(table_file), "--json", "r.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == "waring-gaps: error: field M: past the table's limit + 1 = 761\n"
         assert proc.stdout == "" and not (tmp_path / "r.json").exists()
 
     def test_message_of_a_bare_memory_error(self, monkeypatch, capsys):

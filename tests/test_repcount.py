@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import functools
 import io
+import itertools
 import math
 import os
 import random
@@ -31,7 +33,6 @@ from oracles import (
 )
 from waring_gaps import repcount
 from waring_gaps.repcount import (
-    _CSV_ROWS,
     _MAX_DIGITS,
     _WINDOW,
     _csv_columns,
@@ -511,6 +512,25 @@ class TestExceptionalScan:
             scan_exceptional_set(4, 10, Fraction(0), table_3_3)
 
 
+def text_of(pieces) -> str:
+    """The pieces of a CSV or a report joined as text: a str as it is, a
+    block of ASCII bytes from render_rows decoded."""
+    return "".join(p if isinstance(p, str) else bytes(p).decode("ascii") for p in pieces)
+
+
+@contextlib.contextmanager
+def blocks_of(rows: int):
+    """A context in which render_rows renders rows rows at once, whatever
+    their bytes, so that row counts around rows meet a block edge."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repcount, "_block_rows", lambda columns, fixed: rows)
+        yield
+
+
+# The rows of a block in the tests of rows around a block edge.
+BLOCK_ROWS = 1 << 12
+
+
 class TestSerialization:
     def test_binary_round_trip(self, tmp_path):
         table = sieve_rep(WaringParams(3, 2), 500)
@@ -563,7 +583,7 @@ class TestSerialization:
         back = read_table_csv(path, WaringParams(3, 3))
         assert np.array_equal(back.counts, table.counts)
 
-    @pytest.mark.parametrize("rows", [0, 1, _CSV_ROWS - 1, _CSV_ROWS, 2 * _CSV_ROWS + 3])
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3])
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_csv_pieces_match_csv_module(self, rows, newline):
         rng = np.random.default_rng(rows)
@@ -576,7 +596,8 @@ class TestSerialization:
         writer = csv.writer(expected, lineterminator=newline)
         writer.writerow(["n", "count", "big"])
         writer.writerows(zip(*(column.tolist() for column in columns)))
-        assert "".join(csv_pieces("n,count,big", columns, newline)) == expected.getvalue()
+        with blocks_of(BLOCK_ROWS):
+            assert text_of(csv_pieces("n,count,big", columns, newline)) == expected.getvalue()
 
     @pytest.mark.parametrize("piece", ["0,1\n" * 4096, b"\x00\x01" * 8192], ids=["str", "bytes"])
     def test_failed_pieces_leave_earlier_file(self, tmp_path, piece):
@@ -707,10 +728,37 @@ def assert_readers_agree(data: bytes, tmp_path_factory) -> None:
 
 
 # Columns as the decimal codec meets them: every int dtype, bool, and object
-# columns of Python ints beyond int64, at the row counts around the block size.
+# columns of Python ints beyond int64, at the row counts around a block of
+# BLOCK_ROWS rows.
 INT_DTYPES = ["i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8"]
-CODEC_ROWS = [0, 1, _CSV_ROWS - 1, _CSV_ROWS, 2 * _CSV_ROWS + 3]
+CODEC_ROWS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3]
 SEPARATORS = st.text(st.sampled_from(string.printable), max_size=4)
+
+
+@st.composite
+def block_columns(draw, rows: int) -> np.ndarray:
+    """A column that takes each path of the codec within a block: any codec
+    column; ints of one even digit count, so that every slot is full; a run
+    of consecutive ints across a power of ten, up or down; or a bool column
+    all true or all false."""
+    shape = draw(st.sampled_from(["any", "full", "decade", "constant-bool"]))
+    if shape == "any":
+        return draw(codec_columns(rows))
+    if shape == "constant-bool":
+        return np.full(rows, draw(st.booleans()))
+    dtype = draw(st.sampled_from(INT_DTYPES))
+    info = np.iinfo(dtype)
+    top = len(str(info.max))
+    if shape == "full":
+        digits = draw(st.sampled_from(range(2, top, 2)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.integers(10 ** (digits - 1), 10**digits - 1, rows, dtype=dtype, endpoint=True)
+    power = 10 ** draw(st.integers(1, top - 1))
+    start = min(max(power - draw(st.integers(0, rows)), 0), int(info.max) - rows + 1)
+    column = np.arange(start, start + rows, dtype=object)
+    if info.min < 0 and draw(st.booleans()):
+        column = -column
+    return column.astype(dtype)
 
 
 @st.composite
@@ -801,7 +849,7 @@ class TestCsvCodec:
         column = np.array([info.min, info.max, 0, 1, 9, 10, 99, 100] * 3, dtype=dtype)
         expected = io.StringIO()
         csv.writer(expected, lineterminator="\n").writerows([["x"], *zip(column.tolist())])
-        assert "".join(csv_pieces("x", [column])) == expected.getvalue()
+        assert text_of(csv_pieces("x", [column])) == expected.getvalue()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), rows=st.sampled_from(CODEC_ROWS))
@@ -809,11 +857,84 @@ class TestCsvCodec:
         columns = data.draw(st.lists(codec_columns(rows), min_size=1, max_size=3))
         seps = data.draw(st.lists(SEPARATORS, min_size=len(columns) + 1,
                                   max_size=len(columns) + 1))
-        assert "".join(repcount.render_rows(columns, seps)) == render_rows_joined(columns, seps)
         newline = data.draw(st.sampled_from(["\n", "\r\n"]))
         expected = "x" + newline + render_rows_joined(
             columns, ["", *[","] * (len(columns) - 1), newline])
-        assert "".join(csv_pieces("x", columns, newline)) == expected
+        with blocks_of(BLOCK_ROWS):
+            assert text_of(repcount.render_rows(columns, seps)) == render_rows_joined(columns, seps)
+            assert text_of(csv_pieces("x", columns, newline)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 24))
+    def test_blocks_under_any_byte_limit_match_str_join(self, data, rows):
+        # limits from below one row to four of the longest row: blocks of
+        # one row and of a few, split at every row of the columns
+        columns = data.draw(st.lists(block_columns(rows), min_size=1, max_size=3))
+        seps = data.draw(st.lists(SEPARATORS, min_size=len(columns) + 1,
+                                  max_size=len(columns) + 1))
+        lines = [render_rows_joined([c[i : i + 1] for c in columns], seps) for i in range(rows)]
+        longest = max(map(len, lines))
+        limit = data.draw(st.integers(1, 4 * longest))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repcount, "_BLOCK_BYTES", limit)
+            blocks = [bytes(block).decode("ascii") for block in repcount.render_rows(columns, seps)]
+        assert "".join(blocks) == "".join(lines)
+        # Each block is whole rows, at most four of them, and one at a limit
+        # of a row or less.
+        assert set(itertools.accumulate(map(len, blocks))) <= set(itertools.accumulate(map(len, lines)))
+        assert len(blocks) >= -(-rows // 4)
+        assert limit > longest or len(blocks) == rows
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3, 5])
+    def test_blocks_across_a_million(self, rows_per_block):
+        # blocks on either side of 999,999 -> 1,000,000 differ in width, and
+        # blocks of six digits only are full
+        up = np.arange(999_990, 1_000_010)
+        columns = [up, -up[::-1], up.astype(np.uint32), up % 2 == 0]
+        seps = ["", ",", ";", " ", "\n"]
+        with blocks_of(rows_per_block):
+            for start in range(rows_per_block):
+                part = [column[start:] for column in columns]
+                assert text_of(repcount.render_rows(part, seps)) == render_rows_joined(part, seps)
+
+    @pytest.mark.parametrize(
+        "columns,full",
+        [
+            ([np.array([10, 99, 42]), np.array([123456, 999999, 100000], dtype=np.uint32)], True),
+            ([np.array([10, 99, 42]), np.full(3, True), np.full(3, False)], True),
+            ([np.array([10, 99, 42], dtype=np.uint8), np.array([True, False, True])], False),
+            ([np.array([10, 99, 42]), np.array([-10, 99, 42])], False),
+            ([np.array([10, 99, 42]), np.array([123, 999, 100])], False),
+            ([np.array([10, 99, 42]), np.array([1000, 999, 1234])], False),
+            ([np.array([10, 99, 42]), np.array([10**20] * 3, dtype=object)], False),
+        ],
+        ids=["even-digits", "constant-bools", "mixed-bools", "negative", "odd-digits",
+             "mixed-digits", "object"],
+    )
+    def test_full_blocks_skip_the_compress(self, columns, full):
+        # a block whose every slot is full is its matrix, a view; any other
+        # is the compress's copy
+        seps = ["[", *[","] * (len(columns) - 1), "]"]
+        (block,) = repcount.render_rows(columns, seps)
+        assert bytes(block).decode("ascii") == render_rows_joined(columns, seps)
+        assert block.flags.owndata != full
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [np.full(3 * (1 << 17) + 1, 5, dtype=np.uint8)],
+            [np.full(20_000, -(2**63)), np.full(20_000, False), np.full(20_000, 10**30, dtype=object)],
+        ],
+        ids=["narrow", "wide"],
+    )
+    def test_blocks_fill_the_byte_limit(self, columns):
+        # Every row is as long as the longest, so each block but the last
+        # holds as many rows as fit in _BLOCK_BYTES.
+        seps = ["", *[","] * (len(columns) - 1), "\n"]
+        row = len(render_rows_joined([column[:1] for column in columns], seps))
+        blocks = [block.size for block in repcount.render_rows(columns, seps)]
+        assert blocks[:-1] == [repcount._BLOCK_BYTES // row * row] * (len(blocks) - 1)
+        assert sum(blocks) == row * columns[0].size and len(blocks) >= 3
 
     @pytest.mark.parametrize("seps,bad", [(["\0", ""], "\0"), (["", ",\0"], ",\0"),
                                           (["[", "\0]"], "\0]")])
