@@ -6,6 +6,10 @@ report, and a previously emitted report can itself be passed back with
 --config to replay the run.  Reports are JSON; tables are CSV or the
 compact binary form.  Exit status for verdict-producing subcommands:
 0 pass, 1 fail, 2 inconclusive, 3 invalid certificate or bad input.
+
+Importing this module loads exact and repcount alone; a handler imports
+certify, series or modular where it uses them, so sieve, gaps,
+exceptional and greedy never load those three.
 """
 
 from __future__ import annotations
@@ -18,12 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import certify, modular, repcount, series
+from . import repcount
 from .exact import decimal_str, parse_exact, render_exact
+
+if TYPE_CHECKING:
+    from . import certify, modular
 
 TOOL = "waring-gaps"
 
@@ -32,7 +39,7 @@ TOOL = "waring-gaps"
 class Param:
     name: str
     kind: str  # int | fraction | intlist | path, as exact.parse_exact reads them
-    default: Any = None
+    default: Any = None  # or a function of no arguments, called when it is resolved
     required: bool = False
     help: str = ""
 
@@ -121,7 +128,10 @@ def _resolve(subcommand: str, flags: dict[str, Any], file_config: dict[str, Any]
         if raw is None and spec.name not in OUTPUT_PARAMS:
             raw = file_config.get(attr)
         name = f"{subcommand}: parameter {spec.name}"
-        value = spec.default if raw is None else parse_exact(raw, spec.kind, name)
+        if raw is not None:
+            value = parse_exact(raw, spec.kind, name)
+        else:
+            value = spec.default() if callable(spec.default) else spec.default
         if value is None and spec.required:
             raise ValueError(f"{subcommand}: missing required parameter --{spec.name}")
         params[attr] = value
@@ -242,6 +252,8 @@ def _verdict(result: certify.Report) -> tuple[dict, int]:
 
 def _profile_summary(profile: modular.ResidueProfile, out: Path | None, **extra: Any) -> dict:
     """Write the profile's CSV when asked; the summary of a profile subcommand."""
+    from . import modular
+
     if out is not None:
         modular.write_profile_csv(profile, out)
     return {
@@ -260,6 +272,8 @@ def _sieve_limit(p: dict[str, Any]) -> int:
 
 
 def _nested_certificate(path: Path) -> certify.NestedGapsCertificate:
+    from . import certify
+
     return certify.nested_certificate_from_json(json.loads(path.read_text()), base_dir=path.parent)
 
 
@@ -332,6 +346,8 @@ def _cmd_greedy(p: dict[str, Any]) -> tuple[dict, int]:
     Param("out", "path", help="CSV of residue counts"),
 )
 def _cmd_modcount(p: dict[str, Any]) -> tuple[dict, int]:
+    from . import modular
+
     profile = modular.residue_counts(p["ell"], p["modulus"])
     return _profile_summary(profile, p["out"], max_count=max(profile.counts)), 0
 
@@ -343,6 +359,8 @@ def _cmd_modcount(p: dict[str, Any]) -> tuple[dict, int]:
     Param("out", "path", help="CSV of combined counts"),
 )
 def _cmd_crt(p: dict[str, Any]) -> tuple[dict, int]:
+    from . import modular
+
     combined = modular.crt_fold(modular.residue_counts(p["ell"], m) for m in p["moduli"])
     return _profile_summary(combined, p["out"]), 0
 
@@ -355,6 +373,8 @@ def _cmd_crt(p: dict[str, Any]) -> tuple[dict, int]:
     Param("product-bound", "int", help="largest coprime product explored"),
 )
 def _cmd_modsearch(p: dict[str, Any]) -> tuple[dict, int]:
+    from . import modular
+
     result = modular.search_gap_modulus(
         p["ell"], p["k1"], p["pool"], product_bound=p["product_bound"]
     )
@@ -374,6 +394,8 @@ def _cmd_modsearch(p: dict[str, Any]) -> tuple[dict, int]:
     Param("s", "int", help="summands, only for CSV tables"),
 )
 def _cmd_mild_scan(p: dict[str, Any]) -> tuple[dict, int]:
+    from . import series
+
     f = series.HalfFunction.from_table(_load_table(p["table"], p["ell"], p["s"]))
     scan = series.scan_mild_gaps(f, p["lo"], p["hi"], p["k"], p["e"], cutoff=p["cutoff"])
     return {
@@ -391,6 +413,8 @@ def _cmd_mild_scan(p: dict[str, Any]) -> tuple[dict, int]:
     Param("limit", "int", help="sieve limit backing the series"),
 )
 def _cmd_theta(p: dict[str, Any]) -> tuple[dict, int]:
+    from . import series
+
     table = repcount.sieve_rep(repcount.WaringParams(p["ell"], p["s"]), _sieve_limit(p))
     enc = series.eval_enclosure(series.HalfFunction.from_table(table), p["q"], p["terms"])
     return render_exact({
@@ -406,6 +430,8 @@ def _cmd_theta(p: dict[str, Any]) -> tuple[dict, int]:
     Param("table", "path", required=True, help="binary table for (ell, ell)"),
 )
 def _cmd_maier(p: dict[str, Any]) -> tuple[dict, int]:
+    from . import certify, modular
+
     cert = certify.MaierCertificate.from_json_dict(json.loads(p["cert"].read_text()))
     table = repcount.read_table_binary(p["table"])
     # A valid certificate has M <= M^ell <= N <= limit + 1, and a profile
@@ -418,6 +444,8 @@ def _cmd_maier(p: dict[str, Any]) -> tuple[dict, int]:
 
 @command("nested", Param("cert", "path", required=True, help="certificate JSON"))
 def _cmd_nested(p: dict[str, Any]) -> tuple[dict, int]:
+    from . import certify
+
     return _verdict(certify.verify_nested_gaps(_nested_certificate(p["cert"])))
 
 
@@ -427,6 +455,8 @@ def _cmd_nested(p: dict[str, Any]) -> tuple[dict, int]:
     Param("terms", "int", help="enclosure term count"),
 )
 def _cmd_measure(p: dict[str, Any]) -> tuple[dict, int]:
+    from . import certify
+
     return _verdict(certify.check_measure(_nested_certificate(p["cert"]), terms=p["terms"]))
 
 
@@ -439,6 +469,8 @@ def _cmd_measure(p: dict[str, Any]) -> tuple[dict, int]:
     Param("limit", "int", help="sieve limit backing the series"),
 )
 def _cmd_linforms(p: dict[str, Any]) -> tuple[dict, int]:
+    from . import certify
+
     tables = [
         repcount.sieve_rep(repcount.WaringParams(p["ell"], s), _sieve_limit(p))
         for s in range(1, p["ell"] + 1)
@@ -448,7 +480,16 @@ def _cmd_linforms(p: dict[str, Any]) -> tuple[dict, int]:
     )
 
 
-_PIPELINE = certify.PipelineConfig()
+def _pipeline_default(field: str) -> Callable[[], Any]:
+    """The default of a pipeline flag: the PipelineConfig field's, read
+    when pipeline is resolved, so no other subcommand loads certify."""
+
+    def default() -> Any:
+        from . import certify
+
+        return getattr(certify.PipelineConfig(), field)
+
+    return default
 
 
 @command(
@@ -457,15 +498,17 @@ _PIPELINE = certify.PipelineConfig()
     Param("q", "int", required=True),
     Param("j", "fraction", default=Fraction(1)),
     Param("pool", "intlist", help="candidate moduli"),
-    Param("k1", "int", default=_PIPELINE.window),
-    Param("xi", "fraction", default=_PIPELINE.xi),
+    Param("k1", "int", default=_pipeline_default("window")),
+    Param("xi", "fraction", default=_pipeline_default("xi")),
     Param("sigma", "fraction"),
     Param("product-bound", "int"),
-    Param("max-modulus", "int", default=_PIPELINE.max_modulus),
-    Param("max-limit", "int", default=_PIPELINE.max_limit),
-    Param("mild-cap", "int", default=_PIPELINE.mild_check_cap),
+    Param("max-modulus", "int", default=_pipeline_default("max_modulus")),
+    Param("max-limit", "int", default=_pipeline_default("max_limit")),
+    Param("mild-cap", "int", default=_pipeline_default("mild_check_cap")),
 )
 def _cmd_pipeline(p: dict[str, Any]) -> tuple[dict, int]:
+    from . import certify
+
     config = certify.PipelineConfig(
         moduli_pool=p["pool"],
         window=p["k1"],

@@ -21,6 +21,7 @@ import io
 import math
 import os
 import re
+import resource
 import shutil
 import stat
 import struct
@@ -297,7 +298,9 @@ def sieve_rep(params: WaringParams, limit: int) -> RepTable:
     which has about limit^((s-1)/ell) entries; a window bounds where the
     adds land, not a buffer.  Counts are exact: integers only, the ceiling
     that the dtype holds is checked up front, so no add wraps, and no
-    windowing changes a result.
+    windowing changes a result.  A limit whose counts and head cannot fit
+    in physical memory, or under a finite soft RLIMIT_AS, raises
+    ValueError before any of them is allocated.
     """
     counts, _, _ = _sieve(params, limit)
     return RepTable(params=params, limit=limit, counts=counts)
@@ -326,10 +329,15 @@ def _sieve(params: WaringParams, limit: int) -> tuple[np.ndarray, np.ndarray, np
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     dtype = count_dtype(params.ell, limit)  # raises before anything is allocated
+    counts_bytes = (limit + 1) * dtype.itemsize
+    _check_fits(limit, counts_bytes)
     powers = np.asarray(_powers_up_to(params.ell, limit), dtype=np.int64)
     head = np.zeros(1, dtype=np.int64)
     for _ in range(params.s - 1):
         stops = np.searchsorted(head, limit - powers, side="right")
+        # Each head is at most the last, which is still held when the counts
+        # are: counts and this head are a lower bound on the sieve's peak.
+        _check_fits(limit, counts_bytes + 8 * int(stops.sum()))
         head = np.sort(_shifted_slices(head, powers, stops))
     nonzero, multiplicities = _distinct_sums(head)
     multiplicities = multiplicities.astype(dtype, copy=False)
@@ -344,6 +352,21 @@ def _sieve(params: WaringParams, limit: int) -> tuple[np.ndarray, np.ndarray, np
             # the targets of one power are distinct, so += adds each once
             window[nonzero[a:b] + p] += multiplicities[a:b]
     return counts, nonzero, multiplicities
+
+
+def _check_fits(limit: int, held: int) -> None:
+    """Raise ValueError naming limit when held, a lower bound on the bytes
+    its sieve holds at once, exceeds physical memory or the soft
+    address-space limit, if that is finite: the sieve cannot fit, and is
+    refused before it allocates."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    for room, what in ((physical, "physical memory"), (soft, "the address-space limit")):
+        if room != resource.RLIM_INFINITY and held > room:
+            raise ValueError(
+                f"limit {limit}: the sieve needs at least {held} bytes, past {what} "
+                f"of {room} bytes"
+            )
 
 
 def _shifted_slices(head: np.ndarray, shifts: np.ndarray, stops: np.ndarray) -> np.ndarray:

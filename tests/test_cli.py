@@ -1147,7 +1147,8 @@ class TestMalformedInputs:
 
 
 class TestOutOfMemory:
-    """Running out of memory exits 3 with one message line, not a traceback."""
+    """Running out of memory, or a sieve refused as too large to fit, exits 3
+    with one message line, not a traceback."""
 
     @pytest.mark.parametrize("subcommand", ["sieve", "nested"])
     def test_exits_3_under_a_2_gb_cap(self, tmp_path, subcommand):
@@ -1165,9 +1166,36 @@ class TestOutOfMemory:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.startswith("waring-gaps: error: ran out of memory")
+        # The sieve is refused from its size, before it allocates: the dense
+        # int64 counts alone are 8 * (10^13 + 1) bytes, past physical memory.
+        assert proc.stderr.startswith(
+            "waring-gaps: error: limit 10000000000000: the sieve needs at least "
+            "80000000000008 bytes, past "
+        )
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert proc.stdout == "" and not (tmp_path / "r.json").exists()
+
+    def test_sieve_past_the_address_space_cap_is_refused_before_it_allocates(self, tmp_path):
+        # The (4,4) counts at 3 * 10^8 are int64, 2.4 GB, past a 1 GiB cap;
+        # at 10^6 they fit, and the sieve under the same cap runs.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1",
+               "OPENBLAS_NUM_THREADS": "1"}
+        messages = []
+        for limit, status in ((3 * 10**8, 3), (10**6, 0)):
+            proc = subprocess.run(
+                [sys.executable, "-c", AS_LIMITED_CLI, str(1 << 30),
+                 "sieve", "--ell", "4", "--s", "4", "--limit", str(limit), "--json", "r.json"],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == status, proc.stderr
+            messages.append(proc.stderr)
+        assert messages == [
+            "waring-gaps: error: limit 300000000: the sieve needs at least 2400000008 bytes, "
+            "past the address-space limit of 1073741824 bytes\n",
+            "",
+        ]
+        assert json.loads((tmp_path / "r.json").read_text())["summary"]["limit"] == 10**6
 
     def test_maier_modulus_of_1501_digits_exits_3_within_seconds(self, tmp_path, table_file):
         # A residue profile modulo 10^1500 would list pow(x, 3, 2^1500) for
