@@ -17,6 +17,7 @@ float is ever consulted for a verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -204,8 +205,9 @@ class MaierCertificate:
         if len(self.eps) != self.K + 1 or len(self.caps) != self.K + 1:
             raise ValueError("eps and caps must both have K + 1 entries")
 
-    @property
+    @functools.cached_property
     def alpha(self) -> Fraction:
+        """sum(eps[k] / (caps[k] + 1)), summed once per certificate."""
         return sum(
             (e / (cap + 1) for e, cap in zip(self.eps, self.caps)), Fraction(0)
         )

@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -171,14 +171,17 @@ class HalfFunction:
 
     def coefficient(self, n: int) -> int:
         """Exact coefficient at n; checks coverage."""
-        if n < 0:
-            raise IndexError("coefficient index must be nonnegative")
-        if self.coverage is not None and n > self.coverage:
-            raise CoverageError(
-                f"{self.label}: coefficient {n} beyond coverage {self.coverage}"
-            )
+        if n < 0 or self.coverage is not None and n > self.coverage:
+            self._refuse(n)
         values = self._terms(n, n + 1)[1]
         return values[0] if values else 0
+
+    def _refuse(self, n: int) -> NoReturn:
+        """Raise what reading the coefficient at n raises, for an n that is
+        negative (IndexError) or past coverage (CoverageError)."""
+        if n < 0:
+            raise IndexError("coefficient index must be nonnegative")
+        raise CoverageError(f"{self.label}: coefficient {n} beyond coverage {self.coverage}")
 
     def _terms(self, lo: int, hi: int | None = None) -> tuple[list[int], list[int]]:
         """The positions and coefficients, as Python ints, of the nonzero
@@ -299,66 +302,59 @@ def _valid_tail_bound(gap_length: int, tail_bound: Fraction) -> Fraction:
     return tail_bound
 
 
-def _tail_enclosures(
-    f: HalfFunction, starts: Sequence[int], cutoffs: Sequence[int]
-) -> list[Enclosure]:
-    """The tail_norm enclosure for each (start, cutoff), from one read of f's
-    terms from the smallest start up to the largest cutoff, or coverage + 1
-    if that comes first; no tail may reach past coverage + 1 unless it is
-    empty.  Every partial sum is one searchsorted into the terms read away,
-    and so is every majorant start but one past all of them, which
-    tail_majorant_start finds."""
-    bound = None if f.coverage is None else f.coverage + 1
-    read_to = max(cutoffs) if bound is None else min(max(cutoffs), bound)
-    positions, values = f._terms(min(starts), read_to)
-    covered = [c for c in cutoffs if bound is None or c < bound]
-    past = None
-    if covered and (not positions or positions[-1] < max(covered)):
-        past = f.tail_majorant_start(read_to)
-    index = np.array(positions, dtype=np.int64)
-    firsts = index.searchsorted(starts).tolist()
-    lasts = index.searchsorted(cutoffs).tolist()
-    out = []
-    for start, cutoff, i, j in zip(starts, cutoffs, firsts, lasts):
-        # sum(|a_k| * 2^(cutoff-1-k)) over the tail's terms, over 2^(terms-1)
-        terms, top = cutoff - start, cutoff - 1
-        partial = sum(abs(a) << (top - k) for k, a in zip(positions[i:j], values[i:j]))
-        lo = Fraction(partial, 1 << (terms - 1)) if terms else Fraction(0)
-        if j < len(positions):
-            majorant_at = positions[j]
-        elif bound is not None and cutoff >= bound:
-            majorant_at = cutoff  # nothing from coverage + 1 on is certified zero
-        else:
-            majorant_at = past
-        if majorant_at is None:
-            out.append(Enclosure(lo, lo))
-            continue
-        majorant_at = min(majorant_at, cutoff + _MAJORANT_REACH)
-        # hi = lo + 8*c*n0 / 2^(n0-start) over the one denominator den * 2^(n0-start)
-        shift = majorant_at - start
-        numerator = (partial << (shift - terms + 1)) * f._c_den + 8 * f._c_num * majorant_at
-        out.append(Enclosure(lo, Fraction(numerator, f._c_den << shift)))
-    return out
-
-
-def tail_norm(f: HalfFunction, start: int, cutoff: int) -> Enclosure:
-    """Enclose sum(|a_{start+i}| * 2^-i) for i >= 0.
+def tail_norm(
+    f: HalfFunction, start: int | Sequence[int], cutoff: int | Sequence[int]
+) -> Enclosure | list[Enclosure]:
+    """Enclose sum(|a_{start+i}| * 2^-i) for i >= 0: one Enclosure for an
+    int start and cutoff, else a list with one for each (start, cutoff) of
+    two equal-length sequences.
 
     The lower end is the exact partial sum over i < cutoff - start.  The
     upper end adds the linear-growth majorant 8*c*n0, applied at the
     first index n0 >= cutoff not certified to be zero, or at cutoff +
     _MAJORANT_REACH if that comes first, and scaled back by the elapsed
     power of two; when the series is certified zero from the cutoff on,
-    the partial sum is the whole tail.  This is the tail of
-    mild_gap_checks on one element.
+    the partial sum is the whole tail.  The pairs are checked in order, and
+    the first that cannot be enclosed raises: a start below 1, a cutoff
+    before its start, or a nonempty tail that passes coverage + 1 (unequal
+    lengths raise ValueError).  Then f's terms are read once, from the
+    smallest start up to the largest cutoff; each partial sum, and each
+    majorant start that a term read can give, is a searchsorted into them;
+    tail_majorant_start gives the others.
     """
-    if start < 1:
-        raise ValueError("start must be at least 1")
-    if cutoff < start:
-        raise ValueError("cutoff must not precede start")
-    if f.coverage is not None and cutoff > start and cutoff > f.coverage + 1:
-        f.coefficient(max(start, f.coverage + 1))  # raises CoverageError
-    return _tail_enclosures(f, [start], [cutoff])[0]
+    one = isinstance(start, (int, np.integer))
+    starts = [operator.index(s) for s in ([start] if one else start)]
+    cutoffs = [operator.index(c) for c in ([cutoff] if one else cutoff)]
+    bound = None if f.coverage is None else f.coverage + 1
+    for s, cut in zip(starts, cutoffs, strict=True):
+        if s < 1:
+            raise ValueError("start must be at least 1")
+        if cut < s:
+            raise ValueError("cutoff must not precede start")
+        if bound is not None and bound < cut and s < cut:
+            f._refuse(max(s, bound))
+    if not starts:
+        return []
+    positions, values = f._terms(min(starts), max(cutoffs))
+    index = np.array(positions, dtype=np.int64)
+    firsts = index.searchsorted(starts).tolist()
+    lasts = index.searchsorted(cutoffs).tolist()
+    out = []
+    for s, cut, i, j in zip(starts, cutoffs, firsts, lasts):
+        # sum(|a_k| * 2^(cut-1-k)) over the tail's terms, over 2^(terms-1)
+        terms, top = cut - s, cut - 1
+        partial = sum(abs(a) << (top - k) for k, a in zip(positions[i:j], values[i:j]))
+        lo = Fraction(partial, 1 << (terms - 1)) if terms else Fraction(0)
+        majorant_at = positions[j] if j < len(positions) else f.tail_majorant_start(cut)
+        if majorant_at is None:
+            out.append(Enclosure(lo, lo))
+            continue
+        majorant_at = min(majorant_at, cut + _MAJORANT_REACH)
+        # hi = lo + 8*c*n0 / 2^(n0-start) over the one denominator den * 2^(n0-start)
+        shift = majorant_at - s
+        numerator = (partial << (shift - terms + 1)) * f._c_den + 8 * f._c_num * majorant_at
+        out.append(Enclosure(lo, Fraction(numerator, f._c_den << shift)))
+    return out[0] if one else out
 
 
 def _verdict(
@@ -402,13 +398,13 @@ def _windows(
     for n, i, k in zip(ns, firsts.tolist(), following):
         start = n + gap_length
         if n < 0:
-            f.coefficient(n)  # raises IndexError
+            f._refuse(n)
         if i < size and k < start:
             detail = f"coefficient at {k} is nonzero"
             out.append(MildGapCheck(Verdict.FAIL, n, failed_clause="zero-run", detail=detail))
             continue
         if bound is not None and start > bound:
-            f.coefficient(max(n, bound))  # raises CoverageError
+            f._refuse(max(n, bound))
         if cutoff is None:
             cut = start + max(64, 4 * gap_length)
             if bound is not None:
@@ -419,7 +415,7 @@ def _windows(
                 f"n + k = {start} of candidate n = {n}; the cutoff is an absolute index"
             )
         elif bound is not None and cutoff > bound:
-            f.coefficient(bound)  # raises CoverageError
+            f._refuse(bound)
         else:
             cut = cutoff
         out.append((start, cut))
@@ -439,32 +435,22 @@ def mild_gap_checks(
     an n that cannot be tested (it is negative, its window passes coverage,
     or the cutoff precedes its tail or passes coverage + 1) raises there:
     the exception is the one that testing each n in turn would raise first.
-    The tails left are enclosed in ascending clusters of starts, split
-    wherever the next start lies more than a default tail past the one
-    before (never, with a given cutoff); each cluster reads f's terms once,
-    from its smallest start up to its largest cutoff, so far apart
-    candidates do not read the stretch between them.  A tail clause
-    compares the bound against its enclosure, so it can come back
-    inconclusive when the bound falls inside the enclosure; that verdict is
-    distinct from a definite rejection (enclosure entirely above the
-    bound).  The cutoff is an absolute index; by default each n gets n +
-    gap_length + max(64, 4*gap_length), clamped to coverage.
+    The tails left, which cannot fail, go to tail_norm in one call, so f's
+    terms are read once, from the smallest tail start up to the largest
+    cutoff.  A tail clause compares the bound against its enclosure, so it
+    can come back inconclusive when the bound falls inside the enclosure;
+    that verdict is distinct from a definite rejection (enclosure entirely
+    above the bound).  The cutoff is an absolute index; by default each n
+    gets n + gap_length + max(64, 4*gap_length), clamped to coverage.
     """
     tail_bound = _valid_tail_bound(gap_length, tail_bound)
     ns = [operator.index(n) for n in ns]
     results = _windows(f, ns, gap_length, cutoff)
-    tails = sorted((w[0], w[1], i) for i, w in enumerate(results) if isinstance(w, tuple))
-    reach = max(64, 4 * gap_length)
-    clusters: list[list[tuple[int, int, int]]] = []
-    for tail in tails:
-        if clusters and (cutoff is not None or tail[0] - clusters[-1][-1][0] <= reach):
-            clusters[-1].append(tail)
-        else:
-            clusters.append([tail])
-    for cluster in clusters:
-        starts, cutoffs, indices = zip(*cluster)
-        for i, cut, tail in zip(indices, cutoffs, _tail_enclosures(f, starts, cutoffs)):
-            results[i] = _verdict(f, ns[i], gap_length, tail_bound, cut, tail)
+    tails = [i for i, w in enumerate(results) if isinstance(w, tuple)]
+    cutoffs = [results[i][1] for i in tails]
+    enclosures = tail_norm(f, [results[i][0] for i in tails], cutoffs)
+    for i, cut, tail in zip(tails, cutoffs, enclosures):
+        results[i] = _verdict(f, ns[i], gap_length, tail_bound, cut, tail)
     return results
 
 
@@ -475,14 +461,8 @@ def is_mild_gap(
     tail_bound: Fraction,
     cutoff: int | None = None,
 ) -> MildGapCheck:
-    """Test whether n is a mild gap point of f: mild_gap_checks on one
-    index, with the tail enclosed by tail_norm."""
-    tail_bound = _valid_tail_bound(gap_length, tail_bound)
-    window = _windows(f, [n], gap_length, cutoff)[0]
-    if isinstance(window, MildGapCheck):
-        return window
-    start, cut = window
-    return _verdict(f, n, gap_length, tail_bound, cut, tail_norm(f, start, cut))
+    """Test whether n is a mild gap point of f: mild_gap_checks on one index."""
+    return mild_gap_checks(f, [n], gap_length, tail_bound, cutoff)[0]
 
 
 @dataclass(frozen=True)
@@ -523,7 +503,7 @@ def scan_mild_gaps(
     candidates = starts[following - starts >= gap_length].tolist()
     checks = mild_gap_checks(f, candidates, gap_length, tail_bound, cutoff)
     if known < end:
-        f.coefficient(known)  # past coverage: raises CoverageError
+        f._refuse(known)
     return MildGapScan(
         witnesses=tuple(c.witness for c in checks if c.is_witness),
         inconclusive=tuple(c.n for c in checks if c.verdict is Verdict.INCONCLUSIVE),
@@ -543,7 +523,7 @@ def eval_truncated(f: HalfFunction, q: int, terms: int) -> Fraction:
     if terms == 0:
         return Fraction(0)
     if f.coverage is not None and terms > f.coverage + 1:
-        f.coefficient(f.coverage + 1)  # raises CoverageError
+        f._refuse(f.coverage + 1)
     numerator, last = 0, 0
     for k, a in zip(*f._terms(0, terms)):
         numerator, last = numerator * q ** (k - last) + a, k

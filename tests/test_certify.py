@@ -2,7 +2,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import pytest
@@ -126,6 +126,12 @@ class TestVerifyMaier:
         for _ in range(20):
             grown = worked_maier(eps=eps, caps=(rng.randint(0, 50), rng.randint(0, 50)))
             assert verify_maier(grown, table_729, profile).verdict is Verdict.PASS
+
+    def test_alpha_summed_once(self):
+        cert = worked_maier()
+        assert cert.alpha is cert.alpha
+        assert cert.alpha == Fraction(1, 50)
+        assert cert == worked_maier()  # the cached sum is no field
 
     def test_pass_bound_implies_nonempty_set(self, table_729):
         cert = worked_maier()
@@ -885,6 +891,35 @@ class TestPipeline:
         )
         got = maier_qualifying_set(table, modulus, residue, caps, limit, window)
         assert got.dtype == np.int64 and got.tolist() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        params=st.sampled_from([WaringParams(3, 3), WaringParams(3, 2), WaringParams(4, 4)]),
+        modulus=st.integers(1, 12) | st.integers(13, 4000),
+        residue=st.integers(0, 40) | st.integers(0, 3100),
+        caps=st.lists(st.integers(-3, 12) | st.integers(2**14, 2**70), min_size=1, max_size=20),
+        limit=st.integers(0, 3020) | st.integers(3002, 3020),
+    )
+    def test_qualifying_set_matches_bruteforce_at_3000(self, params, modulus, residue, caps, limit):
+        # caps below 0 and past the loose ceiling, windows longer than the
+        # modulus, residues past the last row, and a last window past the table
+        table, counts = table_at_3000(params)
+        window = len(caps) - 1
+        rows = range(residue, limit - window, modulus)
+        if rows and rows[-1] + window > table.limit:
+            with pytest.raises(ValueError, match="does not cover the last progression window"):
+                maier_qualifying_set(table, modulus, residue, caps, limit, window)
+            return
+        expected = qualifying_set_bruteforce(counts, modulus, residue, caps, limit, window)
+        got = maier_qualifying_set(table, modulus, residue, caps, limit, window)
+        assert got.dtype == np.int64 and got.tolist() == expected
+
+
+@cache
+def table_at_3000(params: WaringParams) -> tuple[RepTable, list[int]]:
+    """The table of params at 3,000 and its counts as Python ints."""
+    table = sieve_rep(params, 3000)
+    return table, table.counts.tolist()
 
 
 NESTED_JSON = {

@@ -26,6 +26,7 @@ from waring_gaps.series import (
     GrowthCertificateError,
     HalfFunction,
     MildGapCheck,
+    MildGapWitness,
     Verdict,
     eval_enclosure,
     eval_truncated,
@@ -556,6 +557,11 @@ def mild_gap_outcome(check):
     return check.verdict, check.failed_clause, check.detail
 
 
+def reference_witness(f, n, gap_length, tail_bound, tail):
+    """The witness a passing reference_mild_gap stands for."""
+    return MildGapWitness(f.label, n, gap_length, tail_bound, n + gap_length - 1, tail)
+
+
 def scan_outcome(witnesses, inconclusive):
     return [w.to_json_dict() for w in witnesses], list(inconclusive)
 
@@ -584,11 +590,12 @@ class TestNonzeroWalk:
         def reference():
             checks = zero_run_scan(
                 f.coefficient, lo, hi, gap_length,
-                lambda n: is_mild_gap(f, n, gap_length, tail_bound, cutoff=cutoff),
+                lambda n: (n, reference_mild_gap(f, n, gap_length, tail_bound, cutoff)),
             )
             return scan_outcome(
-                [c.witness for c in checks if c.is_witness],
-                [c.n for c in checks if c.verdict is Verdict.INCONCLUSIVE],
+                [reference_witness(f, n, gap_length, tail_bound, tail)
+                 for n, (verdict, _, tail) in checks if verdict is Verdict.PASS],
+                [n for n, (verdict, _, _) in checks if verdict is Verdict.INCONCLUSIVE],
             )
 
         def scan():
@@ -631,13 +638,12 @@ class TestNonzeroWalk:
         f = HalfFunction.from_table(table_3_3)
         ns = [93, 4, 11, 4, 400, 0, 31, 18]
         checks = mild_gap_checks(f, ns, 4, Fraction(8))
-        # 0 fails its zero run unread; 400's tail starts more than a default
-        # tail past 93's, so it is read apart: each read runs from its
-        # cluster's smallest tail start to its largest cutoff, and the two
-        # ranges are disjoint
-        assert reads == [(4 + 4, 93 + 4 + 64), (400 + 4, 400 + 4 + 64)]
+        # 0 fails its zero run unread; the other tails are read together,
+        # from the smallest tail start to the largest cutoff, however far
+        # apart their candidates lie
+        assert reads == [(4 + 4, 400 + 4 + 64)]
         assert [mild_gap_outcome(c) for c in checks] == [
-            mild_gap_outcome(is_mild_gap(f, n, 4, Fraction(8))) for n in ns
+            reference_mild_gap(f, n, 4, Fraction(8), None) for n in ns
         ]
         assert {c.failed_clause for c in checks} == {None, "zero-run", "tail-norm"}
 
@@ -671,6 +677,18 @@ class TestNonzeroWalk:
         cutoff = data.draw(st.integers(start - 1, cutoff + 80))
         assert outcome(lambda: tail_norm(f, start, cutoff)) == outcome(
             lambda: reference_tail(f, start, cutoff)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=walked_series(), data=st.data())
+    def test_tail_norm_batch_matches_horner(self, f, data):
+        # unsorted tails, now and then one whose cutoff precedes its start or
+        # whose terms pass coverage: the first such pair in input order raises
+        known = 100 if f.coverage is None else f.coverage
+        starts = data.draw(st.lists(st.integers(1, known + 10), max_size=8))
+        cutoffs = [data.draw(st.integers(start - 1, start + 90)) for start in starts]
+        assert outcome(lambda: tail_norm(f, starts, cutoffs)) == outcome(
+            lambda: [reference_tail(f, start, cut) for start, cut in zip(starts, cutoffs)]
         )
 
     @settings(max_examples=300, deadline=None)
