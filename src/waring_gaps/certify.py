@@ -35,11 +35,10 @@ from .repcount import (
     RepTable,
     WaringParams,
     _pow_greater,
-    exceptional_runs,
     floor_pow,
     loose_count_bound,
     read_table_binary,
-    scan_exceptional_set,  # noqa: F401  kept importable here: perfbench's patching test lists it
+    scan_exceptional_set,
     sieve_pair,
     sieve_rep,
 )
@@ -1005,11 +1004,10 @@ def _window_runs(b: np.ndarray, M: int, N: int) -> tuple[np.ndarray, np.ndarray]
 
 def _window_escapes(
     b: np.ndarray, M: int, N: int, runs: tuple[np.ndarray, np.ndarray]
-) -> tuple[int, int, int]:
-    """(window_points, escaped, exceptional) for the windows of _window_runs:
-    how many integers lie in some window, how many of those are not
-    exceptional, and how many exceptional points there are.  The
-    exceptional points come as runs (starts, stops): ascending, disjoint
+) -> tuple[int, int]:
+    """(window_points, escaped) for the windows of _window_runs: how many
+    integers lie in some window, and how many of those are not exceptional.
+    The exceptional points come as runs (starts, stops): ascending, disjoint
     half-open intervals of [1, N + 1).
 
     The exceptional points below x are a prefix sum of the run lengths,
@@ -1033,7 +1031,23 @@ def _window_escapes(
         return total + int(below.take(i, out=part, mode="clip").sum())
 
     inside = exceptional_below(run_stops) - exceptional_below(run_starts)
-    return window_points, window_points - inside, int(below[-1])
+    return window_points, window_points - inside
+
+
+def _maier_schedule(
+    K1: int, K2: int, xi: Fraction
+) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """The pipeline's counting schedule (eps, caps) over offsets 0..K2: eps
+    1/(2 * K1) and cap 0 at the first K1 offsets, then eps xi and cap
+    floor(12 * xi * (3/2)^k) at offset K1 + k.
+
+    Its alpha is below 3/4 for every xi > 0: the first K1 terms sum to 1/2,
+    and xi/(floor(12 * xi * (3/2)^k) + 1) < 1/(12 * (3/2)^k), since
+    floor(y) + 1 > y; those bounds sum to less than 1/4.
+    """
+    eps = (Fraction(1, 2 * K1),) * K1 + (xi,) * (K2 - K1 + 1)
+    caps = (0,) * K1 + tuple(int(12 * xi * Fraction(3, 2) ** k) for k in range(K2 - K1 + 1))
+    return eps, caps
 
 
 def pipeline_dry_run(
@@ -1128,13 +1142,8 @@ def pipeline_dry_run(
     report.check("modulus-even", M % 2 == 0, {"M": M})
 
     xi = Fraction(config.xi)
-    eps = [Fraction(1, 2 * K1)] * K1 + [xi] * (K2 - K1 + 1)
-    caps = [0] * K1 + [
-        int(12 * xi * Fraction(3, 2) ** k) for k in range(K2 - K1 + 1)
-    ]
-    cert = MaierCertificate(
-        ell=ell, K=K2, M=M, m=m, eps=tuple(eps), caps=tuple(caps), N=N
-    )
+    eps, caps = _maier_schedule(K1, K2, xi)
+    cert = MaierCertificate(ell=ell, K=K2, M=M, m=m, eps=eps, caps=caps, N=N)
     alpha = cert.alpha
     report.note(alpha=alpha, xi=xi)
     report.check(
@@ -1215,20 +1224,19 @@ def pipeline_dry_run(
                 _pow_greater(M, ed, N, en, ed),
                 {"compare": "(M/2)^d > N^n", "exponent": exponent},
             )
-            window_points, escaped, exceptional = _window_escapes(
-                good_b1, M, N, exceptional_runs(4, N, epsilon, table_full)
-            )
+            scan = scan_exceptional_set(4, N, epsilon, table_full)
+            window_points, escaped = _window_escapes(good_b1, M, N, (scan.starts, scan.stops))
             report.check(
                 "window-set-escapes-exceptional",
                 escaped > 0,
                 {
                     "window_points": window_points,
-                    "exceptional": exceptional,
+                    "exceptional": scan.cardinality,
                     "escaped": escaped,
                     "epsilon": epsilon,
                 },
             )
-            report.note(exceptional_density=Fraction(exceptional, N))
+            report.note(exceptional_density=scan.density)
 
     inside = table_full.next_nonzero(good_b1 + 1) < good_b2
     qualified_b1, qualified_b2 = good_b1[inside], good_b2[inside]

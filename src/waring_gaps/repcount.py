@@ -433,20 +433,44 @@ def _zero_runs(table: RepTable, limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ExceptionalScan:
-    """Integers a <= limit whose whole lookback window has zero counts;
-    members is a read-only int64 array, ascending."""
+    """Integers a <= limit whose whole lookback window has zero counts, held
+    as runs: run i is [starts[i], stops[i]), two read-only ascending int64
+    arrays.  The runs are nonempty and disjoint, and each lies between two
+    consecutive nonzero counts."""
 
     limit: int
     exponent: Fraction
-    members: np.ndarray
-    density: Fraction
+    starts: np.ndarray
+    stops: np.ndarray
+
+    @property
+    def cardinality(self) -> int:
+        return int((self.stops - self.starts).sum())
+
+    @property
+    def density(self) -> Fraction:
+        return Fraction(self.cardinality, self.limit)
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """The runs expanded into one read-only int64 array, ascending, built
+        on first read by one cumsum over ones that jump at each run start."""
+        starts, stops = self.starts, self.stops
+        ends = np.cumsum(stops - starts)
+        members = np.ones(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+        if members.size:
+            members[0] = starts[0]
+            members[ends[:-1]] = starts[1:] - stops[:-1] + 1
+        np.cumsum(members, out=members)
+        members.flags.writeable = False
+        return members
 
     def to_json_dict(self) -> dict:
         """The report fields; members stays the array, for the CLI's report writer."""
         return render_exact({
             "limit": self.limit,
             "exponent": self.exponent,
-            "cardinality": len(self.members),
+            "cardinality": self.cardinality,
             "density": self.density,
             "members": self.members,
         })
@@ -559,41 +583,33 @@ def _floor_pow_between(base: int, p: int, q: int, lo: int, hi: int) -> int:
 def scan_exceptional_set(
     ell: int, limit: int, epsilon: Fraction, table: RepTable
 ) -> ExceptionalScan:
-    """Find all a in [1, limit] with zero counts on the window (a - a^e, a].
+    """Find all a in [1, limit] with zero counts on the window (a - a^e, a],
+    as runs.
 
-    The exponent is e = 4059/16384 + epsilon.  The members are the runs of
-    exceptional_runs, expanded into one read-only int64 array by one cumsum
-    over ones that jump at each run start.
+    The exponent is e = p/q = 4059/16384 + epsilon.  An integer n lies in
+    the window of a exactly when (a - n)^q < a^p.  The offset k >= 1 is in
+    it from the breakpoint b_k = floor(k^(1/e)) + 1 on, so the window of a
+    is [a - w(a), a], w(a) being the number of breakpoints <= a, and a is a
+    member exactly when h(a) = a - w(a) exceeds the last nonzero index at or
+    below a.
+
+    The breakpoints lie at least 1 apart (the slope of k^(1/e) is at least
+    1), so h never decreases and never skips a value, and b_k - k never
+    decreases.  For consecutive nonzero indices u < u' the members in
+    [u, u') are then [a*, u'), where a* = t + c(t) with t = u + 1 and
+    c(t) = #{k : b_k - k < t} is the least a with h(a) >= t: at a* exactly
+    the first c(t) breakpoints are passed.  One searchsorted over the
+    nonzero index gives every run.
+
+    Only the breakpoints k <= L are formed, L being the length of the
+    longest zero run [t, u').  Since b_k - k never decreases,
+    {k : b_k - k < t} is a prefix of 1, 2, ..., so the count over k <= L is
+    min(c(t), L): exact when c(t) < L.  When c(t) >= L, both t + c(t) and
+    t + L are at or past u', since u' - t <= L, so the run is empty either
+    way.  A breakpoint past limit moves only starts that are past limit
+    already.  So the walk costs at most L exact powers, not one for each of
+    the about limit^e breakpoints.
     """
-    exponent = _window_exponent(ell, limit, epsilon, table)
-    starts, stops = _exceptional_runs(limit, exponent, table)
-    ends = np.cumsum(stops - starts)
-    members = np.ones(int(ends[-1]) if ends.size else 0, dtype=np.int64)
-    if members.size:
-        members[0] = starts[0]
-        members[ends[:-1]] = starts[1:] - stops[:-1] + 1
-    np.cumsum(members, out=members)
-    members.flags.writeable = False
-    return ExceptionalScan(
-        limit=limit,
-        exponent=exponent,
-        members=members,
-        density=Fraction(len(members), limit),
-    )
-
-
-def exceptional_runs(
-    ell: int, limit: int, epsilon: Fraction, table: RepTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """The members of scan_exceptional_set as runs: (starts, stops), two
-    ascending int64 arrays, run i being [starts[i], stops[i]).  The runs are
-    nonempty and disjoint, and each lies between two consecutive nonzero
-    counts.  The arguments are checked as scan_exceptional_set checks them."""
-    return _exceptional_runs(limit, _window_exponent(ell, limit, epsilon, table), table)
-
-
-def _window_exponent(ell: int, limit: int, epsilon: Fraction, table: RepTable) -> Fraction:
-    """The window exponent 4059/16384 + epsilon, once the scan's arguments hold."""
     if ell != 4:
         raise ValueError("the exceptional-window scan is defined for ell = 4")
     if limit < 1:
@@ -608,36 +624,19 @@ def _window_exponent(ell: int, limit: int, epsilon: Fraction, table: RepTable) -
         raise ValueError("table must hold counts for four fourth powers")
     if table.limit < limit:
         raise ValueError(f"table covers [0, {table.limit}] but limit is {limit}")
-    return exponent
-
-
-def _exceptional_runs(
-    limit: int, exponent: Fraction, table: RepTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """An integer n lies in the window of a exactly when (a - n)^q < a^p for
-    e = p/q.  The offset k >= 1 is in it from the breakpoint
-    b_k = floor(k^(1/e)) + 1 on, so the window of a is [a - w(a), a], w(a)
-    being the number of breakpoints <= a, and a is a member exactly when
-    h(a) = a - w(a) exceeds the last nonzero index at or below a.
-
-    The breakpoints lie at least 1 apart (the slope of k^(1/e) is at least
-    1), so h never decreases and never skips a value, and b_k - k ascends.
-    For consecutive nonzero indices u < u' the members in [u, u') are then
-    [a*, u'), where a* = t + #{k : b_k - k < t} with t = u + 1 is the least a
-    with h(a) >= t: at a* exactly the first #{...} breakpoints are passed.
-    One searchsorted over the nonzero index gives every run.
-    """
-    shifted = []  # b_k - k for every breakpoint b_k <= limit
+    t, stops = _zero_runs(table, limit)
+    longest = int((stops - t).max(initial=0))
+    shifted = []  # b_k - k for every breakpoint b_k <= limit with k <= longest
     k = 1
-    while (a_min := floor_pow(k, 1 / exponent) + 1) <= limit:
+    while k <= longest and (a_min := floor_pow(k, 1 / exponent) + 1) <= limit:
         shifted.append(a_min - k)
         k += 1
-    # A breakpoint past limit moves only starts that are past limit already.
-    t, stops = _zero_runs(table, limit)
     starts = np.searchsorted(np.asarray(shifted, dtype=np.int64), t, side="left")
     starts += t  # t + #{k : b_k - k < t}
     keep = starts < stops
-    return starts[keep], stops[keep]
+    starts, stops = starts[keep], stops[keep]
+    starts.flags.writeable = stops.flags.writeable = False
+    return ExceptionalScan(limit=limit, exponent=exponent, starts=starts, stops=stops)
 
 
 # /proc/self/fd/N and /dev/fd/N name descriptor N of this process.

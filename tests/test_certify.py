@@ -781,9 +781,7 @@ class TestPipeline:
             dtype=np.int64,
         )
         window_points, escaped = window_escapes_depth(b, M, N, exceptional)
-        assert certify._window_escapes(b, M, N, (starts, stops)) == (
-            window_points, escaped, exceptional.size
-        )
+        assert certify._window_escapes(b, M, N, (starts, stops)) == (window_points, escaped)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,11 @@ that ledger.  Conditions decided only in a subprocess do not count.
 import ast
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waring_gaps import certify
 from waring_gaps.series import Verdict
@@ -20,8 +24,14 @@ NEVER_SEEN_FAILING = {
     "window-exponent-positive": "implied by the strict upper end 16384/4059 of exponent-in-range",
     "interval-power-crosscheck": "compares two sound enclosures of the same real",
     "pairs-above-threshold": "no known reason",
-    "schedule-alpha-below-three-quarters": "no known reason",
-    "qualifying-set-large": "no known reason",
+    "schedule-alpha-below-three-quarters": (
+        "the first K1 terms sum to 1/2 and term k after them, xi/(floor(12 xi (3/2)^k) + 1),"
+        " is below 1/(12 (3/2)^k), a series summing to 1/4: alpha < 3/4 for every xi > 0"
+    ),
+    "qualifying-set-large": (
+        "fails only where counting-certificate fails: with alpha < 3/4, a count at or above"
+        " (1 - alpha) N/(2^ell M) exceeds N/(2^(ell + 2) M)"
+    ),
     "qualifying-points-are-mild-gaps": "no known reason",
 }
 
@@ -58,3 +68,16 @@ def test_every_condition_is_seen_not_passing(condition_ledger, whole_suite):
     not_passing = {name for _, name, verdict in condition_ledger if verdict is not Verdict.PASS}
     assert not_passing & set(NEVER_SEEN_FAILING) == set(), "seen failing: take it off the list"
     assert condition_names() - set(NEVER_SEEN_FAILING) - not_passing == set()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xi=st.fractions(min_value=0, max_value=10**9, max_denominator=10**6).filter(lambda x: x > 0),
+    K1=st.integers(1, 40),
+    windows=st.integers(0, 120),
+)
+def test_schedule_alpha_is_below_three_quarters(xi, K1, windows):
+    # why schedule-alpha-below-three-quarters cannot fail, on the pipeline's own schedule
+    eps, caps = certify._maier_schedule(K1, K1 + windows, xi)
+    cert = certify.MaierCertificate(ell=4, K=K1 + windows, M=1, m=0, eps=eps, caps=caps, N=1)
+    assert Fraction(1, 2) < cert.alpha < Fraction(3, 4)

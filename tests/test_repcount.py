@@ -43,7 +43,6 @@ from waring_gaps.repcount import (
     WaringParams,
     count_dtype,
     csv_pieces,
-    exceptional_runs,
     find_gap_runs,
     floor_pow,
     floor_root,
@@ -1136,6 +1135,8 @@ def sparse_tables(draw, limits) -> RepTable:
 
 # Exponents 4059/16384 + epsilon with a few window-width breakpoints below 2^17.
 EPSILONS = st.integers(0, 600).map(lambda k: Fraction(k, 16384))
+# Every exponent 4059/16384 + epsilon below 1 on the same grid, up to 16383/16384.
+WIDE_EPSILONS = st.integers(0, 12324).map(lambda k: Fraction(k, 16384))
 
 
 def table_4_4_of(counts) -> RepTable:
@@ -1144,8 +1145,8 @@ def table_4_4_of(counts) -> RepTable:
 
 
 class TestExceptionalRuns:
-    """exceptional_runs and scan_exceptional_set against the whole-array
-    scan and the one-point-at-a-time scan."""
+    """scan_exceptional_set's runs and members against the whole-array scan
+    and the one-point-at-a-time scan."""
 
     @staticmethod
     def check_runs(limit, epsilon, table):
@@ -1155,8 +1156,10 @@ class TestExceptionalRuns:
         expected = exceptional_scan_whole_array(limit, scan.exponent, table.counts)
         assert scan.members.dtype == np.int64 and not scan.members.flags.writeable
         assert np.array_equal(scan.members, expected)
-        starts, stops = exceptional_runs(4, limit, epsilon, table)
+        assert scan.density == Fraction(scan.cardinality, limit) == Fraction(expected.size, limit)
+        starts, stops = scan.starts, scan.stops
         assert starts.dtype == stops.dtype == np.int64
+        assert not (starts.flags.writeable or stops.flags.writeable)
         assert (starts < stops).all() and (stops[:-1] < starts[1:]).all()
         assert starts.size == 0 or (1 <= starts[0] and stops[-1] <= limit + 1)
         # each run ends where a nonzero count or the limit cuts it
@@ -1168,9 +1171,13 @@ class TestExceptionalRuns:
     @settings(max_examples=300, deadline=None)
     @given(
         table=sparse_tables(st.integers(1, 80)),
-        epsilon=EPSILONS | st.sampled_from([Fraction(1, 2), Fraction(1, 3)]),
+        epsilon=EPSILONS | WIDE_EPSILONS | st.sampled_from([Fraction(1, 2), Fraction(1, 3)]),
         short=st.integers(0, 80),
     )
+    @example(table=table_4_4_of([1, *[0] * 80]), epsilon=Fraction(12324, 16384), short=0)
+    # the longest zero run comes last, and every window reaching into it covers a nonzero
+    @example(table=table_4_4_of([1] * 40 + [0] * 10 + [1]), epsilon=Fraction(1, 2), short=0)
+    @example(table=table_4_4_of([1] * 40 + [0] * 10 + [1]), epsilon=Fraction(12324, 16384), short=0)
     @example(table=table_4_4_of([1, *[0] * 40, 3]), epsilon=Fraction(0), short=0)  # count at limit
     @example(table=table_4_4_of([1, *[0] * 40]), epsilon=Fraction(0), short=0)  # ends at limit + 1
     @example(table=table_4_4_of([1, *[0] * 20, 7, 0, 0, 0]), epsilon=Fraction(1, 3), short=3)
@@ -1206,7 +1213,25 @@ class TestExceptionalRuns:
                      (4, 0, Fraction(0), table_4_4), (4, 10, Fraction(-1), table_4_4),
                      (4, 10_001, Fraction(0), table_4_4)]:
             with pytest.raises(ValueError):
-                exceptional_runs(*args)
+                scan_exceptional_set(*args)
+
+    @pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(1, 4), Fraction(3, 4)])
+    def test_breakpoint_walk_stops_at_the_longest_zero_run(self, table_4_4, epsilon, monkeypatch):
+        # about limit^e breakpoints lie below limit, but only the first L, L the
+        # longest zero run, can start a run; a table with no zero run forms none.
+        # test_match_both_oracles checks the members at every epsilon.
+        calls = []
+
+        def counted(base, exponent):
+            calls.append(base)
+            return floor_pow(base, exponent)
+
+        monkeypatch.setattr(repcount, "floor_pow", counted)
+        for table in [table_4_4, table_4_4_of([1] * 2_001)]:
+            calls.clear()
+            scan_exceptional_set(4, 2_000, epsilon, table)
+            zeros = itertools.groupby(table.counts[:2_001] == 0)
+            assert len(calls) <= max((len(list(run)) for zero, run in zeros if zero), default=0)
 
 
 class TestNonzeroIndex:
