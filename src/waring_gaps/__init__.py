@@ -18,8 +18,8 @@ _SUBMODULES = ("certify", "cli", "exact", "modular", "repcount", "series")
 _EXPORTS = {
     **dict.fromkeys(
         (
-            "ConditionResult", "MaierCertificate", "NestedGapsCertificate", "PipelineConfig",
-            "Report", "Verdict", "check_measure", "check_theta_linear_forms",
+            "ConditionResult", "DegreeCertificate", "MaierCertificate", "NestedGapsCertificate",
+            "PipelineConfig", "Report", "Verdict", "check_measure", "check_theta_linear_forms",
             "half_function_from_spec", "maier_qualifying_set", "nested_certificate_from_json",
             "pipeline_dry_run", "verify_degree_criterion", "verify_maier", "verify_maier_inner",
             "verify_nested_gaps",

@@ -360,17 +360,17 @@ def verify_maier(
     return report
 
 
-def verify_maier_inner(
-    ell: int, m: int, k: int, M: int, L: int, table: RepTable
-) -> Report:
+def verify_maier_inner(m: int, k: int, M: int, L: int, table: RepTable) -> Report:
     """Check the column-sum inequality behind the counting argument.
 
     Sums the representation counts along the progression m + k + i*M for
-    i < L^ell * M^(ell-1) and compares with L^ell times the residue count.
+    i < L^ell * M^(ell-1) and compares with L^ell times the residue count,
+    ell being the table's exponent.
     """
     if M < 1 or L < 1 or m < 0 or k < 0:
         raise ValueError("need M >= 1, L >= 1, m >= 0, k >= 0")
-    if table.params.ell != ell or table.params.s != ell:
+    ell = table.params.ell
+    if table.params.s != ell:
         raise ValueError("table must hold counts for ell summands of ell-th powers")
     column = L**ell * M ** (ell - 1)
     top = m + k + (column - 1) * M
@@ -415,24 +415,15 @@ class NestedGapsCertificate:
     E_prime: Fraction
     f: HalfFunction
     g: HalfFunction
-    f_spec: dict | None = None
-    g_spec: dict | None = None
+    f_spec: dict | None = field(default=None, repr=False)
+    g_spec: dict | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
-        return render_exact({
-            "q": self.q,
-            "H": self.H,
-            "K1": self.K1,
-            "K2": self.K2,
-            "K_prime": self.K_prime,
-            "n1": self.n1,
-            "n2": self.n2,
-            "n_prime": self.n_prime,
-            "E": self.E,
-            "E_prime": self.E_prime,
-            "f": self.f_spec if self.f_spec is not None else {"label": self.f.label},
-            "g": self.g_spec if self.g_spec is not None else {"label": self.g.label},
-        })
+        return _echo(
+            self,
+            f=self.f_spec if self.f_spec is not None else {"label": self.f.label},
+            g=self.g_spec if self.g_spec is not None else {"label": self.g.label},
+        )
 
 
 def _printable_power(q: int, n: int, field: str) -> int:
@@ -684,28 +675,40 @@ def check_measure(cert: NestedGapsCertificate, terms: int | None = None) -> Repo
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class DegreeCertificate:
+    """The data of one degree-criterion instance: the power ell, the point
+    1/q, the strength J, the tail bound E, the limit N, the window lengths
+    K1 and K2 and the window ends n1 and n2.  J and E are held as positive
+    Fractions."""
+
+    ell: int
+    q: int
+    J: Fraction
+    E: Fraction
+    N: int
+    K1: int
+    K2: int
+    n1: int
+    n2: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "J", Fraction(self.J))
+        object.__setattr__(self, "E", Fraction(self.E))
+        if self.J <= 0 or self.E <= 0:
+            raise ValueError("J and E must be positive")
+
+
 def verify_degree_criterion(
-    ell: int,
-    q: int,
-    J: Fraction,
-    E: Fraction,
-    N: int,
-    K1: int,
-    K2: int,
-    n1: int,
-    n2: int,
-    table_lower: RepTable,
-    table_full: RepTable,
+    cert: DegreeCertificate, table_lower: RepTable, table_full: RepTable
 ) -> Report:
     """Check the four conditions that force the power-sum series value to
     avoid low-degree algebraic relations at 1/q, for the given strength J.
 
     table_lower holds counts for ell - 1 summands, table_full for ell.
     """
-    J = Fraction(J)
-    E = Fraction(E)
-    if J <= 0 or E <= 0:
-        raise ValueError("J and E must be positive")
+    ell, q, J, E, N = cert.ell, cert.q, cert.J, cert.E, cert.N
+    K1, K2, n1, n2 = cert.K1, cert.K2, cert.n1, cert.n2
     if table_lower.params != WaringParams(ell, ell - 1):
         raise ValueError("table_lower must count sums of ell - 1 powers")
     if table_full.params != WaringParams(ell, ell):
@@ -713,20 +716,7 @@ def verify_degree_criterion(
     if table_lower.limit < n2 + K2 - 1 or table_full.limit < n2 - 1:
         raise ValueError("tables do not cover the inspection window")
 
-    report = Report(
-        kind="degree-criterion",
-        certificate={
-            "ell": ell,
-            "q": q,
-            "J": J,
-            "E": E,
-            "N": N,
-            "K1": K1,
-            "K2": K2,
-            "n1": n1,
-            "n2": n2,
-        },
-    )
+    report = Report(kind="degree-criterion", certificate=_echo(cert))
 
     report.check(
         "ordering",
@@ -887,30 +877,28 @@ def _sweep_forms(powers: Sequence[Enclosure], height: int) -> SweepResult:
 
 
 def check_theta_linear_forms(
-    ell: int,
-    q: int,
-    height: int,
-    terms: int,
-    tables: Sequence[RepTable],
+    q: int, height: int, terms: int, tables: Sequence[RepTable]
 ) -> Report:
     """Certify non-vanishing of every admissible linear form in the powers.
 
     Covers all integer forms c_0 + c_1*t + ... + c_ell*t^ell with
-    coefficients bounded by the height and c_ell != 0, where t^j is
-    enclosed via the direct power-series table for j summands (not
-    interval powers), and records the minimal certified lower bound.
+    coefficients bounded by the height and c_ell != 0, where ell is the
+    number of tables and t^j is enclosed via the direct power-series table
+    tables[j - 1] of ell-th powers and j summands (not interval powers),
+    and records the minimal certified lower bound.
     Every form is accounted for: for each choice of c_1 .. c_ell the
     constant c_0 only shifts the enclosure, so the undecided c_0 are read
     off as one integer interval and the others are certified by the bound
     rising monotonically away from it (see _sweep_forms).  Interval powers
     are still computed and cross-checked against the direct enclosures.
     """
+    if not tables:
+        raise ValueError("need at least one table")
+    ell = len(tables)
     if height < 1:
         raise ValueError("height must be positive")
     if (2 * height + 1) ** (ell + 1) > 10_000_000:
         raise ValueError(f"height {height} too large for exhaustive form enumeration")
-    if len(tables) != ell:
-        raise ValueError(f"need tables for s = 1 .. {ell}")
     for s, table in enumerate(tables, start=1):
         if table.params != WaringParams(ell, s):
             raise ValueError(f"table {s} has parameters {table.params}")
@@ -1224,7 +1212,7 @@ def pipeline_dry_run(
                 _pow_greater(M, ed, N, en, ed),
                 {"compare": "(M/2)^d > N^n", "exponent": exponent},
             )
-            scan = scan_exceptional_set(4, N, epsilon, table_full)
+            scan = scan_exceptional_set(N, epsilon, table_full)
             window_points, escaped = _window_escapes(good_b1, M, N, (scan.starts, scan.stops))
             report.check(
                 "window-set-escapes-exceptional",
@@ -1249,7 +1237,7 @@ def pipeline_dry_run(
     if qualified_b1.size:
         n1, n2 = int(qualified_b1[0]), int(qualified_b2[0])
         degree_report = verify_degree_criterion(
-            ell, q, J, E, N, K1, K2, n1, n2, table_lower, table_full
+            DegreeCertificate(ell, q, J, E, N, K1, K2, n1, n2), table_lower, table_full
         )
         report.add(
             "degree-criterion",
@@ -1276,8 +1264,10 @@ def pipeline_dry_run(
 
 
 def _echo(obj: Any, **extra: Any) -> dict:
-    """A dataclass's fields, in order, then extra, as a report prints them."""
-    echo = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    """A dataclass's fields that its repr shows, in order, each replaced by
+    the extra entry of its name, then the other extra entries, as a report
+    prints them."""
+    echo = {f.name: getattr(obj, f.name) for f in fields(obj) if f.repr}
     return render_exact({**echo, **extra})
 
 

@@ -475,9 +475,7 @@ def _cmd_linforms(p: dict[str, Any]) -> tuple[dict, int]:
         repcount.sieve_rep(repcount.WaringParams(p["ell"], s), _sieve_limit(p))
         for s in range(1, p["ell"] + 1)
     ]
-    return _verdict(
-        certify.check_theta_linear_forms(p["ell"], p["q"], p["height"], p["terms"], tables)
-    )
+    return _verdict(certify.check_theta_linear_forms(p["q"], p["height"], p["terms"], tables))
 
 
 def _pipeline_default(field: str) -> Callable[[], Any]:
@@ -535,7 +533,7 @@ def _cmd_exceptional(p: dict[str, Any]) -> tuple[dict, int]:
         table = repcount.read_table_binary(p["table"])
     else:
         table = repcount.sieve_rep(repcount.WaringParams(4, 4), p["limit"])
-    scan = repcount.scan_exceptional_set(4, p["limit"], p["epsilon"], table)
+    scan = repcount.scan_exceptional_set(p["limit"], p["epsilon"], table)
     if p["out"] is not None:
         repcount.write_output(p["out"], repcount.csv_pieces("a", [scan.members]))
     return {"result": scan.to_json_dict()}, 0

@@ -580,11 +580,9 @@ def _floor_pow_between(base: int, p: int, q: int, lo: int, hi: int) -> int:
     return lo
 
 
-def scan_exceptional_set(
-    ell: int, limit: int, epsilon: Fraction, table: RepTable
-) -> ExceptionalScan:
+def scan_exceptional_set(limit: int, epsilon: Fraction, table: RepTable) -> ExceptionalScan:
     """Find all a in [1, limit] with zero counts on the window (a - a^e, a],
-    as runs.
+    as runs, from the table of sums of four fourth powers.
 
     The exponent is e = p/q = 4059/16384 + epsilon.  An integer n lies in
     the window of a exactly when (a - n)^q < a^p.  The offset k >= 1 is in
@@ -610,8 +608,6 @@ def scan_exceptional_set(
     already.  So the walk costs at most L exact powers, not one for each of
     the about limit^e breakpoints.
     """
-    if ell != 4:
-        raise ValueError("the exceptional-window scan is defined for ell = 4")
     if limit < 1:
         raise ValueError("limit must be positive")
     epsilon = Fraction(epsilon)

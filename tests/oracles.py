@@ -503,22 +503,25 @@ def read_table_binary_whole(path) -> RepTable:
 def exceptional_scan_whole_array(limit: int, exponent: Fraction, counts) -> np.ndarray:
     """Members of the exceptional set in [1, limit], each a decided at once
     over the whole range: a's window width is the number of offsets d >= 1
-    with d^q < a^p (e = p/q), counted by searching the least such a of each
-    d, and a is a member when the last nonzero index at or below it, one
-    running maximum over all of [0, limit], lies below a - width."""
+    with d < a^e (e = p/q), that is ceil(a^e) - 1, and a is a member when the
+    last nonzero index at or below it, one running maximum over all of
+    [0, limit], lies below a - width.
+
+    The width is read from the float64 power a^e where that lies more than
+    1e-6 from every integer: for a <= 2^24, the power and the rounding of e
+    to a double err by less than 1e-7 together.  Within 1e-6 of an integer
+    n, d < a^e is decided for d = n by the exact comparison n^q < a^p, so
+    only such a form a full power."""
+    if limit > 1 << 24:
+        raise ValueError("the float64 widths are bounded for limit <= 2^24 only")
     p, q = exponent.numerator, exponent.denominator
-    breakpoints = []
-    while True:
-        d_power = (len(breakpoints) + 1) ** q
-        lo, hi = 1, limit + 1  # the least a in [1, limit] with a^p > d^q, else limit + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if mid**p > d_power else (mid + 1, hi)
-        if lo > limit:
-            break
-        breakpoints.append(lo)
     a_arr = np.arange(1, limit + 1, dtype=np.int64)
-    widths = np.searchsorted(np.asarray(breakpoints, dtype=np.int64), a_arr, side="right")
+    powers = np.power(a_arr.astype(np.float64), p / q)
+    nearest = np.rint(powers)
+    widths = np.ceil(powers).astype(np.int64) - 1
+    for i in np.flatnonzero(np.abs(powers - nearest) < 1e-6).tolist():
+        n = int(nearest[i])
+        widths[i] = n - 1 + (n**q < (i + 1) ** p)
     nz = np.asarray(counts[: limit + 1]) != 0
     last_nonzero = np.maximum.accumulate(
         np.where(nz, np.arange(limit + 1, dtype=np.int64), np.int64(-1))

@@ -173,7 +173,7 @@ def test_criterion_07_maier_counting():
     for ell in (3, 4):
         for modulus in range(1, 10):
             for m in range(modulus):
-                inner = verify_maier_inner(ell, m, 0, modulus, 1, inner_tables[ell])
+                inner = verify_maier_inner(m, 0, modulus, 1, inner_tables[ell])
                 if inner.verdict is not Verdict.PASS:
                     ok = False
     conclude(7, ok, "progression count 81 beats 3969/400 and all column sums bound", started)
@@ -237,7 +237,7 @@ def test_criterion_09_measure_grid():
 def test_criterion_10_theta_linear_forms():
     started = time.monotonic()
     tables = [sieve_rep(WaringParams(3, s), 192) for s in (1, 2, 3)]
-    report = check_theta_linear_forms(3, 2, 2, 64, tables)
+    report = check_theta_linear_forms(2, 2, 64, tables)
     ok = (
         report.verdict is Verdict.PASS
         and report.summary["forms_checked"] == 500

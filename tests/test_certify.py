@@ -1,8 +1,11 @@
+import dataclasses
+import json
 import math
 import random
 import sys
 from fractions import Fraction
 from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from oracles import (
 )
 from waring_gaps import certify
 from waring_gaps.certify import (
+    DegreeCertificate,
     MaierCertificate,
     NestedGapsCertificate,
     PipelineConfig,
@@ -182,19 +186,19 @@ class TestVerifyMaier:
 
 class TestMaierInner:
     def test_empty_class_column(self, table_729):
-        report = verify_maier_inner(3, 4, 0, 9, 1, table_729)
+        report = verify_maier_inner(4, 0, 9, 1, table_729)
         assert report.verdict is Verdict.PASS
         assert report.summary == {"column_sum": 0, "bound": 0}
 
     def test_zero_class_column(self, table_729):
-        report = verify_maier_inner(3, 0, 0, 9, 1, table_729)
+        report = verify_maier_inner(0, 0, 9, 1, table_729)
         assert report.verdict is Verdict.PASS
         assert report.summary["column_sum"] == 159
         assert report.summary["bound"] == 189
 
     def test_tight_column_mod_two(self):
         table = sieve_rep(WaringParams(3, 3), 10)
-        report = verify_maier_inner(3, 1, 0, 2, 1, table)
+        report = verify_maier_inner(1, 0, 2, 1, table)
         assert report.verdict is Verdict.PASS
         assert report.summary == {"column_sum": 4, "bound": 4}
 
@@ -203,7 +207,7 @@ class TestMaierInner:
         table = sieve_rep(WaringParams(ell, ell), limit)
         for modulus in range(1, 10):
             for m in range(modulus):
-                report = verify_maier_inner(ell, m, 0, modulus, 1, table)
+                report = verify_maier_inner(m, 0, modulus, 1, table)
                 assert report.verdict is Verdict.PASS, (ell, modulus, m)
 
     def test_column_over_its_bound_fails(self):
@@ -211,7 +215,7 @@ class TestMaierInner:
         counts = np.zeros(725, dtype=np.int64)
         counts[0], counts[4] = 1, 5
         table = RepTable(WaringParams(3, 3), 724, counts)
-        report = verify_maier_inner(3, 4, 0, 9, 1, table)
+        report = verify_maier_inner(4, 0, 9, 1, table)
         assert report.condition("column-sum-bounded").verdict is Verdict.FAIL
         assert report.summary == {"column_sum": 5, "bound": 0}
         assert report.exit_code == 1
@@ -219,7 +223,7 @@ class TestMaierInner:
     def test_insufficient_coverage(self):
         table = sieve_rep(WaringParams(3, 3), 100)
         with pytest.raises(ValueError):
-            verify_maier_inner(3, 4, 0, 9, 1, table)
+            verify_maier_inner(4, 0, 9, 1, table)
 
 
 def synthetic_nested(**overrides):
@@ -560,7 +564,9 @@ class TestDegreeCriterion:
     def test_passing_instance(self, degree_tables):
         lower, full = degree_tables
         report = verify_degree_criterion(
-            3, 2, Fraction(1, 3000), Fraction(8), 3000, 2, 2, 18, 25, lower, full
+            DegreeCertificate(3, 2, Fraction(1, 3000), Fraction(8), 3000, 2, 2, 18, 25),
+            lower,
+            full,
         )
         assert report.verdict is Verdict.PASS
         assert report.summary["largest_certifiable_J_below"] == "1/750"
@@ -570,7 +576,9 @@ class TestDegreeCriterion:
     def test_shorter_sum_inside_window_fails(self, degree_tables):
         lower, full = degree_tables
         report = verify_degree_criterion(
-            3, 2, Fraction(1, 3000), Fraction(8), 3000, 2, 4, 4, 6, lower, full
+            DegreeCertificate(3, 2, Fraction(1, 3000), Fraction(8), 3000, 2, 4, 4, 6),
+            lower,
+            full,
         )
         cond = report.condition("window-free-of-shorter-sums")
         assert cond.verdict is Verdict.FAIL
@@ -579,7 +587,9 @@ class TestDegreeCriterion:
     def test_no_representable_point_fails(self, degree_tables):
         lower, full = degree_tables
         report = verify_degree_criterion(
-            3, 2, Fraction(1, 3000), Fraction(8), 3000, 2, 2, 11, 13, lower, full
+            DegreeCertificate(3, 2, Fraction(1, 3000), Fraction(8), 3000, 2, 2, 11, 13),
+            lower,
+            full,
         )
         assert report.condition("representable-point-inside").verdict is Verdict.FAIL
 
@@ -594,9 +604,10 @@ class TestDegreeCriterion:
             for gap in (3, 9, 40):
                 for K2 in (1, 4):
                     n2 = n1 + gap
-                    report = verify_degree_criterion(
-                        3, 2, Fraction(1, 3000), Fraction(8), 3200, 2, K2, n1, n2, lower, full
+                    cert = DegreeCertificate(
+                        3, 2, Fraction(1, 3000), Fraction(8), 3200, 2, K2, n1, n2
                     )
+                    report = verify_degree_criterion(cert, lower, full)
                     shorter = first_nonzero(lower_counts, n1, n2 + K2)
                     cond = report.condition("window-free-of-shorter-sums")
                     assert cond.verdict is (Verdict.PASS if shorter is None else Verdict.FAIL)
@@ -609,10 +620,73 @@ class TestDegreeCriterion:
     def test_large_strength_fails_height_gap(self, degree_tables):
         lower, full = degree_tables
         report = verify_degree_criterion(
-            3, 2, Fraction(1), Fraction(8), 3000, 2, 2, 18, 25, lower, full
+            DegreeCertificate(3, 2, Fraction(1), Fraction(8), 3000, 2, 2, 18, 25),
+            lower,
+            full,
         )
         assert report.condition("height-gap").verdict is Verdict.FAIL
         assert report.summary["largest_certifiable_J_below"] == "1/750"
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@cache
+def covering_instance(ell):
+    """The record of degree_ell<ell>.json (a certificate echo, the limit L
+    and the q values it passes at), that certificate, and the (ell, ell - 1)
+    and (ell, ell) tables of sieve_pair(ell, L)."""
+    record = json.loads((DATA / f"degree_ell{ell}.json").read_text())
+    full, lower = sieve_pair(ell, record["limit"])
+    return record, DegreeCertificate(**record["certificate"]), lower, full
+
+
+class TestCoveringInstances:
+    @pytest.mark.parametrize("ell", [3, 4])
+    def test_passes_at_every_recorded_q(self, ell):
+        record, cert, lower, full = covering_instance(ell)
+        assert verify_degree_criterion(cert, lower, full).certificate == record["certificate"]
+        for q in record["q"]:
+            report = verify_degree_criterion(dataclasses.replace(cert, q=q), lower, full)
+            assert report.verdict is Verdict.PASS, q
+        # below the recorded q, the certificate fails height-gap and nothing else
+        for q in range(2, cert.q):
+            report = verify_degree_criterion(dataclasses.replace(cert, q=q), lower, full)
+            failing = [c.name for c in report.conditions if c.verdict is not Verdict.PASS]
+            assert failing == ["height-gap"], q
+
+
+@cache
+def degree_instances():
+    """The covering instances, then TestDegreeCriterion's certificates on its
+    (3,2) and (3,3) tables at 3,200."""
+    covering = [covering_instance(ell)[1:] for ell in (4, 3)]
+    lower, full = sieve_rep(WaringParams(3, 2), 3200), sieve_rep(WaringParams(3, 3), 3200)
+    return covering + [
+        (DegreeCertificate(3, 2, J, Fraction(8), 3000, 2, K2, n1, n2), lower, full)
+        for J, K2, n1, n2 in [
+            (Fraction(1, 3000), 2, 18, 25),
+            (Fraction(1, 3000), 4, 4, 6),
+            (Fraction(1, 3000), 2, 11, 13),
+            (Fraction(1), 2, 18, 25),
+        ]
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=st.integers(0, 5), q=st.integers(2, 10**6), step=st.integers(1, 10**30))
+def test_q_enters_only_height_gap(index, q, step):
+    cert, lower, full = degree_instances()[index]
+    low, high = (
+        verify_degree_criterion(dataclasses.replace(cert, q=x), lower, full) for x in (q, q + step)
+    )
+
+    def q_free(report):
+        return [c.to_json_dict() for c in report.conditions if c.name != "height-gap"]
+
+    assert q_free(low) == q_free(high)
+    if low.condition("height-gap").verdict is Verdict.PASS:
+        assert high.condition("height-gap").verdict is Verdict.PASS
 
 
 @pytest.fixture(scope="module")
@@ -622,19 +696,19 @@ def tables():
 
 class TestLinearForms:
     def test_cube_enclosure(self, tables):
-        report = check_theta_linear_forms(3, 2, 1, 64, tables)
+        report = check_theta_linear_forms(2, 1, 64, tables)
         assert report.exit_code == 0
         cube = eval_enclosure(HalfFunction.from_table(tables[2]), 2, 64)
         assert Fraction(17, 5) < cube.lo <= cube.hi < Fraction(341, 100)
 
     def test_height_two_form_count(self, tables):
-        report = check_theta_linear_forms(3, 2, 2, 64, tables)
+        report = check_theta_linear_forms(2, 2, 64, tables)
         assert report.summary["forms_checked"] == 500  # 5^3 * 4 leading choices
         assert report.condition("forms-nonvanishing").verdict is Verdict.PASS
         assert parse_fraction(report.summary["L_min"]) > 0
 
     def test_interval_power_crosscheck(self, tables):
-        report = check_theta_linear_forms(3, 2, 1, 48, tables)
+        report = check_theta_linear_forms(2, 1, 48, tables)
         assert report.condition("interval-power-crosscheck").verdict is Verdict.PASS
 
     def test_measure_consistency_on_shared_instance(self, tables):
@@ -661,15 +735,17 @@ class TestLinearForms:
 
     def test_rejects_mismatched_tables(self, tables):
         with pytest.raises(ValueError):
-            check_theta_linear_forms(3, 2, 1, 64, tables[:2])
+            check_theta_linear_forms(2, 1, 64, tables[:2])
+        with pytest.raises(ValueError, match="need at least one table"):
+            check_theta_linear_forms(2, 1, 64, [])
 
     def test_rejects_unreasonable_height(self, tables):
         with pytest.raises(ValueError):
-            check_theta_linear_forms(3, 2, 10**4, 64, tables)
+            check_theta_linear_forms(2, 10**4, 64, tables)
 
     def test_fourth_power_forms(self):
         quartic = [sieve_rep(WaringParams(4, s), 160) for s in (1, 2, 3, 4)]
-        report = check_theta_linear_forms(4, 2, 1, 32, quartic)
+        report = check_theta_linear_forms(2, 1, 32, quartic)
         assert report.verdict is Verdict.PASS
         assert report.summary["forms_checked"] == 162  # 3^4 * 2 leading signs
 
@@ -729,6 +805,32 @@ class TestPipeline:
         assert report.condition("representable-point-in-some-pair").witness["qualified"] == 1413
         degree = report.condition("degree-criterion").witness
         assert (degree["n1"], degree["n2"]) == (53, 69)
+
+    def test_small_xi_rejects_mild_gap_candidates(self):
+        # E = 60 xi = 3/5 is below the tail of 21 of the 78 candidates checked
+        config = PipelineConfig(moduli_pool=(9, 63), xi=Fraction(1, 100))
+        cond = pipeline_dry_run(3, 2, 1, config).condition("qualifying-points-are-mild-gaps")
+        assert cond.verdict is Verdict.FAIL
+        assert (cond.witness["checked"], cond.witness["rejected"]) == (78, 21)
+
+    @pytest.mark.parametrize("ell, pool", [(3, (9, 63)), (4, (16, 32))])
+    def test_reports_differ_across_q_only_in_height_gap(self, ell, pool):
+        def q_free(q):
+            """The report at q less its q, the degree criterion's height-gap
+            entry, and the verdict, conclusion and largest J that follow."""
+            report = pipeline_dry_run(ell, q, 1, PipelineConfig(moduli_pool=pool)).to_json_dict()
+            del report["certificate"]["q"], report["summary"]["largest_certifiable_J_below"]
+            degree = next(c for c in report["per_condition"] if c["name"] == "degree-criterion")
+            witness = degree.pop("witness")
+            del degree["verdict"], witness["summary"]["largest_certifiable_J_below"]
+            witness["summary"].pop("conclusion", None)
+            witness["per_condition"] = [
+                c for c in witness["per_condition"] if c["name"] != "height-gap"
+            ]
+            return report, witness
+
+        reports = [q_free(q) for q in (2, 3, 7, 10**6)]
+        assert all(report == reports[0] for report in reports)
 
     def test_limit_budget_exceeded_is_reported(self):
         config = PipelineConfig(max_limit=500)
@@ -1028,7 +1130,7 @@ class TestPlantedNonPass:
 
     def test_forms_undecided_at_few_terms(self):
         tables = [sieve_rep(WaringParams(3, s), 4 + 128) for s in (1, 2, 3)]
-        report = check_theta_linear_forms(3, 2, 1, 4, tables)
+        report = check_theta_linear_forms(2, 1, 4, tables)
         condition = report.condition("forms-nonvanishing")
         assert condition.verdict is Verdict.INCONCLUSIVE
         assert condition.witness["certified"] == 48 and len(condition.witness["undecided"]) == 6

@@ -32,7 +32,6 @@ NEVER_SEEN_FAILING = {
         "fails only where counting-certificate fails: with alpha < 3/4, a count at or above"
         " (1 - alpha) N/(2^ell M) exceeds N/(2^(ell + 2) M)"
     ),
-    "qualifying-points-are-mild-gaps": "no known reason",
 }
 
 
