@@ -47,6 +47,7 @@ from .series import (
     HalfFunction,
     MildGapCheck,
     Verdict,
+    default_cutoff,
     eval_enclosure,
     eval_truncated,
     is_mild_gap,  # noqa: F401  kept importable here: perfbench's patching test lists it
@@ -203,6 +204,10 @@ class MaierCertificate:
     def __post_init__(self) -> None:
         if len(self.eps) != self.K + 1 or len(self.caps) != self.K + 1:
             raise ValueError("eps and caps must both have K + 1 entries")
+        # a cap below 0 admits no count, and at cap + 1 <= 0 alpha is no bound
+        for k, cap in enumerate(self.caps):
+            if cap < 0:
+                raise ValueError(f"field caps[{k}]: {cap} is below 0")
 
     @functools.cached_property
     def alpha(self) -> Fraction:
@@ -217,7 +222,7 @@ class MaierCertificate:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MaierCertificate":
         obj = parse_exact(obj, "object", "certificate")
-        cert = cls(
+        return cls(
             ell=_field(obj, "ell", "int"),
             K=_field(obj, "K", "int"),
             M=_field(obj, "M", "int"),
@@ -226,11 +231,6 @@ class MaierCertificate:
             caps=tuple(parse_exact(c, "int", "field caps") for c in _field(obj, "caps", "list")),
             N=_field(obj, "N", "int"),
         )
-        # a cap below 0 admits no count, and at cap + 1 <= 0 alpha is no bound
-        for k, cap in enumerate(cert.caps):
-            if cap < 0:
-                raise ValueError(f"field caps[{k}]: {cap} is below 0")
-        return cert
 
 
 # Rows of the qualifying-set view compared at once: bounds the boolean temporary.
@@ -439,6 +439,22 @@ def _printable_power(q: int, n: int, field: str) -> int:
     return render_exact(q**n, field)
 
 
+def _height_rule(
+    q: int, K1: int, K2: int, H: Fraction, E1: Fraction, E2: Fraction | int, names: tuple[str, str]
+) -> tuple[bool, dict, Fraction]:
+    """The height rule of the nested-gaps principle at 1/q: both gaps beat
+    the height H times their tail bounds, q^K1 > H*E1 and q^K2 > H*E2.
+    Returns whether both hold, the witness (q^K1, H*E1, q^K2 and H*E2, the
+    products under names) and min(q^K1/E1, q^K2/E2), the least H at which
+    one of them fails.  Each power is formed by _printable_power, q^K1
+    first, so a power too long to print is refused by its name."""
+    q_K1 = Fraction(_printable_power(q, K1, "q^K1"))
+    q_K2 = Fraction(_printable_power(q, K2, "q^K2"))
+    first, second = H * E1, H * E2
+    witness = {"q^K1": q_K1, names[0]: first, "q^K2": q_K2, names[1]: second}
+    return q_K1 > first and q_K2 > second, witness, min(q_K1 / E1, q_K2 / E2)
+
+
 def verify_nested_gaps(cert: NestedGapsCertificate) -> Report:
     """Check hypotheses of the nested-gaps principle, each one exactly.
 
@@ -500,18 +516,10 @@ def verify_nested_gaps(cert: NestedGapsCertificate) -> Report:
     )
     report.check("window-sum-nonzero", window_sum != 0, {"sum": window_sum})
 
-    q_K1 = _printable_power(cert.q, cert.K1, "q^K1")
-    q_K2 = _printable_power(cert.q, cert.K2, "q^K2")
-    report.check(
-        "gap-dominates-height",
-        q_K1 > cert.H * cert.E and q_K2 > cert.H * cert.E_prime,
-        {
-            "q^K1": Fraction(q_K1),
-            "H*E": cert.H * cert.E,
-            "q^K2": Fraction(q_K2),
-            "H*E_prime": cert.H * cert.E_prime,
-        },
+    holds, witness, _ = _height_rule(
+        cert.q, cert.K1, cert.K2, cert.H, cert.E, cert.E_prime, ("H*E", "H*E_prime")
     )
+    report.check("gap-dominates-height", holds, witness)
 
     if report.verdict is Verdict.PASS:
         report.note(
@@ -680,7 +688,9 @@ class DegreeCertificate:
     """The data of one degree-criterion instance: the power ell, the point
     1/q, the strength J, the tail bound E, the limit N, the window lengths
     K1 and K2 and the window ends n1 and n2.  J and E are held as positive
-    Fractions."""
+    Fractions.  A field out of range (q < 2, N, K1 or K2 < 1, n1 < 0) is
+    refused by name when the certificate is built; the order of the windows
+    is the ordering condition."""
 
     ell: int
     q: int
@@ -697,6 +707,9 @@ class DegreeCertificate:
         object.__setattr__(self, "E", Fraction(self.E))
         if self.J <= 0 or self.E <= 0:
             raise ValueError("J and E must be positive")
+        for name, least in (("q", 2), ("N", 1), ("K1", 1), ("K2", 1), ("n1", 0)):
+            if (value := getattr(self, name)) < least:
+                raise ValueError(f"field {name}: {value} is below {least}")
 
 
 def verify_degree_criterion(
@@ -736,20 +749,9 @@ def verify_degree_criterion(
     found = inside < n2
     report.check("representable-point-inside", found, {"witness": inside} if found else None)
 
-    q_K1 = _printable_power(q, K1, "q^K1")
-    q_K2 = _printable_power(q, K2, "q^K2")
-    report.check(
-        "height-gap",
-        q_K1 > J * E and q_K2 > J * N,
-        {
-            "q^K1": Fraction(q_K1),
-            "J*E": J * E,
-            "q^K2": Fraction(q_K2),
-            "J*N": J * N,
-        },
-    )
+    holds, witness, j_max = _height_rule(q, K1, K2, J, E, N, ("J*E", "J*N"))
+    report.check("height-gap", holds, witness)
 
-    j_max = min(Fraction(q_K1) / E, Fraction(q_K2, N))
     unit_c_paper = ell * (1 << ell)
     unit_c_sum = 1 + (ell - 1) * (1 << ell)
     report.note(
@@ -1151,7 +1153,7 @@ def pipeline_dry_run(
     report.note(E=E)
 
     # Margin past N keeps boundary tail checks decidable; counting ignores it.
-    sieve_limit = N + K2 + max(64, 4 * K1) + 8
+    sieve_limit = default_cutoff(N + K2, K1) + 8
     table_full, table_lower = sieve_pair(ell, sieve_limit)
     profile = residue_counts(ell, M)
     members = maier_qualifying_set(table_full, M, m, caps, N, K2)

@@ -606,7 +606,9 @@ def scan_exceptional_set(limit: int, epsilon: Fraction, table: RepTable) -> Exce
     t + L are at or past u', since u' - t <= L, so the run is empty either
     way.  A breakpoint past limit moves only starts that are past limit
     already.  So the walk costs at most L exact powers, not one for each of
-    the about limit^e breakpoints.
+    the about limit^e breakpoints.  The walk also stops once b_k - k
+    reaches the largest run start: since b_k - k never decreases, no later
+    breakpoint has b_k - k < t for any t.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
@@ -621,10 +623,12 @@ def scan_exceptional_set(limit: int, epsilon: Fraction, table: RepTable) -> Exce
     if table.limit < limit:
         raise ValueError(f"table covers [0, {table.limit}] but limit is {limit}")
     t, stops = _zero_runs(table, limit)
-    longest = int((stops - t).max(initial=0))
-    shifted = []  # b_k - k for every breakpoint b_k <= limit with k <= longest
+    longest, last_start = int((stops - t).max(initial=0)), int(t.max(initial=0))
+    shifted = []  # b_k - k < last_start for every breakpoint b_k <= limit with k <= longest
     k = 1
     while k <= longest and (a_min := floor_pow(k, 1 / exponent) + 1) <= limit:
+        if a_min - k >= last_start:
+            break
         shifted.append(a_min - k)
         k += 1
     starts = np.searchsorted(np.asarray(shifted, dtype=np.int64), t, side="left")

@@ -380,6 +380,12 @@ def _verdict(
     return MildGapCheck(Verdict.INCONCLUSIVE, n, failed_clause="tail-norm", detail=detail)
 
 
+def default_cutoff(start: int, gap_length: int) -> int:
+    """The mild-gap test's default cutoff for a tail from start: its reach
+    is four gap lengths past start, and never less than 64."""
+    return start + max(64, 4 * gap_length)
+
+
 def _windows(
     f: HalfFunction, ns: Sequence[int], gap_length: int, cutoff: int | None
 ) -> list[MildGapCheck | tuple[int, int]]:
@@ -406,7 +412,7 @@ def _windows(
         if bound is not None and start > bound:
             f._refuse(max(n, bound))
         if cutoff is None:
-            cut = start + max(64, 4 * gap_length)
+            cut = default_cutoff(start, gap_length)
             if bound is not None:
                 cut = max(min(cut, bound), start)
         elif cutoff < start:
@@ -441,7 +447,7 @@ def mild_gap_checks(
     can come back inconclusive when the bound falls inside the enclosure;
     that verdict is distinct from a definite rejection (enclosure entirely
     above the bound).  The cutoff is an absolute index; by default each n
-    gets n + gap_length + max(64, 4*gap_length), clamped to coverage.
+    gets default_cutoff(n + gap_length, gap_length), clamped to coverage.
     """
     tail_bound = _valid_tail_bound(gap_length, tail_bound)
     ns = [operator.index(n) for n in ns]

@@ -297,6 +297,25 @@ def pair_filters_bruteforce(members, lower_counts, full_counts, K2: int) -> tupl
     return len(pairs), len(good), qualified
 
 
+def degree_criterion_bruteforce(cert, lower_counts, full_counts) -> dict[str, bool]:
+    """Whether each table and height condition of the degree criterion
+    holds for cert, decided from the dense counts of sums of ell - 1 and of
+    ell powers, one index at a time: ordering (n1 + K1 < n2 and n2 + K2 <=
+    N), window-free-of-shorter-sums (no lower count in [n1, n2 + K2) is
+    nonzero), representable-point-inside (some full count in [n1, n2) is)
+    and height-gap (q^K1 > J*E and q^K2 > J*N, each cross-multiplied over
+    the integers)."""
+    q, J, E, N = cert.q, cert.J, cert.E, cert.N
+    K1, K2, n1, n2 = cert.K1, cert.K2, cert.n1, cert.n2
+    return {
+        "ordering": n1 + K1 < n2 and n2 + K2 <= N,
+        "window-free-of-shorter-sums": all(c == 0 for c in lower_counts[n1 : n2 + K2]),
+        "representable-point-inside": any(c != 0 for c in full_counts[n1:n2]),
+        "height-gap": q**K1 * J.denominator * E.denominator > J.numerator * E.numerator
+        and q**K2 * J.denominator > J.numerator * N,
+    }
+
+
 def qualifying_set_bruteforce(
     counts, modulus: int, residue: int, caps, limit: int, window: int
 ) -> list[int]:

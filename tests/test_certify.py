@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    degree_criterion_bruteforce,
     exceptional_scan_whole_array,
     linear_forms_bruteforce,
     linear_forms_sweep_loop,
@@ -687,6 +688,79 @@ def test_q_enters_only_height_gap(index, q, step):
     assert q_free(low) == q_free(high)
     if low.condition("height-gap").verdict is Verdict.PASS:
         assert high.condition("height-gap").verdict is Verdict.PASS
+
+
+@cache
+def dense_counts(index):
+    """The lower and full tables' counts of degree_instances()[index], as lists."""
+    _, lower, full = degree_instances()[index]
+    return lower.counts.tolist(), full.counts.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    index=st.integers(0, 5),
+    change=st.tuples(st.sampled_from(["n1", "n2", "K2"]), st.sampled_from([-1, 1]))
+    | st.tuples(st.just("J"), st.integers(2, 10**12)),
+)
+def test_perturbed_certificates_match_bruteforce(index, change):
+    # one field moved: n1, n2 or K2 by one, or J multiplied
+    cert, lower, full = degree_instances()[index]
+    name, by = change
+    value = getattr(cert, name) * by if name == "J" else getattr(cert, name) + by
+    perturbed = dataclasses.replace(cert, **{name: value})
+    report = verify_degree_criterion(perturbed, lower, full)
+    expected = degree_criterion_bruteforce(perturbed, *dense_counts(index))
+    verdicts = {n: report.condition(n).verdict for n in expected}
+    assert verdicts == {n: Verdict.PASS if ok else Verdict.FAIL for n, ok in expected.items()}
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_replay_at_every_smaller_limit_keeps_every_verdict(ell):
+    # a smaller table may widen a tail enclosure, but it changes no verdict
+    record, cert, lower, full = covering_instance(ell)
+
+    def verdicts(lower, full):
+        return [(c.name, c.verdict) for c in verify_degree_criterion(cert, lower, full).conditions]
+
+    expected = verdicts(lower, full)
+    for limit in range(cert.n2 + cert.K2 - 1, record["limit"] + 1):
+        smaller_full, smaller_lower = sieve_pair(ell, limit)
+        assert verdicts(smaller_lower, smaller_full) == expected, limit
+
+
+class TestCertificateFields:
+    """A certificate refuses a field out of range, by name, when it is built."""
+
+    @pytest.mark.parametrize(
+        "field, value, least",
+        [("q", -2, 2), ("q", -3, 2), ("q", 0, 2), ("q", 1, 2), ("N", 0, 1), ("N", -1, 1),
+         ("K1", 0, 1), ("K2", 0, 1), ("n1", -10, 0), ("n1", -1, 0)],
+    )
+    def test_degree_field_out_of_range(self, field, value, least):
+        cert = covering_instance(4)[1]
+        with pytest.raises(ValueError, match=rf"^field {field}: {value} is below {least}$"):
+            dataclasses.replace(cert, **{field: value})
+
+    @pytest.mark.parametrize("field", ["J", "E"])
+    @pytest.mark.parametrize("value", [Fraction(0), Fraction(-1, 2)])
+    def test_degree_strength_and_tail_bound_positive(self, field, value):
+        cert = covering_instance(4)[1]
+        with pytest.raises(ValueError, match="^J and E must be positive$"):
+            dataclasses.replace(cert, **{field: value})
+
+    @pytest.mark.parametrize(
+        "caps, message",
+        [((-1, 0), r"field caps\[0\]: -1 is below 0"), ((0, -2), r"field caps\[1\]: -2 is below 0")],
+    )
+    def test_maier_negative_cap(self, caps, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MaierCertificate(ell=3, K=1, M=9, m=0, eps=(Fraction(1),) * 2, caps=caps, N=729)
+
+    @pytest.mark.parametrize("eps, caps", [((Fraction(1),), (0, 0)), ((Fraction(1),) * 2, (0,))])
+    def test_maier_entries_per_offset(self, eps, caps):
+        with pytest.raises(ValueError, match="^eps and caps must both have K \\+ 1 entries$"):
+            MaierCertificate(ell=3, K=1, M=9, m=0, eps=eps, caps=caps, N=729)
 
 
 @pytest.fixture(scope="module")

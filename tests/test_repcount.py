@@ -1166,6 +1166,25 @@ class TestExceptionalRuns:
         assert joined == expected.tolist()
         return scan.members
 
+    @pytest.mark.parametrize(
+        "epsilon", [Fraction(3081, 4096), Fraction(3, 4), Fraction(1, 2)], ids=str
+    )
+    def test_walk_stops_at_the_largest_run_start(self, epsilon, monkeypatch):
+        # the one nonzero count is r(0) = 1, so the one zero run starts at t = 1,
+        # and b_1 - 1 = 1 already reaches it: no later breakpoint can count
+        table = table_4_4_of([1, *[0] * 100_000])
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return floor_pow(*args)
+
+        monkeypatch.setattr(repcount, "floor_pow", counted)
+        scan = scan_exceptional_set(100_000, epsilon, table)
+        assert len(calls) <= 1
+        assert (scan.starts.tolist(), scan.stops.tolist()) == ([1], [100_001])
+        self.check_runs(100_000, epsilon, table)
+
     @settings(max_examples=300, deadline=None)
     @given(
         table=sparse_tables(st.integers(1, 80)),

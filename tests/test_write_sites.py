@@ -7,7 +7,9 @@ lists each call that opens a file for writing: open() or Path.open() with a
 mode that holds w, a, x or + (or a mode it cannot read), write_text and
 write_bytes.  The second lists each .tolist() whose result feeds
 json.dumps, json.dump or a str.join, the per-cell rendering render_rows
-replaces.  The third lists each call of exact.fraction_str.
+replaces.  The third lists each call of exact.fraction_str.  The fourth
+lists each assert statement: python -O drops them, so every check the
+package relies on is an explicit raise.
 """
 
 import ast
@@ -53,20 +55,21 @@ def _renders_tolist(call: ast.Call) -> bool:
     )
 
 
-def _sites(node: ast.AST, owner: str | None, found):
-    """(enclosing function, line) of each call below node for which found holds."""
+def _sites(node: ast.AST, owner: str | None, found, kind: type = ast.Call):
+    """(enclosing function, line) of each node of kind below node (a call
+    unless kind says otherwise) for which found holds."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call) and found(child):
+        if isinstance(child, kind) and found(child):
             yield owner, child.lineno
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
-        yield from _sites(child, inner, found)
+        yield from _sites(child, inner, found, kind)
 
 
-def _scan(found) -> list[tuple[str, str | None, int]]:
+def _scan(found, kind: type = ast.Call) -> list[tuple[str, str | None, int]]:
     return [
         (path.relative_to(PACKAGE).as_posix(), owner, line)
         for path in sorted(PACKAGE.rglob("*.py"))
-        for owner, line in _sites(ast.parse(path.read_text()), None, found)
+        for owner, line in _sites(ast.parse(path.read_text()), None, found, kind)
     ]
 
 
@@ -90,3 +93,11 @@ def test_one_spelling():
     sites = _scan(_spells_fraction)
     # render_exact's own call is listed too, so a scan that finds nothing fails.
     assert [site[:2] for site in sites] == [SPELLER], sites
+
+
+def test_no_assert_statement():
+    # The scan itself finds an assert, so a scan that finds nothing is not blind.
+    sample = ast.parse("def f(x):\n    assert x\n")
+    assert list(_sites(sample, None, lambda node: True, ast.Assert)) == [("f", 2)]
+    sites = _scan(lambda node: True, ast.Assert)
+    assert sites == [], sites
