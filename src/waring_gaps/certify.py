@@ -577,25 +577,36 @@ def _sweep_pairs(f: Enclosure, g: Enclosure, threshold: Fraction, height: int) -
     of the side; the betas between them do not pass, and the failing ones
     form an interval among those.  Each end is one integer division (_ray).
     The bound is linear on each ray, so its least value there is at one end.
+
+    Only alpha >= 1 is swept.  Negating a pair negates its enclosure
+    exactly: (-alpha, -beta) has lo and hi equal to -hi and -lo of
+    (alpha, beta), so the two pass, fail or stay undecided together, with
+    the same bound.  The betas of -alpha that do not pass are those of alpha
+    negated, so each of alpha's runs, reversed and negated, gives the runs
+    of -alpha in ascending order, and the lists are emitted for alpha from
+    -height up.  The first pair in that order attaining the minimum is the
+    mirror of the last one (greatest alpha, then greatest beta) among the
+    pairs with alpha >= 1; a ray whose bound is constant offers its
+    greatest beta.
     """
     denominator, (f_lo, f_hi, g_lo, g_hi, t) = _common_numerators(
         (f.lo, f.hi, g.lo, g.hi, threshold)
     )
-    best: tuple[int, int, int] | None = None
+    best: tuple[int, int, int] | None = None  # (bound, -alpha, -beta)
     failing, undecided = [], []
-    for alpha in range(-height, height + 1):
-        if alpha == 0:
-            continue
-        budget = height - abs(alpha)
-        a_lo, a_hi = (alpha * f_lo, alpha * f_hi) if alpha > 0 else (alpha * f_hi, alpha * f_lo)
+    runs = []  # (alpha, [(list, first beta, last beta), ...]) for alpha >= 1
+    for alpha in range(1, height + 1):
+        budget = height - alpha
+        a_lo, a_hi = alpha * f_lo, alpha * f_hi
+        segments = []
         # lo = a_lo + beta*c_lo and hi = a_hi + beta*c_hi on each side
         for first, last, c_lo, c_hi in ((-budget, 0, g_hi, g_lo), (1, budget, g_lo, g_hi)):
             gap_first, gap_last = first, last
             for a, c in ((a_lo, c_lo), (-a_hi, -c_hi)):  # lo >= t, then -hi >= t
                 start, end = _ray(first, last, a, c, t)
                 if start <= end:
-                    beta = end if c < 0 else start
-                    candidate = (a + beta * c, alpha, beta)
+                    beta = start if c > 0 else end
+                    candidate = (a + beta * c, -alpha, -beta)
                     if best is None or candidate < best:
                         best = candidate
                     if start == first:
@@ -608,9 +619,20 @@ def _sweep_pairs(f: Enclosure, g: Enclosure, threshold: Fraction, height: int) -
             fail_first, fail_last = _ray(fail_first, fail_last, -a_hi, -c_hi, 1 - t)  # hi < t
             if fail_first > fail_last:
                 fail_first, fail_last = gap_last + 1, gap_last
-            undecided.extend((alpha, beta) for beta in range(gap_first, fail_first))
-            failing.extend((alpha, beta) for beta in range(fail_first, fail_last + 1))
-            undecided.extend((alpha, beta) for beta in range(fail_last + 1, gap_last + 1))
+            segments += (
+                (undecided, gap_first, fail_first - 1),
+                (failing, fail_first, fail_last),
+                (undecided, fail_last + 1, gap_last),
+            )
+        if segments:
+            runs.append((alpha, segments))
+
+    for alpha, segments in reversed(runs):
+        for out, first, last in reversed(segments):
+            out.extend((-alpha, beta) for beta in range(-last, 1 - first))
+    for alpha, segments in runs:
+        for out, first, last in segments:
+            out.extend((alpha, beta) for beta in range(first, last + 1))
 
     pairs = 2 * height * height
     return SweepResult(
@@ -633,6 +655,12 @@ def check_measure(cert: NestedGapsCertificate, terms: int | None = None) -> Repo
     undecided betas are intervals solved in closed form, and only the pairs
     that do not pass are listed (see _sweep_pairs).  Pairs whose enclosure
     straddles the threshold are reported for retry at a larger term count.
+
+    The pairs are closed under negation, and the enclosure of
+    -alpha*F - beta*G is exactly that of alpha*F + beta*G reflected through
+    0, so a pair and its mirror share their verdict and bound.  Only
+    alpha >= 1 is swept; the pairs with alpha < 0 are read off by negation,
+    in the same order and with the same minimum pair as a sweep of both.
     """
     report = Report(kind="measure", certificate=cert.to_json_dict())
     base = verify_nested_gaps(cert)
@@ -806,10 +834,17 @@ def _sweep_forms(powers: Sequence[Enclosure], height: int) -> SweepResult:
     np.add.outer over the terms' numerators, and are swept in blocks of at
     most about _FORM_BLOCK choices: the leading coefficients index the
     blocks and the trailing ones the choices within a block.
+
+    Only c_ell >= 1 is swept.  Negating a form negates its enclosure
+    exactly: -c has the sum enclosure [-s_hi, -s_lo] and the undecided c_0
+    interval of c mirrored, so c and -c are undecided together and have the
+    same bound.  The undecided forms are those found and their negations,
+    sorted, and the least form attaining the minimum is the least among the
+    tied forms found and their negations.
     """
     denominator, nums = _common_numerators([x for e in powers for x in (e.lo, e.hi)])
     coeffs = [np.arange(-height, height + 1) for _ in powers]
-    coeffs[-1] = coeffs[-1][coeffs[-1] != 0]
+    coeffs[-1] = np.arange(1, height + 1)
     lows, highs = [], []
     for c, lo, hi in zip(coeffs, nums[0::2], nums[1::2]):
         ends = c.astype(object) * lo, c.astype(object) * hi
@@ -862,12 +897,14 @@ def _sweep_forms(powers: Sequence[Enclosure], height: int) -> SweepResult:
         ties = np.flatnonzero(bounds == least)
         c0 = np.concatenate((below[at_below], above[at_above]))[ties].astype(np.int64)
         choices = np.concatenate((at_below, at_above))[ties] + offset
-        candidate = (least, min(map(tuple, forms(c0, choices).tolist())))
+        tied = forms(c0, choices)
+        candidate = (least, min(map(tuple, np.concatenate((tied, -tied)).tolist())))
         if best is None or candidate < best:
             best = candidate
 
     forms_count = (2 * height + 1) ** len(powers) * 2 * height
-    undecided = sorted(map(tuple, np.concatenate(open_forms).tolist()))
+    found = np.concatenate(open_forms)
+    undecided = sorted(map(tuple, np.concatenate((found, -found)).tolist()))
     return SweepResult(
         count=forms_count,
         minimum=None if best is None else Fraction(best[0], denominator),
@@ -893,6 +930,12 @@ def check_theta_linear_forms(
     off as one integer interval and the others are certified by the bound
     rising monotonically away from it (see _sweep_forms).  Interval powers
     are still computed and cross-checked against the direct enclosures.
+
+    The forms are closed under negation, and the enclosure of -c is exactly
+    that of c reflected through 0, so a form and its mirror are undecided
+    together and share their bound.  Only c_ell >= 1 is swept; the forms
+    with c_ell < 0 are read off by negation, with the same undecided list,
+    count and least form as a sweep of both signs.
     """
     if not tables:
         raise ValueError("need at least one table")

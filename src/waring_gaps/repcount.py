@@ -129,7 +129,8 @@ class RepTable:
             )
         if int(counts[0]) != 1:
             raise TableFormatError("count at 0 must be 1 (the all-zero tuple)")
-        if int(counts.min()) < 0:
+        # Only a signed dtype can hold a negative count.
+        if counts.dtype.kind == "i" and int(counts.min()) < 0:
             raise TableFormatError("counts must be nonnegative")
         # A count c at n breaks its bound only if c > 2^ell*(n+1), and c is
         # at most the largest count, so only an index below stop can.

@@ -183,12 +183,18 @@ class HalfFunction:
             raise IndexError("coefficient index must be nonnegative")
         raise CoverageError(f"{self.label}: coefficient {n} beyond coverage {self.coverage}")
 
+    def _span(self, lo: int, hi: int | None = None) -> slice:
+        """The slice of positions and values that holds the nonzero terms in
+        [lo, hi); hi None means no upper end."""
+        i = np.searchsorted(self.positions, lo)
+        j = None if hi is None else np.searchsorted(self.positions, hi)
+        return slice(i, j)
+
     def _terms(self, lo: int, hi: int | None = None) -> tuple[list[int], list[int]]:
         """The positions and coefficients, as Python ints, of the nonzero
         terms in [lo, hi), ascending; hi None means no upper end."""
-        i = np.searchsorted(self.positions, lo)
-        j = None if hi is None else np.searchsorted(self.positions, hi)
-        return self.positions[i:j].tolist(), self.values[i:j].tolist()
+        span = self._span(lo, hi)
+        return self.positions[span].tolist(), self.values[span].tolist()
 
     def tail_majorant_start(self, n: int) -> int | None:
         """Smallest index >= n not certified to hold a zero coefficient: the
@@ -335,8 +341,9 @@ def tail_norm(
             f._refuse(max(s, bound))
     if not starts:
         return []
-    positions, values = f._terms(min(starts), max(cutoffs))
-    index = np.array(positions, dtype=np.int64)
+    span = f._span(min(starts), max(cutoffs))
+    index = f.positions[span]
+    positions, values = index.tolist(), f.values[span].tolist()
     firsts = index.searchsorted(starts).tolist()
     lasts = index.searchsorted(cutoffs).tolist()
     out = []

@@ -424,6 +424,25 @@ def measure_pairs_bruteforce(F, G, threshold: Fraction, H: int) -> tuple:
     return pairs, minimum, minimum_pair, failing, undecided, certified
 
 
+def least_pair_value(f_entries, g_entries, q: int, H: int) -> Fraction:
+    """The least |alpha*f(1/q) + beta*g(1/q)| over every integer pair with
+    alpha != 0 and |alpha| + |beta| <= H, one pair at a time.
+
+    f and g are polynomials given as (index, coefficient) entries, so their
+    values at 1/q are exact Fractions.
+    """
+    f, g = (
+        sum((Fraction(a, q**k) for k, a in entries), Fraction(0))
+        for entries in (f_entries, g_entries)
+    )
+    return min(
+        abs(alpha * f + beta * g)
+        for alpha in range(-H, H + 1)
+        if alpha
+        for beta in range(abs(alpha) - H, H - abs(alpha) + 1)
+    )
+
+
 def linear_forms_bruteforce(enclosures, h: int) -> tuple:
     """Every form c_0 + sum c_j*t_j with |c_j| <= h and c_ell != 0.
 

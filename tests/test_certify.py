@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from oracles import (
     degree_criterion_bruteforce,
     exceptional_scan_whole_array,
+    least_pair_value,
     linear_forms_bruteforce,
     linear_forms_sweep_loop,
     measure_pairs_bruteforce,
@@ -476,6 +477,18 @@ class TestSweepsAgainstOracles:
         threshold=Fraction(1, 2),
         height=12,
     )
+    @example(  # F = G = 1/3: the least bound 1/3 at pairs and their mirrors, at every alpha
+        f=Enclosure(Fraction(1, 3), Fraction(1, 3)),
+        g=Enclosure(Fraction(1, 3), Fraction(1, 3)),
+        threshold=Fraction(1, 3),
+        height=6,
+    )
+    @example(  # beta = 0: failing at |alpha| = 1, undecided from |alpha| = 2 on
+        f=Enclosure(Fraction(-1, 4), Fraction(1, 4)),
+        g=Enclosure(Fraction(1), Fraction(1)),
+        threshold=Fraction(1, 2),
+        height=6,
+    )
     def test_pairs_match_exhaustive_sweep(self, f, g, threshold, height):
         expected = measure_pairs_bruteforce(f, g, threshold, height)
         assert tuple(_sweep_pairs(f, g, threshold, height)) == expected
@@ -493,9 +506,21 @@ class TestSweepsAgainstOracles:
         powers=[Enclosure(Fraction(-1, 3), Fraction(1, 2))] * 2,
         height=3,
     )
+    @example(  # t = 1/2: forms and their mirrors tie at the least bound 1/2, (-2, 3) first
+        powers=[Enclosure(Fraction(1, 2), Fraction(1, 2))],
+        height=3,
+    )
+    @example(  # t = -1/2: the least tied form, (-2, -3), has c_ell < 0
+        powers=[Enclosure(Fraction(-1, 2), Fraction(-1, 2))],
+        height=3,
+    )
+    @example(  # t_1 = 1/2, t_2 = -1/4: ties at 1/4 with c_0 of both signs
+        powers=[Enclosure(Fraction(1, 2), Fraction(1, 2)), Enclosure(Fraction(-1, 4), Fraction(-1, 4))],
+        height=2,
+    )
     def test_forms_match_exhaustive_sweep(self, powers, height):
         expected = linear_forms_bruteforce(powers, height)
-        assert tuple(_sweep_forms(powers, height)) == expected
+        assert tuple(_sweep_forms(powers, height)) == expected == linear_forms_sweep_loop(powers, height)
 
     @pytest.mark.parametrize("height", [6, 12])
     def test_forms_match_loop_on_linforms_enclosures(self, height):
@@ -504,11 +529,12 @@ class TestSweepsAgainstOracles:
         powers = [certify._clamped_enclosure(HalfFunction.from_table(t), 2, 64) for t in tables]
         assert tuple(_sweep_forms(powers, height)) == linear_forms_sweep_loop(powers, height)
 
-    @pytest.mark.parametrize("block", [certify._FORM_BLOCK, 64])
+    @pytest.mark.parametrize("block", [certify._FORM_BLOCK, 1024, 64])
     def test_forms_match_loop_on_planted_zero_forms(self, monkeypatch, block):
         # t = 1/2 exactly: each form with 16*c_0 + 8*c_1 + 4*c_2 + 2*c_3 + c_4 = 0
-        # is undecided.  By default a block holds eight c_1 values; at 64 choices
-        # a block holds five choices of (c_1, c_2, c_3).
+        # is undecided.  With c_4 in 1 .. 6 swept, by default one block holds
+        # every choice; at 1024 choices a block holds one c_1 value, and at 64
+        # it holds ten choices of (c_1, c_2, c_3).
         monkeypatch.setattr(certify, "_FORM_BLOCK", block)
         powers = [Enclosure(Fraction(1, 2**j), Fraction(1, 2**j)) for j in range(1, 5)]
         sweep = _sweep_forms(powers, 6)
@@ -517,15 +543,72 @@ class TestSweepsAgainstOracles:
         assert {-6, 6} <= {form[1] for form in sweep.undecided}
 
 
-def h200_certificate():
+def polynomial_certificate(f_entries, g_entries, height):
+    """A nested-gaps certificate at q = 2 for polynomial f and g, with f's
+    gaps of length 9 at n1 = 1 and n2 = 11 and g's of length 39 at n' = 1:
+    f's entries sit at 0, 10, 20 and 30, g's at 40 and 50."""
     return nested_certificate_from_json(
         {
-            "q": 2, "H": "200", "K1": 9, "K2": 9, "K_prime": 39,
+            "q": 2, "H": str(height), "K1": 9, "K2": 9, "K_prime": 39,
             "n1": 1, "n2": 11, "n_prime": 1, "E": "5/2", "E_prime": "5/2",
-            "f": {"kind": "coefficients", "entries": [[0, 2], [10, -1], [20, 2], [30, 1]]},
-            "g": {"kind": "coefficients", "entries": [[40, -2], [50, 1]]},
+            "f": {"kind": "coefficients", "entries": f_entries},
+            "g": {"kind": "coefficients", "entries": g_entries},
         }
     )
+
+
+def h200_certificate():
+    return polynomial_certificate([[0, 2], [10, -1], [20, 2], [30, 1]], [[40, -2], [50, 1]], 200)
+
+
+# f's entries at 0, 10, 20 and 30 and g's at 40 and 50, as polynomial_certificate places them
+f_polynomials = st.tuples(st.integers(-8, 8), *[st.integers(-2, 2)] * 3).map(
+    lambda c: [[k, a] for k, a in zip((0, 10, 20, 30), c)]
+)
+g_polynomials = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+    lambda c: [[40, c[0]], [50, c[1]]]
+)
+
+
+class TestMeasureExactValues:
+    # f and g are polynomials, so every |alpha*f(1/2) + beta*g(1/2)| is an
+    # exact Fraction that least_pair_value finds one pair at a time.
+
+    @settings(max_examples=200, deadline=None)
+    @given(f_entries=f_polynomials, g_entries=g_polynomials, height=st.integers(1, 12))
+    @example(  # h200_certificate's f and g at height 12: passes
+        f_entries=[[0, 2], [10, -1], [20, 2], [30, 1]], g_entries=[[40, -2], [50, 1]], height=12
+    )
+    @example(  # f(1/2) = 1/1024 - 1/2^30: the least value is about twice the threshold 1/2048
+        f_entries=[[0, 0], [10, 1], [20, 0], [30, -1]], g_entries=[[40, 2], [50, -2]], height=12
+    )
+    def test_a_pass_bounds_the_exact_minimum(self, f_entries, g_entries, height):
+        report = check_measure(polynomial_certificate(f_entries, g_entries, height))
+        if report.verdict is not Verdict.PASS:
+            return
+        least = least_pair_value(f_entries, g_entries, 2, height)
+        assert least >= Fraction(1, 2**11)
+        assert parse_fraction(report.summary["min_lower_bound"]) <= least
+
+    @settings(max_examples=100, deadline=None)
+    @given(f_entries=f_polynomials, c=st.integers(-3, 3).filter(bool), extra=st.integers(0, 8))
+    @example(f_entries=[[0, 2], [10, -1], [20, 2], [30, 1]], c=1, extra=0)
+    def test_planted_multiple_never_passes(self, f_entries, c, extra):
+        # g = c*f: c*f(1/2) - g(1/2) = 0 at height |c| + 1
+        g_entries = [[k, c * a] for k, a in f_entries]
+        height = abs(c) + 1 + extra
+        assert least_pair_value(f_entries, g_entries, 2, height) == 0
+        report = check_measure(polynomial_certificate(f_entries, g_entries, height))
+        assert report.verdict is not Verdict.PASS
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.integers(-3, 3).filter(bool), g_entries=g_polynomials, height=st.integers(1, 12))
+    def test_planted_zero_f_never_passes(self, a, g_entries, height):
+        # f = a*(1 - 2^10*t^10) vanishes at 1/2: the pair (1, 0) at height 1
+        f_entries = [[0, a], [10, -a * 2**10]]
+        assert least_pair_value(f_entries, g_entries, 2, height) == 0
+        report = check_measure(polynomial_certificate(f_entries, g_entries, height))
+        assert report.verdict is not Verdict.PASS
 
 
 class TestCheckMeasureHeight200:

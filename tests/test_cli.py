@@ -3,6 +3,7 @@ import io
 import json
 import os
 import string
+import struct
 import subprocess
 import sys
 import threading
@@ -460,6 +461,14 @@ class TestErrorsAndConfig:
         assert run_cli("gaps", "--table", str(table), "--ell", "3", "--s", "3",
                        "--min-len", "2") == 3
         assert message in capsys.readouterr().err
+
+    def test_negative_count_in_binary_table_exits_3(self, tmp_path, capsys):
+        # width 8 is stored signed, so the file can hold a negative count
+        table = tmp_path / "t.bin"
+        counts = np.array([1, 0, -1, 0], dtype="<i8")
+        table.write_bytes(b"WRT1" + struct.pack("<QQQQ", 3, 3, 3, 8) + counts.tobytes())
+        assert run_cli("gaps", "--table", str(table), "--min-len", "2") == 3
+        assert capsys.readouterr().err == "waring-gaps: error: counts must be nonnegative\n"
 
     def test_csv_table_overlong_field_exits_3(self, tmp_path, capsys):
         table = tmp_path / "big.csv"

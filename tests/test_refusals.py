@@ -211,6 +211,11 @@ def test_table_length_matches_limit():
         RepTable(WaringParams(3, 3), 5, np.ones(3, dtype=np.int64))
 
 
+def test_table_counts_nonnegative():
+    with refused(TableFormatError, "counts must be nonnegative"):
+        RepTable(WaringParams(3, 3), 3, np.array([1, 0, -1, 0], dtype=np.int64))
+
+
 @pytest.mark.parametrize("ell", [1, 2, 5])
 def test_greedy_supported_exponent(ell):
     with refused(ValueError, f"ell must be one of (3, 4), got {ell}"):

@@ -716,16 +716,16 @@ class TestNonzeroWalk:
 
 @pytest.fixture
 def reads(monkeypatch):
-    """The (lo, hi) of every HalfFunction._terms call made while the test
-    runs, in order."""
+    """The (lo, hi) of every HalfFunction._span call made while the test
+    runs, in order: the read of terms that _terms and tail_norm share."""
     made = []
-    terms = HalfFunction._terms
+    span = HalfFunction._span
 
     def recorded(self, lo, hi=None):
         made.append((lo, hi))
-        return terms(self, lo, hi)
+        return span(self, lo, hi)
 
-    monkeypatch.setattr(HalfFunction, "_terms", recorded)
+    monkeypatch.setattr(HalfFunction, "_span", recorded)
     return made
 
 
