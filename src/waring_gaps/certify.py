@@ -11,8 +11,10 @@ final criterion, each step reported with an exact verdict.
 
 Every report is a JSON-ready record with one entry per condition;
 verdicts are three-valued (pass, fail, inconclusive), and a certificate
-that breaks one of its invariants makes the whole report invalid.  No
-float is ever consulted for a verdict.
+that breaks one of its invariants makes the whole report invalid.  A
+certificate or config with a field out of range is refused by name when
+it is built (_refuse), so a verifier checks only the paper's conditions.
+No float is ever consulted for a verdict.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -29,9 +32,11 @@ from typing import Any, Iterable, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exact import decimal_str, digit_limit, parse_exact, render_exact, unprintable
+from .exact import decimal_str, parse_exact, printable_power, render_exact
 from .modular import ResidueProfile, residue_counts, search_gap_modulus
 from .repcount import (
+    SUPPORTED_EXPONENTS,
+    WINDOW_EXPONENT,
     RepTable,
     WaringParams,
     _pow_greater,
@@ -190,7 +195,10 @@ class MaierCertificate:
 
     eps[k] bounds the normalized residue count at m + k; caps[k] is the
     admissible representation count at offset k.  The derived alpha must
-    stay below 1 for the counting bound to be nontrivial.
+    stay below 1 for the counting bound to be nontrivial.  A field out of
+    range (ell not 3 or 4, K, m or a cap below 0, M or N below 1) is
+    refused by name when the certificate is built; how the fields relate
+    (m + K < M, N >= M^ell, ...) is for verify_maier to report.
     """
 
     ell: int
@@ -202,12 +210,15 @@ class MaierCertificate:
     N: int
 
     def __post_init__(self) -> None:
+        # a cap below 0 admits no count, and at cap + 1 <= 0 alpha is no bound
+        caps = {f"caps[{k}]": cap for k, cap in enumerate(self.caps)}
+        _refuse(
+            {**vars(self), **caps}, ("ell", "not one of", SUPPORTED_EXPONENTS), ("K", "below", 0),
+            ("M", "below", 1), ("m", "below", 0), ("N", "below", 1),
+            *((k, "below", 0) for k in caps),
+        )
         if len(self.eps) != self.K + 1 or len(self.caps) != self.K + 1:
             raise ValueError("eps and caps must both have K + 1 entries")
-        # a cap below 0 admits no count, and at cap + 1 <= 0 alpha is no bound
-        for k, cap in enumerate(self.caps):
-            if cap < 0:
-                raise ValueError(f"field caps[{k}]: {cap} is below 0")
 
     @functools.cached_property
     def alpha(self) -> Fraction:
@@ -279,7 +290,7 @@ def verify_maier(
 ) -> Report:
     """Check every certificate invariant and the counting conclusion.
 
-    Invariant violations are reported field by field and mark the report
+    Invariant violations are reported one condition each and mark the report
     invalid, but counting still runs whenever the table allows it, so
     near-misses stay visible.  The one exception is alpha >= 1, which
     makes the claimed bound meaningless and rejects the certificate
@@ -301,7 +312,7 @@ def verify_maier(
     invariants = [
         report.check(
             "window-in-modulus",
-            0 <= cert.m and cert.K >= 0 and cert.m + cert.K < cert.M,
+            cert.m + cert.K < cert.M,
             {"m": cert.m, "K": cert.K, "M": cert.M},
         ),
         report.check(
@@ -401,7 +412,11 @@ def verify_maier_inner(m: int, k: int, M: int, L: int, table: RepTable) -> Repor
 
 @dataclass(frozen=True)
 class NestedGapsCertificate:
-    """All data needed to replay the nested-gaps independence argument."""
+    """All data needed to replay the nested-gaps independence argument.  A
+    field out of range (q < 2, H, E or E_prime not positive, K1, K2 or
+    K_prime below 1, and any break of 0 <= n_prime <= n1 < n2) is refused by
+    name when the certificate is built; the other orders are the ordering
+    condition."""
 
     q: int
     H: Fraction
@@ -418,25 +433,20 @@ class NestedGapsCertificate:
     f_spec: dict | None = field(default=None, repr=False)
     g_spec: dict | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        _refuse(
+            vars(self), ("q", "below", 2), ("H", "not above", 0), ("K1", "below", 1),
+            ("K2", "below", 1), ("K_prime", "below", 1), ("n_prime", "below", 0),
+            ("n1", "below", "n_prime"), ("n2", "not above", "n1"), ("E", "not above", 0),
+            ("E_prime", "not above", 0),
+        )
+
     def to_json_dict(self) -> dict:
         return _echo(
             self,
             f=self.f_spec if self.f_spec is not None else {"label": self.f.label},
             g=self.g_spec if self.g_spec is not None else {"label": self.g.label},
         )
-
-
-def _printable_power(q: int, n: int, field: str) -> int:
-    """q^n for the report field that prints it.  When str() would refuse
-    to print it, a ValueError names the field instead: decided from bit
-    lengths before an astronomically large power is formed, and otherwise
-    by render_exact's digit test."""
-    limit = digit_limit()
-    # q^n >= 2^m with m = n * (bit_length(q) - 1), so it has at least
-    # floor(m * log10(2)) + 1 > m * 3 // 10 digits
-    if limit and n * (q.bit_length() - 1) * 3 // 10 >= limit:
-        raise unprintable(field)
-    return render_exact(q**n, field)
 
 
 def _height_rule(
@@ -446,10 +456,10 @@ def _height_rule(
     the height H times their tail bounds, q^K1 > H*E1 and q^K2 > H*E2.
     Returns whether both hold, the witness (q^K1, H*E1, q^K2 and H*E2, the
     products under names) and min(q^K1/E1, q^K2/E2), the least H at which
-    one of them fails.  Each power is formed by _printable_power, q^K1
+    one of them fails.  Each power is formed by printable_power, q^K1
     first, so a power too long to print is refused by its name."""
-    q_K1 = Fraction(_printable_power(q, K1, "q^K1"))
-    q_K2 = Fraction(_printable_power(q, K2, "q^K2"))
+    q_K1 = Fraction(printable_power(q, K1, "q^K1"))
+    q_K2 = Fraction(printable_power(q, K2, "q^K2"))
     first, second = H * E1, H * E2
     witness = {"q^K1": q_K1, names[0]: first, "q^K2": q_K2, names[1]: second}
     return q_K1 > first and q_K2 > second, witness, min(q_K1 / E1, q_K2 / E2)
@@ -463,23 +473,6 @@ def verify_nested_gaps(cert: NestedGapsCertificate) -> Report:
     re-prove it.  Inconclusive tail verdicts propagate and never pass.
     """
     report = Report(kind="nested-gaps", certificate=cert.to_json_dict())
-
-    shape_problems = []
-    if cert.q < 2:
-        shape_problems.append("q must be at least 2")
-    if cert.H <= 0:
-        shape_problems.append("H must be positive")
-    if min(cert.K1, cert.K2, cert.K_prime) < 1:
-        shape_problems.append("gap lengths must be positive")
-    if not (0 <= cert.n_prime <= cert.n1 < cert.n2):
-        shape_problems.append("need 0 <= n_prime <= n1 < n2")
-    if cert.E <= 0 or cert.E_prime <= 0:
-        shape_problems.append("tail bounds must be positive")
-    if shape_problems:
-        report.invalid = True
-        report.add("certificate-shape", Verdict.FAIL, shape_problems)
-        return report
-
     report.check(
         "ordering",
         cert.K1 <= cert.K2 < cert.K_prime
@@ -510,7 +503,7 @@ def verify_nested_gaps(cert: NestedGapsCertificate) -> Report:
     # n2: refuse it by bit lengths before eval_truncated forms that power.
     below_n2 = int(np.searchsorted(cert.f.positions, cert.n2))
     if below_n2:
-        _printable_power(cert.q, int(cert.f.positions[below_n2 - 1]), "window sum")
+        printable_power(cert.q, int(cert.f.positions[below_n2 - 1]), "window sum")
     window_sum = eval_truncated(cert.f, cert.q, cert.n2) - eval_truncated(
         cert.f, cert.q, cert.n1
     )
@@ -664,14 +657,13 @@ def check_measure(cert: NestedGapsCertificate, terms: int | None = None) -> Repo
     """
     report = Report(kind="measure", certificate=cert.to_json_dict())
     base = verify_nested_gaps(cert)
-    precondition = Verdict.FAIL if base.invalid else base.verdict
-    if precondition is not Verdict.PASS:
-        report.invalid = precondition is Verdict.FAIL
-        report.add("nested-gaps-precondition", precondition, base.to_json_dict())
+    if base.verdict is not Verdict.PASS:
+        report.invalid = base.verdict is Verdict.FAIL
+        report.add("nested-gaps-precondition", base.verdict, base.to_json_dict())
         return report
     report.add("nested-gaps-precondition", Verdict.PASS)
 
-    threshold = Fraction(1, _printable_power(cert.q, cert.n2, "threshold"))
+    threshold = Fraction(1, printable_power(cert.q, cert.n2, "threshold"))
     if terms is None:
         terms = max(64, cert.n2 + cert.K2 + 1, cert.n_prime + cert.K_prime + 1)
     f_enc = _clamped_enclosure(cert.f, cert.q, terms)
@@ -716,9 +708,10 @@ class DegreeCertificate:
     """The data of one degree-criterion instance: the power ell, the point
     1/q, the strength J, the tail bound E, the limit N, the window lengths
     K1 and K2 and the window ends n1 and n2.  J and E are held as positive
-    Fractions.  A field out of range (q < 2, N, K1 or K2 < 1, n1 < 0) is
-    refused by name when the certificate is built; the order of the windows
-    is the ordering condition."""
+    Fractions.  A field out of range (ell not 3 or 4, q < 2, J or E not
+    positive, N, K1 or K2 < 1, n1 or n2 < 0) is refused by name when the
+    certificate is built; the order of the windows is the ordering
+    condition."""
 
     ell: int
     q: int
@@ -733,11 +726,11 @@ class DegreeCertificate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "J", Fraction(self.J))
         object.__setattr__(self, "E", Fraction(self.E))
-        if self.J <= 0 or self.E <= 0:
-            raise ValueError("J and E must be positive")
-        for name, least in (("q", 2), ("N", 1), ("K1", 1), ("K2", 1), ("n1", 0)):
-            if (value := getattr(self, name)) < least:
-                raise ValueError(f"field {name}: {value} is below {least}")
+        _refuse(
+            vars(self), ("ell", "not one of", SUPPORTED_EXPONENTS), ("J", "not above", 0),
+            ("E", "not above", 0), ("q", "below", 2), ("N", "below", 1), ("K1", "below", 1),
+            ("K2", "below", 1), ("n1", "below", 0), ("n2", "below", 0),
+        )
 
 
 def verify_degree_criterion(
@@ -754,8 +747,9 @@ def verify_degree_criterion(
         raise ValueError("table_lower must count sums of ell - 1 powers")
     if table_full.params != WaringParams(ell, ell):
         raise ValueError("table_full must count sums of ell powers")
-    if table_lower.limit < n2 + K2 - 1 or table_full.limit < n2 - 1:
-        raise ValueError("tables do not cover the inspection window")
+    if table_lower.limit < n2 + K2 - 1 or table_full.limit < max(n1, n2) + K1 - 1:
+        raise ValueError("tables do not cover the window [n1, n2 + K2) of shorter sums and the "
+                         "mild-gap windows [n, n + K1) at n = n1, n2")
 
     report = Report(kind="degree-criterion", certificate=_echo(cert))
 
@@ -992,13 +986,16 @@ DEFAULT_POOLS = {3: (9, 63), 4: (16, 32)}
 DEFAULT_SIGMAS = {3: Fraction(13, 4), 4: Fraction(512, 127)}
 SIGMA_RANGES = {
     3: (Fraction(3), Fraction(27, 8)),
-    4: (Fraction(4), Fraction(16384, 4059)),
+    4: (Fraction(4), 1 / WINDOW_EXPONENT),
 }
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Resource bounds and desk-scale choices for the dry run."""
+    """Resource bounds and desk-scale choices for the dry run.  xi is held
+    as a Fraction.  A field out of range (an empty moduli_pool, xi not
+    positive, max_limit or max_modulus below 1, mild_check_cap below 0) is
+    refused by name when the config is built."""
 
     moduli_pool: tuple[int, ...] | None = None
     window: int = 2
@@ -1009,6 +1006,13 @@ class PipelineConfig:
     max_limit: int = 2_000_000
     mild_check_cap: int = 200
     threads: int = 1
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "xi", Fraction(self.xi))
+        _refuse(
+            vars(self), ("moduli_pool", "shorter than", 1), ("xi", "not above", 0),
+            ("max_limit", "below", 1), ("max_modulus", "below", 1), ("mild_check_cap", "below", 0),
+        )
 
     def to_json_dict(self) -> dict:
         return _echo(self)
@@ -1103,17 +1107,6 @@ def pipeline_dry_run(
     if J <= 0:
         raise ValueError("J must be positive")
     config = config or PipelineConfig()
-    if config.moduli_pool is not None and not config.moduli_pool:
-        raise ValueError("moduli pool must be nonempty")
-    if config.xi <= 0:
-        raise ValueError("xi must be positive")
-    if config.max_limit < 1:
-        raise ValueError("max_limit must be at least 1")
-    if config.max_modulus < 1:
-        raise ValueError("max_modulus must be at least 1")
-    if config.mild_check_cap < 0:
-        raise ValueError("mild_check_cap must be nonnegative")
-
     report = Report(
         kind="pipeline",
         certificate={"ell": ell, "q": q, "J": J, "config": config.to_json_dict()},
@@ -1174,11 +1167,10 @@ def pipeline_dry_run(
     report.check("size-shape", max(2 * m, 4 * K1) < M, {"2m": 2 * m, "4K1": 4 * K1, "M": M})
     report.check("modulus-even", M % 2 == 0, {"M": M})
 
-    xi = Fraction(config.xi)
-    eps, caps = _maier_schedule(K1, K2, xi)
+    eps, caps = _maier_schedule(K1, K2, config.xi)
     cert = MaierCertificate(ell=ell, K=K2, M=M, m=m, eps=eps, caps=caps, N=N)
     alpha = cert.alpha
-    report.note(alpha=alpha, xi=xi)
+    report.note(alpha=alpha, xi=config.xi)
     report.check(
         "schedule-alpha-below-three-quarters",
         alpha < Fraction(3, 4),
@@ -1186,13 +1178,13 @@ def pipeline_dry_run(
     )
     report.check(
         "schedule-dominates-loose-bound",
-        12 * xi >= 8 * (1 << ell),
-        {"12*xi": 12 * xi, "8*2^ell": 8 * (1 << ell)},
+        12 * config.xi >= 8 * (1 << ell),
+        {"12*xi": 12 * config.xi, "8*2^ell": 8 * (1 << ell)},
     )
     kappa = K2 - K1
     report.check("kappa-at-least-first-window", kappa >= K1, {"kappa": kappa, "K1": K1})
     report.check("kappa-at-least-log-limit", (1 << kappa) >= N, {"kappa": kappa, "N": N})
-    E = 60 * xi
+    E = 60 * config.xi
     report.note(E=E)
 
     # Margin past N keeps boundary tail checks decidable; counting ignores it.
@@ -1246,11 +1238,11 @@ def pipeline_dry_run(
             {"compare": "25^27 * N^8 < M^27", "N": N, "M": M},
         )
     else:
-        epsilon = (Fraction(1) / sigma - Fraction(4059, 16384)) / 2
+        epsilon = (Fraction(1) / sigma - WINDOW_EXPONENT) / 2
         if report.check(
             "window-exponent-positive", epsilon > 0, {"epsilon": epsilon}
         ):
-            exponent = Fraction(4059, 16384) + epsilon
+            exponent = WINDOW_EXPONENT + epsilon
             ed, en = exponent.denominator, exponent.numerator
             report.check(
                 "half-modulus-exceeds-window",
@@ -1306,6 +1298,33 @@ def pipeline_dry_run(
 # ---------------------------------------------------------------------------
 # Certificate wire formats
 # ---------------------------------------------------------------------------
+
+
+# What each relation of _refuse asks of a field's value and its bound.
+_HOLDS = {"below": operator.ge, "not above": operator.gt, "not one of": lambda v, b: v in b,
+          "shorter than": lambda v, b: len(v) >= b}
+
+
+def _refuse(values: dict[str, Any], *rules: tuple[str, str, Any]) -> None:
+    """Refuse the first field that breaks its rule, by name, as its record
+    is built: a ValueError ``field <name>: <value> is <relation> <bound>``.
+
+    values maps field names to values (a record's vars).  A rule (name,
+    relation, bound) asks value >= bound ("below"), value > bound ("not
+    above"), value in bound ("not one of") or len(value) >= bound ("shorter
+    than"); a field that is None, left to its default, is not checked.  A
+    bound that is a string names another field, and is shown as ``<name> =
+    <value>``.  A value too long to print is refused by render_exact, as
+    ``field <name> has more than <limit> digits to print``.
+    """
+    for name, relation, bound in rules:
+        value = values[name]
+        least = values[bound] if isinstance(bound, str) else bound
+        if value is not None and not _HOLDS[relation](value, least):
+            shown = render_exact(value, f"field {name}")
+            if isinstance(bound, str):
+                bound = f"{bound} = {render_exact(least, f'field {bound}')}"
+            raise ValueError(f"field {name}: {shown} is {relation} {bound}")
 
 
 def _echo(obj: Any, **extra: Any) -> dict:

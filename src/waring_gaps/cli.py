@@ -251,19 +251,19 @@ def _verdict(result: certify.Report) -> tuple[dict, int]:
 
 
 def _profile_summary(profile: modular.ResidueProfile, out: Path | None, **extra: Any) -> dict:
-    """Write the profile's CSV when asked; the summary of a profile subcommand."""
+    """The summary of a profile subcommand, each entry bounded by
+    render_exact; then the profile's CSV is written when asked."""
     from . import modular
 
+    summary = render_exact({
+        "modulus": profile.modulus,
+        "zero_residues": [m for m, c in enumerate(profile.counts) if c == 0],
+        **extra,
+        "mass": sum(profile.counts),
+    })
     if out is not None:
         modular.write_profile_csv(profile, out)
-    return {
-        "summary": {
-            "modulus": profile.modulus,
-            "zero_residues": [m for m, c in enumerate(profile.counts) if c == 0],
-            **extra,
-            "mass": sum(profile.counts),
-        }
-    }
+    return {"summary": summary}
 
 
 def _sieve_limit(p: dict[str, Any]) -> int:

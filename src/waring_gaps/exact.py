@@ -86,6 +86,19 @@ def unprintable(name: str) -> ValueError:
     return ValueError(f"{name} has more than {digit_limit()} digits to print")
 
 
+def printable_power(base: int, exponent: int, name: str) -> int:
+    """base^exponent, base >= 1, for the report value name that prints it.
+    When str() would refuse to print it, a ValueError names it instead:
+    decided from bit lengths before an astronomically large power is
+    formed, and otherwise by render_exact's digit test."""
+    limit = digit_limit()
+    # base^exponent >= 2^m with m = exponent * (bit_length(base) - 1), so it
+    # has at least floor(m * log10(2)) + 1 > m * 3 // 10 digits
+    if limit and exponent * (base.bit_length() - 1) * 3 // 10 >= limit:
+        raise unprintable(name)
+    return render_exact(base**exponent, name)
+
+
 def render_exact(value: Any, name: str = "value") -> Any:
     """A value as a report prints it: a Fraction as fraction_str spells it,
     a Path as its string, a tuple or a list as the list of its rendered

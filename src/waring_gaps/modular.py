@@ -18,8 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .exact import render_exact
-from .repcount import csv_pieces, write_output
+from .exact import printable_power, render_exact
+from .repcount import _check_fits, csv_pieces, write_output
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,17 @@ def _dtype(ell: int, modulus: int) -> type:
 
 
 def _check_sizes(ell: int, modulus: int) -> None:
+    """Refuse, by name, an ell or a modulus that no profile can be built
+    for, before any factoring or convolution: one below 1, a modulus whose
+    int64 counts alone cannot fit (repcount._check_fits), or an ell at which
+    the mass M^ell, which a profile's summary prints, is too long to print
+    (exact.printable_power)."""
     if ell < 1:
         raise ValueError("ell must be positive")
     if modulus < 1:
         raise ValueError("modulus must be positive")
+    _check_fits(f"modulus {modulus}: the profile", 8 * modulus)
+    printable_power(modulus, ell, f"ell {ell}: the mass modulus^ell")
 
 
 def power_histogram(ell: int, modulus: int) -> PowerHistogram:

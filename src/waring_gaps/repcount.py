@@ -37,6 +37,11 @@ from .exact import render_exact
 
 SUPPORTED_EXPONENTS = (3, 4)
 
+# The exponent 4059/16384 of the biquadrate window (a - a^e, a] at epsilon
+# = 0: scan_exceptional_set adds epsilon to it, and the pipeline's sigma
+# range for ell = 4 ends at its inverse.
+WINDOW_EXPONENT = Fraction(4059, 16384)
+
 _MAGIC = b"WRT1"
 # Indices handled at once by the sieve, whose adds it keeps within one
 # block of the counts, and by the table bound check and the nonzero index,
@@ -331,14 +336,14 @@ def _sieve(params: WaringParams, limit: int) -> tuple[np.ndarray, np.ndarray, np
         raise ValueError("limit must be nonnegative")
     dtype = count_dtype(params.ell, limit)  # raises before anything is allocated
     counts_bytes = (limit + 1) * dtype.itemsize
-    _check_fits(limit, counts_bytes)
+    _check_fits(f"limit {limit}: the sieve", counts_bytes)
     powers = np.asarray(_powers_up_to(params.ell, limit), dtype=np.int64)
     head = np.zeros(1, dtype=np.int64)
     for _ in range(params.s - 1):
         stops = np.searchsorted(head, limit - powers, side="right")
         # Each head is at most the last, which is still held when the counts
         # are: counts and this head are a lower bound on the sieve's peak.
-        _check_fits(limit, counts_bytes + 8 * int(stops.sum()))
+        _check_fits(f"limit {limit}: the sieve", counts_bytes + 8 * int(stops.sum()))
         head = np.sort(_shifted_slices(head, powers, stops))
     nonzero, multiplicities = _distinct_sums(head)
     multiplicities = multiplicities.astype(dtype, copy=False)
@@ -355,19 +360,16 @@ def _sieve(params: WaringParams, limit: int) -> tuple[np.ndarray, np.ndarray, np
     return counts, nonzero, multiplicities
 
 
-def _check_fits(limit: int, held: int) -> None:
-    """Raise ValueError naming limit when held, a lower bound on the bytes
-    its sieve holds at once, exceeds physical memory or the soft
-    address-space limit, if that is finite: the sieve cannot fit, and is
-    refused before it allocates."""
+def _check_fits(subject: str, held: int) -> None:
+    """Raise ValueError naming subject (such as "limit 10: the sieve") when
+    held, a lower bound on the bytes it holds at once, exceeds physical
+    memory or the soft address-space limit, if that is finite: it cannot
+    fit, and is refused before it allocates."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     for room, what in ((physical, "physical memory"), (soft, "the address-space limit")):
         if room != resource.RLIM_INFINITY and held > room:
-            raise ValueError(
-                f"limit {limit}: the sieve needs at least {held} bytes, past {what} "
-                f"of {room} bytes"
-            )
+            raise ValueError(f"{subject} needs at least {held} bytes, past {what} of {room} bytes")
 
 
 def _shifted_slices(head: np.ndarray, shifts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -585,7 +587,7 @@ def scan_exceptional_set(limit: int, epsilon: Fraction, table: RepTable) -> Exce
     """Find all a in [1, limit] with zero counts on the window (a - a^e, a],
     as runs, from the table of sums of four fourth powers.
 
-    The exponent is e = p/q = 4059/16384 + epsilon.  An integer n lies in
+    The exponent is e = p/q = WINDOW_EXPONENT + epsilon.  An integer n lies in
     the window of a exactly when (a - n)^q < a^p.  The offset k >= 1 is in
     it from the breakpoint b_k = floor(k^(1/e)) + 1 on, so the window of a
     is [a - w(a), a], w(a) being the number of breakpoints <= a, and a is a
@@ -616,7 +618,7 @@ def scan_exceptional_set(limit: int, epsilon: Fraction, table: RepTable) -> Exce
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    exponent = Fraction(4059, 16384) + epsilon
+    exponent = WINDOW_EXPONENT + epsilon
     if exponent >= 1:
         raise ValueError(f"window exponent {exponent} must be below 1")
     if table.params != WaringParams(4, 4):

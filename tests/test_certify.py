@@ -45,7 +45,7 @@ from waring_gaps.certify import (
     verify_maier_inner,
     verify_nested_gaps,
 )
-from waring_gaps.exact import parse_fraction
+from waring_gaps.exact import parse_fraction, printable_power
 from waring_gaps.modular import residue_counts
 from waring_gaps.repcount import RepTable, WaringParams, sieve_pair, sieve_rep
 from waring_gaps.series import Enclosure, HalfFunction, eval_enclosure, linear_combination
@@ -297,17 +297,18 @@ class TestNestedGaps:
             for n, size in enumerate(digits):
                 if size > 640:
                     with pytest.raises(ValueError, match=r"^q\^n has more than 640 digits"):
-                        certify._printable_power(q, n, "q^n")
+                        printable_power(q, n, "q^n")
                 else:
-                    assert certify._printable_power(q, n, "q^n") == q**n
+                    assert printable_power(q, n, "q^n") == q**n
             sys.set_int_max_str_digits(0)  # no limit
-            assert certify._printable_power(q, len(digits), "q^n") == q ** len(digits)
+            assert printable_power(q, len(digits), "q^n") == q ** len(digits)
         finally:
             sys.set_int_max_str_digits(default)
 
     def test_structural_defect_invalid(self):
-        report = verify_nested_gaps(synthetic_nested(E=Fraction(0)))
-        assert report.exit_code == 3
+        # refused when built, so no report of it is ever written
+        with pytest.raises(ValueError, match="^field E: 0 is not above 0$"):
+            synthetic_nested(E=Fraction(0))
 
     def test_inconclusive_tail_propagates(self):
         # the tail bound for g lands inside its enclosure at this coverage
@@ -829,8 +830,42 @@ class TestCertificateFields:
     @pytest.mark.parametrize("value", [Fraction(0), Fraction(-1, 2)])
     def test_degree_strength_and_tail_bound_positive(self, field, value):
         cert = covering_instance(4)[1]
-        with pytest.raises(ValueError, match="^J and E must be positive$"):
+        with pytest.raises(ValueError, match=f"^field {field}: {value} is not above 0$"):
             dataclasses.replace(cert, **{field: value})
+
+    @pytest.mark.parametrize("ell", [-2, 2, 5, 10**30])
+    def test_degree_exponent_supported(self, ell):
+        cert = covering_instance(4)[1]
+        with pytest.raises(ValueError, match=rf"^field ell: {ell} is not one of \(3, 4\)$"):
+            dataclasses.replace(cert, ell=ell)
+
+    def test_degree_value_too_long_to_print_is_named(self):
+        cert = covering_instance(4)[1]
+        default = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            with pytest.raises(ValueError, match="^field N has more than 4300 digits to print$"):
+                dataclasses.replace(cert, N=-(10**5000))
+        finally:
+            sys.set_int_max_str_digits(default)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("ell", 2, "is not one of (3, 4)"), ("ell", 2**63, "is not one of (3, 4)"),
+         ("ell", 10**30, "is not one of (3, 4)"), ("K", -1, "is below 0"),
+         ("M", 0, "is below 1"), ("M", -9, "is below 1"), ("m", -1, "is below 0"),
+         ("N", 0, "is below 1")],
+    )
+    def test_maier_field_out_of_range(self, field, value, message):
+        fields = dict(ell=3, K=1, M=9, m=0, eps=(Fraction(1),) * 2, caps=(0, 0), N=729)
+        with pytest.raises(ValueError) as refused:
+            MaierCertificate(**{**fields, field: value})
+        assert str(refused.value) == f"field {field}: {value} {message}"
+
+    def test_pipeline_config_holds_xi_as_a_fraction(self):
+        # its out-of-range fields are refused in test_cli.py, through the flags
+        config = PipelineConfig(xi=5)
+        assert type(config.xi) is Fraction and config.xi == 5
 
     @pytest.mark.parametrize(
         "caps, message",

@@ -359,11 +359,21 @@ class TestVerdictCommands:
     def test_pipeline_rejects_empty_pool(self, tmp_path, capsys):
         j = tmp_path / "pipe.json"
         assert run_cli("pipeline", "--ell", "3", "--q", "2", "--pool", "", "--json", str(j)) == 3
-        assert capsys.readouterr().err == "waring-gaps: error: moduli pool must be nonempty\n"
+        message = "field moduli_pool: [] is shorter than 1"
+        assert capsys.readouterr().err == f"waring-gaps: error: {message}\n"
         assert not j.exists()
 
+    # PipelineConfig's refusal of each setting below, by the field it sets.
+    REFUSED_SETTINGS = {
+        "--mild-cap=-1": "field mild_check_cap: -1 is below 0",
+        "--xi=-1": "field xi: -1 is not above 0",
+        "--xi=0": "field xi: 0 is not above 0",
+        "--max-limit=-5": "field max_limit: -5 is below 1",
+        "--max-modulus=0": "field max_modulus: 0 is below 1",
+    }
+
     @pytest.mark.parametrize(
-        "setting,message",
+        "setting,rule",
         [
             ("--mild-cap=-1", "mild_check_cap must be nonnegative"),
             ("--xi=-1", "xi must be positive"),
@@ -372,10 +382,13 @@ class TestVerdictCommands:
             ("--max-modulus=0", "max_modulus must be at least 1"),
         ],
     )
-    def test_pipeline_rejects_out_of_range_settings(self, tmp_path, capsys, setting, message):
+    def test_pipeline_rejects_out_of_range_settings(self, tmp_path, capsys, setting, rule):
+        # rule is the range each setting breaks; the config refuses it by name
         j = tmp_path / "pipe.json"
         assert run_cli("pipeline", "--ell", "3", "--q", "2", setting, "--json", str(j)) == 3
-        assert capsys.readouterr().err == f"waring-gaps: error: {message}\n"
+        message = capsys.readouterr().err
+        assert message == f"waring-gaps: error: {self.REFUSED_SETTINGS[setting]}\n"
+        assert f"field {rule.split()[0]}:" in message
         assert not j.exists()
 
     def test_pipeline_unprintable_height_power_names_its_field(self, tmp_path, capsys):

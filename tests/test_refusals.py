@@ -3,13 +3,17 @@ process: each refusal is met with its exception type and its whole
 message.
 
 Some of these are also reached through the CLI, but a subprocess run
-does not show that a check ran.  The nested-gaps certificate reports its
-shape problems as a condition (certificate-shape), so those are checked
-by its witness.
+does not show that a check ran.  Every certificate and the pipeline
+config refuse a field out of range when they are built, by name and in
+one format (``field <name>: <value> is <relation> <bound>``); the
+nested-gaps certificate's are here, the other certificates' in
+test_certify.py and the pipeline config's, through its flags, in
+test_cli.py.
 """
 
 import re
 import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,12 +22,10 @@ import pytest
 from waring_gaps.certify import (
     DegreeCertificate,
     NestedGapsCertificate,
-    Verdict,
     check_theta_linear_forms,
     maier_qualifying_set,
     verify_degree_criterion,
     verify_maier_inner,
-    verify_nested_gaps,
 )
 from waring_gaps.modular import (
     PowerHistogram,
@@ -106,6 +108,21 @@ def nested(**overrides):
     return NestedGapsCertificate(**{**fields, **overrides})
 
 
+# The refusal of each shape problem below, by the override that makes it: a
+# break of n_prime <= n1 < n2 names both fields of the pair it breaks.
+NESTED_REFUSALS = {
+    ("q", 1): "field q: 1 is below 2",
+    ("H", Fraction(0)): "field H: 0 is not above 0",
+    ("H", Fraction(-1, 3)): "field H: -1/3 is not above 0",
+    ("K1", 0): "field K1: 0 is below 1",
+    ("K2", 0): "field K2: 0 is below 1",
+    ("K_prime", 0): "field K_prime: 0 is below 1",
+    ("n_prime", -1): "field n_prime: -1 is below 0",
+    ("n_prime", 2): "field n1: 1 is below n_prime = 2",
+    ("n2", 1): "field n2: 1 is not above n1 = 1",
+}
+
+
 @pytest.mark.parametrize(
     "overrides, problem",
     [
@@ -121,10 +138,29 @@ def nested(**overrides):
     ],
 )
 def test_nested_certificate_shape(overrides, problem):
-    report = verify_nested_gaps(nested(**overrides))
-    shape = report.condition("certificate-shape")
-    assert shape.verdict is Verdict.FAIL and shape.witness == [problem]
-    assert report.invalid and report.exit_code == 3
+    # problem is the precondition each case breaks; the certificate is
+    # refused when it is built, so no verifier sees it
+    [override] = overrides.items()
+    with refused(ValueError, NESTED_REFUSALS[override]):
+        nested(**overrides)
+
+
+@pytest.mark.parametrize("field", ["E", "E_prime"])
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(-5, 2)])
+def test_nested_tail_bounds_positive(field, value):
+    with refused(ValueError, f"field {field}: {value} is not above 0"):
+        nested(**{field: value})
+
+
+def test_nested_value_too_long_to_print_is_named():
+    # q = -10^5000 is refused by its name, not by str()'s digit limit
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with refused(ValueError, "field q has more than 4300 digits to print"):
+            nested(q=-(10**5000))
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def degree(**overrides):
@@ -145,11 +181,25 @@ def test_degree_tables_full_parameters(pair_3):
         verify_degree_criterion(degree(), lower, lower)
 
 
+UNCOVERED = (
+    "tables do not cover the window [n1, n2 + K2) of shorter sums and the mild-gap windows "
+    "[n, n + K1) at n = n1, n2"
+)
+
+
 @pytest.mark.parametrize("n2, K2", [(200, 2), (25, 177), (202, 1)])
 def test_degree_tables_cover_the_window(pair_3, n2, K2):
     lower, full = pair_3
-    with refused(ValueError, "tables do not cover the inspection window"):
+    with refused(ValueError, UNCOVERED):
         verify_degree_criterion(degree(n2=n2, K2=K2), lower, full)
+
+
+@pytest.mark.parametrize("n1, n2, K1", [(199, 25, 3), (2**63, 25, 2), (18, 199, 3)])
+def test_degree_tables_cover_the_mild_gap_windows(pair_3, n1, n2, K1):
+    # each endpoint's window [n, n + K1) is tested for a mild gap on the full table
+    lower, full = pair_3
+    with refused(ValueError, UNCOVERED):
+        verify_degree_criterion(degree(n1=n1, n2=n2, K1=K1), lower, full)
 
 
 def test_linear_forms_height_positive():
@@ -188,6 +238,33 @@ def test_profile_length():
 def test_sizes(build, ell, modulus, message):
     with refused(ValueError, message):
         build(ell, modulus)
+
+
+@pytest.mark.parametrize(
+    "build", [power_histogram, residue_counts, lambda ell, m: search_gap_modulus(ell, 2, [m])]
+)
+def test_mass_too_long_to_print(build):
+    # 9^(10^6) has about 954,000 digits: refused from bit lengths, before a
+    # power or a convolution is formed
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        message = "ell 1000000: the mass modulus^ell has more than 4300 digits to print"
+        with refused(ValueError, message):
+            build(10**6, 9)
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+@pytest.mark.parametrize("build", [power_histogram, residue_counts])
+def test_profile_that_cannot_fit(build):
+    # 8 * (2^63 - 1) bytes of counts: refused before factoring starts
+    with pytest.raises(
+        ValueError,
+        match=r"^modulus 9223372036854775807: the profile needs at least 73786976294838206456 "
+        "bytes, past ",
+    ):
+        build(3, 2**63 - 1)
 
 
 @pytest.mark.parametrize("pool", [[0], [9, 0], [7, -2]])
