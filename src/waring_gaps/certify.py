@@ -9,12 +9,12 @@ dry run wires them together: modulus search, limit and window selection,
 tail schedule, counting, bad-pair filtering, separation tests and the
 final criterion, each step reported with an exact verdict.
 
-Every report is a JSON-ready record with one entry per condition;
-verdicts are three-valued (pass, fail, inconclusive), and a certificate
-that breaks one of its invariants makes the whole report invalid.  A
-certificate or config with a field out of range is refused by name when
-it is built (_refuse), so a verifier checks only the paper's conditions.
-No float is ever consulted for a verdict.
+Every report is a JSON-ready record with one entry per condition, and
+its verdict is three-valued (pass, fail, inconclusive).  A malformed
+input is refused by name before any report exists: a certificate or
+config with a field out of range when it is built (_refuse), tables that
+do not match a certificate when it is verified.  So a verifier checks
+only the paper's conditions.  No float is ever consulted for a verdict.
 """
 
 from __future__ import annotations
@@ -75,16 +75,17 @@ class ConditionResult:
 class Report:
     """Per-condition verdicts plus a summary, JSON-ready and replayable.
 
-    Every value it records, the certificate included, is spelled and
-    bounded by render_exact: a check hands over the exact value, and one
-    too long to print is a ValueError naming its key.
+    Its verdict is the worst of its conditions', pass, fail or
+    inconclusive; a report with no condition has none, and asking for it
+    is a ValueError.  Every value it records, the certificate included, is
+    spelled and bounded by render_exact: a check hands over the exact
+    value, and one too long to print is a ValueError naming its key.
     """
 
     kind: str
     certificate: dict | None = None
     conditions: list[ConditionResult] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    invalid: bool = False
 
     def __post_init__(self) -> None:
         self.certificate = render_exact(self.certificate)
@@ -116,9 +117,7 @@ class Report:
 
     @property
     def exit_code(self) -> int:
-        """0 pass, 1 fail, 2 inconclusive; 3 when invalid or when nothing was checked."""
-        if self.invalid or not self.conditions:
-            return 3
+        """0 pass, 1 fail, 2 inconclusive."""
         return {Verdict.PASS: 0, Verdict.FAIL: 1, Verdict.INCONCLUSIVE: 2}[self.verdict]
 
     def to_json_dict(self) -> dict:
@@ -127,7 +126,7 @@ class Report:
             "certificate": self.certificate,
             "per_condition": [c.to_json_dict() for c in self.conditions],
             "summary": self.summary,
-            "verdict": "invalid" if self.exit_code == 3 else self.verdict.value,
+            "verdict": self.verdict.value,
         }
 
 
@@ -196,9 +195,10 @@ class MaierCertificate:
     eps[k] bounds the normalized residue count at m + k; caps[k] is the
     admissible representation count at offset k.  The derived alpha must
     stay below 1 for the counting bound to be nontrivial.  A field out of
-    range (ell not 3 or 4, K, m or a cap below 0, M or N below 1) is
-    refused by name when the certificate is built; how the fields relate
-    (m + K < M, N >= M^ell, ...) is for verify_maier to report.
+    range (ell not 3 or 4, K, m or a cap below 0, M or N below 1, an eps
+    not above 0) is refused by name when the certificate is built; how the
+    fields relate (m + K < M, N >= M^ell, ...) is for verify_maier to
+    report.
     """
 
     ell: int
@@ -210,12 +210,14 @@ class MaierCertificate:
     N: int
 
     def __post_init__(self) -> None:
-        # a cap below 0 admits no count, and at cap + 1 <= 0 alpha is no bound
+        # the counting bound asks for positive eps; a cap below 0 admits no
+        # count, and at cap + 1 <= 0 alpha is no bound
+        eps = {f"eps[{k}]": e for k, e in enumerate(self.eps)}
         caps = {f"caps[{k}]": cap for k, cap in enumerate(self.caps)}
         _refuse(
-            {**vars(self), **caps}, ("ell", "not one of", SUPPORTED_EXPONENTS), ("K", "below", 0),
-            ("M", "below", 1), ("m", "below", 0), ("N", "below", 1),
-            *((k, "below", 0) for k in caps),
+            {**vars(self), **eps, **caps}, ("ell", "not one of", SUPPORTED_EXPONENTS),
+            ("K", "below", 0), ("M", "below", 1), ("m", "below", 0), ("N", "below", 1),
+            *((k, "not above", 0) for k in eps), *((k, "below", 0) for k in caps),
         )
         if len(self.eps) != self.K + 1 or len(self.caps) != self.K + 1:
             raise ValueError("eps and caps must both have K + 1 entries")
@@ -288,74 +290,52 @@ def verify_maier(
     *,
     _qualifying: np.ndarray | None = None,
 ) -> Report:
-    """Check every certificate invariant and the counting conclusion.
+    """Check how the certificate's fields relate and the counting conclusion.
 
-    Invariant violations are reported one condition each and mark the report
-    invalid, but counting still runs whenever the table allows it, so
-    near-misses stay visible.  The one exception is alpha >= 1, which
-    makes the claimed bound meaningless and rejects the certificate
-    before counting.  A caller that has already computed the qualifying
-    set for the certificate's progression, caps and limit passes it as
-    _qualifying, and it is counted as it is.
+    The profile must hold the residue counts of ell-th powers modulo M and
+    the table the counts of sums of ell ell-th powers up to at least N - 1;
+    otherwise the inputs do not match the certificate, a ValueError, and no
+    report exists.  Every other condition (m + K < M, N >= M^ell, the
+    residue bounds, alpha < 1) is recorded as it holds or not, and counting
+    still runs, so a near miss stays visible.  The one exception is
+    alpha >= 1, which makes the claimed bound meaningless and rejects the
+    certificate before counting.  A caller that has already computed the
+    qualifying set for the certificate's progression, caps and limit passes
+    it as _qualifying, and it is counted as it is.
     """
+    if (profile.ell, profile.modulus) != (cert.ell, cert.M):
+        raise ValueError("profile must count ell-th powers modulo M")
+    if table.params != WaringParams(cert.ell, cert.ell):
+        raise ValueError("table must count sums of ell ell-th powers")
+    if table.limit < cert.N - 1:
+        raise ValueError(f"field N: past the table's limit + 1 = {table.limit + 1}")
+
     report = Report(kind="maier", certificate=cert.to_json_dict())
     alpha = cert.alpha
-    alpha_ok = alpha < 1
-
-    inputs_ok = (
-        profile.ell == cert.ell
-        and profile.modulus == cert.M
-        and table.params.ell == cert.ell
-        and table.params.s == cert.ell
-        and table.limit >= cert.N - 1
+    report.check(
+        "window-in-modulus", cert.m + cert.K < cert.M, {"m": cert.m, "K": cert.K, "M": cert.M}
     )
-    invariants = [
-        report.check(
-            "window-in-modulus",
-            cert.m + cert.K < cert.M,
-            {"m": cert.m, "K": cert.K, "M": cert.M},
-        ),
-        report.check(
-            "limit-covers-modulus-power",
-            cert.N >= cert.M**cert.ell,
-            {"N": cert.N, "M^ell": cert.M**cert.ell},
-        ),
-        report.check("eps-positive", all(e > 0 for e in cert.eps)),
-        report.check("alpha-below-one", alpha_ok, {"alpha": alpha}),
-        report.check(
-            "inputs-match",
-            inputs_ok,
-            {
-                "profile": {"ell": profile.ell, "M": profile.modulus},
-                "table": {
-                    "ell": table.params.ell,
-                    "s": table.params.s,
-                    "limit": table.limit,
-                },
-            },
-        ),
-    ]
+    report.check(
+        "limit-covers-modulus-power",
+        cert.N >= cert.M**cert.ell,
+        {"N": cert.N, "M^ell": cert.M**cert.ell},
+    )
+    alpha_ok = report.check("alpha-below-one", alpha < 1, {"alpha": alpha})
 
     denom = cert.M ** (cert.ell - 1)
     violations = []
     for k, e in enumerate(cert.eps):
-        r = profile.r(cert.m + k) if profile.modulus == cert.M else None
-        if r is None or r * e.denominator > e.numerator * denom:
+        r = profile.r(cert.m + k)
+        if r * e.denominator > e.numerator * denom:
             violations.append({"k": k, "count": r, "eps": e})
-    invariants.append(
-        report.check(
-            "residue-count-bounds",
-            not violations,
-            {"violations": violations} if violations else None,
-        )
+    report.check(
+        "residue-count-bounds", not violations, {"violations": violations} if violations else None
     )
-    report.invalid = not all(invariants)
 
     bound = (1 - alpha) * Fraction(cert.N, cert.M) / (1 << cert.ell)
     report.note(alpha=alpha, bound=bound)
 
-    can_count = alpha_ok and table.limit >= cert.N - 1
-    if not can_count:
+    if not alpha_ok:
         report.add(
             "count-at-least-bound",
             Verdict.FAIL,
@@ -641,7 +621,9 @@ def _sweep_pairs(f: Enclosure, g: Enclosure, threshold: Fraction, height: int) -
 def check_measure(cert: NestedGapsCertificate, terms: int | None = None) -> Report:
     """Certify |alpha*f(1/q) + beta*g(1/q)| >= q^(-n2) for every integer
     pair with alpha != 0 and |alpha| + |beta| bounded by the certificate
-    height, from certified enclosures of f(1/q) and g(1/q).
+    height, from certified enclosures of f(1/q) and g(1/q).  A certificate
+    that does not pass verify_nested_gaps stops at the
+    nested-gaps-precondition condition, with that report's verdict.
 
     Every pair is accounted for, whatever the sign of g's enclosure: for
     each alpha and each side of beta = 0, the passing, failing and
@@ -658,7 +640,6 @@ def check_measure(cert: NestedGapsCertificate, terms: int | None = None) -> Repo
     report = Report(kind="measure", certificate=cert.to_json_dict())
     base = verify_nested_gaps(cert)
     if base.verdict is not Verdict.PASS:
-        report.invalid = base.verdict is Verdict.FAIL
         report.add("nested-gaps-precondition", base.verdict, base.to_json_dict())
         return report
     report.add("nested-gaps-precondition", Verdict.PASS)
@@ -1097,15 +1078,14 @@ def pipeline_dry_run(
     schedule, counting, bad-pair filter, separation, degree criterion) is
     evaluated exactly and reported, including the steps that fail at this
     scale.  Exceeding a configured bound yields a partial report, never a
-    silent truncation.
+    silent truncation.  An ell not 3 or 4, a q below 2 or a J not above 0
+    is refused by name, as a certificate's field is, before any report.
     """
-    if ell not in (3, 4):
-        raise ValueError("ell must be 3 or 4")
-    if q < 2:
-        raise ValueError("q must be at least 2")
     J = Fraction(J)
-    if J <= 0:
-        raise ValueError("J must be positive")
+    _refuse(
+        {"ell": ell, "q": q, "J": J}, ("ell", "not one of", SUPPORTED_EXPONENTS),
+        ("q", "below", 2), ("J", "not above", 0),
+    )
     config = config or PipelineConfig()
     report = Report(
         kind="pipeline",
@@ -1195,7 +1175,7 @@ def pipeline_dry_run(
     maier_report = verify_maier(cert, table_full, profile, _qualifying=members)
     report.add(
         "counting-certificate",
-        Verdict.FAIL if maier_report.invalid else maier_report.verdict,
+        maier_report.verdict,
         maier_report.summary,
     )
 

@@ -5,7 +5,8 @@ parameter set (flags over config file over defaults) is echoed into every
 report, and a previously emitted report can itself be passed back with
 --config to replay the run.  Reports are JSON; tables are CSV or the
 compact binary form.  Exit status for verdict-producing subcommands:
-0 pass, 1 fail, 2 inconclusive, 3 invalid certificate or bad input.
+0 pass, 1 fail, 2 inconclusive, 3 bad input, refused with one message
+line on stderr and no report written.
 
 Importing this module loads exact and repcount alone; a handler imports
 certify, series or modular where it uses them, so sieve, gaps,
@@ -80,6 +81,20 @@ class RunConfig:
     params: dict[str, Any]
 
 
+def _int_or_text(literal: str) -> int | str:
+    """A JSON integer literal as an int, or as its text when int() refuses
+    it for its length, so that parse_exact refuses it by its field's name."""
+    try:
+        return int(literal)
+    except ValueError:
+        return literal
+
+
+def _load_json(text: str) -> Any:
+    """The one JSON reader of every certificate, config file and report."""
+    return json.loads(text, parse_int=_int_or_text)
+
+
 def _config_object(obj: Any, path: str | Path) -> dict[str, Any]:
     """The config of a JSON config file: the object itself, or a report's config."""
     config = obj.get("config", obj)
@@ -92,7 +107,7 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
     """Read a flat key = value file, or pull the config out of a report."""
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        return _config_object(json.loads(text), path)
+        return _config_object(_load_json(text), path)
     out: dict[str, Any] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -274,7 +289,7 @@ def _sieve_limit(p: dict[str, Any]) -> int:
 def _nested_certificate(path: Path) -> certify.NestedGapsCertificate:
     from . import certify
 
-    return certify.nested_certificate_from_json(json.loads(path.read_text()), base_dir=path.parent)
+    return certify.nested_certificate_from_json(_load_json(path.read_text()), base_dir=path.parent)
 
 
 # --------------------------------------------------------------------------
@@ -432,9 +447,9 @@ def _cmd_theta(p: dict[str, Any]) -> tuple[dict, int]:
 def _cmd_maier(p: dict[str, Any]) -> tuple[dict, int]:
     from . import certify, modular
 
-    cert = certify.MaierCertificate.from_json_dict(json.loads(p["cert"].read_text()))
+    cert = certify.MaierCertificate.from_json_dict(_load_json(p["cert"].read_text()))
     table = repcount.read_table_binary(p["table"])
-    # A valid certificate has M <= M^ell <= N <= limit + 1, and a profile
+    # A certificate that can pass has M <= M^ell <= N <= limit + 1, and a profile
     # for a larger M may not fit in memory.
     if cert.M > table.limit + 1:
         raise ValueError(f"field M: past the table's limit + 1 = {table.limit + 1}")
@@ -594,7 +609,7 @@ def replay_report(path: str | Path, overrides: dict[str, Any] | None = None) -> 
     """
 
     def resolve() -> RunConfig:
-        report = json.loads(Path(path).read_text())
+        report = _load_json(Path(path).read_text())
         subcommand = report.get("subcommand") if isinstance(report, dict) else None
         if not isinstance(subcommand, str) or subcommand not in COMMANDS:
             raise ValueError(f"{path}: not a report naming a known subcommand")

@@ -55,7 +55,9 @@ def parse_exact(raw: Any, kind: str, name: str) -> Any:
     another type is a ValueError naming the field: ``int()`` would truncate
     a float or a bool and fail on the others with a TypeError.  A malformed
     string (``"x"``, ``"2.5"`` for an int, ``"1/0"``) is a ValueError
-    naming the field as well.
+    naming the field as well, and so is int or fraction text of more than
+    digit_limit() digits, which int() would refuse: as unprintable(name),
+    without echoing the digits.
     """
     if kind == "intlist":
         if isinstance(raw, str):
@@ -69,6 +71,9 @@ def parse_exact(raw: Any, kind: str, name: str) -> Any:
         return Path(raw)
     if kind not in ("int", "fraction"):
         return raw
+    if isinstance(raw, str) and 0 < (limit := digit_limit()) < len(raw):
+        if any(sum(map(str.isdigit, part)) > limit for part in raw.split("/")):
+            raise unprintable(name)
     try:
         return int(raw) if kind == "int" else parse_fraction(raw)
     except (ValueError, ZeroDivisionError):

@@ -612,6 +612,13 @@ def parse_number_reference(raw: Any, kind: str, name: str) -> int | Fraction:
     accepted = (str, int) if kind == "int" else (str, int, Fraction)
     if isinstance(raw, bool) or not isinstance(raw, accepted):
         raise ValueError(f"{name}: expected {kind}, got {type(raw).__name__}")
+    # One change since: text with more digits on one side of its "/" than
+    # str() prints is refused by name, its digits not echoed.
+    limit = sys.get_int_max_str_digits()
+    if isinstance(raw, str) and limit:
+        for part in raw.split("/"):
+            if len([c for c in part if c.isdigit()]) > limit:
+                raise ValueError(f"{name} has more than {limit} digits to print")
     try:
         if kind == "int":
             return int(raw)

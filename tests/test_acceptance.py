@@ -165,7 +165,7 @@ def test_criterion_07_maier_counting():
     report = verify_maier(cert, table, residue_counts(3, 9))
     ok = (
         report.verdict is Verdict.PASS
-        and not report.invalid
+        and report.exit_code == 0
         and report.summary["count"] == 81
         and Fraction(81) >= parse_fraction(report.summary["bound"]) == Fraction(3969, 400)
     )

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import cache, cached_property
@@ -58,11 +59,11 @@ def table_729():
 
 class TestReport:
     def test_report_without_conditions_is_invalid(self):
+        # a report has no verdict of its own: with no condition it has none
         report = Report(kind="empty")
-        assert report.exit_code == 3
-        assert report.to_json_dict()["verdict"] == "invalid"
-        with pytest.raises(ValueError):
-            Verdict.worst([])
+        for ask in (lambda: report.exit_code, report.to_json_dict, lambda: Verdict.worst([])):
+            with pytest.raises(ValueError, match="^no verdicts to combine$"):
+                ask()
 
 
 def worked_maier(**overrides):
@@ -88,40 +89,53 @@ class TestVerifyMaier:
         assert report.summary["alpha"] == "1/50"
 
     def test_limit_below_modulus_power_is_invalid_but_counted(self, table_729):
+        # N < M^ell is a failed condition, not a refusal
         report = verify_maier(worked_maier(N=728), table_729, residue_counts(3, 9))
-        assert report.exit_code == 3
+        assert report.exit_code == 1
         assert report.condition("limit-covers-modulus-power").verdict is Verdict.FAIL
         assert report.summary["count"] == 81  # near-miss stays visible
 
     def test_alpha_at_least_one_rejected_before_counting(self, table_729):
         cert = worked_maier(eps=(Fraction(3, 2), Fraction(3, 2)))
         report = verify_maier(cert, table_729, residue_counts(3, 9))
-        assert report.exit_code == 3
+        assert report.exit_code == 1
+        assert report.condition("alpha-below-one").verdict is Verdict.FAIL
         assert "count" not in report.summary
 
     def test_residue_bound_violation_reported_per_offset(self, table_729):
         cert = worked_maier(m=0, eps=(Fraction(1, 100), Fraction(1, 100)))
         report = verify_maier(cert, table_729, residue_counts(3, 9))
-        assert report.exit_code == 3
+        assert report.exit_code == 1
         witness = report.condition("residue-count-bounds").witness
         assert witness["violations"][0]["k"] == 0  # r(0, 9) = 189 is far above eps
 
     def test_window_past_modulus_is_invalid(self, table_729):
-        # m + K = 9 is not below M = 9
+        # m + K = 9 is not below M = 9: a failed condition, not a refusal
         report = verify_maier(worked_maier(m=8), table_729, residue_counts(3, 9))
         assert report.condition("window-in-modulus").verdict is Verdict.FAIL
-        assert report.exit_code == 3
+        assert report.exit_code == 1
 
-    def test_zero_eps_is_invalid(self, table_729):
-        cert = worked_maier(eps=(Fraction(0), Fraction(1, 100)))
-        report = verify_maier(cert, table_729, residue_counts(3, 9))
-        assert report.condition("eps-positive").verdict is Verdict.FAIL
-        assert report.exit_code == 3
+    def test_zero_eps_is_invalid(self):
+        # refused when built, so no report of it is ever written
+        for eps, message in (
+            ((Fraction(0), Fraction(1, 100)), "field eps[0]: 0 is not above 0"),
+            ((Fraction(1, 100), Fraction(-1, 3)), "field eps[1]: -1/3 is not above 0"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                worked_maier(eps=eps)
 
     def test_profile_for_another_modulus_is_invalid(self, table_729):
-        report = verify_maier(worked_maier(), table_729, residue_counts(3, 7))
-        assert report.condition("inputs-match").verdict is Verdict.FAIL
-        assert report.exit_code == 3
+        # inputs that do not match the certificate are refused: no report exists
+        for profile, table, message in (
+            ((3, 7), table_729, "profile must count ell-th powers modulo M"),
+            ((4, 9), table_729, "profile must count ell-th powers modulo M"),
+            ((3, 9), sieve_rep(WaringParams(3, 2), 740),
+             "table must count sums of ell ell-th powers"),
+            ((3, 9), sieve_rep(WaringParams(3, 3), 700),
+             "field N: past the table's limit + 1 = 701"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                verify_maier(worked_maier(), table, residue_counts(*profile))
 
     def test_enlarging_caps_preserves_pass(self, table_729):
         rng = random.Random(11)
@@ -368,8 +382,11 @@ class TestCheckMeasure:
         assert report.exit_code == 0
 
     def test_failed_precondition_is_invalid(self):
+        # a certificate that fails nested is a failed precondition, exit 1
         report = check_measure(synthetic_nested(H=Fraction(300)))
-        assert report.exit_code == 3
+        assert report.exit_code == 1
+        assert [c.name for c in report.conditions] == ["nested-gaps-precondition"]
+        assert report.to_json_dict()["verdict"] == "fail"
 
     def test_unprintable_threshold_names_its_field(self):
         # passes nested-gaps; the threshold 1/2^2200 has a 663-digit denominator

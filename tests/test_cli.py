@@ -312,18 +312,24 @@ class TestVerdictCommands:
     def test_maier_modulus_past_the_table_refused(
         self, tmp_path, capsys, table_file, modulus, refused
     ):
-        # The table reaches 760, and a valid certificate has M <= M^3 <= N <= 761.
+        # The table reaches 760, and a certificate that can pass has
+        # M <= M^3 <= N <= 761; at M = 761 N >= M^3 fails as a condition.
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(dict(MAIER_CERT, M=modulus)))
         j = tmp_path / "r.json"
-        assert run_cli("maier", "--cert", str(path), "--table", str(table_file), "--json", str(j)) == 3
+        argv = ["--cert", str(path), "--table", str(table_file), "--json", str(j)]
+        status = run_cli("maier", *argv)
         err = capsys.readouterr().err
         if refused:
+            assert status == 3
             assert err == "waring-gaps: error: field M: past the table's limit + 1 = 761\n"
             assert not j.exists()
         else:
-            assert err == ""
-            assert json.loads(j.read_text())["report"]["verdict"] == "invalid"
+            assert (status, err) == (1, "")
+            report = json.loads(j.read_text())["report"]
+            assert report["verdict"] == "fail"
+            verdicts = {c["name"]: c["verdict"] for c in report["per_condition"]}
+            assert verdicts["limit-covers-modulus-power"] == "fail"
 
     def test_linforms(self, tmp_path):
         j = tmp_path / "lin.json"
@@ -391,6 +397,21 @@ class TestVerdictCommands:
         assert f"field {rule.split()[0]}:" in message
         assert not j.exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--ell", "5", "--q", "2"), "field ell: 5 is not one of (3, 4)"),
+            (("--ell", "3", "--q", "1"), "field q: 1 is below 2"),
+            (("--ell", "3", "--q", "2", "--j", "0"), "field J: 0 is not above 0"),
+            (("--ell", "3", "--q", "2", f"--j=-{10**30}"), f"field J: -{10**30} is not above 0"),
+        ],
+    )
+    def test_pipeline_refuses_its_arguments_by_name(self, tmp_path, capsys, argv, message):
+        j = tmp_path / "pipe.json"
+        assert run_cli("pipeline", *argv, "--json", str(j)) == 3
+        assert capsys.readouterr().err == f"waring-gaps: error: {message}\n"
+        assert not j.exists()
+
     def test_pipeline_unprintable_height_power_names_its_field(self, tmp_path, capsys):
         # K2 = 256, so q^K2 = 10^5120 has more digits than str() prints by default
         j = tmp_path / "pipe.json"
@@ -441,6 +462,24 @@ class TestErrorsAndConfig:
     def test_missing_required_parameter(self, capsys):
         assert run_cli("sieve", "--ell", "3", "--s", "2") == 3
         assert "missing required parameter --limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["literal", "string"])
+    def test_oversized_integer_names_its_field(self, tmp_path, capsys, table_file, quote):
+        # 5,000 digits, past the 4,300 that int() reads by default: refused by
+        # the name of its certificate field or config key, digits not echoed
+        digits = quote + "1" * 5000 + quote
+        cert, cfg = tmp_path / "cert.json", tmp_path / "run.json"
+        cert.write_text(json.dumps(dict(MAIER_CERT, N="@")).replace('"@"', digits))
+        cfg.write_text(json.dumps({"ell": 3, "b": "@"}).replace('"@"', digits))
+        for argv, name in (
+            (("maier", "--cert", str(cert), "--table", str(table_file)), "field N"),
+            (("greedy", "--config", str(cfg)), "greedy: parameter b"),
+        ):
+            assert run_cli_at_default_digit_limit(*argv, "--json", str(tmp_path / "r.json")) == 3
+            captured = capsys.readouterr()
+            message = f"{name} has more than 4300 digits to print"
+            assert captured.err == f"waring-gaps: error: {message}\n"
+            assert captured.out == "" and not (tmp_path / "r.json").exists()
 
     def test_malformed_parameter(self, capsys):
         assert run_cli("sieve", "--ell", "x", "--s", "2", "--limit", "10") == 3
@@ -747,7 +786,8 @@ class TestAstronomicalCertificateIntegers:
             # ordering fails
             ("nested_huge_n2.json", "nested", 1, "report written",
              {"ordering": "fail", "mild-gaps": "pass"}),
-            ("nested_huge_n2.json", "measure", 3, "report written", None),
+            ("nested_huge_n2.json", "measure", 1, "report written",
+             {"nested-gaps-precondition": "fail"}),
             # f's next nonzero past every cutoff is at 2^40: each tail majorant
             # starts a bounded distance past its cutoff instead
             ("nested_far_nonzero.json", "nested", 0, "report written",

@@ -47,6 +47,8 @@ CASES = {
     "mild-scan": "mild-scan --table r33.bin --lo 0 --hi 30 --k 4 --e 8 --json r.json",
     "theta": "theta --ell 3 --q 2 --terms 40 --json r.json",
     "maier": "maier --cert maier.json --table r33.bin --json r.json",
+    "maier-relation-fails": "maier --cert maier-n728.json --table r33.bin --json r.json",
+    "maier-eps-zero": "maier --cert maier-eps0.json --table r33.bin --json r.json",
     "nested": "nested --cert nested.json --json r.json",
     "measure": "measure --cert nested.json --json r.json",
     "linforms": "linforms --ell 3 --q 2 --height 1 --terms 48 --json r.json",
@@ -75,6 +77,10 @@ def write_inputs(directory: Path) -> dict[str, bytes]:
     write_table_binary(sieve_rep(WaringParams(3, 3), 760), directory / "r33.bin")
     (directory / "nested.json").write_text(json.dumps(NESTED_CERT))
     (directory / "maier.json").write_text(json.dumps(MAIER_CERT))
+    # N < M^ell fails a condition, and the count is still reported
+    (directory / "maier-n728.json").write_text(json.dumps(dict(MAIER_CERT, N=728)))
+    # refused by name before any report exists
+    (directory / "maier-eps0.json").write_text(json.dumps(dict(MAIER_CERT, eps=["0", "1/100"])))
     (directory / "run.cfg").write_text("# greedy defaults\nell = 3\nb = 50\nthreads = 4\n")
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 

@@ -126,6 +126,20 @@ class TestParseExact:
             parse_exact(raw, kind, "field x")
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "raw,kind",
+        [("1" * 4301, "int"), (" -" + "1" * 4301, "fraction"), ("1/" + "7" * 4301, "fraction"),
+         ("2," + "1" * 4301, "intlist")],
+        ids=["int", "fraction", "denominator", "intlist"],
+    )
+    def test_text_of_more_digits_than_int_reads_names_its_field(self, raw, kind):
+        # refused by name, the digits not echoed; at one digit fewer it parses
+        with int_str_digits(4300):
+            with pytest.raises(ValueError) as info:
+                parse_exact(raw, kind, "field x")
+            assert str(info.value) == "field x has more than 4300 digits to print"
+            assert parse_exact(raw[:-1], kind, "field x")
+
 
 class TestRenderExact:
     @pytest.mark.parametrize(
